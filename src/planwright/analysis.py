@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from .model import CostVector
 
 DEFAULT_REF_2D = (100.0, 100.0)
 DEFAULT_REF_3D = (300.0, 300.0, 300.0)
 DEFAULT_PRICES = (0, 10, 20, 40, 80, 160, 240, 400)
+
+T = TypeVar("T")
 
 
 def default_reference(mode: int) -> tuple[float, ...]:
@@ -33,11 +36,23 @@ def point_dominates(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
 
 
-def pareto_filter(points: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
-    """Maximal non-dominated subset, deduplicated, sorted lexicographically."""
-    unique = sorted(set(points))
-    return [p for p in unique
-            if not any(point_dominates(q, p) for q in unique if q != p)]
+def pareto_filter(items: list[T],
+                  key: Callable[[T], tuple[float, ...]] | None = None) -> list[T]:
+    """Items with non-dominated objective tuples, sorted by those tuples.
+
+    `key` maps an item to its objectives (default: the item is its own
+    tuple). Only the first item of each distinct tuple is kept.
+    """
+    first: dict[tuple[float, ...], T] = {}
+    for item in items:
+        first.setdefault(item if key is None else key(item), item)
+    # a dominating tuple sorts first, and some non-dominated one dominates
+    # every dominated tuple, so checking against the front so far suffices
+    front: list[tuple[float, ...]] = []
+    for obj in sorted(first):
+        if not any(point_dominates(q, obj) for q in front):
+            front.append(obj)
+    return [first[obj] for obj in front]
 
 
 @dataclass

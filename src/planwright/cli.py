@@ -211,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flip-iters", dest="flip_iters", type=int)
     p.add_argument("--generations", type=int)
     p.add_argument("--designs-per-iter", dest="designs_per_iter", type=int)
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (results are worker-count independent)")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("evaluate", help="cost breakdown for a plan file")

@@ -346,15 +346,5 @@ def order_is_feasible(cuts: list[Cut]) -> bool:
     return True
 
 
-def time_cost(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> float:
-    """f_t in minutes."""
-    return evaluate_plan(plan, tools).f_t_minutes
-
-
-def precision_cost(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> float:
-    """f_p in inches."""
-    return evaluate_plan(plan, tools).f_p_inches
-
-
 def cost_vector(plan: FabPlan, tools: dict[Tool, ToolSpec], mode: int = 3) -> CostVector:
     return evaluate_plan(plan, tools).vector(mode)

@@ -270,23 +270,3 @@ class BopEGraph:
         self._hashcons = {
             sig: nid for sig, nid in self._hashcons.items() if nid in live_nodes
         }
-
-    # -- debugging ----------------------------------------------------------
-
-    def to_dot(self) -> str:
-        lines = ["digraph bop {", "  rankdir=TB;"]
-        for cid in sorted(self.classes):
-            eclass = self.classes[cid]
-            label = ",".join(sorted(eclass.part_set))
-            lines.append(f'  "{cid}" [shape=box,label="{cid}: {{{label}}}"];')
-            for nid in eclass.nodes:
-                node = self.nodes[nid]
-                if isinstance(node, AtomicNode):
-                    lines.append(f'  "{nid}" [label="{nid}: {node.spec.id}"];')
-                else:
-                    lines.append(f'  "{nid}" [label="{nid}: compose"];')
-                    for child in node.children:
-                        lines.append(f'  "{nid}" -> "{child}";')
-                lines.append(f'  "{cid}" -> "{nid}" [style=dashed];')
-        lines.append("}")
-        return "\n".join(lines)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
-from .analysis import default_reference, hypervolume, point_dominates
+from .analysis import default_reference, hypervolume, pareto_filter, point_dominates
 from .cost import FabPlan, PlanCost
 from .designspace import DesignSpace, enumerate_variants, sample_design
 from .egraph import AtomicNode, BopEGraph, ComposeNode, Term
@@ -84,19 +84,7 @@ def _front_points(archive: list[Solution]) -> list[tuple[float, ...]]:
 
 
 def _merge_archive(archive: list[Solution], new: list[Solution]) -> list[Solution]:
-    pool = archive + new
-    seen: set[tuple] = set()
-    front: list[Solution] = []
-    for sol in pool:
-        obj = sol.cost.objectives
-        if obj in seen:
-            continue
-        if any(point_dominates(other.cost.objectives, obj) for other in pool):
-            continue
-        seen.add(obj)
-        front.append(sol)
-    front.sort(key=lambda s: (s.cost.objectives, s.design.id))
-    return front
+    return pareto_filter(archive + new, key=lambda s: s.cost.objectives)
 
 
 def _node_scalar_bound(state: _DesignState):

@@ -123,7 +123,7 @@ def brute_force_design(
             stacked = stacked_variant(design.id, reordered, tools)
             if stacked is not None:
                 evaluated.append((stacked, evaluate_plan(stacked, tools)))
-    return _pareto(evaluated, mode)
+    return pareto_filter(evaluated, key=lambda pc: pc[1].vector(mode).objectives)
 
 
 def _stacking_orders(per_stock):
@@ -172,26 +172,5 @@ def brute_force_front(
     for design in enumerate_variants(space, space.cardinality):
         for plan, cost in brute_force_design(design, stock_lib, tools, mode):
             pool.append((design, plan, cost))
-    keep = set(pareto_filter([c.vector(mode).objectives for _, _, c in pool]))
-    out = []
-    seen: set[tuple] = set()
-    for design, plan, cost in pool:
-        vec = cost.vector(mode)
-        if vec.objectives in keep and vec.objectives not in seen:
-            seen.add(vec.objectives)
-            out.append((design, plan, vec))
-    out.sort(key=lambda t: t[2].objectives)
-    return out
-
-
-def _pareto(evaluated, mode):
-    keep = set(pareto_filter([c.vector(mode).objectives for _, c in evaluated]))
-    out = []
-    seen: set[tuple] = set()
-    for plan, cost in evaluated:
-        vec = cost.vector(mode).objectives
-        if vec in keep and vec not in seen:
-            seen.add(vec)
-            out.append((plan, cost))
-    out.sort(key=lambda t: t[1].vector(mode).objectives)
-    return out
+    front = pareto_filter(pool, key=lambda t: t[2].vector(mode).objectives)
+    return [(design, plan, cost.vector(mode)) for design, plan, cost in front]

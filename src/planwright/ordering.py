@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 from . import kernels
+from .analysis import pareto_filter
 from .cost import (
     Cut,
     FabPlan,
@@ -269,28 +270,6 @@ def _weakly_dominated(lower: CostVector, front: list[tuple[float, ...]],
     return any(all(s <= t for s, t in zip(point, target)) for point in front)
 
 
-def _pareto_plans(evaluated: list[tuple[FabPlan, PlanCost]],
-                  mode: int) -> list[tuple[FabPlan, PlanCost]]:
-    keyed = []
-    seen: set[tuple] = set()
-    for plan, cost in evaluated:
-        obj = cost.vector(mode).objectives
-        if obj in seen:
-            continue
-        seen.add(obj)
-        keyed.append((obj, plan, cost))
-    front = []
-    for obj, plan, cost in keyed:
-        dominated = any(
-            all(o2 <= o1 for o1, o2 in zip(obj, other)) and other != obj
-            for other, _, _ in keyed
-        )
-        if not dominated:
-            front.append((obj, plan, cost))
-    front.sort(key=lambda item: item[0])
-    return [(plan, cost) for _, plan, cost in front]
-
-
 def _stacked_candidates(design_id: str,
                         per_stock: list[tuple[StockInstance, list[Cut]]],
                         tools: dict[Tool, ToolSpec]) -> list[FabPlan]:
@@ -347,7 +326,7 @@ def refine_term(
         canonical = [(inst, list(orders.cuts)) for inst, orders in stocks]
         for plan in _stacked_candidates(design_id, canonical, tools):
             consider(plan)
-        return _pareto_plans(evaluated, mode)
+        return pareto_filter(evaluated, key=lambda pc: pc[1].vector(mode).objectives)
 
     # stochastic refinement: one adjacent feasible swap per stock per pass
     for per_stock in start_variants:
@@ -367,4 +346,4 @@ def refine_term(
                 consider(assemble_plan(design_id, current))
                 for plan in _stacked_candidates(design_id, current, tools):
                     consider(plan)
-    return _pareto_plans(evaluated, mode)
+    return pareto_filter(evaluated, key=lambda pc: pc[1].vector(mode).objectives)

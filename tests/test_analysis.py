@@ -49,6 +49,11 @@ def test_pareto_filter_against_quadratic_oracle():
 def test_pareto_filter_dedup_and_sorted():
     out = pareto_filter([(1.0, 2.0), (1.0, 2.0), (2.0, 1.0)])
     assert out == [(1.0, 2.0), (2.0, 1.0)]
+    # keyed: first item per non-dominated key, returned sorted by key
+    items = [("c", (2.0, 1.0)), ("a", (1.0, 2.0)), ("x", (2.0, 2.0)),
+             ("b", (1.0, 2.0)), ("d", (2.0, 1.0))]
+    out = pareto_filter(items, key=lambda item: item[1])
+    assert out == [("a", (1.0, 2.0)), ("c", (2.0, 1.0))]
 
 
 def test_hypervolume_exact_2d():

@@ -103,9 +103,9 @@ def read_front_csv_from_text(text, tmp_path):
 def test_cli_optimize_outputs_and_determinism(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    for out, workers in ((out1, "1"), (out2, "4")):
+    for out in (out1, out2):
         result = run_cli("optimize", corpus_path("lframe"), *FAST_ARGS,
-                         "--workers", workers, "--out", str(out))
+                         "--out", str(out))
         assert result.returncode == 0, result.stderr
     for name in ("front.csv", "front.json", "report.json", "front.svg"):
         assert (out1 / name).exists()

@@ -1,58 +1,50 @@
+import itertools
 import random
 
-import pytest
-from conftest import HAVE_TOOLCHAIN
+from planwright.cost import StockInstance
+from planwright.egraph import AtomicNode
+from planwright.kernels import eval_orders_chop
+from planwright.libraries import default_stocks, default_tools, with_metal_twins
+from planwright.model import Part, Tool
+from planwright.ordering import _eval_node_order, _eval_orders, _kernel_applicable
+from planwright.plans import cuts_for_instance
 
-from planwright import kernels
-from planwright.kernels import eval_orders_chop, eval_orders_chop_py
-
-
-def random_case(rng):
-    n = rng.randint(1, 6)
-    stock_len = rng.choice([24, 48, 96]) * 64
-    kerf = rng.choice([0, 8])
-    # keep cuts spaced by more than the kerf so every order stays feasible
-    positions = sorted(rng.sample(range(1, (stock_len - kerf) // (kerf + 1)), n))
-    positions = [p * (kerf + 1) for p in positions]
-    order_count = rng.randint(1, 12)
-    orders = []
-    for _ in range(order_count):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        orders.append(tuple(perm))
-    return dict(
-        positions=positions,
-        stock_len=stock_len,
-        kerf=kerf,
-        op_error_ticks=rng.choice([1, 2, 4, 12]),
-        setup_full=float(rng.choice([20, 60, 180])),
-        setup_partial=float(rng.choice([-1, 15, 75])),
-        op_seconds=rng.uniform(0.5, 10.0),
-        load_seconds=float(rng.randint(2, 55)),
-        orders=orders,
-    )
+TOOLS = default_tools()
+LUMBER = [s for s in with_metal_twins(default_stocks()) if not s.is_sheet]
 
 
-@pytest.mark.skipif(not HAVE_TOOLCHAIN,
-                    reason="no C compiler or Python headers to build planwright._fastcost")
-def test_compiled_kernel_is_active():
-    assert kernels.COMPILED, "compiled extension should be built in this repo"
-    assert eval_orders_chop is not eval_orders_chop_py
+def random_lumber_node(rng):
+    """1-5 parts packed end to end; repeated lengths exercise partial setups."""
+    spec = rng.choice(LUMBER)
+    kerf = TOOLS[Tool.CHOPSAW].kerf
+    n = rng.randint(1, 5)
+    cap = (spec.dims[0] - n * kerf) // n
+    parts, placements, offset = {}, [], 0
+    for i in range(n):
+        length = min(cap, rng.choice((10 * 64, 12 * 64, rng.randint(64, cap))))
+        parts[f"p{i}"] = Part(id=f"p{i}", family=spec.family, shape=(length,),
+                              material=spec.material)
+        placements.append((f"p{i}", (offset,)))
+        offset += length + kerf
+    return AtomicNode(id="n", spec=spec, placements=tuple(placements)), parts
 
 
-def test_kernels_bit_identical_on_random_cases():
-    rng = random.Random("kernel-parity")
-    for _ in range(300):
-        case = random_case(rng)
-        fast = eval_orders_chop(**case)
-        slow = eval_orders_chop_py(**case)
-        assert fast == slow, case
+def test_chop_evaluator_matches_evaluate_plan():
+    rng = random.Random("kernel-vs-evaluate_plan")
+    for _ in range(400):
+        node, parts = random_lumber_node(rng)
+        inst = StockInstance(key=node.id, spec=node.spec)
+        cuts = cuts_for_instance(inst, list(node.placements), parts, TOOLS)
+        assert _kernel_applicable(inst, cuts)
+        orders = [list(p) for p in itertools.permutations(cuts)]
+        expected = [_eval_node_order(inst, order, TOOLS) for order in orders]
+        assert _eval_orders(inst, cuts, orders, TOOLS) == expected, node
 
 
 def test_kernel_known_value_first_cut():
     # one chop at 30" on a 96" two-by-four: 60 setup + 55 handling + 1 op,
     # measured length 30" is on-grid so precision is just the tool error
-    (fp, ft), = eval_orders_chop_py(
+    (fp, ft), = eval_orders_chop(
         positions=[30 * 64],
         stock_len=96 * 64,
         kerf=8,
@@ -70,7 +62,7 @@ def test_kernel_partial_setup_on_repeat_measurement():
     # both cuts measure a 10" piece off an original edge, so the second
     # reuses the jig: 15 + 1 seconds instead of 60 + 1
     stock_len = 96 * 64
-    results = eval_orders_chop_py(
+    results = eval_orders_chop(
         positions=[10 * 64, stock_len - 8 - 10 * 64],
         stock_len=stock_len,
         kerf=8,
