@@ -9,7 +9,7 @@ piece survive earlier cuts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .model import (

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from .model import ConnectorVariant, Design, Joint, Part
 
 
+MAX_COLLAPSED_DRAWS = 10_000  # consecutive collapsed samples before giving up
+
+
 class DesignInputError(ValueError):
     """Malformed design input (unknown parts, self-joints, ...)."""
 
@@ -116,9 +119,15 @@ def enumerate_variants(
 
 
 def sample_design(space: DesignSpace, rng: random.Random) -> Design:
-    """Uniform over variant selections; resamples collapsed geometries."""
-    while True:
+    """Uniform over variant selections; resamples collapsed geometries.
+
+    Raises DesignInputError after MAX_COLLAPSED_DRAWS collapsed draws in a
+    row, which is how a space where every selection collapses a part shows.
+    """
+    for _ in range(MAX_COLLAPSED_DRAWS):
         selection = {j.id: rng.choice(j.variants).id for j in space.joints}
         design = instantiate(space, selection)
         if design is not None:
             return design
+    raise DesignInputError(
+        f"{MAX_COLLAPSED_DRAWS} sampled variant selections in a row collapse a part")

@@ -97,26 +97,20 @@ class BopEGraph:
         """Insert one atomic e-node per stock instance plus a compose node
         stitching them under the root class; hash-consed, so re-adding the
         same arrangement is a no-op."""
-        covered = {p.part_id for p in arrangement.placements}
+        covered = {pid for _, places in arrangement.stocks for pid, _ in places}
         if covered != self.design_parts:
             raise ValueError(
                 f"arrangement covers {sorted(covered)} but design has "
                 f"{sorted(self.design_parts)}"
             )
-        per_instance: dict[str, list] = {}
-        for p in arrangement.placements:
-            per_instance.setdefault(p.stock_key, []).append((p.part_id, p.offset))
-
         new_ids: list[str] = []
         child_classes = []
-        for key in sorted(per_instance):
-            spec = arrangement.instance(key).spec
-            placements = tuple(sorted(per_instance[key]))
+        for inst, placements in sorted(arrangement.stocks, key=lambda s: s[0].key):
             part_set = frozenset(pid for pid, _ in placements)
-            sig = ("atomic", spec.id, placements)
+            sig = ("atomic", inst.spec.id, placements)
             self._intern(
                 sig,
-                lambda nid, s=spec, pl=placements: AtomicNode(nid, s, pl),
+                lambda nid, s=inst.spec, pl=placements: AtomicNode(nid, s, pl),
                 part_set,
                 new_ids,
             )
@@ -136,6 +130,18 @@ class BopEGraph:
     # -- queries ----------------------------------------------------------
 
     def sample_term(self, rng: random.Random) -> Term:
+        return self._close(lambda cid: rng.choice(self.classes[cid].nodes))
+
+    def term_from_choices(self, choices: dict[str, str]) -> Term:
+        """Close a (possibly over-complete) choice map from the root."""
+        def pick(cid: str) -> str:
+            nodes = self.classes[cid].nodes
+            return choices[cid] if choices.get(cid) in nodes else nodes[0]
+
+        return self._close(pick)
+
+    def _close(self, pick: Callable[[str], str]) -> Term:
+        """Walk from the root, choosing `pick(cid)` in each reached class."""
         root = self.root
         if root is None:
             raise ValueError("e-graph has no root class yet")
@@ -145,28 +151,7 @@ class BopEGraph:
             cid = stack.pop()
             if cid in chosen:
                 continue
-            eclass = self.classes[cid]
-            nid = rng.choice(eclass.nodes)
-            chosen[cid] = nid
-            node = self.nodes[nid]
-            if isinstance(node, ComposeNode):
-                stack.extend(node.children)
-        return Term(root=root, chosen=chosen)
-
-    def term_from_choices(self, choices: dict[str, str]) -> Term:
-        """Close a (possibly over-complete) choice map from the root."""
-        root = self.root
-        assert root is not None
-        chosen: dict[str, str] = {}
-        stack = [root]
-        while stack:
-            cid = stack.pop()
-            if cid in chosen:
-                continue
-            nid = choices.get(cid)
-            if nid is None or nid not in self.classes[cid].nodes:
-                nid = self.classes[cid].nodes[0]
-            chosen[cid] = nid
+            nid = chosen[cid] = pick(cid)
             node = self.nodes[nid]
             if isinstance(node, ComposeNode):
                 stack.extend(node.children)

@@ -11,16 +11,18 @@ e-graph to its top-n nodes per class.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .analysis import default_reference, hypervolume, pareto_filter, point_dominates
 from .cost import FabPlan, PlanCost
 from .designspace import DesignSpace, enumerate_variants, sample_design
-from .egraph import AtomicNode, BopEGraph, ComposeNode, Term
+from .egraph import AtomicNode, BopEGraph, Term
 from .libraries import DEFAULT_KERF
 from .model import CostVector, Design, StockSpec, Tool, ToolSpec, validate_design
-from .ordering import NodeOrders, OrderCache, optimize_enode, refine_term
+from .ordering import OrderCache, optimize_enode, refine_term
 from .packing import generate_arrangements
+
+BREADTH_ENUMERATION_LIMIT = 1024  # design spaces this small are swept in order
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,6 @@ class IceeParams:
     seed: int = 0
     generations: int = 8          # GA generations per extraction
     designs_per_iter: int = 2
-    breadth_enumeration_limit: int = 1024  # enumerate tiny spaces systematically
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha <= 1.0):
@@ -329,7 +330,7 @@ def icee_run(
     ref = default_reference(params.objective_mode)
     report_iters: list[dict] = []
     enumerated: list[Design] = []
-    if space.cardinality <= params.breadth_enumeration_limit:
+    if space.cardinality <= BREADTH_ENUMERATION_LIMIT:
         enumerated = enumerate_variants(space, space.cardinality)
     breadth_cursor = 0
     evaluations = 0
@@ -417,7 +418,7 @@ def icee_run(
             break
 
     report = {
-        "params": _params_dict(params),
+        "params": asdict(params),
         "reference_point": list(ref),
         "iterations": report_iters,
         "design_space_cardinality": space.cardinality,
@@ -447,20 +448,3 @@ def baseline_run(
     )
     return icee_run(restricted, stock_lib, tools, params)
 
-
-def _params_dict(params: IceeParams) -> dict:
-    return {
-        "traversals": params.traversals,
-        "top_nodes": params.top_nodes,
-        "cut_orders": params.cut_orders,
-        "population": params.population,
-        "p_crossover": params.p_crossover,
-        "p_mutation": params.p_mutation,
-        "flip_iters": params.flip_iters,
-        "alpha": params.alpha,
-        "iterations": params.iterations,
-        "objective_mode": params.objective_mode,
-        "seed": params.seed,
-        "generations": params.generations,
-        "designs_per_iter": params.designs_per_iter,
-    }

@@ -5,6 +5,10 @@ usable designated stock size, and every feasible cut order (full
 permutations up to a size limit, per-stock permutations beyond it), then
 Pareto-filters the evaluated costs. Exponential by construction; meant as
 ground truth for the heuristic search on tiny inputs, not for real use.
+
+Packings come from `packing`'s shared enumerator, fed every part order
+instead of a traversal budget; cut orders are enumerated here,
+independently of the optimizer's order search.
 """
 
 from __future__ import annotations
@@ -18,12 +22,13 @@ from .libraries import DEFAULT_KERF
 from .model import CostVector, Design, StockSpec, Tool, ToolSpec
 from .packing import (
     Arrangement,
-    _assemble,
+    InfeasiblePartError,
+    combine,
+    family_stocks,
     group_parts,
-    pack_traversal,
-    shrink_instances,
+    pack_fragments,
 )
-from .plans import assemble_plan, cuts_for_instance, stacked_variant
+from .plans import cuts_for_instance, stacked_variant
 
 FULL_PERMUTATION_LIMIT = 8
 
@@ -31,42 +36,24 @@ FULL_PERMUTATION_LIMIT = 8
 def all_arrangements(design: Design, stock_lib: list[StockSpec],
                      kerf: int = DEFAULT_KERF) -> list[Arrangement]:
     """Every packing reachable from any part order and designated size."""
-    groups = group_parts(design, stock_lib)
     parts_by_id = {p.id: p for p in design.parts}
-    per_group: list[list[tuple]] = []
-    for key, parts in groups.items():
-        family = key.split(":")[0]
-        material = parts[0].material
-        stocks = [s for s in stock_lib
-                  if s.family == family and s.material is material]
-        usable = [s for s in stocks
-                  if all(p.shape[i] <= s.dims[i] for p in parts
-                         for i in range(len(p.shape) if p.is_sheet else 1))]
-        fragments: list[tuple] = []
-        seen: set[tuple] = set()
-        for order in itertools.permutations(parts):
-            for designated in usable:
-                fragment = pack_traversal(list(order), designated, kerf)
-                fragment = shrink_instances(fragment, stocks, parts_by_id)
-                # costs are blind to part labels, so dedup on shapes only
-                sig = tuple(sorted(
-                    (spec.id, tuple(sorted(
-                        (off, parts_by_id[pid].shape) for pid, off in places)))
-                    for spec, places in fragment))
-                if sig not in seen:
-                    seen.add(sig)
-                    fragments.append(tuple(fragment))
-        per_group.append(fragments)
 
-    arrangements: list[Arrangement] = []
-    seen_arr: set[tuple] = set()
-    for combo in itertools.product(*per_group):
-        arrangement = _assemble(design, combo)
-        sig = arrangement.signature()
-        if sig not in seen_arr:
-            seen_arr.add(sig)
-            arrangements.append(arrangement)
-    return arrangements
+    def shape_signature(fragment) -> tuple:
+        # costs are blind to part labels, so dedup on shapes only
+        return tuple(sorted(
+            (spec.id, tuple(sorted((off, parts_by_id[pid].shape) for pid, off in places)))
+            for spec, places in fragment))
+
+    per_group = []
+    for key, parts in group_parts(design, stock_lib).items():
+        try:
+            stocks, usable = family_stocks(key, parts, stock_lib)
+        except InfeasiblePartError:
+            return []  # some part fits no stock: this variant has no packing
+        orders = [list(order) for order in itertools.permutations(parts)]
+        per_group.append(pack_fragments(orders, stocks, usable, kerf, parts_by_id,
+                                        sig=shape_signature))
+    return combine(design, per_group)
 
 
 def all_cut_orders(per_stock: list[tuple[StockInstance, list[Cut]]]) -> list[list[Cut]]:
@@ -103,14 +90,9 @@ def brute_force_design(
     parts_by_id = {p.id: p for p in design.parts}
     evaluated: list[tuple[FabPlan, PlanCost]] = []
     for arrangement in all_arrangements(design, stock_lib):
-        grouped: dict[str, list] = {}
-        for p in arrangement.placements:
-            grouped.setdefault(p.stock_key, []).append((p.part_id, p.offset))
         per_stock = [
-            (arrangement.instance(key),
-             cuts_for_instance(arrangement.instance(key), places,
-                               parts_by_id, tools))
-            for key, places in sorted(grouped.items())
+            (inst, cuts_for_instance(inst, list(places), parts_by_id, tools))
+            for inst, places in sorted(arrangement.stocks, key=lambda s: s[0].key)
         ]
         for order in all_cut_orders(per_stock):
             plan = FabPlan(

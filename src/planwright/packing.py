@@ -7,12 +7,19 @@ does not fit. Lumber packs as intervals; sheets use shelf-based guillotine
 packing with shelves keyed by part height. After packing, every instance is
 shrunk to the cheapest stock of the family that still holds its contents,
 which is how cheaper small-stock arrangements enter the search space.
+
+`family_stocks`, `pack_fragments` and `combine` are the one enumeration
+pipeline: the optimizer feeds it a budget of traversal orders
+(`generate_arrangements`), the brute-force oracle feeds it every part
+permutation. Both get arrangements in one per-stock layout.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .cost import StockInstance
 from .model import Design, Part, StockSpec, part_fits_stock
@@ -22,34 +29,19 @@ class InfeasiblePartError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Placement:
-    part_id: str
-    stock_key: str
-    offset: tuple[int, ...]  # (x,) for lumber, (x, y) for sheets
+Places = tuple[tuple[str, tuple[int, ...]], ...]  # (part_id, offset), sorted
+Fragment = list[tuple[StockSpec, list[tuple[str, tuple[int, ...]]]]]
 
 
 @dataclass(frozen=True)
 class Arrangement:
-    design_id: str
-    placements: tuple[Placement, ...]
-    instances: tuple[StockInstance, ...]
+    """One packing of a design: each stock instance with its placed parts."""
 
-    def instance(self, key: str) -> StockInstance:
-        for inst in self.instances:
-            if inst.key == key:
-                return inst
-        raise KeyError(key)
+    design_id: str
+    stocks: tuple[tuple[StockInstance, Places], ...]
 
     def signature(self) -> tuple:
-        per_instance: dict[str, list] = {}
-        spec_of: dict[str, str] = {i.key: i.spec.id for i in self.instances}
-        for p in self.placements:
-            per_instance.setdefault(p.stock_key, []).append((p.part_id, p.offset))
-        return tuple(sorted(
-            (spec_of[key], tuple(sorted(places)))
-            for key, places in per_instance.items()
-        ))
+        return tuple(sorted((inst.spec.id, places) for inst, places in self.stocks))
 
 
 def group_parts(design: Design, stock_lib: list[StockSpec]) -> dict[str, list[Part]]:
@@ -105,9 +97,7 @@ def _place_2d(stock: _OpenStock, part: Part, kerf: int) -> bool:
     return True
 
 
-def pack_traversal(
-    parts: list[Part], designated: StockSpec, kerf: int
-) -> list[tuple[StockSpec, list[tuple[str, tuple[int, ...]]]]]:
+def pack_traversal(parts: list[Part], designated: StockSpec, kerf: int) -> Fragment:
     """Greedy first-fit packing of `parts` (in order) onto `designated` stock.
 
     Returns a fragment: a list of (spec, placements) per opened instance.
@@ -135,10 +125,8 @@ def pack_traversal(
 
 
 def shrink_instances(
-    fragment: list[tuple[StockSpec, list[tuple[str, tuple[int, ...]]]]],
-    family_stocks: list[StockSpec],
-    parts_by_id: dict[str, Part],
-) -> list[tuple[StockSpec, list[tuple[str, tuple[int, ...]]]]]:
+    fragment: Fragment, stocks: list[StockSpec], parts_by_id: dict[str, Part]
+) -> Fragment:
     """Swap each instance for the cheapest family stock that holds its spread."""
     out = []
     for spec, placements in fragment:
@@ -146,14 +134,14 @@ def shrink_instances(
             w_used = max(off[0] + parts_by_id[pid].shape[0] for pid, off in placements)
             h_used = max(off[1] + parts_by_id[pid].shape[1] for pid, off in placements)
             candidates = [
-                s for s in family_stocks
+                s for s in stocks
                 if s.is_sheet and s.dims[0] >= w_used and s.dims[1] >= h_used
                 and s.material is spec.material
             ]
         else:
             span = max(off[0] + parts_by_id[pid].shape[0] for pid, off in placements)
             candidates = [
-                s for s in family_stocks
+                s for s in stocks
                 if not s.is_sheet and s.dims[0] >= span and s.material is spec.material
             ]
         best = min(candidates, key=lambda s: (s.effective_price(), s.capacity, s.id),
@@ -189,6 +177,73 @@ def _traversal_orders(parts: list[Part], budget: int, rng: random.Random) -> lis
     return orders[:budget]
 
 
+def family_stocks(
+    key: str, parts: list[Part], stock_lib: list[StockSpec]
+) -> tuple[list[StockSpec], list[StockSpec]]:
+    """(family stocks, sizes that hold every part) for one part group.
+
+    Both lists are largest first. Raises InfeasiblePartError when the
+    family has no stock of the group's material or no size holds every part.
+    """
+    family = key.split(":")[0]
+    material = parts[0].material
+    stocks = sorted(
+        (s for s in stock_lib if s.family == family and s.material is material),
+        key=lambda s: (-s.capacity, s.id),
+    )
+    if not stocks:
+        raise InfeasiblePartError(f"no {material.value} stock in family {family!r}")
+    usable = [s for s in stocks if all(part_fits_stock(p, s) for p in parts)]
+    if not usable:
+        raise InfeasiblePartError(f"some part of group {key!r} fits no single stock size")
+    return stocks, usable
+
+
+def _fragment_signature(fragment: Fragment) -> tuple:
+    return tuple(sorted((spec.id, tuple(sorted(places))) for spec, places in fragment))
+
+
+def pack_fragments(
+    orders: list[list[Part]],
+    stocks: list[StockSpec],
+    usable: list[StockSpec],
+    kerf: int,
+    parts_by_id: dict[str, Part],
+    sig: Callable[[Fragment], tuple] = _fragment_signature,
+) -> list[Fragment]:
+    """Shrunk packings of every order onto every usable designated size,
+    first of each `sig` kept."""
+    fragments: list[Fragment] = []
+    seen: set[tuple] = set()
+    for designated in usable:
+        for order in orders:
+            fragment = shrink_instances(
+                pack_traversal(order, designated, kerf), stocks, parts_by_id)
+            key = sig(fragment)
+            if key not in seen:
+                seen.add(key)
+                fragments.append(fragment)
+    return fragments
+
+
+def combine(
+    design: Design, per_group: list[list[Fragment]], cap: int | None = None
+) -> list[Arrangement]:
+    """Distinct arrangements from the cross product of per-group fragments,
+    stopping once `cap` are found."""
+    arrangements: list[Arrangement] = []
+    seen: set[tuple] = set()
+    for combo in itertools.product(*per_group):
+        arrangement = _assemble(design, combo)
+        sig = arrangement.signature()
+        if sig not in seen:
+            seen.add(sig)
+            arrangements.append(arrangement)
+            if cap is not None and len(arrangements) >= cap:
+                break
+    return arrangements
+
+
 def generate_arrangements(
     design: Design,
     stock_lib: list[StockSpec],
@@ -203,71 +258,23 @@ def generate_arrangements(
     """
     if traversals < 1:
         raise ValueError("traversal budget must be >= 1")
-    groups = group_parts(design, stock_lib)
     parts_by_id = {p.id: p for p in design.parts}
-
-    per_group_fragments: list[list[tuple]] = []
-    for key, parts in groups.items():
-        family = key.split(":")[0]
-        material = parts[0].material
-        stocks = sorted(
-            (s for s in stock_lib
-             if s.family == family and s.material is material),
-            key=lambda s: (-s.capacity, s.id),
-        )
-        if not stocks:
-            raise InfeasiblePartError(f"no {material.value} stock in family {family!r}")
-        usable = [s for s in stocks if all(part_fits_stock(p, s) for p in parts)]
-        if not usable:
-            raise InfeasiblePartError(
-                f"some part of group {key!r} fits no single stock size"
-            )
-        fragments: list[tuple] = []
-        seen: set[tuple] = set()
+    per_group: list[list[Fragment]] = []
+    for key, parts in group_parts(design, stock_lib).items():
+        stocks, usable = family_stocks(key, parts, stock_lib)
         orders = _traversal_orders(parts, traversals, rng)
-        for designated in usable:
-            for order in orders:
-                fragment = pack_traversal(order, designated, kerf)
-                fragment = shrink_instances(fragment, stocks, parts_by_id)
-                sig = tuple(sorted(
-                    (spec.id, tuple(sorted(places))) for spec, places in fragment
-                ))
-                if sig not in seen:
-                    seen.add(sig)
-                    fragments.append(tuple(fragment))
-        per_group_fragments.append(fragments)
-
-    import itertools
-
-    arrangements: list[Arrangement] = []
-    seen_arr: set[tuple] = set()
-    cap = max(traversals * 4, sum(len(f) for f in per_group_fragments))
-    for combo in itertools.product(*per_group_fragments):
-        arrangement = _assemble(design, combo)
-        sig = arrangement.signature()
-        if sig not in seen_arr:
-            seen_arr.add(sig)
-            arrangements.append(arrangement)
-        if len(arrangements) >= cap:
-            break
-    return arrangements
+        per_group.append(pack_fragments(orders, stocks, usable, kerf, parts_by_id))
+    cap = max(traversals * 4, sum(len(f) for f in per_group))
+    return combine(design, per_group, cap)
 
 
-def _assemble(design: Design, fragments: tuple) -> Arrangement:
+def _assemble(design: Design, fragments: tuple[Fragment, ...]) -> Arrangement:
     counters: dict[str, int] = {}
-    instances: list[StockInstance] = []
-    placements: list[Placement] = []
+    stocks: list[tuple[StockInstance, Places]] = []
     for fragment in fragments:
         for spec, places in fragment:
             n = counters.get(spec.id, 0)
             counters[spec.id] = n + 1
-            key = f"{spec.id}#{n}"
-            instances.append(StockInstance(key=key, spec=spec))
-            for part_id, offset in sorted(places):
-                placements.append(Placement(part_id, key, tuple(offset)))
-    placements.sort(key=lambda p: (p.stock_key, p.offset, p.part_id))
-    return Arrangement(
-        design_id=design.id,
-        placements=tuple(placements),
-        instances=tuple(instances),
-    )
+            inst = StockInstance(key=f"{spec.id}#{n}", spec=spec)
+            stocks.append((inst, tuple(sorted(places))))
+    return Arrangement(design_id=design.id, stocks=tuple(stocks))

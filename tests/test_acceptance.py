@@ -1,9 +1,7 @@
 """End-to-end acceptance checks. Each test prints one PASS line on success;
 a failure shows up as an ordinary pytest failure for that criterion."""
 
-import dataclasses
 import itertools
-import json
 import os
 import random
 import subprocess
@@ -34,7 +32,7 @@ from planwright.libraries import default_stocks, default_tools, with_metal_twins
 from planwright.model import Material, Part, Tool, ticks
 from planwright.oracle import brute_force_front
 from planwright.ordering import optimize_enode, refine_term, term_bounds
-from planwright.packing import Arrangement, Placement
+from planwright.packing import Arrangement
 from planwright.plans import assemble_plan, cuts_for_instance, stacked_variant
 
 STOCKS = default_stocks()
@@ -179,11 +177,7 @@ def random_term(rng):
     inst = StockInstance(key=f"{stock_id}#0", spec=spec)
     g = BopEGraph("d", frozenset(parts))
     g.add_arrangement(Arrangement(
-        design_id="d",
-        placements=tuple(Placement(pid, inst.key, off)
-                         for pid, off in placements),
-        instances=(inst,),
-    ))
+        design_id="d", stocks=((inst, tuple(sorted(placements))),)))
     term = g.term_from_choices({})
     node = next(nd for nd in g.nodes.values() if isinstance(nd, AtomicNode))
     cache = {node.id: optimize_enode(node, parts, TOOLS, 25, rng)}

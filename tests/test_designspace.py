@@ -111,3 +111,12 @@ def test_singleton_space_sampling():
     space = DesignSpace("t", parts, ())
     assert space.cardinality == 1
     assert sample_design(space, random.Random(0)).id == space.base_design().id
+
+
+def test_sample_design_gives_up_when_every_selection_collapses():
+    parts = [Part(id="a", family="2x2", shape=(ticks(1),)),
+             Part(id="b", family="2x2", shape=(ticks(1),))]
+    joints = detect_joints(parts, [("a", "b", [ConnectorVariant("cut", -ticks(1), 0)])])
+    space = DesignSpace(base_id="t", base_parts=tuple(parts), joints=tuple(joints))
+    with pytest.raises(DesignInputError, match="collapse"):
+        sample_design(space, random.Random(0))

@@ -3,22 +3,18 @@ import random
 from planwright.cost import StockInstance
 from planwright.egraph import AtomicNode, BopEGraph, ComposeNode
 from planwright.libraries import default_stocks
-from planwright.packing import Arrangement, Placement
+from planwright.packing import Arrangement
 
 STOCKS = {s.id: s for s in default_stocks()}
 
 
 def arr(design_id, parts, *instances):
     """instances: list of (stock_id, [(part_id, offset_x), ...])"""
-    placements = []
-    insts = []
-    for i, (stock_id, places) in enumerate(instances):
-        key = f"{stock_id}#{i}"
-        insts.append(StockInstance(key=key, spec=STOCKS[stock_id]))
-        for pid, off in places:
-            placements.append(Placement(part_id=pid, stock_key=key, offset=(off,)))
-    return Arrangement(design_id=design_id, placements=tuple(placements),
-                       instances=tuple(insts))
+    return Arrangement(design_id=design_id, stocks=tuple(
+        (StockInstance(key=f"{stock_id}#{i}", spec=STOCKS[stock_id]),
+         tuple(sorted((pid, (off,)) for pid, off in places)))
+        for i, (stock_id, places) in enumerate(instances)
+    ))
 
 
 def test_single_stock_arrangement_one_atomic():

@@ -5,7 +5,6 @@ from planwright.model import (
     ConnectorVariant,
     CostVector,
     Joint,
-    Material,
     Part,
     inches,
     ticks,

@@ -1,0 +1,52 @@
+import random
+
+import pytest
+
+from planwright import corpus_path
+from planwright.designspace import DesignSpace, detect_joints, enumerate_variants
+from planwright.io import load_design_space
+from planwright.libraries import DEFAULT_KERF, default_stocks, default_tools
+from planwright.model import ConnectorVariant, Part, ticks
+from planwright.oracle import all_arrangements, brute_force_front
+from planwright.packing import InfeasiblePartError, generate_arrangements
+
+STOCKS = default_stocks()
+TOOLS = default_tools()
+
+
+def long_short_space(family="2x2"):
+    """`long` is 90in; the `ext` variant makes it 100in, longer than any stock."""
+    parts = [Part(id="long", family=family, shape=(ticks(90),)),
+             Part(id="short", family=family, shape=(ticks(10),))]
+    variants = [ConnectorVariant("butt", 0, 0), ConnectorVariant("ext", ticks(10), 0)]
+    joints = detect_joints(parts, [("long", "short", variants)])
+    return DesignSpace(base_id="x", base_parts=tuple(parts), joints=tuple(joints))
+
+
+def test_oracle_skips_oversize_variant_and_rejects_unknown_family():
+    front = brute_force_front(long_short_space(), STOCKS, TOOLS)
+    assert front
+    assert {design.id for design, _, _ in front} == {"x/butt"}
+    with pytest.raises(InfeasiblePartError):
+        brute_force_front(long_short_space(family="9x9"), STOCKS, TOOLS)
+
+
+def shape_signature(arrangement, parts_by_id):
+    return tuple(sorted(
+        (inst.spec.id, tuple(sorted((off, parts_by_id[pid].shape) for pid, off in places)))
+        for inst, places in arrangement.stocks))
+
+
+@pytest.mark.parametrize("corpus", ["frame", "sheet-box"])
+def test_oracle_covers_optimizer_packings(corpus):
+    space = load_design_space(corpus_path(corpus))
+    for design in enumerate_variants(space, space.cardinality):
+        parts_by_id = {p.id: p for p in design.parts}
+        oracle = {shape_signature(a, parts_by_id)
+                  for a in all_arrangements(design, STOCKS)}
+        for budget in (1, 4, 50):
+            for seed in range(3):
+                rng = random.Random(f"{corpus}/{seed}")
+                for arrangement in generate_arrangements(
+                        design, STOCKS, budget, DEFAULT_KERF, rng):
+                    assert shape_signature(arrangement, parts_by_id) in oracle

@@ -84,14 +84,10 @@ def term_for(lengths_in, stock_id="2x4-96"):
     g = BopEGraph("d", frozenset(parts))
     inst = StockInstance(key=f"{stock_id}#0", spec=STOCKS[stock_id])
     # register via the public path: a one-instance arrangement
-    from planwright.packing import Arrangement, Placement
+    from planwright.packing import Arrangement
 
-    placements = tuple(
-        Placement(part_id=pid, stock_key=inst.key, offset=off)
-        for pid, off in node.placements
-    )
-    g.add_arrangement(Arrangement(design_id="d", placements=placements,
-                                  instances=(inst,)))
+    g.add_arrangement(Arrangement(
+        design_id="d", stocks=((inst, tuple(sorted(node.placements))),)))
     term = g.term_from_choices({})
     cache = {}
     for cid, nid in term.chosen.items():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planwright.libraries import default_stocks
-from planwright.model import Design, Material, Part, inches, ticks
+from planwright.model import Design, Material, Part, ticks
 from planwright.packing import (
     InfeasiblePartError,
     generate_arrangements,
@@ -95,7 +95,7 @@ def test_single_traversal_uses_descending_order():
     # One designated size survives dedup per distinct packing; the first
     # traversal places parts longest-first.
     first = arrangements[0]
-    by_part = {pl.part_id: pl.offset[0] for pl in first.placements}
+    by_part = {pid: off[0] for _, places in first.stocks for pid, off in places}
     assert by_part["p1"] < by_part["p2"] < by_part["p0"]
 
 
