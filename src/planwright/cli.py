@@ -61,7 +61,7 @@ def cmd_optimize(args) -> int:
     run = baseline_run if args.baseline else icee_run
     front, report = run(space, stocks, tools, params)
     for entry in report["iterations"]:
-        print("iter {iteration}: evaluations={evaluations} "
+        print("iter {iteration}: terms_refined={terms_refined} "
               "front={front_size} hv={hypervolume:.6g}".format(**entry))
     out = _out_dir(args)
     rows = pio.front_rows(front)

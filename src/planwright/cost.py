@@ -68,12 +68,6 @@ class FabPlan:
     cuts: tuple[Cut, ...]
     stock_bill: tuple[StockInstance, ...]
 
-    def instance(self, key: str) -> StockInstance:
-        for inst in self.stock_bill:
-            if inst.key == key:
-                return inst
-        raise PlanError(f"unknown stock instance {key!r}")
-
     def signature(self) -> tuple:
         return (
             tuple(sorted((i.key, i.spec.id) for i in self.stock_bill)),
@@ -125,7 +119,18 @@ def measurement_error(measured_ticks: int) -> int:
     return min(r, MEASUREMENT_GRID_TICKS - r)
 
 
-class _Sim1D:
+class _Sim:
+    """Piece tracker: the pieces of one stock left by the cuts so far."""
+
+    pieces: list[tuple]
+
+    def copy(self) -> _Sim:
+        twin = object.__new__(type(self))
+        twin.pieces = list(self.pieces)
+        return twin
+
+
+class _Sim1D(_Sim):
     """Piece tracker for a lumber stock: intervals with original-edge flags."""
 
     def __init__(self, length: int) -> None:
@@ -146,7 +151,7 @@ class _Sim1D:
         raise PlanError(f"1D cut at {position} hits no piece")
 
 
-class _Sim2D:
+class _Sim2D(_Sim):
     """Piece tracker for a sheet: axis-aligned rectangles (guillotine cuts)."""
 
     def __init__(self, width: int, height: int) -> None:
@@ -217,7 +222,8 @@ def _group_stacked(cuts: tuple[Cut, ...]) -> list[list[Cut]]:
     return ops
 
 
-def _validate_stack(op: list[Cut], plan: FabPlan, tools: dict[Tool, ToolSpec]) -> None:
+def _validate_stack(op: list[Cut], instances: dict[str, StockInstance],
+                    tools: dict[Tool, ToolSpec]) -> None:
     lead = op[0]
     if len(op) > MAX_STACK_HEIGHT:
         raise PlanError(f"stack {lead.stack_group} exceeds height {MAX_STACK_HEIGHT}")
@@ -226,11 +232,11 @@ def _validate_stack(op: list[Cut], plan: FabPlan, tools: dict[Tool, ToolSpec]) -
     keys = [c.stock_key for c in op]
     if len(set(keys)) != len(keys):
         raise PlanError(f"stack {lead.stack_group}: repeated stock instance")
-    fam = plan.instance(lead.stock_key).spec.family
+    fam = instances[lead.stock_key].spec.family
     for c in op[1:]:
         if c.geometry_key() != lead.geometry_key():
             raise PlanError(f"stack {lead.stack_group}: mismatched cut geometry")
-        if plan.instance(c.stock_key).spec.family != fam:
+        if instances[c.stock_key].spec.family != fam:
             raise PlanError(f"stack {lead.stack_group}: mixed stock families")
 
 
@@ -241,12 +247,13 @@ def material_cost(plan: FabPlan) -> float:
 
 def evaluate_plan(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> PlanCost:
     """Full ordered evaluation producing per-cut breakdowns and totals."""
-    sims: dict[str, _Sim1D | _Sim2D] = {}
+    instances: dict[str, StockInstance] = {}
     for inst in plan.stock_bill:
-        if inst.spec.is_sheet:
-            sims[inst.key] = _Sim2D(inst.spec.dims[0], inst.spec.dims[1])
-        else:
-            sims[inst.key] = _Sim1D(inst.spec.dims[0])
+        instances.setdefault(inst.key, inst)
+    for cut in plan.cuts:
+        if cut.stock_key not in instances:
+            raise PlanError(f"unknown stock instance {cut.stock_key!r}")
+    sims = {inst.key: new_sim(inst.spec) for inst in plan.stock_bill}
 
     rows: list[CutTimeBreakdown] = []
     f_t = 0.0
@@ -257,22 +264,13 @@ def evaluate_plan(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> PlanCost:
     for op in _group_stacked(plan.cuts):
         lead = op[0]
         if len(op) > 1:
-            _validate_stack(op, plan, tools)
+            _validate_stack(op, instances, tools)
         tool = tools[lead.tool]
-        spec = plan.instance(lead.stock_key).spec
-        metal = spec.material is Material.METAL
+        spec = instances[lead.stock_key].spec
 
-        measured, op_len = _resolve_geometry(op, plan, tool, sims)
-
-        # Operation time; every stacked member is cut simultaneously.
-        if lead.kind == "drill":
-            if lead.depth is None:
-                raise PlanError(f"cut {lead.id}: drill cut needs a depth")
-            op_seconds = tool.op_rate.seconds(lead.depth)
-        else:
-            op_seconds = tool.op_rate.seconds(op_len)
-        if metal:
-            op_seconds *= METAL_OP_FACTOR
+        measured, op_len = resolve_geometry(op, tool, sims)
+        # every stacked member is cut simultaneously
+        op_seconds = operation_seconds(lead, tool, spec, op_len)
 
         # Setup time: partial only when the preceding operation used the
         # same tool with identical setup parameters.
@@ -287,16 +285,7 @@ def evaluate_plan(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> PlanCost:
         # a stock (or stack of stocks); stacked followers pay partial rates.
         run_key = tuple(sorted(c.stock_key for c in op))
         if run_key != current_run:
-            load = 0.0
-            for j, c in enumerate(op):
-                s = plan.instance(c.stock_key).spec
-                if j == 0:
-                    w = s.load_full + s.unload_full
-                else:
-                    w = s.load_partial + s.unload_partial
-                if s.material is Material.METAL:
-                    w *= METAL_LOAD_FACTOR
-                load += w
+            load = load_seconds([instances[c.stock_key].spec for c in op])
             current_run = run_key
         else:
             load = 0.0
@@ -313,8 +302,14 @@ def evaluate_plan(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> PlanCost:
     return PlanCost(rows=rows, f_c=material_cost(plan), f_t_seconds=f_t, f_p_ticks=f_p)
 
 
-def _resolve_geometry(op: list[Cut], plan: FabPlan, tool: ToolSpec,
-                      sims: dict) -> tuple[int, int]:
+def new_sim(spec: StockSpec) -> _Sim:
+    """Fresh piece tracker for one uncut stock."""
+    if spec.is_sheet:
+        return _Sim2D(spec.dims[0], spec.dims[1])
+    return _Sim1D(spec.dims[0])
+
+
+def resolve_geometry(op: list[Cut], tool: ToolSpec, sims: dict) -> tuple[int, int]:
     """Returns (measured length, op length) for one operation, advancing sims."""
     lead = op[0]
     if lead.kind == "manual" or lead.kind == "drill":
@@ -334,6 +329,34 @@ def _resolve_geometry(op: list[Cut], plan: FabPlan, tool: ToolSpec,
             measured, op_len = m, length
     assert measured is not None and op_len is not None
     return measured, op_len
+
+
+def operation_seconds(lead: Cut, tool: ToolSpec, spec: StockSpec, op_len: int) -> float:
+    """Operation time of one (possibly stacked) operation led by `lead`."""
+    if lead.kind == "drill":
+        if lead.depth is None:
+            raise PlanError(f"cut {lead.id}: drill cut needs a depth")
+        seconds = tool.op_rate.seconds(lead.depth)
+    else:
+        seconds = tool.op_rate.seconds(op_len)
+    if spec.material is Material.METAL:
+        seconds *= METAL_OP_FACTOR
+    return seconds
+
+
+def load_seconds(specs: list[StockSpec]) -> float:
+    """Load/unload time of a run starting on these stocks; stacked
+    followers (all but the first) pay partial rates."""
+    load = 0.0
+    for j, s in enumerate(specs):
+        if j == 0:
+            w = s.load_full + s.unload_full
+        else:
+            w = s.load_partial + s.unload_partial
+        if s.material is Material.METAL:
+            w *= METAL_LOAD_FACTOR
+        load += w
+    return load
 
 
 def order_is_feasible(cuts: list[Cut]) -> bool:

@@ -333,7 +333,7 @@ def icee_run(
     if space.cardinality <= BREADTH_ENUMERATION_LIMIT:
         enumerated = enumerate_variants(space, space.cardinality)
     breadth_cursor = 0
-    evaluations = 0
+    terms_refined = 0
     prev_hv = None
     stall = 0
 
@@ -387,7 +387,7 @@ def icee_run(
             rng_task = _rng(params.seed, "design", design.id, iteration, k)
             _expand(state, stock_lib, tools, budget, params, rng_task)
             sols = ga_extract(state, tools, params, front_pts, rng_task)
-            evaluations += len(state.refine_cache)
+            terms_refined += len(state.refine_cache)
             new_solutions.extend(sols)
 
         archive = _merge_archive(archive, new_solutions)
@@ -403,7 +403,7 @@ def icee_run(
         report_iters.append({
             "iteration": iteration,
             "designs": sorted({d.id for d in chosen}),
-            "evaluations": evaluations,
+            "terms_refined": terms_refined,
             "front_size": len(archive),
             "hypervolume": hv,
         })

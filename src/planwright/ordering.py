@@ -1,14 +1,25 @@
 """Cut-order assignment: per-node search, term bounds, pruned refinement.
 
 Each atomic e-node caches its minimum-precision and minimum-time cut orders
-(found by trying up to P orders, exhaustively for small nodes). Term-level
-lower/upper bounds support branch-and-bound pruning against the archive
-front; surviving terms are refined either exhaustively (few cuts) or by
-random feasibility-preserving swaps for a fixed number of passes.
+(found by trying up to P orders, exhaustively for small nodes). A term-level
+lower bound prunes terms against the archive front. A surviving term of at
+most EXHAUSTIVE_TERM_CUTS cuts gets its exact front of cut orders over all
+its stocks; larger ones are refined by random feasibility-preserving swaps
+for a fixed number of passes.
+
+The exact front is a forward label-setting search (Martins 1984) over
+states (done mask, last cut) instead of a scan of every permutation. The
+state is enough: a stock's pieces depend only on the set of cuts already
+made on it (lumber chops and guillotine sheet cuts under their parent
+links alike), so each cut's measured length, operation time and precision
+error are fixed by that set; setup sharing depends only on the previous
+cut's (tool, axis, measured length), and loading only on whether the stock
+changed.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -21,8 +32,12 @@ from .cost import (
     PlanCost,
     StockInstance,
     evaluate_plan,
+    load_seconds,
     measurement_error,
+    new_sim,
+    operation_seconds,
     order_is_feasible,
+    resolve_geometry,
 )
 from .egraph import AtomicNode, BopEGraph, Term
 from .model import (
@@ -64,19 +79,23 @@ def _node_instance(node: AtomicNode) -> StockInstance:
 
 
 def _repair_order(cuts: list[Cut]) -> list[Cut]:
-    """Stable reorder so every cut's parent precedes it."""
-    done: set[str] = set()
-    remaining = list(cuts)
-    out: list[Cut] = []
-    while remaining:
-        for i, c in enumerate(remaining):
-            if c.parent is None or c.parent in done:
-                out.append(c)
-                done.add(c.id)
-                del remaining[i]
-                break
+    """Stable reorder so every cut's parent precedes it: each step takes the
+    lowest-index cut whose parent is already out."""
+    children: dict[str, list[int]] = {}
+    ready: list[int] = []
+    for i, c in enumerate(cuts):
+        if c.parent is None:
+            ready.append(i)
         else:
-            raise ValueError("cyclic cut dependencies")
+            children.setdefault(c.parent, []).append(i)
+    out: list[Cut] = []
+    while ready:
+        c = cuts[heapq.heappop(ready)]
+        out.append(c)
+        for i in children.pop(c.id, ()):
+            heapq.heappush(ready, i)
+    if len(out) != len(cuts):
+        raise ValueError("cyclic cut dependencies")
     return out
 
 
@@ -206,27 +225,9 @@ def _min_epsilon(cut: Cut, cuts_same_axis: list[Cut], extent: int, kerf: int) ->
     return min(measurement_error(m) for m in candidates if m >= 0)
 
 
-def term_bounds(
-    egraph: BopEGraph,
-    term: Term,
-    cache: OrderCache,
-    tools: dict[Tool, ToolSpec],
-) -> Bounds:
-    """Upper: cost of the concatenated per-node best orders (realizable).
-    Lower: per-cut costs assuming every cut is independent of the others."""
-    stocks = _term_stocks(egraph, term, cache)
-    design_id = egraph.design_id
-
-    plan_p = _concat_plan(design_id, stocks, "precision")
-    plan_t = _concat_plan(design_id, stocks, "time")
-    cost_p = evaluate_plan(plan_p, tools)
-    cost_t = evaluate_plan(plan_t, tools)
-    upper = CostVector(
-        f_c=cost_p.f_c,
-        f_t=cost_t.f_t_minutes,
-        f_p=cost_p.f_p_inches,
-    )
-
+def _lower_bound(stocks: list[tuple[StockInstance, NodeOrders]],
+                 tools: dict[Tool, ToolSpec]) -> CostVector:
+    """Per-cut costs assuming every cut is independent of the others."""
     fp_low = 0
     ft_low = 0.0
     for inst, orders in stocks:
@@ -253,12 +254,127 @@ def term_bounds(
             if metal:
                 w *= METAL_LOAD_FACTOR
             ft_low += w
-    lower = CostVector(
-        f_c=cost_p.f_c,
+    return CostVector(
+        f_c=sum(inst.spec.effective_price() for inst, _ in stocks),
         f_t=ft_low / 60.0,
         f_p=fp_low / 64.0,
     )
-    return Bounds(lower=lower, upper=upper)
+
+
+def term_bounds(
+    egraph: BopEGraph,
+    term: Term,
+    cache: OrderCache,
+    tools: dict[Tool, ToolSpec],
+) -> Bounds:
+    """Upper: cost of the concatenated per-node best orders (realizable).
+    Lower: per-cut costs assuming every cut is independent of the others."""
+    stocks = _term_stocks(egraph, term, cache)
+    design_id = egraph.design_id
+    cost_p = evaluate_plan(_concat_plan(design_id, stocks, "precision"), tools)
+    cost_t = evaluate_plan(_concat_plan(design_id, stocks, "time"), tools)
+    upper = CostVector(
+        f_c=cost_p.f_c,
+        f_t=cost_t.f_t_minutes,
+        f_p=cost_p.f_p_inches,
+    )
+    return Bounds(lower=_lower_bound(stocks, tools), upper=upper)
+
+
+def _lex_front(labels: list[tuple[tuple[int, ...], float, int]]
+               ) -> list[tuple[tuple[int, ...], float, int]]:
+    """(path, f_t, f_p) labels in path order, less each one that a kept
+    label with a smaller path weakly dominates."""
+    kept: list[tuple[tuple[int, ...], float, int]] = []
+    for label in sorted(labels):
+        _, t, p = label
+        for _, kt, kp in kept:
+            if kt <= t and kp <= p:
+                break
+        else:
+            kept.append(label)
+    return kept
+
+
+def _pareto_orders(cuts: list[Cut], bill: tuple[StockInstance, ...],
+                   tools: dict[Tool, ToolSpec], mode: int) -> list[list[Cut]]:
+    """Feasible orders of `cuts` that hold, for every non-dominated order
+    cost, the lexicographically first order (by position in `cuts`) with it.
+
+    Forward label-setting over states (done mask, last cut), one popcount at
+    a time. The state fixes everything that later steps cost: a cut's
+    measured length and operation length depend only on the set of cuts
+    already made on its stock, setup sharing only on the last cut's
+    signature, and loading only on the last cut's stock. A label is a path
+    with its f_t seconds and f_p ticks, summed step by step in the same
+    float order as `evaluate_plan`. A label is dropped only for a kept label
+    at the same state with a smaller path and a weakly dominating value: the
+    same suffix then completes that path to a smaller order whose cost is no
+    worse (float sums are monotone), so no lexicographically first order of
+    a non-dominated cost is ever dropped, even where rounding turns strict
+    dominance into a tie. The returned orders are in lexicographic order and
+    may include dominated ones.
+    """
+    n = len(cuts)
+    index = {c.id: i for i, c in enumerate(cuts)}
+    # bit n is never set, so a cut whose parent is missing is never ready
+    need = [0 if c.parent is None else 1 << index.get(c.parent, n) for c in cuts]
+    specs = {inst.key: inst.spec for inst in bill}
+    on_stock: dict[str, int] = {}
+    for i, c in enumerate(cuts):
+        on_stock[c.stock_key] = on_stock.get(c.stock_key, 0) | 1 << i
+    stock_mask = [on_stock[c.stock_key] for c in cuts]
+    setup_partial = [tools[c.tool].setup_partial for c in cuts]
+    setup_full = [tools[c.tool].setup_full(specs[c.stock_key].is_sheet) for c in cuts]
+    load = [load_seconds([specs[c.stock_key]]) for c in cuts]
+
+    # pieces of each stock after the cuts in a done-on-stock mask; every
+    # feasible order of the same cuts leaves the same pieces
+    sims = {(mask, 0): new_sim(specs[key]) for key, mask in on_stock.items()}
+
+    def geometry(i: int, done: int) -> tuple[tuple, float, int]:
+        """(setup signature, op seconds, f_p ticks) of cut i after the cuts
+        in `done`, all on its stock."""
+        cut = cuts[i]
+        spec = specs[cut.stock_key]
+        tool = tools[cut.tool]
+        sim = sims[stock_mask[i], done].copy()
+        measured, op_len = resolve_geometry([cut], tool, {cut.stock_key: sim})
+        sims.setdefault((stock_mask[i], done | 1 << i), sim)
+        # mode 2 has no f_p objective: a constant 0 never separates labels
+        ticks = (0 if mode == 2 else
+                 measurement_error(measured) + tool.op_error_for(spec.material))
+        return ((cut.tool, cut.axis, measured),
+                operation_seconds(cut, tool, spec, op_len), ticks)
+
+    steps: dict[tuple[int, int], tuple[tuple, float, int]] = {}
+    signature: dict[tuple[int, int], tuple] = {}
+    layer: dict[tuple[int, int], list] = {(0, -1): [((), 0.0, 0)]}
+    for _ in range(n):
+        grown: dict[tuple[int, int], list] = {}
+        for (mask, last), labels in layer.items():
+            prev = signature.get((mask, last))
+            for i in range(n):
+                if mask >> i & 1 or need[i] & ~mask:
+                    continue
+                key = (i, mask & stock_mask[i])
+                if key not in steps:
+                    steps[key] = geometry(*key)
+                sig, op_seconds, ticks = steps[key]
+                if setup_partial[i] is not None and prev == sig:
+                    setup = setup_partial[i]
+                else:
+                    setup = setup_full[i]
+                run_load = load[i] if last < 0 or stock_mask[last] != stock_mask[i] else 0.0
+                step = setup + run_load + op_seconds
+                state = (mask | 1 << i, i)
+                signature[state] = sig
+                out = grown.setdefault(state, [])
+                for path, t, p in labels:
+                    out.append((path + (i,), t + step, p + ticks))
+        layer = {state: _lex_front(labels) for state, labels in grown.items()}
+    finals = [label for labels in layer.values() for label in labels]
+    return [[cuts[i] for i in path] for path, _, _ in _lex_front(finals)]
 
 
 # -- refinement --------------------------------------------------------------
@@ -289,16 +405,18 @@ def refine_term(
 ) -> list[tuple[FabPlan, PlanCost]]:
     """Ordered plans for a term, or [] when its lower bound is dominated.
 
-    Starts from the upper-bound orders; small terms are refined by
-    exhaustive enumeration over all feasible cut orders, larger ones by
+    Starts from the upper-bound orders (the per-node best orders, plain and
+    stacked). A term of at most EXHAUSTIVE_TERM_CUTS cuts then gets its
+    exact order front: `_pareto_orders` finds, for every non-dominated
+    cost, the lexicographically first feasible interleaving of all its
+    cuts, which is what scoring every permutation would keep, plus the
+    stacked per-stock canonical orders. Larger terms are refined by
     `flip_iters` passes of random adjacent swaps within each stock's run.
-    Stacked variants of candidate plans are evaluated alongside.
     """
-    bounds = term_bounds(egraph, term, cache, tools)
-    if _weakly_dominated(bounds.lower, archive_front, mode):
+    stocks = _term_stocks(egraph, term, cache)
+    if _weakly_dominated(_lower_bound(stocks, tools), archive_front, mode):
         return []
 
-    stocks = _term_stocks(egraph, term, cache)
     design_id = egraph.design_id
     evaluated: list[tuple[FabPlan, PlanCost]] = []
 
@@ -317,10 +435,7 @@ def refine_term(
     all_cuts = [c for _, orders in stocks for c in orders.cuts]
     if flip_iters > 0 and len(all_cuts) <= EXHAUSTIVE_TERM_CUTS:
         bill = tuple(inst for inst, _ in stocks)
-        for perm in itertools.permutations(all_cuts):
-            order = list(perm)
-            if not order_is_feasible(order):
-                continue
+        for order in _pareto_orders(all_cuts, bill, tools, mode):
             consider(FabPlan(design_id=design_id, cuts=tuple(order), stock_bill=bill))
         # stacked counterparts of each per-stock canonical order
         canonical = [(inst, list(orders.cuts)) for inst, orders in stocks]

@@ -1,19 +1,26 @@
+import dataclasses
 import itertools
 import random
 
-from planwright.cost import StockInstance, evaluate_plan, order_is_feasible
-from planwright.plans import assemble_plan, cuts_for_instance
+import pytest
+
+from planwright.analysis import pareto_filter
+from planwright.cost import FabPlan, StockInstance, evaluate_plan, order_is_feasible
+from planwright.plans import assemble_plan, cuts_for_instance, stacked_variant
 from planwright.egraph import AtomicNode, BopEGraph
-from planwright.libraries import default_stocks, default_tools
-from planwright.model import Part, ticks
+from planwright.libraries import default_stocks, default_tools, with_metal_twins
+from planwright.model import OpRate, OpRateKind, Part, Tool, ticks
 from planwright.ordering import (
+    EXHAUSTIVE_TERM_CUTS,
+    _repair_order,
     candidate_orders,
     optimize_enode,
     refine_term,
     term_bounds,
 )
+from planwright.packing import Arrangement
 
-STOCKS = {s.id: s for s in default_stocks()}
+STOCKS = {s.id: s for s in with_metal_twins(default_stocks())}
 TOOLS = default_tools()
 
 
@@ -84,8 +91,6 @@ def term_for(lengths_in, stock_id="2x4-96"):
     g = BopEGraph("d", frozenset(parts))
     inst = StockInstance(key=f"{stock_id}#0", spec=STOCKS[stock_id])
     # register via the public path: a one-instance arrangement
-    from planwright.packing import Arrangement
-
     g.add_arrangement(Arrangement(
         design_id="d", stocks=((inst, tuple(sorted(node.placements))),)))
     term = g.term_from_choices({})
@@ -144,3 +149,216 @@ def test_optimize_enode_empty_node():
     result = optimize_enode(node, parts, TOOLS, 10, random.Random(0))
     assert result.cuts == ()
     assert result.best_time_cost == (0, 0.0)
+
+
+def scan_repair_order(cuts):
+    """Reference: the rescanning loop `_repair_order` replaced."""
+    done = set()
+    remaining = list(cuts)
+    out = []
+    while remaining:
+        for i, c in enumerate(remaining):
+            if c.parent is None or c.parent in done:
+                out.append(c)
+                done.add(c.id)
+                del remaining[i]
+                break
+        else:
+            raise ValueError("cyclic cut dependencies")
+    return out
+
+
+def test_repair_order_matches_rescanning_loop():
+    rng = random.Random("repair")
+    for _ in range(200):
+        stocks = [random_stock(rng, "sheet") for _ in range(rng.randint(1, 3))]
+        _, _, cache = build_term(stocks)
+        cuts = [c for orders in cache.values() for c in orders.cuts]
+        rng.shuffle(cuts)
+        assert [c.id for c in _repair_order(cuts)] == \
+            [c.id for c in scan_repair_order(cuts)]
+    # a cut whose parent is missing never becomes ready
+    cuts = next(iter(cache.values())).cuts
+    child = next(c for c in cuts if c.parent is not None)
+    with pytest.raises(ValueError):
+        _repair_order([child])
+
+
+# -- exact order front: parity with scoring every permutation ---------------
+
+LUMBER = ["2x2-24", "2x4-48", "metal-2x2-24", "metal-2x4-48"]
+LENGTHS = [ticks(x) for x in (4, 5, 6, "6.125", "395/64")]
+SHEETS = ["sheet-1/2-24x20", "sheet-3/4-12x20"]
+SHELF_HEIGHTS = [ticks(x) for x in (4, "5.5", 6)]
+WIDTHS = [ticks(x) for x in (3, "3.25", 5)]
+
+
+def build_term(stocks, tools=TOOLS):
+    """A term over one arrangement of `stocks`, with its node order cache.
+
+    Each entry is (stock id, layout). A lumber layout lists part lengths,
+    packed end to end from offset 0; a sheet layout lists shelves, bottom up,
+    as (height, part widths), giving horizontal cuts with parent links and
+    vertical cuts that depend on them.
+    """
+    parts = {}
+    placed = []
+    for j, (stock_id, layout) in enumerate(stocks):
+        spec = STOCKS[stock_id]
+        places = []
+
+        def part(shape, offset):
+            pid = f"p{len(parts)}"
+            parts[pid] = Part(id=pid, family=spec.family, shape=shape,
+                              material=spec.material)
+            places.append((pid, offset))
+
+        if spec.is_sheet:
+            y = 0
+            for height, widths in layout:
+                x = 0
+                for w in widths:
+                    part((w, height), (x, y))
+                    x += w + TOOLS_KERF
+                y += height + TOOLS_KERF
+        else:
+            offset = 0
+            for length in layout:
+                part((length,), (offset,))
+                offset += length + TOOLS_KERF
+        inst = StockInstance(key=f"{stock_id}#{j}", spec=spec)
+        placed.append((inst, tuple(sorted(places))))
+    g = BopEGraph("d", frozenset(parts))
+    g.add_arrangement(Arrangement(design_id="d", stocks=tuple(placed)))
+    term = g.term_from_choices({})
+    cache = {n.id: optimize_enode(n, parts, tools, 25, random.Random(0))
+             for n in g.atomic_nodes_of(term)}
+    return g, term, cache
+
+
+def random_stock(rng, kind):
+    if kind == "sheet":
+        shelves = [(rng.choice(SHELF_HEIGHTS),
+                    [rng.choice(WIDTHS) for _ in range(rng.randint(1, 2))])
+                   for _ in range(rng.randint(1, 2))]
+        return rng.choice(SHEETS), shelves
+    return rng.choice(LUMBER), [rng.choice(LENGTHS)
+                                for _ in range(rng.randint(1, 3))]
+
+
+def permutation_refine(g, term, cache, mode, tools=TOOLS):
+    """Reference: `refine_term`'s small-term branch as it was, with every
+    feasible permutation of the term's cuts scored by `evaluate_plan`."""
+    stocks = sorted(((StockInstance(key=n.id, spec=n.spec), cache[n.id])
+                     for n in g.atomic_nodes_of(term)), key=lambda s: s[0].key)
+    evaluated = []
+
+    def consider(plan):
+        evaluated.append((plan, evaluate_plan(plan, tools)))
+
+    def consider_stacked(per_stock):
+        plan = stacked_variant("d", per_stock, tools)
+        if plan is not None:
+            consider(plan)
+
+    for per_stock in (
+        [(inst, list(orders.best_precision)) for inst, orders in stocks],
+        [(inst, list(orders.best_time)) for inst, orders in stocks],
+    ):
+        consider(assemble_plan("d", per_stock))
+        consider_stacked(per_stock)
+    all_cuts = [c for _, orders in stocks for c in orders.cuts]
+    bill = tuple(inst for inst, _ in stocks)
+    for perm in itertools.permutations(all_cuts):
+        if order_is_feasible(list(perm)):
+            consider(FabPlan(design_id="d", cuts=perm, stock_bill=bill))
+    consider_stacked([(inst, list(orders.cuts)) for inst, orders in stocks])
+    return pareto_filter(evaluated, key=lambda pc: pc[1].vector(mode).objectives)
+
+
+def outcome(results):
+    return [(plan.signature(), (cost.f_c, cost.f_t_seconds, cost.f_p_ticks))
+            for plan, cost in results]
+
+
+def assert_parity(stocks, mode, tools=TOOLS):
+    g, term, cache = build_term(stocks, tools)
+    n_cuts = sum(len(orders.cuts) for orders in cache.values())
+    assert n_cuts <= EXHAUSTIVE_TERM_CUTS
+    got = refine_term(g, term, cache, tools, [], flip_iters=5,
+                      rng=random.Random(0), mode=mode)
+    assert outcome(got) == outcome(permutation_refine(g, term, cache, mode, tools))
+    return got
+
+
+@pytest.mark.parametrize("mode", [2, 3])
+@pytest.mark.parametrize("kind", ["lumber", "sheet"])
+def test_exact_order_front_matches_permutations(kind, mode):
+    rng = random.Random(f"{kind}-{mode}")
+    checked = 0
+    while checked < 40:
+        stocks = [random_stock(rng, kind) for _ in range(rng.randint(1, 4))]
+        g, term, cache = build_term(stocks)
+        if sum(len(o.cuts) for o in cache.values()) > EXHAUSTIVE_TERM_CUTS:
+            continue
+        assert_parity(stocks, mode)
+        checked += 1
+
+
+@pytest.mark.parametrize("mode", [2, 3])
+def test_exact_order_front_interleaves_stocks(mode):
+    # Each stick's second cut is measured 16.75" off its far end. Cutting
+    # them back to back shares the jig (15 s setup instead of 60 s), which
+    # is worth the 15 s of reloading the first stick: 244 s against 274 s
+    # for the best order that cuts one stick after the other.
+    got = assert_parity([("2x2-24", [ticks(3), ticks(4)]),
+                         ("2x2-24", [ticks(4), ticks(3)])], mode)
+    fastest, cost = min(got, key=lambda pc: pc[1].f_t_seconds)
+    runs = [key for key, _ in itertools.groupby(c.stock_key for c in fastest.cuts)]
+    assert len(runs) > len(set(runs)), runs
+    assert cost.f_t_seconds == 244.0
+
+
+@pytest.mark.parametrize("mode", [2, 3])
+def test_exact_order_front_partial_setup_tie(mode):
+    # Two sheets whose 3" parts share one vertical-cut setup when cut back
+    # to back, across the sheets: three feasible interleavings tie on cost,
+    # none of them a start plan, and the first in permutation order is the
+    # one to keep.
+    stocks = [("sheet-1/2-24x20", [(ticks(4), [ticks(3)])]),
+              ("sheet-1/2-24x20", [(ticks("5.5"), [ticks(3), ticks(3)])])]
+    got = assert_parity(stocks, mode)
+    plan, cost = min(got, key=lambda pc: pc[1].f_t_seconds)
+    _, _, cache = build_term(stocks)
+    term_cuts = [c for nid in sorted(cache) for c in cache[nid].cuts]
+    key = cost.vector(mode)
+    ties = [perm for perm in itertools.permutations(term_cuts)
+            if order_is_feasible(list(perm)) and evaluate_plan(
+                FabPlan("d", perm, plan.stock_bill), TOOLS).vector(mode) == key]
+    assert len(ties) == 3
+    assert plan.cuts == ties[0]
+    partial = TOOLS[plan.cuts[0].tool].setup_partial
+    assert any(row.setup == partial for row in cost.rows)
+
+
+def test_exact_order_front_keeps_first_order_on_rounding_ties():
+    # A 0.1 s chop makes f_t's float sum depend on the order of its terms:
+    # orders with the same steps can differ by a rounding step in seconds
+    # and still tie in minutes. Scoring every permutation keeps the first
+    # of them; pruning labels in value order instead of path order would
+    # keep the one with fewer seconds.
+    tools = dict(TOOLS)
+    tools[Tool.CHOPSAW] = dataclasses.replace(
+        TOOLS[Tool.CHOPSAW], op_rate=OpRate(OpRateKind.PER_CUT, 0.1))
+    stocks = [("metal-2x2-24", [ticks(6)]), ("2x2-24", [ticks("395/64")]),
+              ("2x2-24", [ticks(5), ticks("6.125")]),
+              ("metal-2x4-48", [ticks("395/64")])]
+    got = assert_parity(stocks, 2, tools)
+    g, term, cache = build_term(stocks, tools)
+    term_cuts = [c for nid in sorted(cache) for c in cache[nid].cuts]
+    bill = got[0][0].stock_bill
+    seconds = {}
+    for perm in itertools.permutations(term_cuts):
+        cost = evaluate_plan(FabPlan("d", perm, bill), tools)
+        seconds.setdefault(cost.vector(2), set()).add(cost.f_t_seconds)
+    assert any(len(seconds[cost.vector(2)]) > 1 for _, cost in got)
