@@ -45,8 +45,7 @@ def _load_inputs(args):
 def _params_from_args(args) -> IceeParams:
     kwargs = {}
     for name in ("seed", "alpha", "iterations", "traversals", "top_nodes",
-                 "cut_orders", "population", "flip_iters", "generations",
-                 "designs_per_iter"):
+                 "population", "flip_iters", "generations", "designs_per_iter"):
         value = getattr(args, name, None)
         if value is not None:
             kwargs[name] = value
@@ -206,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int)
     p.add_argument("--traversals", type=int)
     p.add_argument("--top-nodes", dest="top_nodes", type=int)
-    p.add_argument("--cut-orders", dest="cut_orders", type=int)
     p.add_argument("--population", type=int)
     p.add_argument("--flip-iters", dest="flip_iters", type=int)
     p.add_argument("--generations", type=int)

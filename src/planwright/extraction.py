@@ -13,13 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field, replace
 
-from .analysis import default_reference, hypervolume, pareto_filter, point_dominates
+from .analysis import default_reference, hypervolume, pareto_filter
 from .cost import FabPlan, PlanCost
 from .designspace import DesignSpace, enumerate_variants, sample_design
 from .egraph import AtomicNode, BopEGraph, Term
 from .libraries import DEFAULT_KERF
 from .model import CostVector, Design, StockSpec, Tool, ToolSpec, validate_design
-from .ordering import OrderCache, optimize_enode, refine_term
+from .ordering import NodeMemo, OrderCache, optimize_enode, refine_term
 from .packing import generate_arrangements
 
 BREADTH_ENUMERATION_LIMIT = 1024  # design spaces this small are swept in order
@@ -29,7 +29,6 @@ BREADTH_ENUMERATION_LIMIT = 1024  # design spaces this small are swept in order
 class IceeParams:
     traversals: int = 50          # packing traversal budget T
     top_nodes: int = 10           # contraction keeps n nodes per class
-    cut_orders: int = 25          # per-node order search budget P
     population: int = 120
     p_crossover: float = 0.95
     p_mutation: float = 0.1
@@ -48,8 +47,8 @@ class IceeParams:
             raise ValueError("probabilities must be in [0, 1]")
         if self.objective_mode not in (2, 3):
             raise ValueError("objective_mode must be 2 or 3")
-        for name in ("traversals", "top_nodes", "cut_orders", "population",
-                     "iterations", "designs_per_iter"):
+        for name in ("traversals", "top_nodes", "population", "iterations",
+                     "designs_per_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -174,10 +173,17 @@ def non_dominated_sort(objs: list[tuple[float, ...]]) -> list[int]:
     dominated_by = [0] * n
     dominates_list: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            if i != j and point_dominates(objs[i], objs[j]):
+        a = objs[i]
+        for j in range(i + 1, n):
+            b = objs[j]
+            if a == b:
+                continue
+            # distinct tuples: weakly better everywhere means dominating
+            if all(x <= y for x, y in zip(a, b)):
                 dominates_list[i].append(j)
-            elif i != j and point_dominates(objs[j], objs[i]):
+                dominated_by[j] += 1
+            elif all(x >= y for x, y in zip(a, b)):
+                dominates_list[j].append(i)
                 dominated_by[i] += 1
     current = [i for i in range(n) if dominated_by[i] == 0]
     rank = 0
@@ -297,7 +303,7 @@ def _expand(
     stock_lib: list[StockSpec],
     tools: dict[Tool, ToolSpec],
     budget: int,
-    params: IceeParams,
+    memo: NodeMemo,
     rng: random.Random,
 ) -> None:
     arrangements = generate_arrangements(
@@ -307,8 +313,7 @@ def _expand(
         for nid in state.egraph.add_arrangement(arrangement):
             node = state.egraph.nodes[nid]
             if isinstance(node, AtomicNode):
-                state.cache[nid] = optimize_enode(
-                    node, parts_by_id, tools, params.cut_orders, rng)
+                state.cache[nid] = optimize_enode(node, parts_by_id, tools, memo)
     # new arrangements invalidate cached refinement pruning decisions
     state.refine_cache.clear()
 
@@ -326,6 +331,7 @@ def icee_run(
         raise ValidationFailure(violations)
 
     states: dict[str, _DesignState] = {}
+    node_memo: NodeMemo = {}  # node cut orders per pattern, for this run's tools
     archive: list[Solution] = []
     ref = default_reference(params.objective_mode)
     report_iters: list[dict] = []
@@ -385,7 +391,7 @@ def icee_run(
             if validate_design(design, stock_lib):
                 continue
             rng_task = _rng(params.seed, "design", design.id, iteration, k)
-            _expand(state, stock_lib, tools, budget, params, rng_task)
+            _expand(state, stock_lib, tools, budget, node_memo, rng_task)
             sols = ga_extract(state, tools, params, front_pts, rng_task)
             terms_refined += len(state.refine_cache)
             new_solutions.extend(sols)

@@ -1,9 +1,9 @@
 """Evaluator for chop-cut orders on a single lumber stock.
 
-This is the inner loop of per-node cut-order search (ordering._eval_orders).
-It reproduces, bit for bit, the (f_p ticks, f_t seconds) that
-cost.evaluate_plan gives the same one-stock chop-saw plan
-(see tests/test_kernels.py).
+The search loop no longer calls it: per-node cut orders come from
+ordering._pareto_orders. It gives the (f_p ticks, f_t seconds) of a
+one-stock chop-saw plan, stock loaded once (see tests/test_kernels.py),
+and stays only because the benchmark's tracing names it.
 """
 
 from __future__ import annotations

@@ -1,20 +1,24 @@
 """Cut-order assignment: per-node search, term bounds, pruned refinement.
 
-Each atomic e-node caches its minimum-precision and minimum-time cut orders
-(found by trying up to P orders, exhaustively for small nodes). A term-level
-lower bound prunes terms against the archive front. A surviving term of at
-most EXHAUSTIVE_TERM_CUTS cuts gets its exact front of cut orders over all
-its stocks; larger ones are refined by random feasibility-preserving swaps
-for a fixed number of passes.
+Each atomic e-node caches its minimum-precision and minimum-time cut orders,
+read off the exact order front of its one stock and memoized per run by
+stock spec and cut geometry. A term-level lower bound prunes terms against
+the archive front. A surviving term of at most EXHAUSTIVE_TERM_CUTS cuts
+gets its exact front of cut orders over all its stocks; larger ones are
+refined by random feasibility-preserving swaps for a fixed number of passes.
 
-The exact front is a forward label-setting search (Martins 1984) over
+Both fronts come from one forward label-setting search (Martins 1984) over
 states (done mask, last cut) instead of a scan of every permutation. The
 state is enough: a stock's pieces depend only on the set of cuts already
 made on it (lumber chops and guillotine sheet cuts under their parent
 links alike), so each cut's measured length, operation time and precision
 error are fixed by that set; setup sharing depends only on the previous
 cut's (tool, axis, measured length), and loading only on whether the stock
-changed.
+changed. Nodes of more than 8 cuts may exceed MAX_LAYER_STATES states per
+cut count; the search then keeps the most promising ones.
+
+`candidate_orders`, `_repair_order` and `term_bounds` are not used by the
+search loop; they remain for the benchmark's tracing and their tests.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from . import kernels
 from .analysis import pareto_filter
 from .cost import (
     Cut,
@@ -52,8 +55,10 @@ from .model import (
 )
 from .plans import assemble_plan, cuts_for_instance, stacked_variant
 
-EXHAUSTIVE_NODE_CUTS = 4  # node order search is exhaustive up to this size
 EXHAUSTIVE_TERM_CUTS = 6  # term refinement enumerates all orders up to this
+# states the label search keeps per number of cuts done; 8 cuts give at
+# most C(8, 4) * 4 = 280 (mask, last cut) states, so up to 8 stay exact
+MAX_LAYER_STATES = 300
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,10 @@ class Bounds:
 
 
 OrderCache = dict[str, NodeOrders]
+# (spec, cut geometry and parent index per cut) -> ((path, (f_p ticks,
+# f_t seconds)) of the best-f_p order, the same of the best-f_t order)
+NodeMemo = dict[tuple, tuple[tuple[tuple[int, ...], tuple[int, float]], ...]]
+Label = tuple[tuple[int, ...], float, int]  # (path, f_t seconds, f_p ticks)
 
 
 def _node_instance(node: AtomicNode) -> StockInstance:
@@ -106,39 +115,11 @@ def _eval_node_order(inst: StockInstance, order: list[Cut],
     return cost.f_p_ticks, cost.f_t_seconds
 
 
-def _kernel_applicable(inst: StockInstance, cuts: list[Cut]) -> bool:
-    return (not inst.spec.is_sheet
-            and all(c.kind == "lumber" and c.tool is Tool.CHOPSAW for c in cuts))
-
-
-def _eval_orders(inst: StockInstance, cuts: list[Cut],
-                 orders: list[list[Cut]],
-                 tools: dict[Tool, ToolSpec]) -> list[tuple[int, float]]:
-    if _kernel_applicable(inst, cuts) and orders:
-        tool = tools[Tool.CHOPSAW]
-        spec = inst.spec
-        metal = spec.material is Material.METAL
-        index = {c.id: i for i, c in enumerate(cuts)}
-        positions = [c.position for c in cuts]
-        return kernels.eval_orders_chop(
-            positions,
-            spec.dims[0],
-            tool.kerf,
-            tool.op_error_for(spec.material),
-            tool.setup_full(False),
-            -1.0 if tool.setup_partial is None else tool.setup_partial,
-            tool.op_rate.value * (METAL_OP_FACTOR if metal else 1),
-            (spec.load_full + spec.unload_full) * (METAL_LOAD_FACTOR if metal else 1),
-            [tuple(index[c.id] for c in order) for order in orders],
-        )
-    return [_eval_node_order(inst, order, tools) for order in orders]
-
-
 def candidate_orders(cuts: list[Cut], budget: int, rng: random.Random) -> list[list[Cut]]:
-    """Up to `budget` distinct feasible orders: exhaustive for small cut
-    counts, else canonical/reversed plus repaired random permutations."""
+    """Up to `budget` distinct feasible orders: exhaustive up to four cuts,
+    else canonical/reversed plus repaired random permutations."""
     k = len(cuts)
-    if k <= EXHAUSTIVE_NODE_CUTS:
+    if k <= 4:
         return [list(p) for p in itertools.permutations(cuts)
                 if order_is_feasible(list(p))][:budget]
     orders: list[list[Cut]] = []
@@ -165,27 +146,39 @@ def optimize_enode(
     node: AtomicNode,
     parts_by_id: dict[str, Part],
     tools: dict[Tool, ToolSpec],
-    budget: int,
-    rng: random.Random,
+    memo: NodeMemo | None = None,
 ) -> NodeOrders:
-    """Search up to `budget` cut orders; cache argmin-f_p and argmin-f_t."""
-    if budget < 1:
-        raise ValueError("order budget must be >= 1")
+    """Cache the node's minimum-precision and minimum-time cut orders.
+
+    Both come from the exact order front of the node's one stock
+    (`_pareto_orders` in mode 3): best-f_p by (f_p, f_t, order) and best-f_t
+    by (f_t, f_p, order), orders compared by cut index, which is the
+    permutation argmin with first-order tie-break. The answer depends only
+    on the stock spec and the cut geometry, so `memo` (one per run and tool
+    table) holds it per pattern, as index paths, and each node gets it on
+    its own cuts.
+    """
     inst = _node_instance(node)
     cuts = cuts_for_instance(inst, list(node.placements), parts_by_id, tools)
     if not cuts:
         empty: tuple[Cut, ...] = ()
         return NodeOrders(empty, empty, (0, 0.0), empty, (0, 0.0))
-    orders = candidate_orders(cuts, budget, rng)
-    costs = _eval_orders(inst, cuts, orders, tools)
-    best_p = min(range(len(orders)), key=lambda i: (costs[i][0], costs[i][1], i))
-    best_t = min(range(len(orders)), key=lambda i: (costs[i][1], costs[i][0], i))
+    if memo is None:
+        memo = {}
+    index = {c.id: i for i, c in enumerate(cuts)}
+    key = (node.spec, tuple((c.geometry_key(), index.get(c.parent)) for c in cuts))
+    if key not in memo:
+        labels = _pareto_orders(cuts, (inst,), tools, 3)
+        p = min(range(len(labels)), key=lambda i: (labels[i][2], labels[i][1], i))
+        t = min(range(len(labels)), key=lambda i: (labels[i][1], labels[i][2], i))
+        memo[key] = tuple((labels[i][0], (labels[i][2], labels[i][1])) for i in (p, t))
+    (path_p, cost_p), (path_t, cost_t) = memo[key]
     return NodeOrders(
         cuts=tuple(cuts),
-        best_precision=tuple(orders[best_p]),
-        best_precision_cost=costs[best_p],
-        best_time=tuple(orders[best_t]),
-        best_time_cost=costs[best_t],
+        best_precision=tuple(cuts[i] for i in path_p),
+        best_precision_cost=cost_p,
+        best_time=tuple(cuts[i] for i in path_t),
+        best_time_cost=cost_t,
     )
 
 
@@ -281,11 +274,10 @@ def term_bounds(
     return Bounds(lower=_lower_bound(stocks, tools), upper=upper)
 
 
-def _lex_front(labels: list[tuple[tuple[int, ...], float, int]]
-               ) -> list[tuple[tuple[int, ...], float, int]]:
+def _lex_front(labels: list[Label]) -> list[Label]:
     """(path, f_t, f_p) labels in path order, less each one that a kept
     label with a smaller path weakly dominates."""
-    kept: list[tuple[tuple[int, ...], float, int]] = []
+    kept: list[Label] = []
     for label in sorted(labels):
         _, t, p = label
         for _, kt, kp in kept:
@@ -296,24 +288,45 @@ def _lex_front(labels: list[tuple[tuple[int, ...], float, int]]
     return kept
 
 
+def _cap_layer(layer: dict[tuple[int, int], list[Label]]
+               ) -> dict[tuple[int, int], list[Label]]:
+    """The MAX_LAYER_STATES states whose best labels come first, taken in
+    turn by (f_p, f_t, path) and by (f_t, f_p, path). No two states share a
+    path, so the choice is a total order and deterministic."""
+    by_p = sorted(layer, key=lambda s: min((p, t, path) for path, t, p in layer[s]))
+    by_t = sorted(layer, key=lambda s: min((t, p, path) for path, t, p in layer[s]))
+    kept: dict[tuple[int, int], list[Label]] = {}
+    for pair in zip(by_p, by_t):
+        for state in pair:
+            if len(kept) < MAX_LAYER_STATES:
+                kept.setdefault(state, layer[state])
+    return kept
+
+
 def _pareto_orders(cuts: list[Cut], bill: tuple[StockInstance, ...],
-                   tools: dict[Tool, ToolSpec], mode: int) -> list[list[Cut]]:
-    """Feasible orders of `cuts` that hold, for every non-dominated order
-    cost, the lexicographically first order (by position in `cuts`) with it.
+                   tools: dict[Tool, ToolSpec], mode: int) -> list[Label]:
+    """Labels (path, f_t seconds, f_p ticks) of feasible orders of `cuts`,
+    a path being the order's cut indices, that hold, for every
+    non-dominated order cost, the lexicographically first order with it,
+    and its exact `evaluate_plan` cost (f_p held at 0 in mode 2).
 
     Forward label-setting over states (done mask, last cut), one popcount at
     a time. The state fixes everything that later steps cost: a cut's
     measured length and operation length depend only on the set of cuts
     already made on its stock, setup sharing only on the last cut's
-    signature, and loading only on the last cut's stock. A label is a path
-    with its f_t seconds and f_p ticks, summed step by step in the same
-    float order as `evaluate_plan`. A label is dropped only for a kept label
-    at the same state with a smaller path and a weakly dominating value: the
-    same suffix then completes that path to a smaller order whose cost is no
-    worse (float sums are monotone), so no lexicographically first order of
-    a non-dominated cost is ever dropped, even where rounding turns strict
-    dominance into a tie. The returned orders are in lexicographic order and
-    may include dominated ones.
+    signature, and loading only on the last cut's stock. A label's f_t and
+    f_p are summed step by step in the same float order as `evaluate_plan`.
+    A label is dropped only for a kept label at the same state with a
+    smaller path and a weakly dominating value: the same suffix then
+    completes that path to a smaller order whose cost is no worse (float
+    sums are monotone), so no lexicographically first order of a
+    non-dominated cost is ever dropped, even where rounding turns strict
+    dominance into a tie. The returned labels are in path order and may
+    include dominated ones.
+
+    A layer of more than MAX_LAYER_STATES states (none for 8 cuts or fewer)
+    is cut down to that many by `_cap_layer`; the result is then a
+    deterministic heuristic front rather than the exact one.
     """
     n = len(cuts)
     index = {c.id: i for i, c in enumerate(cuts)}
@@ -373,8 +386,9 @@ def _pareto_orders(cuts: list[Cut], bill: tuple[StockInstance, ...],
                 for path, t, p in labels:
                     out.append((path + (i,), t + step, p + ticks))
         layer = {state: _lex_front(labels) for state, labels in grown.items()}
-    finals = [label for labels in layer.values() for label in labels]
-    return [[cuts[i] for i in path] for path, _, _ in _lex_front(finals)]
+        if len(layer) > MAX_LAYER_STATES:
+            layer = _cap_layer(layer)
+    return _lex_front([label for labels in layer.values() for label in labels])
 
 
 # -- refinement --------------------------------------------------------------
@@ -435,8 +449,9 @@ def refine_term(
     all_cuts = [c for _, orders in stocks for c in orders.cuts]
     if flip_iters > 0 and len(all_cuts) <= EXHAUSTIVE_TERM_CUTS:
         bill = tuple(inst for inst, _ in stocks)
-        for order in _pareto_orders(all_cuts, bill, tools, mode):
-            consider(FabPlan(design_id=design_id, cuts=tuple(order), stock_bill=bill))
+        for path, _, _ in _pareto_orders(all_cuts, bill, tools, mode):
+            consider(FabPlan(design_id=design_id,
+                             cuts=tuple(all_cuts[i] for i in path), stock_bill=bill))
         # stacked counterparts of each per-stock canonical order
         canonical = [(inst, list(orders.cuts)) for inst, orders in stocks]
         for plan in _stacked_candidates(design_id, canonical, tools):

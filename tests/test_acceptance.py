@@ -180,7 +180,7 @@ def random_term(rng):
         design_id="d", stocks=((inst, tuple(sorted(placements))),)))
     term = g.term_from_choices({})
     node = next(nd for nd in g.nodes.values() if isinstance(nd, AtomicNode))
-    cache = {node.id: optimize_enode(node, parts, TOOLS, 25, rng)}
+    cache = {node.id: optimize_enode(node, parts, TOOLS)}
     return g, term, cache, inst, node, parts
 
 

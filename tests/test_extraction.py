@@ -1,7 +1,8 @@
 import dataclasses
+import random
 
 from planwright import corpus_path
-from planwright.analysis import hypervolume, pareto_filter
+from planwright.analysis import hypervolume, pareto_filter, point_dominates
 from planwright.cost import evaluate_plan
 from planwright.extraction import (
     IceeParams,
@@ -16,8 +17,8 @@ from planwright.libraries import default_stocks, default_tools
 STOCKS = default_stocks()
 TOOLS = default_tools()
 
-FAST = IceeParams(iterations=4, traversals=12, cut_orders=10, population=40,
-                  generations=4, flip_iters=8, seed=7)
+FAST = IceeParams(iterations=4, traversals=12, population=40, generations=4,
+                  flip_iters=8, seed=7)
 
 
 def run(corpus, params=FAST):
@@ -28,6 +29,45 @@ def run(corpus, params=FAST):
 def test_non_dominated_sort_ranks():
     objs = [(1.0, 1.0), (2.0, 2.0), (0.5, 3.0), (3.0, 3.0)]
     assert non_dominated_sort(objs) == [0, 1, 0, 2]
+
+
+def double_loop_sort(objs):
+    """Reference: the all-pairs sort `non_dominated_sort` replaced."""
+    n = len(objs)
+    ranks = [0] * n
+    dominated_by = [0] * n
+    dominates_list = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and point_dominates(objs[i], objs[j]):
+                dominates_list[i].append(j)
+            elif i != j and point_dominates(objs[j], objs[i]):
+                dominated_by[i] += 1
+    current = [i for i in range(n) if dominated_by[i] == 0]
+    rank = 0
+    while current:
+        nxt = []
+        for i in current:
+            ranks[i] = rank
+            for j in dominates_list[i]:
+                dominated_by[j] -= 1
+                if dominated_by[j] == 0:
+                    nxt.append(j)
+        current = nxt
+        rank += 1
+    return ranks
+
+
+def test_non_dominated_sort_matches_double_loop():
+    rng = random.Random("nds")
+    for m in (2, 3):
+        worst = tuple([float("inf")] * m)
+        for _ in range(150):
+            # few distinct values per axis: many ties, duplicates and chains
+            pool = [tuple(float(rng.randint(0, 4)) for _ in range(m))
+                    for _ in range(rng.randint(1, 12))] + [worst]
+            objs = [rng.choice(pool) for _ in range(rng.randint(1, 40))]
+            assert non_dominated_sort(objs) == double_loop_sort(objs), objs
 
 
 def test_crowding_distance_extremes_infinite():

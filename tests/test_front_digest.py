@@ -33,10 +33,10 @@ DIGEST = {
     "sheet-box": [
         ("sheet-box/rabbet-rabbet",
          ("n8:h0", "n8:h328", "n8:h656", "n8:h952",
-          "n8:v0-952", "n8:v0-656", "n8:v0-328", "n8:v0-0"),
+          "n8:v0-656", "n8:v0-952", "n8:v0-0", "n8:v0-328"),
          (5.5, 0.25, 19.66481481481481)),
         ("sheet-box/rabbet-rabbet",
-         ("n0:h0", "n0:h328", "n0:v584-0", "n0:v584-328", "n0:v0-328", "n0:v0-0"),
+         ("n0:h0", "n0:h328", "n0:v0-0", "n0:v0-328", "n0:v584-0", "n0:v584-328"),
          (10.0, 0.1875, 15.831481481481482)),
     ],
 }

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from planwright.libraries import default_stocks, default_tools, with_metal_twins
 from planwright.model import OpRate, OpRateKind, Part, Tool, ticks
 from planwright.ordering import (
     EXHAUSTIVE_TERM_CUTS,
+    _eval_node_order,
     _repair_order,
     candidate_orders,
     optimize_enode,
@@ -58,7 +60,7 @@ def exhaustive_node_costs(node, parts):
 
 def test_optimize_enode_matches_exhaustive_small():
     node, parts = lumber_node([10, 20, 30])
-    result = optimize_enode(node, parts, TOOLS, budget=1000, rng=random.Random(0))
+    result = optimize_enode(node, parts, TOOLS)
     all_costs = exhaustive_node_costs(node, parts)
     assert result.best_precision_cost[0] == min(p for p, _ in all_costs)
     assert result.best_time_cost[1] == min(t for _, t in all_costs)
@@ -67,7 +69,7 @@ def test_optimize_enode_matches_exhaustive_small():
 def test_optimize_enode_order_dependent_case():
     # offsets land off the measurement grid, so the reference edge matters
     node, parts = lumber_node([ticks("395/64") / 64, 30, 40])
-    result = optimize_enode(node, parts, TOOLS, budget=1000, rng=random.Random(0))
+    result = optimize_enode(node, parts, TOOLS)
     all_costs = exhaustive_node_costs(node, parts)
     assert len({p for p, _ in all_costs}) > 1
     assert result.best_precision_cost[0] == min(p for p, _ in all_costs)
@@ -98,7 +100,7 @@ def term_for(lengths_in, stock_id="2x4-96"):
     for cid, nid in term.chosen.items():
         n = g.nodes[nid]
         if isinstance(n, AtomicNode):
-            cache[nid] = optimize_enode(n, parts, TOOLS, 50, random.Random(0))
+            cache[nid] = optimize_enode(n, parts, TOOLS)
     return g, term, cache, node, parts
 
 
@@ -146,7 +148,7 @@ def test_optimize_enode_empty_node():
     pid = "p0"
     parts = {pid: Part(id=pid, family="2x4", shape=(stock.dims[0],))}
     node = AtomicNode(id="n0", spec=stock, placements=((pid, (0,)),))
-    result = optimize_enode(node, parts, TOOLS, 10, random.Random(0))
+    result = optimize_enode(node, parts, TOOLS)
     assert result.cuts == ()
     assert result.best_time_cost == (0, 0.0)
 
@@ -193,45 +195,53 @@ SHELF_HEIGHTS = [ticks(x) for x in (4, "5.5", 6)]
 WIDTHS = [ticks(x) for x in (3, "3.25", 5)]
 
 
+def place(spec, layout, parts, prefix="p"):
+    """Sorted places of `layout` on `spec`, adding its parts to `parts`
+    with ids `prefix` + running number.
+
+    A lumber layout lists part lengths, packed end to end from offset 0; a
+    sheet layout lists shelves, bottom up, as (height, part widths), giving
+    horizontal cuts with parent links and vertical cuts that depend on them.
+    """
+    places = []
+
+    def part(shape, offset):
+        pid = f"{prefix}{len(parts)}"
+        parts[pid] = Part(id=pid, family=spec.family, shape=shape,
+                          material=spec.material)
+        places.append((pid, offset))
+
+    if spec.is_sheet:
+        y = 0
+        for height, widths in layout:
+            x = 0
+            for w in widths:
+                part((w, height), (x, y))
+                x += w + TOOLS_KERF
+            y += height + TOOLS_KERF
+    else:
+        offset = 0
+        for length in layout:
+            part((length,), (offset,))
+            offset += length + TOOLS_KERF
+    return tuple(sorted(places))
+
+
 def build_term(stocks, tools=TOOLS):
     """A term over one arrangement of `stocks`, with its node order cache.
 
-    Each entry is (stock id, layout). A lumber layout lists part lengths,
-    packed end to end from offset 0; a sheet layout lists shelves, bottom up,
-    as (height, part widths), giving horizontal cuts with parent links and
-    vertical cuts that depend on them.
+    Each entry is (stock id, layout), a layout as `place` takes it.
     """
     parts = {}
     placed = []
     for j, (stock_id, layout) in enumerate(stocks):
         spec = STOCKS[stock_id]
-        places = []
-
-        def part(shape, offset):
-            pid = f"p{len(parts)}"
-            parts[pid] = Part(id=pid, family=spec.family, shape=shape,
-                              material=spec.material)
-            places.append((pid, offset))
-
-        if spec.is_sheet:
-            y = 0
-            for height, widths in layout:
-                x = 0
-                for w in widths:
-                    part((w, height), (x, y))
-                    x += w + TOOLS_KERF
-                y += height + TOOLS_KERF
-        else:
-            offset = 0
-            for length in layout:
-                part((length,), (offset,))
-                offset += length + TOOLS_KERF
         inst = StockInstance(key=f"{stock_id}#{j}", spec=spec)
-        placed.append((inst, tuple(sorted(places))))
+        placed.append((inst, place(spec, layout, parts)))
     g = BopEGraph("d", frozenset(parts))
     g.add_arrangement(Arrangement(design_id="d", stocks=tuple(placed)))
     term = g.term_from_choices({})
-    cache = {n.id: optimize_enode(n, parts, tools, 25, random.Random(0))
+    cache = {n.id: optimize_enode(n, parts, tools)
              for n in g.atomic_nodes_of(term)}
     return g, term, cache
 
@@ -362,3 +372,106 @@ def test_exact_order_front_keeps_first_order_on_rounding_ties():
         cost = evaluate_plan(FabPlan("d", perm, bill), tools)
         seconds.setdefault(cost.vector(2), set()).add(cost.f_t_seconds)
     assert any(len(seconds[cost.vector(2)]) > 1 for _, cost in got)
+
+
+# -- node order search: parity with scoring every permutation ----------------
+
+
+def layout_node(stock_id, layout, nid="n0", prefix="p"):
+    """One packed stock as an atomic node, with its parts."""
+    spec = STOCKS[stock_id]
+    parts = {}
+    placements = place(spec, layout, parts, prefix)
+    return AtomicNode(id=nid, spec=spec, placements=placements), parts
+
+
+def random_node(rng, kind):
+    """Wood or metal lumber with 1-7 cuts, or a sheet with 1-8 cuts."""
+    if kind == "lumber":
+        stock_id = rng.choice(["2x4-48", "metal-2x4-48", "2x2-96", "metal-2x2-96"])
+        return stock_id, [rng.choice(LENGTHS) for _ in range(rng.randint(1, 7))]
+    while True:
+        shelves = [(rng.choice(SHELF_HEIGHTS),
+                    [rng.choice(WIDTHS) for _ in range(rng.randint(1, 3))])
+                   for _ in range(rng.randint(1, 3))]
+        # one horizontal cut per shelf and one vertical cut per part
+        if len(shelves) + sum(len(w) for _, w in shelves) <= 8:
+            return rng.choice(["sheet-1/2-24x20", "metal-sheet-3/4-24x20"]), shelves
+
+
+def brute_force_node(node, parts):
+    """(best-f_p order, its cost, best-f_t order, its cost) over every
+    feasible permutation, first permutation winning ties."""
+    inst = StockInstance(key=node.id, spec=node.spec)
+    cuts = cuts_for_instance(inst, list(node.placements), parts, TOOLS)
+    orders = [perm for perm in itertools.permutations(cuts)
+              if order_is_feasible(list(perm))]
+    costs = [_eval_node_order(inst, list(order), TOOLS) for order in orders]
+    p = min(range(len(orders)), key=lambda i: (costs[i][0], costs[i][1], i))
+    t = min(range(len(orders)), key=lambda i: (costs[i][1], costs[i][0], i))
+    return orders[p], costs[p], orders[t], costs[t]
+
+
+@pytest.mark.parametrize("kind,count", [("lumber", 40), ("sheet", 40)])
+def test_node_orders_match_permutation_argmin(kind, count):
+    rng = random.Random(f"node-{kind}")
+    sizes = set()
+    for _ in range(count):
+        node, parts = layout_node(*random_node(rng, kind))
+        got = optimize_enode(node, parts, TOOLS)
+        sizes.add(len(got.cuts))
+        assert (got.best_precision, got.best_precision_cost,
+                got.best_time, got.best_time_cost) == brute_force_node(node, parts)
+    assert max(sizes) == (7 if kind == "lumber" else 8)
+
+
+def test_node_memo_shares_orders_across_relabelled_nodes():
+    memo = {}
+    for stock_id, layout in [("2x4-48", [LENGTHS[4], LENGTHS[0], LENGTHS[4]]),
+                             ("sheet-1/2-24x20", [(SHELF_HEIGHTS[1], WIDTHS[:2]),
+                                                  (SHELF_HEIGHTS[0], WIDTHS[1:])])]:
+        first, first_parts = layout_node(stock_id, layout, "n3")
+        again, again_parts = layout_node(stock_id, layout, "n17", prefix="q")
+        assert set(first_parts).isdisjoint(again_parts)
+        size = len(memo)
+        a = optimize_enode(first, first_parts, TOOLS, memo)
+        assert len(memo) == size + 1
+        b = optimize_enode(again, again_parts, TOOLS, memo)
+        assert len(memo) == size + 1
+        assert b == optimize_enode(again, again_parts, TOOLS)
+        assert all(c.stock_key == "n17" for c in b.best_precision + b.best_time)
+        index_a = {c.id: i for i, c in enumerate(a.cuts)}
+        index_b = {c.id: i for i, c in enumerate(b.cuts)}
+        for order_a, order_b in [(a.best_precision, b.best_precision),
+                                 (a.best_time, b.best_time)]:
+            assert [index_a[c.id] for c in order_a] == [index_b[c.id] for c in order_b]
+        assert (a.best_precision_cost, a.best_time_cost) == \
+            (b.best_precision_cost, b.best_time_cost)
+    # the stock spec and the cut geometry are part of the pattern: the metal
+    # twin and a stick cut at other places are searched anew
+    for stock_id, layout in [("metal-2x4-48", [LENGTHS[4], LENGTHS[0], LENGTHS[4]]),
+                             ("2x4-48", [LENGTHS[4], LENGTHS[4], LENGTHS[0]])]:
+        node, parts = layout_node(stock_id, layout, "n9")
+        size = len(memo)
+        assert optimize_enode(node, parts, TOOLS, memo) == \
+            optimize_enode(node, parts, TOOLS)
+        assert len(memo) == size + 1
+
+
+@pytest.mark.parametrize("stock_id,layout", [
+    ("2x4-96", [LENGTHS[i % 5] for i in range(16)]),
+    ("sheet-1/2-48x36", [(SHELF_HEIGHTS[i % 3], [WIDTHS[(i + j) % 3] for j in range(3)])
+                         for i in range(4)]),
+], ids=["lumber", "sheet"])
+def test_large_node_search_is_capped(stock_id, layout):
+    node, parts = layout_node(stock_id, layout)
+    start = time.perf_counter()
+    got = optimize_enode(node, parts, TOOLS)
+    assert time.perf_counter() - start < 2.0
+    assert len(got.cuts) == 16
+    inst = StockInstance(key=node.id, spec=node.spec)
+    for order, cost in [(got.best_precision, got.best_precision_cost),
+                        (got.best_time, got.best_time_cost)]:
+        assert sorted(c.id for c in order) == sorted(c.id for c in got.cuts)
+        assert order_is_feasible(list(order))
+        assert _eval_node_order(inst, list(order), TOOLS) == cost
