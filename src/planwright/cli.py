@@ -61,6 +61,7 @@ def cmd_optimize(args) -> int:
     front, report = run(space, stocks, tools, params)
     for entry in report["iterations"]:
         print("iter {iteration}: terms_refined={terms_refined} "
+              "term_patterns={term_patterns} "
               "front={front_size} hv={hypervolume:.6g}".format(**entry))
     out = _out_dir(args)
     rows = pio.front_rows(front)

@@ -19,7 +19,7 @@ from .designspace import DesignSpace, enumerate_variants, sample_design
 from .egraph import AtomicNode, BopEGraph, Term
 from .libraries import DEFAULT_KERF
 from .model import CostVector, Design, StockSpec, Tool, ToolSpec, validate_design
-from .ordering import NodeMemo, OrderCache, optimize_enode, refine_term
+from .ordering import NodeMemo, OrderCache, TermMemo, optimize_enode, refine_term
 from .packing import generate_arrangements
 
 BREADTH_ENUMERATION_LIMIT = 1024  # design spaces this small are swept in order
@@ -120,13 +120,14 @@ def evaluate_term(
     params: IceeParams,
     archive_front: list[tuple[float, ...]],
     rng: random.Random,
+    memo: TermMemo,
 ) -> list[Solution]:
     key = term.signature()
     cached = state.refine_cache.get(key)
     if cached is None:
         cached = refine_term(
             state.egraph, term, state.cache, tools, archive_front,
-            params.flip_iters, rng, params.objective_mode,
+            params.flip_iters, rng, params.objective_mode, memo,
         )
         state.refine_cache[key] = cached
     return [
@@ -223,6 +224,7 @@ def ga_extract(
     params: IceeParams,
     archive_front: list[tuple[float, ...]],
     rng: random.Random,
+    memo: TermMemo,
 ) -> list[Solution]:
     """Non-dominated solutions of one design's e-graph.
 
@@ -238,14 +240,14 @@ def ga_extract(
     if all_terms is not None:
         for term in all_terms:
             collected.extend(
-                evaluate_term(state, term, tools, params, archive_front, rng))
+                evaluate_term(state, term, tools, params, archive_front, rng, memo))
         return _merge_archive([], collected)
 
     population = [egraph.sample_term(rng) for _ in range(params.population)]
     worst = tuple([float("inf")] * params.objective_mode)
 
     def fitness(term: Term) -> tuple[float, ...]:
-        sols = evaluate_term(state, term, tools, params, archive_front, rng)
+        sols = evaluate_term(state, term, tools, params, archive_front, rng, memo)
         collected.extend(sols)
         if not sols:
             return worst
@@ -332,6 +334,7 @@ def icee_run(
 
     states: dict[str, _DesignState] = {}
     node_memo: NodeMemo = {}  # node cut orders per pattern, for this run's tools
+    term_memo: TermMemo = {}  # exact term fronts per pattern, for this run's tools and params
     archive: list[Solution] = []
     ref = default_reference(params.objective_mode)
     report_iters: list[dict] = []
@@ -392,7 +395,7 @@ def icee_run(
                 continue
             rng_task = _rng(params.seed, "design", design.id, iteration, k)
             _expand(state, stock_lib, tools, budget, node_memo, rng_task)
-            sols = ga_extract(state, tools, params, front_pts, rng_task)
+            sols = ga_extract(state, tools, params, front_pts, rng_task, term_memo)
             terms_refined += len(state.refine_cache)
             new_solutions.extend(sols)
 
@@ -410,6 +413,7 @@ def icee_run(
             "iteration": iteration,
             "designs": sorted({d.id for d in chosen}),
             "terms_refined": terms_refined,
+            "term_patterns": len(term_memo),
             "front_size": len(archive),
             "hypervolume": hv,
         })

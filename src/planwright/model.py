@@ -50,6 +50,11 @@ class Material(Enum):
     WOOD = "wood"
     METAL = "metal"
 
+    # Enum.__hash__ hashes the member name in Python on every dict or set
+    # lookup; members are singletons compared by identity, so the identity
+    # hash is equivalent and runs in C
+    __hash__ = object.__hash__
+
 
 class Tool(Enum):
     CHOPSAW = "chopsaw"
@@ -58,11 +63,15 @@ class Tool(Enum):
     TRACKSAW = "tracksaw"
     DRILL = "drill"
 
+    __hash__ = object.__hash__  # identity hash, as for Material
+
 
 class OpRateKind(Enum):
     PER_CUT = "per_cut"            # fixed seconds per operation
     PER_INCH = "per_inch"          # inches of cut length per second
     PER_DEPTH_INCH = "per_depth_inch"  # inches of depth per second
+
+    __hash__ = object.__hash__  # identity hash, as for Material
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,13 @@
 
 Each atomic e-node caches its minimum-precision and minimum-time cut orders,
 read off the exact order front of its one stock and memoized per run by
-stock spec and cut geometry. A term-level lower bound prunes terms against
-the archive front. A surviving term of at most EXHAUSTIVE_TERM_CUTS cuts
-gets its exact front of cut orders over all its stocks; larger ones are
-refined by random feasibility-preserving swaps for a fixed number of passes.
+its cut pattern (stock spec and cut geometry). A term-level lower bound
+prunes terms against the archive front. A surviving term of at most
+EXHAUSTIVE_TERM_CUTS cuts gets its exact front of cut orders over all its
+stocks, memoized per run by its stocks' cut patterns, so terms of other
+iterations and designs that cut the same patterns share it; larger terms
+are refined by random feasibility-preserving swaps for a fixed number of
+passes.
 
 Both fronts come from one forward label-setting search (Martins 1984) over
 states (done mask, last cut) instead of a scan of every permutation. The
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 from .analysis import pareto_filter
 from .cost import (
     Cut,
+    CutTimeBreakdown,
     FabPlan,
     PlanCost,
     StockInstance,
@@ -53,7 +57,7 @@ from .model import (
     Tool,
     ToolSpec,
 )
-from .plans import assemble_plan, cuts_for_instance, stacked_variant
+from .plans import assemble_plan, cuts_for_instance, stack_member, stacked_variant
 
 EXHAUSTIVE_TERM_CUTS = 6  # term refinement enumerates all orders up to this
 # states the label search keeps per number of cuts done; 8 cuts give at
@@ -68,6 +72,8 @@ class NodeOrders:
     best_precision_cost: tuple[int, float]  # (f_p ticks, f_t seconds)
     best_time: tuple[Cut, ...]
     best_time_cost: tuple[int, float]
+    # (spec, ((geometry key, parent index), ...) per cut): the node memo key
+    pattern: tuple
 
 
 @dataclass(frozen=True)
@@ -77,9 +83,16 @@ class Bounds:
 
 
 OrderCache = dict[str, NodeOrders]
-# (spec, cut geometry and parent index per cut) -> ((path, (f_p ticks,
-# f_t seconds)) of the best-f_p order, the same of the best-f_t order)
-NodeMemo = dict[tuple, tuple[tuple[tuple[int, ...], tuple[int, float]], ...]]
+# (spec, cut geometry and parent index per cut) -> (that key, stored once
+# for every node with the pattern; (path, (f_p ticks, f_t seconds)) of the
+# best-f_p order; the same of the best-f_t order)
+NodeMemo = dict[tuple, tuple]
+# a refined plan on a term's own cuts: (index into the term's cuts and
+# stack group, per cut), (index into the term's stocks, per bill entry),
+# its cost
+Recipe = tuple[tuple[tuple[int, str | None], ...], tuple[int, ...], PlanCost]
+# the term's cut patterns, in `_term_stocks` order -> (lower bound, recipes)
+TermMemo = dict[tuple, tuple[CostVector, tuple[Recipe, ...]]]
 Label = tuple[tuple[int, ...], float, int]  # (path, f_t seconds, f_p ticks)
 
 
@@ -160,25 +173,26 @@ def optimize_enode(
     """
     inst = _node_instance(node)
     cuts = cuts_for_instance(inst, list(node.placements), parts_by_id, tools)
-    if not cuts:
-        empty: tuple[Cut, ...] = ()
-        return NodeOrders(empty, empty, (0, 0.0), empty, (0, 0.0))
-    if memo is None:
-        memo = {}
     index = {c.id: i for i, c in enumerate(cuts)}
     key = (node.spec, tuple((c.geometry_key(), index.get(c.parent)) for c in cuts))
+    if not cuts:
+        empty: tuple[Cut, ...] = ()
+        return NodeOrders(empty, empty, (0, 0.0), empty, (0, 0.0), key)
+    if memo is None:
+        memo = {}
     if key not in memo:
         labels = _pareto_orders(cuts, (inst,), tools, 3)
         p = min(range(len(labels)), key=lambda i: (labels[i][2], labels[i][1], i))
         t = min(range(len(labels)), key=lambda i: (labels[i][1], labels[i][2], i))
-        memo[key] = tuple((labels[i][0], (labels[i][2], labels[i][1])) for i in (p, t))
-    (path_p, cost_p), (path_t, cost_t) = memo[key]
+        memo[key] = (key, *((labels[i][0], (labels[i][2], labels[i][1])) for i in (p, t)))
+    pattern, (path_p, cost_p), (path_t, cost_t) = memo[key]
     return NodeOrders(
         cuts=tuple(cuts),
         best_precision=tuple(cuts[i] for i in path_p),
         best_precision_cost=cost_p,
         best_time=tuple(cuts[i] for i in path_t),
         best_time_cost=cost_t,
+        pattern=pattern,
     )
 
 
@@ -407,6 +421,32 @@ def _stacked_candidates(design_id: str,
     return [plan] if plan is not None else []
 
 
+def _recipes(refined: list[tuple[FabPlan, PlanCost]], all_cuts: list[Cut],
+             stocks: list[tuple[StockInstance, NodeOrders]]) -> tuple[Recipe, ...]:
+    cut_at = {c.id: i for i, c in enumerate(all_cuts)}
+    stock_at = {inst.key: j for j, (inst, _) in enumerate(stocks)}
+    return tuple((tuple((cut_at[c.id], c.stack_group) for c in plan.cuts),
+                  tuple(stock_at[inst.key] for inst in plan.stock_bill), cost)
+                 for plan, cost in refined)
+
+
+def _rebuild(recipe: Recipe, design_id: str, all_cuts: list[Cut],
+             stocks: list[tuple[StockInstance, NodeOrders]]
+             ) -> tuple[FabPlan, PlanCost]:
+    """A recipe's plan on this term's cuts, its cost rows re-labelled with
+    their ids (a cost row and the plan cut at its place share an id)."""
+    cut_refs, bill_refs, cost = recipe
+    cuts = tuple(all_cuts[i] if group is None else stack_member(all_cuts[i], group)
+                 for i, group in cut_refs)
+    rows = [CutTimeBreakdown(c.id, r.setup, r.load, r.op, r.eps_ticks,
+                             r.op_error_ticks, r.merged)
+            for c, r in zip(cuts, cost.rows)]
+    plan = FabPlan(design_id=design_id, cuts=cuts,
+                   stock_bill=tuple(stocks[j][0] for j in bill_refs))
+    return plan, PlanCost(rows=rows, f_c=cost.f_c, f_t_seconds=cost.f_t_seconds,
+                          f_p_ticks=cost.f_p_ticks)
+
+
 def refine_term(
     egraph: BopEGraph,
     term: Term,
@@ -416,6 +456,7 @@ def refine_term(
     flip_iters: int,
     rng: random.Random,
     mode: int,
+    memo: TermMemo | None = None,
 ) -> list[tuple[FabPlan, PlanCost]]:
     """Ordered plans for a term, or [] when its lower bound is dominated.
 
@@ -426,12 +467,29 @@ def refine_term(
     cuts, which is what scoring every permutation would keep, plus the
     stacked per-stock canonical orders. Larger terms are refined by
     `flip_iters` passes of random adjacent swaps within each stock's run.
+
+    The exact front and the lower bound depend only on the term's cut
+    patterns (`NodeOrders.pattern`, in stock order), given the tools, the
+    mode and `flip_iters`. So `memo` (one per run, which fixes those) holds
+    them per pattern tuple, the plans as recipes over cut and stock
+    indices, and every term with the same patterns gets them on its own
+    cuts and stocks without a search; the prune is still made against
+    this term's `archive_front`.
     """
     stocks = _term_stocks(egraph, term, cache)
-    if _weakly_dominated(_lower_bound(stocks, tools), archive_front, mode):
+    all_cuts = [c for _, orders in stocks for c in orders.cuts]
+    design_id = egraph.design_id
+    exact = flip_iters > 0 and len(all_cuts) <= EXHAUSTIVE_TERM_CUTS
+    key = tuple(orders.pattern for _, orders in stocks) if exact else None
+    if memo is not None and key in memo:
+        lower, recipes = memo[key]
+        if _weakly_dominated(lower, archive_front, mode):
+            return []
+        return [_rebuild(r, design_id, all_cuts, stocks) for r in recipes]
+    lower = _lower_bound(stocks, tools)
+    if _weakly_dominated(lower, archive_front, mode):
         return []
 
-    design_id = egraph.design_id
     evaluated: list[tuple[FabPlan, PlanCost]] = []
 
     def consider(plan: FabPlan) -> None:
@@ -446,8 +504,7 @@ def refine_term(
         for plan in _stacked_candidates(design_id, per_stock, tools):
             consider(plan)
 
-    all_cuts = [c for _, orders in stocks for c in orders.cuts]
-    if flip_iters > 0 and len(all_cuts) <= EXHAUSTIVE_TERM_CUTS:
+    if exact:
         bill = tuple(inst for inst, _ in stocks)
         for path, _, _ in _pareto_orders(all_cuts, bill, tools, mode):
             consider(FabPlan(design_id=design_id,
@@ -456,7 +513,10 @@ def refine_term(
         canonical = [(inst, list(orders.cuts)) for inst, orders in stocks]
         for plan in _stacked_candidates(design_id, canonical, tools):
             consider(plan)
-        return pareto_filter(evaluated, key=lambda pc: pc[1].vector(mode).objectives)
+        refined = pareto_filter(evaluated, key=lambda pc: pc[1].vector(mode).objectives)
+        if memo is not None:
+            memo[key] = (lower, _recipes(refined, all_cuts, stocks))
+        return refined
 
     # stochastic refinement: one adjacent feasible swap per stock per pass
     for per_stock in start_variants:

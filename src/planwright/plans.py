@@ -102,6 +102,16 @@ def assemble_plan(
     )
 
 
+def stack_member(c: Cut, group: str) -> Cut:
+    """`c` as one of the cuts of stacked operation `group`."""
+    return Cut(
+        id=c.id, tool=c.tool, stock_key=c.stock_key, kind=c.kind,
+        axis=c.axis, position=c.position, anchor=c.anchor,
+        parent=c.parent, measured_len=c.measured_len,
+        op_length=c.op_length, depth=c.depth, stack_group=group,
+    )
+
+
 def stacked_variant(
     design_id: str,
     per_stock: list[tuple[StockInstance, list[Cut]]],
@@ -152,13 +162,7 @@ def stacked_variant(
                 tag = f"sg{group_no}"
                 group_no += 1
                 for inst, stock_cuts in chunk:
-                    c = stock_cuts[j]
-                    cuts.append(Cut(
-                        id=c.id, tool=c.tool, stock_key=c.stock_key, kind=c.kind,
-                        axis=c.axis, position=c.position, anchor=c.anchor,
-                        parent=c.parent, measured_len=c.measured_len,
-                        op_length=c.op_length, depth=c.depth, stack_group=tag,
-                    ))
+                    cuts.append(stack_member(stock_cuts[j], tag))
     if not stackable:
         return None
     return FabPlan(design_id=design_id, cuts=tuple(cuts), stock_bill=tuple(bill))

@@ -101,6 +101,17 @@ def test_hypervolume_monotone_over_iterations():
     assert report["design_space_cardinality"] == 16
 
 
+def test_report_counts_term_patterns():
+    # frame's terms have at most six cuts, so every refined term's exact
+    # front is searched once per distinct pattern and shared after that
+    _, report = run("frame")
+    patterns = [it["term_patterns"] for it in report["iterations"]]
+    assert 0 < patterns[0] and patterns == sorted(patterns)
+    assert all(it["term_patterns"] <= it["terms_refined"]
+               for it in report["iterations"])
+    assert patterns[-1] < report["iterations"][-1]["terms_refined"]
+
+
 def test_seed_changes_search_but_front_stays_optimal_on_lframe():
     # lframe's optimum is a single point; any seed must find it
     for seed in (1, 2, 3):

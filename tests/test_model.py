@@ -5,7 +5,10 @@ from planwright.model import (
     ConnectorVariant,
     CostVector,
     Joint,
+    Material,
+    OpRateKind,
     Part,
+    Tool,
     inches,
     ticks,
     validate_design,
@@ -81,3 +84,14 @@ def test_validate_design_empty():
 def test_validate_design_bundled_corpus():
     space = load_design_space(corpus_path("frame"))
     assert validate_design(space.base_design(), default_stocks()) == []
+
+
+@pytest.mark.parametrize("enum", [Tool, Material, OpRateKind])
+def test_enum_members_hash_by_identity(enum):
+    for member in enum:
+        again = enum(member.value)
+        assert again is member
+        assert hash(again) == object.__hash__(member)
+        assert {member: member.value}[again] == member.value
+        assert again in {member}
+        assert again in frozenset(enum)

@@ -11,6 +11,7 @@ from planwright.plans import assemble_plan, cuts_for_instance, stacked_variant
 from planwright.egraph import AtomicNode, BopEGraph
 from planwright.libraries import default_stocks, default_tools, with_metal_twins
 from planwright.model import OpRate, OpRateKind, Part, Tool, ticks
+from planwright import ordering
 from planwright.ordering import (
     EXHAUSTIVE_TERM_CUTS,
     _eval_node_order,
@@ -227,18 +228,20 @@ def place(spec, layout, parts, prefix="p"):
     return tuple(sorted(places))
 
 
-def build_term(stocks, tools=TOOLS):
+def build_term(stocks, tools=TOOLS, prefix="p", first_node=0):
     """A term over one arrangement of `stocks`, with its node order cache.
 
-    Each entry is (stock id, layout), a layout as `place` takes it.
+    Each entry is (stock id, layout), a layout as `place` takes it. Part
+    ids start with `prefix`; node ids count up from `first_node`.
     """
     parts = {}
     placed = []
     for j, (stock_id, layout) in enumerate(stocks):
         spec = STOCKS[stock_id]
         inst = StockInstance(key=f"{stock_id}#{j}", spec=spec)
-        placed.append((inst, place(spec, layout, parts)))
+        placed.append((inst, place(spec, layout, parts, prefix)))
     g = BopEGraph("d", frozenset(parts))
+    g._next = first_node
     g.add_arrangement(Arrangement(design_id="d", stocks=tuple(placed)))
     term = g.term_from_choices({})
     cache = {n.id: optimize_enode(n, parts, tools)
@@ -475,3 +478,76 @@ def test_large_node_search_is_capped(stock_id, layout):
         assert sorted(c.id for c in order) == sorted(c.id for c in got.cuts)
         assert order_is_feasible(list(order))
         assert _eval_node_order(inst, list(order), TOOLS) == cost
+
+
+# -- term memo: one exact front per run and term cut pattern -----------------
+
+
+def refine(term_parts, mode, memo=None, front=()):
+    g, term, cache = term_parts
+    return refine_term(g, term, cache, TOOLS, list(front), flip_iters=5,
+                       rng=random.Random(0), mode=mode, memo=memo)
+
+
+def full_outcome(results):
+    """All that a refined plan carries, cut ids and cost rows included."""
+    return [(plan.design_id, [(c.id, c.stack_group) for c in plan.cuts],
+             plan.stock_bill, cost.f_c, cost.f_t_seconds, cost.f_p_ticks,
+             cost.rows) for plan, cost in results]
+
+
+def node_ids(term_parts):
+    g, term, _ = term_parts
+    return [n.id for n in g.atomic_nodes_of(term)]
+
+
+@pytest.mark.parametrize("mode", [2, 3])
+def test_term_memo_shares_fronts_across_relabelled_terms(mode, monkeypatch):
+    rng = random.Random(f"term-memo-{mode}")
+    memo = {}
+    stacked = 0
+    cases = [[("2x2-24", [ticks(3), ticks(4)])] * 2]
+    while len(cases) < 16:
+        stocks = [random_stock(rng, rng.choice(["lumber", "sheet"]))
+                  for _ in range(rng.randint(1, 3))]
+        _, _, cache = build_term(stocks)
+        if sum(len(o.cuts) for o in cache.values()) <= EXHAUSTIVE_TERM_CUTS:
+            cases.append(stocks)
+    for stocks in cases:
+        first = build_term(stocks)
+        again = build_term(stocks, prefix="q", first_node=20)
+        assert set(node_ids(first)).isdisjoint(node_ids(again))
+        assert set(first[0].design_parts).isdisjoint(again[0].design_parts)
+        refine(first, mode, memo)
+        size = len(memo)
+        got = refine(again, mode, memo)
+        assert len(memo) == size
+        assert full_outcome(got) == full_outcome(refine(again, mode))
+        assert all(c.stock_key in node_ids(again) for plan, _ in got for c in plan.cuts)
+        stacked += any(c.stack_group for plan, _ in got for c in plan.cuts)
+        # a hit is still pruned against the archive front
+        assert refine(again, mode, memo, front=[(0.0,) * mode]) == []
+        assert len(memo) == size
+    assert stacked
+    # the stock spec, the cut geometry and the parent links are all part of
+    # the pattern: the metal twin, a moved cut and the same cuts without
+    # their parent links are each searched anew
+    base = [("2x4-48", [LENGTHS[4], LENGTHS[0]]),
+            ("sheet-1/2-24x20", [(SHELF_HEIGHTS[1], WIDTHS[:2])])]
+    refine(build_term(base), mode, memo)
+    twin = [("metal-2x4-48", base[0][1]), base[1]]
+    moved = [("2x4-48", [LENGTHS[0], LENGTHS[4]]), base[1]]
+    for stocks in (twin, moved):
+        size = len(memo)
+        term_parts = build_term(stocks, prefix="q", first_node=20)
+        assert full_outcome(refine(term_parts, mode, memo)) == \
+            full_outcome(refine(term_parts, mode))
+        assert len(memo) == size + 1
+    cuts_for_instance = ordering.cuts_for_instance
+    monkeypatch.setattr(ordering, "cuts_for_instance", lambda *args: [
+        dataclasses.replace(c, parent=None) for c in cuts_for_instance(*args)])
+    unlinked = build_term(base, prefix="q", first_node=20)
+    size = len(memo)
+    assert full_outcome(refine(unlinked, mode, memo)) == \
+        full_outcome(refine(unlinked, mode))
+    assert len(memo) == size + 1
