@@ -45,7 +45,7 @@ def _load_inputs(args):
 def _params_from_args(args) -> IceeParams:
     kwargs = {}
     for name in ("seed", "alpha", "iterations", "traversals", "top_nodes",
-                 "population", "flip_iters", "generations", "designs_per_iter"):
+                 "population", "generations", "designs_per_iter"):
         value = getattr(args, name, None)
         if value is not None:
             kwargs[name] = value
@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traversals", type=int)
     p.add_argument("--top-nodes", dest="top_nodes", type=int)
     p.add_argument("--population", type=int)
-    p.add_argument("--flip-iters", dest="flip_iters", type=int)
     p.add_argument("--generations", type=int)
     p.add_argument("--designs-per-iter", dest="designs_per_iter", type=int)
     p.set_defaults(func=cmd_optimize)

@@ -29,13 +29,13 @@ class PlanError(ValueError):
     """Raised when a plan is structurally invalid."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StockInstance:
     key: str  # unique within a plan, e.g. "2x2-48#0"
     spec: StockSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cut:
     """One cutting (or drilling) operation on a stock instance.
 
@@ -62,7 +62,7 @@ class Cut:
                 self.measured_len, self.op_length, self.depth)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FabPlan:
     design_id: str
     cuts: tuple[Cut, ...]
@@ -75,7 +75,7 @@ class FabPlan:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CutTimeBreakdown:
     cut_id: str
     setup: float

@@ -43,7 +43,7 @@ class EClass:
     nodes: list[str] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     root: str
     chosen: dict[str, str]  # class id -> node id over the selection closure

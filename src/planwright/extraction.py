@@ -17,7 +17,6 @@ from .analysis import default_reference, hypervolume, pareto_filter
 from .cost import FabPlan, PlanCost
 from .designspace import DesignSpace, enumerate_variants, sample_design
 from .egraph import AtomicNode, BopEGraph, Term
-from .libraries import DEFAULT_KERF
 from .model import CostVector, Design, StockSpec, Tool, ToolSpec, validate_design
 from .ordering import NodeMemo, OrderCache, TermMemo, optimize_enode, refine_term
 from .packing import generate_arrangements
@@ -32,7 +31,6 @@ class IceeParams:
     population: int = 120
     p_crossover: float = 0.95
     p_mutation: float = 0.1
-    flip_iters: int = 20          # refinement passes t
     alpha: float = 0.75           # depth (reuse) vs breadth (new design)
     iterations: int = 10
     objective_mode: int = 2       # 2 = (f_c, f_t); 3 adds f_p
@@ -53,7 +51,7 @@ class IceeParams:
                 raise ValueError(f"{name} must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Solution:
     design: Design
     plan: FabPlan
@@ -119,16 +117,13 @@ def evaluate_term(
     tools: dict[Tool, ToolSpec],
     params: IceeParams,
     archive_front: list[tuple[float, ...]],
-    rng: random.Random,
     memo: TermMemo,
 ) -> list[Solution]:
     key = term.signature()
     cached = state.refine_cache.get(key)
     if cached is None:
-        cached = refine_term(
-            state.egraph, term, state.cache, tools, archive_front,
-            params.flip_iters, rng, params.objective_mode, memo,
-        )
+        cached = refine_term(state.egraph, term, state.cache, tools,
+                             archive_front, params.objective_mode, memo)
         state.refine_cache[key] = cached
     return [
         Solution(design=state.design, plan=plan,
@@ -240,14 +235,14 @@ def ga_extract(
     if all_terms is not None:
         for term in all_terms:
             collected.extend(
-                evaluate_term(state, term, tools, params, archive_front, rng, memo))
+                evaluate_term(state, term, tools, params, archive_front, memo))
         return _merge_archive([], collected)
 
     population = [egraph.sample_term(rng) for _ in range(params.population)]
     worst = tuple([float("inf")] * params.objective_mode)
 
     def fitness(term: Term) -> tuple[float, ...]:
-        sols = evaluate_term(state, term, tools, params, archive_front, rng, memo)
+        sols = evaluate_term(state, term, tools, params, archive_front, memo)
         collected.extend(sols)
         if not sols:
             return worst
@@ -308,8 +303,7 @@ def _expand(
     memo: NodeMemo,
     rng: random.Random,
 ) -> None:
-    arrangements = generate_arrangements(
-        state.design, stock_lib, budget, DEFAULT_KERF, rng)
+    arrangements = generate_arrangements(state.design, stock_lib, budget, tools, rng)
     parts_by_id = {p.id: p for p in state.design.parts}
     for arrangement in arrangements:
         for nid in state.egraph.add_arrangement(arrangement):
@@ -334,7 +328,7 @@ def icee_run(
 
     states: dict[str, _DesignState] = {}
     node_memo: NodeMemo = {}  # node cut orders per pattern, for this run's tools
-    term_memo: TermMemo = {}  # exact term fronts per pattern, for this run's tools and params
+    term_memo: TermMemo = {}  # term order fronts per pattern, for this run's tools and mode
     archive: list[Solution] = []
     ref = default_reference(params.objective_mode)
     report_iters: list[dict] = []
@@ -346,6 +340,16 @@ def icee_run(
     prev_hv = None
     stall = 0
 
+    def next_unexplored() -> Design | None:
+        """The next enumerated design not explored yet, moving the cursor."""
+        nonlocal breadth_cursor
+        while breadth_cursor < len(enumerated):
+            candidate = enumerated[breadth_cursor]
+            breadth_cursor += 1
+            if candidate.id not in states:
+                return candidate
+        return None
+
     for iteration in range(params.iterations):
         rng_iter = _rng(params.seed, "iter", iteration)
         chosen: list[Design] = []
@@ -353,30 +357,16 @@ def icee_run(
             if iteration == 0 and slot == 0:
                 chosen.append(base)
                 continue
-            if slot == 0 and enumerated and breadth_cursor < len(enumerated):
+            if slot == 0 and breadth_cursor < len(enumerated):
                 # sweep small design spaces systematically, one per iteration
-                while breadth_cursor < len(enumerated):
-                    candidate = enumerated[breadth_cursor]
-                    breadth_cursor += 1
-                    if candidate.id not in states:
-                        break
-                else:
-                    candidate = base
-                chosen.append(candidate)
+                chosen.append(next_unexplored() or base)
                 continue
             depth_pool = sorted({s.design.id for s in archive})
             if archive and rng_iter.random() < params.alpha:
                 did = rng_iter.choice(depth_pool)
                 chosen.append(states[did].design)
             else:
-                design = None
-                if enumerated:
-                    while breadth_cursor < len(enumerated):
-                        candidate = enumerated[breadth_cursor]
-                        breadth_cursor += 1
-                        if candidate.id not in states:
-                            design = candidate
-                            break
+                design = next_unexplored()
                 if design is None:
                     design = (sample_design(space, rng_iter)
                               if space.cardinality > len(enumerated)

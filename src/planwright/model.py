@@ -85,7 +85,7 @@ class OpRate:
         return inches(length_ticks) / self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StockSpec:
     """A purchasable piece of stock (lumber length or sheet rectangle)."""
 
@@ -149,7 +149,7 @@ class ToolSpec:
         return self.op_error
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Part:
     id: str
     family: str
@@ -193,7 +193,7 @@ class Joint:
             raise ValueError(f"joint {self.id}: duplicate variant ids")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Design:
     """A concrete design: parts with final dimensions plus variant provenance."""
 
@@ -208,7 +208,7 @@ class Design:
         raise KeyError(part_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostVector:
     """(f_c dollars, f_p inches, f_t minutes); f_p is None in 2-objective mode."""
 

@@ -18,7 +18,6 @@ import itertools
 from .analysis import pareto_filter
 from .cost import Cut, FabPlan, PlanCost, StockInstance, evaluate_plan, order_is_feasible
 from .designspace import DesignSpace, enumerate_variants
-from .libraries import DEFAULT_KERF
 from .model import CostVector, Design, StockSpec, Tool, ToolSpec
 from .packing import (
     Arrangement,
@@ -34,7 +33,7 @@ FULL_PERMUTATION_LIMIT = 8
 
 
 def all_arrangements(design: Design, stock_lib: list[StockSpec],
-                     kerf: int = DEFAULT_KERF) -> list[Arrangement]:
+                     tools: dict[Tool, ToolSpec]) -> list[Arrangement]:
     """Every packing reachable from any part order and designated size."""
     parts_by_id = {p.id: p for p in design.parts}
 
@@ -51,7 +50,7 @@ def all_arrangements(design: Design, stock_lib: list[StockSpec],
         except InfeasiblePartError:
             return []  # some part fits no stock: this variant has no packing
         orders = [list(order) for order in itertools.permutations(parts)]
-        per_group.append(pack_fragments(orders, stocks, usable, kerf, parts_by_id,
+        per_group.append(pack_fragments(orders, stocks, usable, tools, parts_by_id,
                                         sig=shape_signature))
     return combine(design, per_group)
 
@@ -89,9 +88,9 @@ def brute_force_design(
     """All non-dominated plans for one fixed design."""
     parts_by_id = {p.id: p for p in design.parts}
     evaluated: list[tuple[FabPlan, PlanCost]] = []
-    for arrangement in all_arrangements(design, stock_lib):
+    for arrangement in all_arrangements(design, stock_lib, tools):
         per_stock = [
-            (inst, cuts_for_instance(inst, list(places), parts_by_id, tools))
+            (inst, cuts_for_instance(inst, list(places), parts_by_id))
             for inst, places in sorted(arrangement.stocks, key=lambda s: s[0].key)
         ]
         for order in all_cut_orders(per_stock):

@@ -3,12 +3,12 @@
 Each atomic e-node caches its minimum-precision and minimum-time cut orders,
 read off the exact order front of its one stock and memoized per run by
 its cut pattern (stock spec and cut geometry). A term-level lower bound
-prunes terms against the archive front. A surviving term of at most
-EXHAUSTIVE_TERM_CUTS cuts gets its exact front of cut orders over all its
-stocks, memoized per run by its stocks' cut patterns, so terms of other
-iterations and designs that cut the same patterns share it; larger terms
-are refined by random feasibility-preserving swaps for a fixed number of
-passes.
+prunes terms against the archive front. A surviving term gets its exact
+front of cut orders, memoized per run by its stocks' cut patterns, so terms
+of other iterations and designs that cut the same patterns share it. Up to
+EXHAUSTIVE_TERM_CUTS cuts the front spans every interleaving of its stocks'
+cuts; above that, the orders that cut each stock in one run, stocks in
+bill order.
 
 Both fronts come from one forward label-setting search (Martins 1984) over
 states (done mask, last cut) instead of a scan of every permutation. The
@@ -59,7 +59,7 @@ from .model import (
 )
 from .plans import assemble_plan, cuts_for_instance, stack_member, stacked_variant
 
-EXHAUSTIVE_TERM_CUTS = 6  # term refinement enumerates all orders up to this
+EXHAUSTIVE_TERM_CUTS = 6  # terms up to this many cuts may interleave stocks
 # states the label search keeps per number of cuts done; 8 cuts give at
 # most C(8, 4) * 4 = 280 (mask, last cut) states, so up to 8 stay exact
 MAX_LAYER_STATES = 300
@@ -172,7 +172,7 @@ def optimize_enode(
     its own cuts.
     """
     inst = _node_instance(node)
-    cuts = cuts_for_instance(inst, list(node.placements), parts_by_id, tools)
+    cuts = cuts_for_instance(inst, list(node.placements), parts_by_id)
     index = {c.id: i for i, c in enumerate(cuts)}
     key = (node.spec, tuple((c.geometry_key(), index.get(c.parent)) for c in cuts))
     if not cuts:
@@ -322,7 +322,10 @@ def _pareto_orders(cuts: list[Cut], bill: tuple[StockInstance, ...],
     """Labels (path, f_t seconds, f_p ticks) of feasible orders of `cuts`,
     a path being the order's cut indices, that hold, for every
     non-dominated order cost, the lexicographically first order with it,
-    and its exact `evaluate_plan` cost (f_p held at 0 in mode 2).
+    and its exact `evaluate_plan` cost (f_p held at 0 in mode 2). Above
+    EXHAUSTIVE_TERM_CUTS cuts, a feasible order also cuts each stock in one
+    run, stocks in `bill` order: every cut needs the cuts of the stocks
+    before its own.
 
     Forward label-setting over states (done mask, last cut), one popcount at
     a time. The state fixes everything that later steps cost: a cut's
@@ -335,8 +338,9 @@ def _pareto_orders(cuts: list[Cut], bill: tuple[StockInstance, ...],
     completes that path to a smaller order whose cost is no worse (float
     sums are monotone), so no lexicographically first order of a
     non-dominated cost is ever dropped, even where rounding turns strict
-    dominance into a tie. The returned labels are in path order and may
-    include dominated ones.
+    dominance into a tie. This holds under the run constraint too, since
+    which suffixes are feasible still depends only on the done mask. The
+    returned labels are in path order and may include dominated ones.
 
     A layer of more than MAX_LAYER_STATES states (none for 8 cuts or fewer)
     is cut down to that many by `_cap_layer`; the result is then a
@@ -351,6 +355,13 @@ def _pareto_orders(cuts: list[Cut], bill: tuple[StockInstance, ...],
     for i, c in enumerate(cuts):
         on_stock[c.stock_key] = on_stock.get(c.stock_key, 0) | 1 << i
     stock_mask = [on_stock[c.stock_key] for c in cuts]
+    if n > EXHAUSTIVE_TERM_CUTS:
+        before: dict[str, int] = {}
+        done = 0
+        for inst in bill:
+            before[inst.key] = done
+            done |= on_stock.get(inst.key, 0)
+        need = [m | before[c.stock_key] for m, c in zip(need, cuts)]
     setup_partial = [tools[c.tool].setup_partial for c in cuts]
     setup_full = [tools[c.tool].setup_full(specs[c.stock_key].is_sheet) for c in cuts]
     load = [load_seconds([specs[c.stock_key]]) for c in cuts]
@@ -453,34 +464,30 @@ def refine_term(
     cache: OrderCache,
     tools: dict[Tool, ToolSpec],
     archive_front: list[tuple[float, ...]],
-    flip_iters: int,
-    rng: random.Random,
     mode: int,
     memo: TermMemo | None = None,
 ) -> list[tuple[FabPlan, PlanCost]]:
     """Ordered plans for a term, or [] when its lower bound is dominated.
 
-    Starts from the upper-bound orders (the per-node best orders, plain and
-    stacked). A term of at most EXHAUSTIVE_TERM_CUTS cuts then gets its
-    exact order front: `_pareto_orders` finds, for every non-dominated
-    cost, the lexicographically first feasible interleaving of all its
-    cuts, which is what scoring every permutation would keep, plus the
-    stacked per-stock canonical orders. Larger terms are refined by
-    `flip_iters` passes of random adjacent swaps within each stock's run.
+    The candidates are the upper-bound orders (the per-node best orders,
+    plain and stacked), then the term's exact order front, then the stacked
+    per-stock canonical orders. `_pareto_orders` finds, for every
+    non-dominated cost, the lexicographically first feasible order of all
+    the term's cuts, which is what scoring every such order would keep: up
+    to EXHAUSTIVE_TERM_CUTS cuts every interleaving of its stocks, above
+    that every order that cuts each stock in one run, stocks in bill order.
 
-    The exact front and the lower bound depend only on the term's cut
-    patterns (`NodeOrders.pattern`, in stock order), given the tools, the
-    mode and `flip_iters`. So `memo` (one per run, which fixes those) holds
-    them per pattern tuple, the plans as recipes over cut and stock
-    indices, and every term with the same patterns gets them on its own
-    cuts and stocks without a search; the prune is still made against
-    this term's `archive_front`.
+    The front and the lower bound depend only on the term's cut patterns
+    (`NodeOrders.pattern`, in stock order), given the tools and the mode.
+    So `memo` (one per run, which fixes those) holds them per pattern
+    tuple, the plans as recipes over cut and stock indices, and every term
+    with the same patterns gets them on its own cuts and stocks without a
+    search; the prune is still made against this term's `archive_front`.
     """
     stocks = _term_stocks(egraph, term, cache)
     all_cuts = [c for _, orders in stocks for c in orders.cuts]
     design_id = egraph.design_id
-    exact = flip_iters > 0 and len(all_cuts) <= EXHAUSTIVE_TERM_CUTS
-    key = tuple(orders.pattern for _, orders in stocks) if exact else None
+    key = tuple(orders.pattern for _, orders in stocks)
     if memo is not None and key in memo:
         lower, recipes = memo[key]
         if _weakly_dominated(lower, archive_front, mode):
@@ -495,45 +502,22 @@ def refine_term(
     def consider(plan: FabPlan) -> None:
         evaluated.append((plan, evaluate_plan(plan, tools)))
 
-    start_variants = [
+    for per_stock in (
         [(inst, list(orders.best_precision)) for inst, orders in stocks],
         [(inst, list(orders.best_time)) for inst, orders in stocks],
-    ]
-    for per_stock in start_variants:
+    ):
         consider(assemble_plan(design_id, per_stock))
         for plan in _stacked_candidates(design_id, per_stock, tools):
             consider(plan)
-
-    if exact:
-        bill = tuple(inst for inst, _ in stocks)
-        for path, _, _ in _pareto_orders(all_cuts, bill, tools, mode):
-            consider(FabPlan(design_id=design_id,
-                             cuts=tuple(all_cuts[i] for i in path), stock_bill=bill))
-        # stacked counterparts of each per-stock canonical order
-        canonical = [(inst, list(orders.cuts)) for inst, orders in stocks]
-        for plan in _stacked_candidates(design_id, canonical, tools):
-            consider(plan)
-        refined = pareto_filter(evaluated, key=lambda pc: pc[1].vector(mode).objectives)
-        if memo is not None:
-            memo[key] = (lower, _recipes(refined, all_cuts, stocks))
-        return refined
-
-    # stochastic refinement: one adjacent feasible swap per stock per pass
-    for per_stock in start_variants:
-        current = [(inst, list(order)) for inst, order in per_stock]
-        for _ in range(flip_iters):
-            changed = False
-            for _, order in current:
-                if len(order) < 2:
-                    continue
-                i = rng.randrange(len(order) - 1)
-                order[i], order[i + 1] = order[i + 1], order[i]
-                if order_is_feasible(order):
-                    changed = True
-                else:
-                    order[i], order[i + 1] = order[i + 1], order[i]
-            if changed:
-                consider(assemble_plan(design_id, current))
-                for plan in _stacked_candidates(design_id, current, tools):
-                    consider(plan)
-    return pareto_filter(evaluated, key=lambda pc: pc[1].vector(mode).objectives)
+    bill = tuple(inst for inst, _ in stocks)
+    for path, _, _ in _pareto_orders(all_cuts, bill, tools, mode):
+        consider(FabPlan(design_id=design_id,
+                         cuts=tuple(all_cuts[i] for i in path), stock_bill=bill))
+    # stacked counterparts of each per-stock canonical order
+    canonical = [(inst, list(orders.cuts)) for inst, orders in stocks]
+    for plan in _stacked_candidates(design_id, canonical, tools):
+        consider(plan)
+    refined = pareto_filter(evaluated, key=lambda pc: pc[1].vector(mode).objectives)
+    if memo is not None:
+        memo[key] = (lower, _recipes(refined, all_cuts, stocks))
+    return refined

@@ -17,12 +17,14 @@ permutation. Both get arrangements in one per-stock layout.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable
 
 from .cost import StockInstance
-from .model import Design, Part, StockSpec, part_fits_stock
+from .model import Design, Part, StockSpec, Tool, ToolSpec, part_fits_stock
+from .plans import cutting_tool
 
 
 class InfeasiblePartError(ValueError):
@@ -151,7 +153,8 @@ def shrink_instances(
 
 
 def _traversal_orders(parts: list[Part], budget: int, rng: random.Random) -> list[list[Part]]:
-    """Size-descending first, then input order, then random permutations."""
+    """Size-descending first, then input order, then random permutations,
+    until the budget or all n! distinct orders are reached."""
     def size_key(p: Part) -> tuple:
         area = p.shape[0] * (p.shape[1] if p.is_sheet else 1)
         return (-area, p.id)
@@ -168,8 +171,9 @@ def _traversal_orders(parts: list[Part], budget: int, rng: random.Random) -> lis
     push(sorted(parts, key=size_key))
     if len(orders) < budget:
         push(list(parts))
+    limit = min(budget, math.factorial(len(parts)))
     attempts = 0
-    while len(orders) < budget and attempts < budget * 10:
+    while len(orders) < limit and attempts < budget * 10:
         shuffled = list(parts)
         rng.shuffle(shuffled)
         push(shuffled)
@@ -207,12 +211,14 @@ def pack_fragments(
     orders: list[list[Part]],
     stocks: list[StockSpec],
     usable: list[StockSpec],
-    kerf: int,
+    tools: dict[Tool, ToolSpec],
     parts_by_id: dict[str, Part],
     sig: Callable[[Fragment], tuple] = _fragment_signature,
 ) -> list[Fragment]:
     """Shrunk packings of every order onto every usable designated size,
-    first of each `sig` kept."""
+    first of each `sig` kept. Parts sit one kerf of the tool that will cut
+    them apart (`plans.cutting_tool`) from each other."""
+    kerf = tools[cutting_tool(stocks[0])].kerf
     fragments: list[Fragment] = []
     seen: set[tuple] = set()
     for designated in usable:
@@ -248,7 +254,7 @@ def generate_arrangements(
     design: Design,
     stock_lib: list[StockSpec],
     traversals: int,
-    kerf: int,
+    tools: dict[Tool, ToolSpec],
     rng: random.Random,
 ) -> list[Arrangement]:
     """Up to `traversals` packings per designated stock size, deduplicated.
@@ -263,7 +269,7 @@ def generate_arrangements(
     for key, parts in group_parts(design, stock_lib).items():
         stocks, usable = family_stocks(key, parts, stock_lib)
         orders = _traversal_orders(parts, traversals, rng)
-        per_group.append(pack_fragments(orders, stocks, usable, kerf, parts_by_id))
+        per_group.append(pack_fragments(orders, stocks, usable, tools, parts_by_id))
     cap = max(traversals * 4, sum(len(f) for f in per_group))
     return combine(design, per_group, cap)
 

@@ -10,22 +10,25 @@ into stacked operations.
 from __future__ import annotations
 
 from .cost import Cut, FabPlan, StockInstance
-from .model import MAX_STACK_HEIGHT, Part, Tool, ToolSpec
+from .model import MAX_STACK_HEIGHT, Part, StockSpec, Tool, ToolSpec
+
+
+def cutting_tool(spec: StockSpec) -> Tool:
+    """The tool that cuts parts out of `spec`; packing spaces them by its kerf."""
+    return Tool.TRACKSAW if spec.is_sheet else Tool.CHOPSAW
 
 
 def cuts_for_instance(
     inst: StockInstance,
     placements: list[tuple[str, tuple[int, ...]]],
     parts_by_id: dict[str, Part],
-    tools: dict[Tool, ToolSpec],
 ) -> list[Cut]:
     """Canonical cut list for one packed stock instance."""
-    if inst.spec.is_sheet:
-        return _sheet_cuts(inst, placements, parts_by_id, tools[Tool.TRACKSAW])
-    return _lumber_cuts(inst, placements, parts_by_id)
+    make = _sheet_cuts if inst.spec.is_sheet else _lumber_cuts
+    return make(inst, placements, parts_by_id, cutting_tool(inst.spec))
 
 
-def _lumber_cuts(inst, placements, parts_by_id) -> list[Cut]:
+def _lumber_cuts(inst, placements, parts_by_id, tool: Tool) -> list[Cut]:
     length = inst.spec.dims[0]
     cuts = []
     for i, (part_id, offset) in enumerate(sorted(placements, key=lambda p: p[1])):
@@ -33,7 +36,7 @@ def _lumber_cuts(inst, placements, parts_by_id) -> list[Cut]:
         if end < length:
             cuts.append(Cut(
                 id=f"{inst.key}:c{i}",
-                tool=Tool.CHOPSAW,
+                tool=tool,
                 stock_key=inst.key,
                 kind="lumber",
                 position=end,
@@ -41,7 +44,7 @@ def _lumber_cuts(inst, placements, parts_by_id) -> list[Cut]:
     return cuts
 
 
-def _sheet_cuts(inst, placements, parts_by_id, tracksaw: ToolSpec) -> list[Cut]:
+def _sheet_cuts(inst, placements, parts_by_id, tool: Tool) -> list[Cut]:
     width, height = inst.spec.dims
     shelves: dict[int, list[tuple[str, tuple[int, ...]]]] = {}
     for part_id, offset in placements:
@@ -58,7 +61,7 @@ def _sheet_cuts(inst, placements, parts_by_id, tracksaw: ToolSpec) -> list[Cut]:
             hcut_id = f"{inst.key}:h{y}"
             cuts.append(Cut(
                 id=hcut_id,
-                tool=Tool.TRACKSAW,
+                tool=tool,
                 stock_key=inst.key,
                 kind="sheet",
                 axis=1,
@@ -73,7 +76,7 @@ def _sheet_cuts(inst, placements, parts_by_id, tracksaw: ToolSpec) -> list[Cut]:
             if right < width:
                 cuts.append(Cut(
                     id=f"{inst.key}:v{offset[0]}-{y}",
-                    tool=Tool.TRACKSAW,
+                    tool=tool,
                     stock_key=inst.key,
                     kind="sheet",
                     axis=0,

@@ -18,7 +18,7 @@ STOCKS = default_stocks()
 TOOLS = default_tools()
 
 FAST = IceeParams(iterations=4, traversals=12, population=40, generations=4,
-                  flip_iters=8, seed=7)
+                  seed=7)
 
 
 def run(corpus, params=FAST):

@@ -30,7 +30,7 @@ def run_cli(*argv, env_extra=None, cwd=None):
 
 
 FAST_ARGS = ["--iterations", "4", "--traversals", "12", "--population", "40",
-             "--generations", "4", "--flip-iters", "8"]
+             "--generations", "4"]
 
 
 def test_load_design_space_round_trip():

@@ -5,7 +5,7 @@ import pytest
 from planwright import corpus_path
 from planwright.designspace import DesignSpace, detect_joints, enumerate_variants
 from planwright.io import load_design_space
-from planwright.libraries import DEFAULT_KERF, default_stocks, default_tools
+from planwright.libraries import default_stocks, default_tools
 from planwright.model import ConnectorVariant, Part, ticks
 from planwright.oracle import all_arrangements, brute_force_front
 from planwright.packing import InfeasiblePartError, generate_arrangements
@@ -43,10 +43,10 @@ def test_oracle_covers_optimizer_packings(corpus):
     for design in enumerate_variants(space, space.cardinality):
         parts_by_id = {p.id: p for p in design.parts}
         oracle = {shape_signature(a, parts_by_id)
-                  for a in all_arrangements(design, STOCKS)}
+                  for a in all_arrangements(design, STOCKS, TOOLS)}
         for budget in (1, 4, 50):
             for seed in range(3):
                 rng = random.Random(f"{corpus}/{seed}")
                 for arrangement in generate_arrangements(
-                        design, STOCKS, budget, DEFAULT_KERF, rng):
+                        design, STOCKS, budget, TOOLS, rng):
                     assert shape_signature(arrangement, parts_by_id) in oracle

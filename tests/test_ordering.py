@@ -47,7 +47,7 @@ TOOLS_KERF = next(t for t in TOOLS.values() if t.kerf and t.setup_partial).kerf
 
 def exhaustive_node_costs(node, parts):
     inst = StockInstance(key=f"{node.spec.id}#0", spec=node.spec)
-    cuts = cuts_for_instance(inst, list(node.placements), parts, TOOLS)
+    cuts = cuts_for_instance(inst, list(node.placements), parts)
     costs = []
     for perm in itertools.permutations(cuts):
         order = list(perm)
@@ -79,7 +79,7 @@ def test_optimize_enode_order_dependent_case():
 def test_candidate_orders_budget_and_feasibility():
     node, parts = lumber_node([5, 6, 7, 8, 9, 10, 11])
     inst = StockInstance(key=f"{node.spec.id}#0", spec=node.spec)
-    cuts = cuts_for_instance(inst, list(node.placements), parts, TOOLS)
+    cuts = cuts_for_instance(inst, list(node.placements), parts)
     assert len(cuts) > 4
     orders = candidate_orders(cuts, 25, random.Random("b"))
     assert len(orders) == 25
@@ -118,8 +118,7 @@ def test_term_bounds_sound_against_exhaustive():
 
 def test_refine_term_within_exhaustive_pareto():
     g, term, cache, node, parts = term_for([10, 20, 30])
-    results = refine_term(g, term, cache, TOOLS, [], flip_iters=20,
-                          rng=random.Random(1), mode=2)
+    results = refine_term(g, term, cache, TOOLS, [], mode=2)
     assert results
     all_costs = exhaustive_node_costs(node, parts)
     # refined plans never beat the exhaustive (non-stacked) optimum on
@@ -138,8 +137,7 @@ def test_refine_term_within_exhaustive_pareto():
 
 def test_refine_term_prunes_dominated_lower_bound():
     g, term, cache, node, parts = term_for([10, 20, 30])
-    results = refine_term(g, term, cache, TOOLS, [(0.0, 0.0)], flip_iters=5,
-                          rng=random.Random(1), mode=2)
+    results = refine_term(g, term, cache, TOOLS, [(0.0, 0.0)], mode=2)
     assert results == []
 
 
@@ -260,8 +258,10 @@ def random_stock(rng, kind):
 
 
 def permutation_refine(g, term, cache, mode, tools=TOOLS):
-    """Reference: `refine_term`'s small-term branch as it was, with every
-    feasible permutation of the term's cuts scored by `evaluate_plan`."""
+    """Reference: `refine_term` with every feasible order of the term's cuts
+    scored by `evaluate_plan`. Up to EXHAUSTIVE_TERM_CUTS cuts that is every
+    permutation; above, every order that cuts each stock in one run, stocks
+    in `_term_stocks` order."""
     stocks = sorted(((StockInstance(key=n.id, spec=n.spec), cache[n.id])
                      for n in g.atomic_nodes_of(term)), key=lambda s: s[0].key)
     evaluated = []
@@ -282,7 +282,13 @@ def permutation_refine(g, term, cache, mode, tools=TOOLS):
         consider_stacked(per_stock)
     all_cuts = [c for _, orders in stocks for c in orders.cuts]
     bill = tuple(inst for inst, _ in stocks)
-    for perm in itertools.permutations(all_cuts):
+    if len(all_cuts) <= EXHAUSTIVE_TERM_CUTS:
+        perms = itertools.permutations(all_cuts)
+    else:
+        runs = [[run for run in itertools.permutations(orders.cuts)
+                 if order_is_feasible(list(run))] for _, orders in stocks]
+        perms = (sum(combo, ()) for combo in itertools.product(*runs))
+    for perm in perms:
         if order_is_feasible(list(perm)):
             consider(FabPlan(design_id="d", cuts=perm, stock_bill=bill))
     consider_stacked([(inst, list(orders.cuts)) for inst, orders in stocks])
@@ -294,12 +300,18 @@ def outcome(results):
             for plan, cost in results]
 
 
+# the largest terms the parity tests check against scoring every order
+PARITY_MAX_CUTS = 10
+
+
+def term_cuts(stocks):
+    return sum(len(o.cuts) for o in build_term(stocks)[2].values())
+
+
 def assert_parity(stocks, mode, tools=TOOLS):
     g, term, cache = build_term(stocks, tools)
-    n_cuts = sum(len(orders.cuts) for orders in cache.values())
-    assert n_cuts <= EXHAUSTIVE_TERM_CUTS
-    got = refine_term(g, term, cache, tools, [], flip_iters=5,
-                      rng=random.Random(0), mode=mode)
+    assert sum(len(orders.cuts) for orders in cache.values()) <= PARITY_MAX_CUTS
+    got = refine_term(g, term, cache, tools, [], mode=mode)
     assert outcome(got) == outcome(permutation_refine(g, term, cache, mode, tools))
     return got
 
@@ -307,15 +319,20 @@ def assert_parity(stocks, mode, tools=TOOLS):
 @pytest.mark.parametrize("mode", [2, 3])
 @pytest.mark.parametrize("kind", ["lumber", "sheet"])
 def test_exact_order_front_matches_permutations(kind, mode):
+    # 40 terms of at most EXHAUSTIVE_TERM_CUTS cuts, whose orders may
+    # interleave stocks, and 12 of 7-10 cuts, cut one stock after another
     rng = random.Random(f"{kind}-{mode}")
-    checked = 0
-    while checked < 40:
+    small = large = 0
+    while small < 40 or large < 12:
         stocks = [random_stock(rng, kind) for _ in range(rng.randint(1, 4))]
-        g, term, cache = build_term(stocks)
-        if sum(len(o.cuts) for o in cache.values()) > EXHAUSTIVE_TERM_CUTS:
+        n_cuts = term_cuts(stocks)
+        if n_cuts <= EXHAUSTIVE_TERM_CUTS and small < 40:
+            small += 1
+        elif EXHAUSTIVE_TERM_CUTS < n_cuts <= PARITY_MAX_CUTS and large < 12:
+            large += 1
+        else:
             continue
         assert_parity(stocks, mode)
-        checked += 1
 
 
 @pytest.mark.parametrize("mode", [2, 3])
@@ -406,7 +423,7 @@ def brute_force_node(node, parts):
     """(best-f_p order, its cost, best-f_t order, its cost) over every
     feasible permutation, first permutation winning ties."""
     inst = StockInstance(key=node.id, spec=node.spec)
-    cuts = cuts_for_instance(inst, list(node.placements), parts, TOOLS)
+    cuts = cuts_for_instance(inst, list(node.placements), parts)
     orders = [perm for perm in itertools.permutations(cuts)
               if order_is_feasible(list(perm))]
     costs = [_eval_node_order(inst, list(order), TOOLS) for order in orders]
@@ -478,6 +495,20 @@ def test_large_node_search_is_capped(stock_id, layout):
         assert sorted(c.id for c in order) == sorted(c.id for c in got.cuts)
         assert order_is_feasible(list(order))
         assert _eval_node_order(inst, list(order), TOOLS) == cost
+    # the same stock as a 16-cut term: its search is capped the same way,
+    # and every plan cuts all 16 cuts at the cost it reports
+    g, term, cache = build_term([(stock_id, layout)])
+    cuts = sorted(c.id for orders in cache.values() for c in orders.cuts)
+    start = time.perf_counter()
+    refined = refine_term(g, term, cache, TOOLS, [], mode=3)
+    assert time.perf_counter() - start < 2.0
+    assert refined
+    for plan, cost in refined:
+        assert sorted(c.id for c in plan.cuts) == cuts
+        assert order_is_feasible(list(plan.cuts))
+        again = evaluate_plan(plan, TOOLS)
+        assert (again.rows, again.f_c, again.f_t_seconds, again.f_p_ticks) == \
+            (cost.rows, cost.f_c, cost.f_t_seconds, cost.f_p_ticks)
 
 
 # -- term memo: one exact front per run and term cut pattern -----------------
@@ -485,8 +516,7 @@ def test_large_node_search_is_capped(stock_id, layout):
 
 def refine(term_parts, mode, memo=None, front=()):
     g, term, cache = term_parts
-    return refine_term(g, term, cache, TOOLS, list(front), flip_iters=5,
-                       rng=random.Random(0), mode=mode, memo=memo)
+    return refine_term(g, term, cache, TOOLS, list(front), mode=mode, memo=memo)
 
 
 def full_outcome(results):
@@ -507,13 +537,16 @@ def test_term_memo_shares_fronts_across_relabelled_terms(mode, monkeypatch):
     memo = {}
     stacked = 0
     cases = [[("2x2-24", [ticks(3), ticks(4)])] * 2]
-    while len(cases) < 16:
+    large = []
+    while len(cases) < 16 or len(large) < 6:
         stocks = [random_stock(rng, rng.choice(["lumber", "sheet"]))
                   for _ in range(rng.randint(1, 3))]
-        _, _, cache = build_term(stocks)
-        if sum(len(o.cuts) for o in cache.values()) <= EXHAUSTIVE_TERM_CUTS:
+        n_cuts = term_cuts(stocks)
+        if n_cuts <= EXHAUSTIVE_TERM_CUTS and len(cases) < 16:
             cases.append(stocks)
-    for stocks in cases:
+        elif EXHAUSTIVE_TERM_CUTS < n_cuts <= PARITY_MAX_CUTS and len(large) < 6:
+            large.append(stocks)
+    for stocks in cases + large:
         first = build_term(stocks)
         again = build_term(stocks, prefix="q", first_node=20)
         assert set(node_ids(first)).isdisjoint(node_ids(again))

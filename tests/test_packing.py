@@ -1,11 +1,13 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planwright.libraries import default_stocks
-from planwright.model import Design, Material, Part, ticks
+from planwright.libraries import default_stocks, default_tools
+from planwright.model import Design, Material, Part, Tool, ticks
+from planwright.oracle import all_arrangements
 from planwright.packing import (
     InfeasiblePartError,
     generate_arrangements,
@@ -13,8 +15,10 @@ from planwright.packing import (
     pack_traversal,
     shrink_instances,
 )
+from planwright.plans import cutting_tool
 
 STOCKS = default_stocks()
+TOOLS = default_tools()
 KERF = ticks("1/8")
 
 
@@ -80,8 +84,8 @@ def design_of(parts):
 
 def test_generate_arrangements_dedup_and_determinism():
     parts = [lumber(i, 20) for i in range(3)]
-    a1 = generate_arrangements(design_of(parts), STOCKS, 8, KERF, random.Random("s"))
-    a2 = generate_arrangements(design_of(parts), STOCKS, 8, KERF, random.Random("s"))
+    a1 = generate_arrangements(design_of(parts), STOCKS, 8, TOOLS, random.Random("s"))
+    a2 = generate_arrangements(design_of(parts), STOCKS, 8, TOOLS, random.Random("s"))
     assert [a.signature() for a in a1] == [a.signature() for a in a2]
     sigs = [a.signature() for a in a1]
     assert len(sigs) == len(set(sigs))
@@ -90,13 +94,48 @@ def test_generate_arrangements_dedup_and_determinism():
 def test_single_traversal_uses_descending_order():
     parts = [lumber(0, 10), lumber(1, 30), lumber(2, 20)]
     arrangements = generate_arrangements(
-        design_of(parts), STOCKS, 1, KERF, random.Random(0)
+        design_of(parts), STOCKS, 1, TOOLS, random.Random(0)
     )
     # One designated size survives dedup per distinct packing; the first
     # traversal places parts longest-first.
     first = arrangements[0]
     by_part = {pid: off[0] for _, places in first.stocks for pid, off in places}
     assert by_part["p1"] < by_part["p2"] < by_part["p0"]
+
+
+def test_parts_are_spaced_by_their_cutting_tool_kerf():
+    tools = dict(TOOLS)
+    tools[Tool.CHOPSAW] = dataclasses.replace(TOOLS[Tool.CHOPSAW], kerf=ticks("1/4"))
+    tools[Tool.TRACKSAW] = dataclasses.replace(TOOLS[Tool.TRACKSAW], kerf=ticks("3/16"))
+    parts = [lumber(i, 20) for i in range(3)] + [
+        Part(id=f"s{i}", family="sheet-1/2", shape=(ticks(5), ticks(4)))
+        for i in range(3)]
+    design = design_of(parts)
+    by_id = {p.id: p for p in parts}
+    for arrangements in (generate_arrangements(design, STOCKS, 8, tools, random.Random(0)),
+                         all_arrangements(design, STOCKS, tools)):
+        gaps = {"lumber": 0, "row": 0, "shelf": 0}
+        for inst, places in (s for a in arrangements for s in a.stocks):
+            kerf = tools[cutting_tool(inst.spec)].kerf
+            if not inst.spec.is_sheet:
+                spans = sorted((off[0], by_id[pid].shape[0]) for pid, off in places)
+                for (x, length), (nxt, _) in zip(spans, spans[1:]):
+                    assert nxt == x + length + kerf
+                    gaps["lumber"] += 1
+                continue
+            shelves = {}
+            for pid, (x, y) in places:
+                shelves.setdefault(y, []).append((x, *by_id[pid].shape))
+            for row in shelves.values():
+                row.sort()
+                for (x, w, _), (nxt, _, _) in zip(row, row[1:]):
+                    assert nxt == x + w + kerf
+                    gaps["row"] += 1
+            ys = sorted(shelves)
+            for y, nxt in zip(ys, ys[1:]):
+                assert nxt == y + shelves[y][0][2] + kerf
+                gaps["shelf"] += 1
+        assert all(gaps.values()), gaps
 
 
 def test_group_parts_splits_family_and_material():
