@@ -163,37 +163,27 @@ def _enumerate_terms(egraph: BopEGraph, limit: int) -> list[Term] | None:
 
 
 def non_dominated_sort(objs: list[tuple[float, ...]]) -> list[int]:
-    """Rank per individual (0 = best front)."""
-    n = len(objs)
-    ranks = [0] * n
-    dominated_by = [0] * n
-    dominates_list: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        a = objs[i]
-        for j in range(i + 1, n):
-            b = objs[j]
-            if a == b:
-                continue
+    """Rank per individual (0 = best front).
+
+    Efficient non-dominated sort, sequential search (Zhang et al., IEEE TEC
+    2015), over the distinct tuples only: taken in lexicographic order, a
+    tuple can be dominated only by tuples already placed, so each goes to
+    the first front that holds no tuple dominating it. Equal tuples share
+    a rank, as they do under the all-pairs sort.
+    """
+    fronts: list[list[tuple[float, ...]]] = []
+    rank_of: dict[tuple[float, ...], int] = {}
+    for a in sorted(set(objs)):
+        for rank, front in enumerate(fronts):
             # distinct tuples: weakly better everywhere means dominating
-            if all(x <= y for x, y in zip(a, b)):
-                dominates_list[i].append(j)
-                dominated_by[j] += 1
-            elif all(x >= y for x, y in zip(a, b)):
-                dominates_list[j].append(i)
-                dominated_by[i] += 1
-    current = [i for i in range(n) if dominated_by[i] == 0]
-    rank = 0
-    while current:
-        nxt = []
-        for i in current:
-            ranks[i] = rank
-            for j in dominates_list[i]:
-                dominated_by[j] -= 1
-                if dominated_by[j] == 0:
-                    nxt.append(j)
-        current = nxt
-        rank += 1
-    return ranks
+            if not any(all(x <= y for x, y in zip(b, a)) for b in front):
+                break
+        else:
+            rank = len(fronts)
+            fronts.append([])
+        fronts[rank].append(a)
+        rank_of[a] = rank
+    return [rank_of[a] for a in objs]
 
 
 def crowding_distance(objs: list[tuple[float, ...]], indices: list[int]) -> dict[int, float]:
@@ -327,7 +317,7 @@ def icee_run(
         raise ValidationFailure(violations)
 
     states: dict[str, _DesignState] = {}
-    node_memo: NodeMemo = {}  # node cut orders per pattern, for this run's tools
+    node_memo = NodeMemo()  # node cut orders and steps per pattern, for this run's tools
     term_memo: TermMemo = {}  # term order fronts per pattern, for this run's tools and mode
     archive: list[Solution] = []
     ref = default_reference(params.objective_mode)

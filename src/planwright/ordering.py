@@ -20,6 +20,13 @@ cut's (tool, axis, measured length), and loading only on whether the stock
 changed. Nodes of more than 8 cuts may exceed MAX_LAYER_STATES states per
 cut count; the search then keeps the most promising ones.
 
+Those per-cut step costs come from one `StepTable` per stock cut pattern,
+kept in the node memo for the whole run: the node search fills it, and
+every term search and plan cost over a stock with that pattern reads it,
+so a step is simulated once per run. A term's plans are costed by
+replaying their orders through the tables; `evaluate_plan` is left to the
+stacked plans.
+
 `candidate_orders`, `_repair_order` and `term_bounds` are not used by the
 search loop; they remain for the benchmark's tracing and their tests.
 """
@@ -29,7 +36,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .analysis import pareto_filter
 from .cost import (
@@ -40,6 +47,7 @@ from .cost import (
     StockInstance,
     evaluate_plan,
     load_seconds,
+    material_cost,
     measurement_error,
     new_sim,
     operation_seconds,
@@ -54,6 +62,7 @@ from .model import (
     Material,
     OpRateKind,
     Part,
+    StockSpec,
     Tool,
     ToolSpec,
 )
@@ -65,6 +74,67 @@ EXHAUSTIVE_TERM_CUTS = 6  # terms up to this many cuts may interleave stocks
 MAX_LAYER_STATES = 300
 
 
+# (setup signature (tool, axis, measured length), op seconds, eps ticks,
+# op-error ticks) of one cut made after a set of cuts on its stock
+Step = tuple[tuple, float, int, int]
+
+
+class StepTable:
+    """The steps of one stock cut pattern, filled on demand for a run.
+
+    Entry `done * k + i`, for the pattern's k cuts in canonical order, is
+    the `Step` of cut i made after the cuts in the done-on-stock mask
+    `done`. It holds all that the cut's cost takes from the stock, since a
+    stock's pieces depend only on the set of cuts already made on it.
+    Equal steps share one tuple through `pool` (one per run). Piece
+    simulators live only as long as one search (`sims` of `step`).
+    """
+
+    __slots__ = ("spec", "cuts", "tools", "k", "steps", "pool")
+
+    def __init__(self, spec: StockSpec, cuts: list[Cut],
+                 tools: dict[Tool, ToolSpec], pool: dict[Step, Step]) -> None:
+        self.spec = spec
+        self.cuts = cuts  # the first stock with the pattern, canonical order
+        self.tools = tools
+        self.k = len(cuts)
+        self.steps: dict[int, Step] = {}
+        self.pool = pool
+
+    def step(self, i: int, done: int, sims: dict | None = None) -> Step:
+        """The step of cut i after the cuts in `done`. `sims` holds one
+        search's simulators per done mask; without one for `done`, the
+        done cuts are made afresh in canonical index order, which puts
+        every parent cut before its children."""
+        key = done * self.k + i
+        step = self.steps.get(key)
+        if step is not None:
+            return step
+        if sims is None:
+            sims = {}
+        sim = sims.get(done)
+        if sim is None:
+            sim = new_sim(self.spec)
+            for j in range(self.k):
+                if done >> j & 1:
+                    self._cut(j, sim)
+        else:
+            sim = sim.copy()
+        measured, op_len = self._cut(i, sim)
+        sims.setdefault(done | 1 << i, sim)
+        cut = self.cuts[i]
+        tool = self.tools[cut.tool]
+        step = ((cut.tool, cut.axis, measured),
+                operation_seconds(cut, tool, self.spec, op_len),
+                measurement_error(measured), tool.op_error_for(self.spec.material))
+        step = self.steps[key] = self.pool.setdefault(step, step)
+        return step
+
+    def _cut(self, i: int, sim) -> tuple[int, int]:
+        cut = self.cuts[i]
+        return resolve_geometry([cut], self.tools[cut.tool], {cut.stock_key: sim})
+
+
 @dataclass(frozen=True)
 class NodeOrders:
     cuts: tuple[Cut, ...]  # canonical generation order
@@ -74,6 +144,8 @@ class NodeOrders:
     best_time_cost: tuple[int, float]
     # (spec, ((geometry key, parent index), ...) per cut): the node memo key
     pattern: tuple
+    # the pattern's steps, shared by every node with it
+    steps: StepTable = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -82,11 +154,22 @@ class Bounds:
     upper: CostVector
 
 
+@dataclass
+class NodeMemo:
+    """One run's node search results, for one tool table.
+
+    `patterns` maps each cut pattern (spec, cut geometry and parent index
+    per cut) to (that key, stored once for every node with the pattern;
+    (path, (f_p ticks, f_t seconds)) of the best-f_p order; the same of the
+    best-f_t order; the pattern's step table). `pool` interns the steps of
+    every table.
+    """
+
+    patterns: dict[tuple, tuple] = field(default_factory=dict)
+    pool: dict[Step, Step] = field(default_factory=dict)
+
+
 OrderCache = dict[str, NodeOrders]
-# (spec, cut geometry and parent index per cut) -> (that key, stored once
-# for every node with the pattern; (path, (f_p ticks, f_t seconds)) of the
-# best-f_p order; the same of the best-f_t order)
-NodeMemo = dict[tuple, tuple]
 # a refined plan on a term's own cuts: (index into the term's cuts and
 # stack group, per cut), (index into the term's stocks, per bill entry),
 # its cost
@@ -168,24 +251,27 @@ def optimize_enode(
     by (f_t, f_p, order), orders compared by cut index, which is the
     permutation argmin with first-order tie-break. The answer depends only
     on the stock spec and the cut geometry, so `memo` (one per run and tool
-    table) holds it per pattern, as index paths, and each node gets it on
-    its own cuts.
+    table) holds it per pattern, as index paths, with the pattern's step
+    table, and each node gets it on its own cuts.
     """
     inst = _node_instance(node)
     cuts = cuts_for_instance(inst, list(node.placements), parts_by_id)
     index = {c.id: i for i, c in enumerate(cuts)}
     key = (node.spec, tuple((c.geometry_key(), index.get(c.parent)) for c in cuts))
+    if memo is None:
+        memo = NodeMemo()
     if not cuts:
         empty: tuple[Cut, ...] = ()
-        return NodeOrders(empty, empty, (0, 0.0), empty, (0, 0.0), key)
-    if memo is None:
-        memo = {}
-    if key not in memo:
-        labels = _pareto_orders(cuts, (inst,), tools, 3)
+        return NodeOrders(empty, empty, (0, 0.0), empty, (0, 0.0), key,
+                          StepTable(node.spec, [], tools, memo.pool))
+    if key not in memo.patterns:
+        table = StepTable(node.spec, cuts, tools, memo.pool)
+        labels = _pareto_orders([table], 3)
         p = min(range(len(labels)), key=lambda i: (labels[i][2], labels[i][1], i))
         t = min(range(len(labels)), key=lambda i: (labels[i][1], labels[i][2], i))
-        memo[key] = (key, *((labels[i][0], (labels[i][2], labels[i][1])) for i in (p, t)))
-    pattern, (path_p, cost_p), (path_t, cost_t) = memo[key]
+        memo.patterns[key] = (key, *((labels[i][0], (labels[i][2], labels[i][1]))
+                                     for i in (p, t)), table)
+    pattern, (path_p, cost_p), (path_t, cost_t), table = memo.patterns[key]
     return NodeOrders(
         cuts=tuple(cuts),
         best_precision=tuple(cuts[i] for i in path_p),
@@ -193,6 +279,7 @@ def optimize_enode(
         best_time=tuple(cuts[i] for i in path_t),
         best_time_cost=cost_t,
         pattern=pattern,
+        steps=table,
     )
 
 
@@ -317,15 +404,43 @@ def _cap_layer(layer: dict[tuple[int, int], list[Label]]
     return kept
 
 
-def _pareto_orders(cuts: list[Cut], bill: tuple[StockInstance, ...],
-                   tools: dict[Tool, ToolSpec], mode: int) -> list[Label]:
-    """Labels (path, f_t seconds, f_p ticks) of feasible orders of `cuts`,
-    a path being the order's cut indices, that hold, for every
+# per cut of a search: (its table, index in the table, offset of its
+# stock's cuts, mask of its stock's cuts, partial setup or None, full
+# setup, load of a run starting on it)
+CutSteps = list[tuple[StepTable, int, int, int, float | None, float, float]]
+
+
+def _cut_steps(tables: list[StepTable]) -> CutSteps:
+    """Per cut of the stocks' concatenated cuts, where its steps are."""
+    out: CutSteps = []
+    offset = 0
+    for table in tables:
+        mask = ((1 << table.k) - 1) << offset
+        load = load_seconds([table.spec])
+        for j, c in enumerate(table.cuts):
+            tool = table.tools[c.tool]
+            out.append((table, j, offset, mask, tool.setup_partial,
+                        tool.setup_full(table.spec.is_sheet), load))
+        offset += table.k
+    return out
+
+
+def _pareto_orders(tables: list[StepTable], mode: int) -> list[Label]:
+    """Labels (path, f_t seconds, f_p ticks) of feasible orders of the
+    stocks' cuts, a path being the order's indices into the concatenated
+    cuts of `tables` (the stocks in bill order), that hold, for every
     non-dominated order cost, the lexicographically first order with it,
     and its exact `evaluate_plan` cost (f_p held at 0 in mode 2). Above
     EXHAUSTIVE_TERM_CUTS cuts, a feasible order also cuts each stock in one
-    run, stocks in `bill` order: every cut needs the cuts of the stocks
+    run, stocks in bill order: every cut needs the cuts of the stocks
     before its own.
+
+    Precondition: each stock's cuts are contiguous and in the canonical
+    order of its table's pattern, so cut i of a stock whose cuts start at
+    `offset` reads its step off that table at local index i - offset and
+    local done mask `(mask & stock mask) >> offset`. A step the table lacks
+    (a state of a capped search, or none searched yet) is simulated and
+    kept; the simulators live only as long as this search.
 
     Forward label-setting over states (done mask, last cut), one popcount at
     a time. The state fixes everything that later steps cost: a cut's
@@ -346,74 +461,70 @@ def _pareto_orders(cuts: list[Cut], bill: tuple[StockInstance, ...],
     is cut down to that many by `_cap_layer`; the result is then a
     deterministic heuristic front rather than the exact one.
     """
-    n = len(cuts)
-    index = {c.id: i for i, c in enumerate(cuts)}
-    # bit n is never set, so a cut whose parent is missing is never ready
-    need = [0 if c.parent is None else 1 << index.get(c.parent, n) for c in cuts]
-    specs = {inst.key: inst.spec for inst in bill}
-    on_stock: dict[str, int] = {}
-    for i, c in enumerate(cuts):
-        on_stock[c.stock_key] = on_stock.get(c.stock_key, 0) | 1 << i
-    stock_mask = [on_stock[c.stock_key] for c in cuts]
+    per_cut = _cut_steps(tables)
+    n = len(per_cut)
+    need = []
+    start = 0
+    for table in tables:
+        index = {c.id: start + j for j, c in enumerate(table.cuts)}
+        # bit n is never set, so a cut whose parent is missing is never ready
+        need.extend(0 if c.parent is None else 1 << index.get(c.parent, n)
+                    for c in table.cuts)
+        start += table.k
     if n > EXHAUSTIVE_TERM_CUTS:
-        before: dict[str, int] = {}
-        done = 0
-        for inst in bill:
-            before[inst.key] = done
-            done |= on_stock.get(inst.key, 0)
-        need = [m | before[c.stock_key] for m, c in zip(need, cuts)]
-    setup_partial = [tools[c.tool].setup_partial for c in cuts]
-    setup_full = [tools[c.tool].setup_full(specs[c.stock_key].is_sheet) for c in cuts]
-    load = [load_seconds([specs[c.stock_key]]) for c in cuts]
+        need = [m | (1 << start) - 1 for m, (_, _, start, *_) in zip(need, per_cut)]
+    sims: dict[StepTable, dict] = {table: {} for table in tables}
 
-    # pieces of each stock after the cuts in a done-on-stock mask; every
-    # feasible order of the same cuts leaves the same pieces
-    sims = {(mask, 0): new_sim(specs[key]) for key, mask in on_stock.items()}
-
-    def geometry(i: int, done: int) -> tuple[tuple, float, int]:
-        """(setup signature, op seconds, f_p ticks) of cut i after the cuts
-        in `done`, all on its stock."""
-        cut = cuts[i]
-        spec = specs[cut.stock_key]
-        tool = tools[cut.tool]
-        sim = sims[stock_mask[i], done].copy()
-        measured, op_len = resolve_geometry([cut], tool, {cut.stock_key: sim})
-        sims.setdefault((stock_mask[i], done | 1 << i), sim)
-        # mode 2 has no f_p objective: a constant 0 never separates labels
-        ticks = (0 if mode == 2 else
-                 measurement_error(measured) + tool.op_error_for(spec.material))
-        return ((cut.tool, cut.axis, measured),
-                operation_seconds(cut, tool, spec, op_len), ticks)
-
-    steps: dict[tuple[int, int], tuple[tuple, float, int]] = {}
     signature: dict[tuple[int, int], tuple] = {}
     layer: dict[tuple[int, int], list] = {(0, -1): [((), 0.0, 0)]}
     for _ in range(n):
         grown: dict[tuple[int, int], list] = {}
         for (mask, last), labels in layer.items():
             prev = signature.get((mask, last))
+            last_stock = per_cut[last][3] if last >= 0 else 0
             for i in range(n):
                 if mask >> i & 1 or need[i] & ~mask:
                     continue
-                key = (i, mask & stock_mask[i])
-                if key not in steps:
-                    steps[key] = geometry(*key)
-                sig, op_seconds, ticks = steps[key]
-                if setup_partial[i] is not None and prev == sig:
-                    setup = setup_partial[i]
-                else:
-                    setup = setup_full[i]
-                run_load = load[i] if last < 0 or stock_mask[last] != stock_mask[i] else 0.0
-                step = setup + run_load + op_seconds
+                table, j, offset, stock, partial, full, load = per_cut[i]
+                done = (mask & stock) >> offset
+                step = table.steps.get(done * table.k + j)
+                if step is None:
+                    step = table.step(j, done, sims[table])
+                sig, op_seconds, eps, perr = step
+                setup = partial if partial is not None and prev == sig else full
+                step_t = setup + (load if stock != last_stock else 0.0) + op_seconds
+                # mode 2 has no f_p objective: a constant 0 never separates labels
+                ticks = 0 if mode == 2 else eps + perr
                 state = (mask | 1 << i, i)
                 signature[state] = sig
                 out = grown.setdefault(state, [])
                 for path, t, p in labels:
-                    out.append((path + (i,), t + step, p + ticks))
+                    out.append((path + (i,), t + step_t, p + ticks))
         layer = {state: _lex_front(labels) for state, labels in grown.items()}
         if len(layer) > MAX_LAYER_STATES:
             layer = _cap_layer(layer)
     return _lex_front([label for labels in layer.values() for label in labels])
+
+
+def _replay(path: list[int], plan: FabPlan, per_cut: CutSteps) -> PlanCost:
+    """`evaluate_plan`'s cost of an unstacked plan whose cuts are `path`
+    into `per_cut`, read off the step tables: the same rows, and the same
+    sums in the same float order."""
+    rows = []
+    f_t = 0.0
+    f_p = 0
+    prev = None
+    last_stock = done = 0
+    for cut, i in zip(plan.cuts, path):
+        table, j, offset, stock, partial, full, load = per_cut[i]
+        sig, op_seconds, eps, perr = table.step(j, (done & stock) >> offset)
+        setup = partial if partial is not None and prev == sig else full
+        run_load = load if stock != last_stock else 0.0
+        f_t += setup + run_load + op_seconds
+        f_p += eps + perr
+        rows.append(CutTimeBreakdown(cut.id, setup, run_load, op_seconds, eps, perr))
+        prev, last_stock, done = sig, stock, done | 1 << i
+    return PlanCost(rows=rows, f_c=material_cost(plan), f_t_seconds=f_t, f_p_ticks=f_p)
 
 
 # -- refinement --------------------------------------------------------------
@@ -423,13 +534,6 @@ def _weakly_dominated(lower: CostVector, front: list[tuple[float, ...]],
                       mode: int) -> bool:
     target = lower.objectives if mode == 3 else (lower.f_c, lower.f_t)
     return any(all(s <= t for s, t in zip(point, target)) for point in front)
-
-
-def _stacked_candidates(design_id: str,
-                        per_stock: list[tuple[StockInstance, list[Cut]]],
-                        tools: dict[Tool, ToolSpec]) -> list[FabPlan]:
-    plan = stacked_variant(design_id, per_stock, tools)
-    return [plan] if plan is not None else []
 
 
 def _recipes(refined: list[tuple[FabPlan, PlanCost]], all_cuts: list[Cut],
@@ -471,7 +575,9 @@ def refine_term(
 
     The candidates are the upper-bound orders (the per-node best orders,
     plain and stacked), then the term's exact order front, then the stacked
-    per-stock canonical orders. `_pareto_orders` finds, for every
+    per-stock canonical orders. Unstacked candidates are costed by
+    replaying them through the stocks' step tables (`_replay`), stacked
+    ones by `evaluate_plan`. `_pareto_orders` finds, for every
     non-dominated cost, the lexicographically first feasible order of all
     the term's cuts, which is what scoring every such order would keep: up
     to EXHAUSTIVE_TERM_CUTS cuts every interleaving of its stocks, above
@@ -483,6 +589,7 @@ def refine_term(
     tuple, the plans as recipes over cut and stock indices, and every term
     with the same patterns gets them on its own cuts and stocks without a
     search; the prune is still made against this term's `archive_front`.
+    The step tables of the node orders in `cache` must be for `tools`.
     """
     stocks = _term_stocks(egraph, term, cache)
     all_cuts = [c for _, orders in stocks for c in orders.cuts]
@@ -497,26 +604,32 @@ def refine_term(
     if _weakly_dominated(lower, archive_front, mode):
         return []
 
+    bill = tuple(inst for inst, _ in stocks)
+    tables = [orders.steps for _, orders in stocks]
+    per_cut = _cut_steps(tables)
+    at = {c.id: i for i, c in enumerate(all_cuts)}
     evaluated: list[tuple[FabPlan, PlanCost]] = []
 
-    def consider(plan: FabPlan) -> None:
-        evaluated.append((plan, evaluate_plan(plan, tools)))
+    def consider(path: list[int]) -> None:
+        plan = FabPlan(design_id=design_id, cuts=tuple(all_cuts[i] for i in path),
+                       stock_bill=bill)
+        evaluated.append((plan, _replay(path, plan, per_cut)))
+
+    def consider_stacked(per_stock: list[tuple[StockInstance, list[Cut]]]) -> None:
+        plan = stacked_variant(design_id, per_stock, tools)
+        if plan is not None:
+            evaluated.append((plan, evaluate_plan(plan, tools)))
 
     for per_stock in (
         [(inst, list(orders.best_precision)) for inst, orders in stocks],
         [(inst, list(orders.best_time)) for inst, orders in stocks],
     ):
-        consider(assemble_plan(design_id, per_stock))
-        for plan in _stacked_candidates(design_id, per_stock, tools):
-            consider(plan)
-    bill = tuple(inst for inst, _ in stocks)
-    for path, _, _ in _pareto_orders(all_cuts, bill, tools, mode):
-        consider(FabPlan(design_id=design_id,
-                         cuts=tuple(all_cuts[i] for i in path), stock_bill=bill))
+        consider([at[c.id] for _, order in per_stock for c in order])
+        consider_stacked(per_stock)
+    for path, _, _ in _pareto_orders(tables, mode):
+        consider(path)
     # stacked counterparts of each per-stock canonical order
-    canonical = [(inst, list(orders.cuts)) for inst, orders in stocks]
-    for plan in _stacked_candidates(design_id, canonical, tools):
-        consider(plan)
+    consider_stacked([(inst, list(orders.cuts)) for inst, orders in stocks])
     refined = pareto_filter(evaluated, key=lambda pc: pc[1].vector(mode).objectives)
     if memo is not None:
         memo[key] = (lower, _recipes(refined, all_cuts, stocks))

@@ -127,27 +127,31 @@ def pack_traversal(parts: list[Part], designated: StockSpec, kerf: int) -> Fragm
 
 
 def shrink_instances(
-    fragment: Fragment, stocks: list[StockSpec], parts_by_id: dict[str, Part]
+    fragment: Fragment, stocks: list[StockSpec], parts_by_id: dict[str, Part],
+    holders: dict[tuple, StockSpec] | None = None,
 ) -> Fragment:
-    """Swap each instance for the cheapest family stock that holds its spread."""
+    """Swap each instance for the cheapest family stock that holds its spread.
+
+    `holders`, when given, keeps the answer per (instance spec, used
+    extent) for later calls over the same `stocks`.
+    """
+    if holders is None:
+        holders = {}
     out = []
     for spec, placements in fragment:
-        if spec.is_sheet:
-            w_used = max(off[0] + parts_by_id[pid].shape[0] for pid, off in placements)
-            h_used = max(off[1] + parts_by_id[pid].shape[1] for pid, off in placements)
+        used = tuple(max(off[axis] + parts_by_id[pid].shape[axis] for pid, off in placements)
+                     for axis in range(len(spec.dims)))
+        key = (spec, used)
+        best = holders.get(key)
+        if best is None:
             candidates = [
                 s for s in stocks
-                if s.is_sheet and s.dims[0] >= w_used and s.dims[1] >= h_used
-                and s.material is spec.material
+                if s.is_sheet == spec.is_sheet and s.material is spec.material
+                and all(d >= u for d, u in zip(s.dims, used))
             ]
-        else:
-            span = max(off[0] + parts_by_id[pid].shape[0] for pid, off in placements)
-            candidates = [
-                s for s in stocks
-                if not s.is_sheet and s.dims[0] >= span and s.material is spec.material
-            ]
-        best = min(candidates, key=lambda s: (s.effective_price(), s.capacity, s.id),
-                   default=spec)
+            best = holders[key] = min(
+                candidates, key=lambda s: (s.effective_price(), s.capacity, s.id),
+                default=spec)
         out.append((best, placements))
     return out
 
@@ -221,10 +225,11 @@ def pack_fragments(
     kerf = tools[cutting_tool(stocks[0])].kerf
     fragments: list[Fragment] = []
     seen: set[tuple] = set()
+    holders: dict[tuple, StockSpec] = {}
     for designated in usable:
         for order in orders:
             fragment = shrink_instances(
-                pack_traversal(order, designated, kerf), stocks, parts_by_id)
+                pack_traversal(order, designated, kerf), stocks, parts_by_id, holders)
             key = sig(fragment)
             if key not in seen:
                 seen.add(key)

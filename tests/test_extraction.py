@@ -68,6 +68,13 @@ def test_non_dominated_sort_matches_double_loop():
                     for _ in range(rng.randint(1, 12))] + [worst]
             objs = [rng.choice(pool) for _ in range(rng.randint(1, 40))]
             assert non_dominated_sort(objs) == double_loop_sort(objs), objs
+        # GA-shaped: a population of 120 holding at most 12 distinct tuples,
+        # the "worst" tuple of a pruned term among them
+        for _ in range(20):
+            pool = [tuple(rng.randint(0, 40) / 4 for _ in range(m))
+                    for _ in range(rng.randint(1, 11))] + [worst]
+            objs = [rng.choice(pool) for _ in range(120)]
+            assert non_dominated_sort(objs) == double_loop_sort(objs), objs
 
 
 def test_crowding_distance_extremes_infinite():

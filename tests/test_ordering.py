@@ -11,9 +11,10 @@ from planwright.plans import assemble_plan, cuts_for_instance, stacked_variant
 from planwright.egraph import AtomicNode, BopEGraph
 from planwright.libraries import default_stocks, default_tools, with_metal_twins
 from planwright.model import OpRate, OpRateKind, Part, Tool, ticks
-from planwright import ordering
+from planwright import cost as cost_module, ordering
 from planwright.ordering import (
     EXHAUSTIVE_TERM_CUTS,
+    NodeMemo,
     _eval_node_order,
     _repair_order,
     candidate_orders,
@@ -226,11 +227,12 @@ def place(spec, layout, parts, prefix="p"):
     return tuple(sorted(places))
 
 
-def build_term(stocks, tools=TOOLS, prefix="p", first_node=0):
+def build_term(stocks, tools=TOOLS, prefix="p", first_node=0, node_memo=None):
     """A term over one arrangement of `stocks`, with its node order cache.
 
     Each entry is (stock id, layout), a layout as `place` takes it. Part
-    ids start with `prefix`; node ids count up from `first_node`.
+    ids start with `prefix`; node ids count up from `first_node`. The node
+    searches share `node_memo` when one is given.
     """
     parts = {}
     placed = []
@@ -242,7 +244,7 @@ def build_term(stocks, tools=TOOLS, prefix="p", first_node=0):
     g._next = first_node
     g.add_arrangement(Arrangement(design_id="d", stocks=tuple(placed)))
     term = g.term_from_choices({})
-    cache = {n.id: optimize_enode(n, parts, tools)
+    cache = {n.id: optimize_enode(n, parts, tools, node_memo)
              for n in g.atomic_nodes_of(term)}
     return g, term, cache
 
@@ -446,18 +448,18 @@ def test_node_orders_match_permutation_argmin(kind, count):
 
 
 def test_node_memo_shares_orders_across_relabelled_nodes():
-    memo = {}
+    memo = NodeMemo()
     for stock_id, layout in [("2x4-48", [LENGTHS[4], LENGTHS[0], LENGTHS[4]]),
                              ("sheet-1/2-24x20", [(SHELF_HEIGHTS[1], WIDTHS[:2]),
                                                   (SHELF_HEIGHTS[0], WIDTHS[1:])])]:
         first, first_parts = layout_node(stock_id, layout, "n3")
         again, again_parts = layout_node(stock_id, layout, "n17", prefix="q")
         assert set(first_parts).isdisjoint(again_parts)
-        size = len(memo)
+        size = len(memo.patterns)
         a = optimize_enode(first, first_parts, TOOLS, memo)
-        assert len(memo) == size + 1
+        assert len(memo.patterns) == size + 1
         b = optimize_enode(again, again_parts, TOOLS, memo)
-        assert len(memo) == size + 1
+        assert len(memo.patterns) == size + 1
         assert b == optimize_enode(again, again_parts, TOOLS)
         assert all(c.stock_key == "n17" for c in b.best_precision + b.best_time)
         index_a = {c.id: i for i, c in enumerate(a.cuts)}
@@ -472,10 +474,10 @@ def test_node_memo_shares_orders_across_relabelled_nodes():
     for stock_id, layout in [("metal-2x4-48", [LENGTHS[4], LENGTHS[0], LENGTHS[4]]),
                              ("2x4-48", [LENGTHS[4], LENGTHS[4], LENGTHS[0]])]:
         node, parts = layout_node(stock_id, layout, "n9")
-        size = len(memo)
+        size = len(memo.patterns)
         assert optimize_enode(node, parts, TOOLS, memo) == \
             optimize_enode(node, parts, TOOLS)
-        assert len(memo) == size + 1
+        assert len(memo.patterns) == size + 1
 
 
 @pytest.mark.parametrize("stock_id,layout", [
@@ -584,3 +586,88 @@ def test_term_memo_shares_fronts_across_relabelled_terms(mode, monkeypatch):
     assert full_outcome(refine(unlinked, mode, memo)) == \
         full_outcome(refine(unlinked, mode))
     assert len(memo) == size + 1
+
+
+# -- step tables: plan costs and term searches read the node searches' steps --
+
+
+def random_term(rng, max_stocks=3):
+    """1-`max_stocks` random lumber or sheet stocks, each wood or metal."""
+    stocks = []
+    for _ in range(rng.randint(1, max_stocks)):
+        stock_id, layout = random_stock(rng, rng.choice(["lumber", "sheet"]))
+        if rng.random() < 0.3 and not stock_id.startswith("metal-"):
+            stock_id = "metal-" + stock_id
+        stocks.append((stock_id, layout))
+    return stocks
+
+
+def assert_costs_are_evaluate_plan(results):
+    for plan, cost in results:
+        again = evaluate_plan(plan, TOOLS)
+        assert len(again.rows) == len(cost.rows)
+        for got, want in zip(cost.rows, again.rows):
+            assert (got.cut_id, got.setup, got.load, got.op, got.eps_ticks,
+                    got.op_error_ticks, got.merged) == \
+                (want.cut_id, want.setup, want.load, want.op, want.eps_ticks,
+                 want.op_error_ticks, want.merged)
+        assert (cost.f_t_seconds, cost.f_p_ticks, cost.f_c) == \
+            (again.f_t_seconds, again.f_p_ticks, again.f_c)
+
+
+@pytest.mark.parametrize("mode", [2, 3])
+def test_refined_costs_equal_evaluate_plan(mode):
+    rng = random.Random(f"replay-{mode}")
+    node_memo = NodeMemo()
+    term_memo = {}
+    sizes = set()
+    metal = False
+    while len(sizes) < PARITY_MAX_CUTS or len(term_memo) < 60:
+        stocks = random_term(rng)
+        term_parts = build_term(stocks, node_memo=node_memo)
+        n_cuts = sum(len(o.cuts) for o in term_parts[2].values())
+        if not 1 <= n_cuts <= PARITY_MAX_CUTS:
+            continue
+        sizes.add(n_cuts)
+        metal |= any(stock_id.startswith("metal-") for stock_id, _ in stocks)
+        for memo in (None, term_memo, term_memo):
+            assert_costs_are_evaluate_plan(refine(term_parts, mode, memo))
+    assert metal
+    # one stock of 10 cuts: its node search and its term search are both
+    # capped; in mode 2 they keep different states, so the term search
+    # fills the table further (in mode 3 the two searches are the same)
+    stocks = [("2x4-96", [LENGTHS[i % 5] for i in range(10)])]
+    term_parts = build_term(stocks, node_memo=node_memo)
+    (table,) = {orders.steps for orders in term_parts[2].values()}
+    assert table.k == 10
+    filled = len(table.steps)
+    for memo in (None, term_memo, term_memo):
+        assert_costs_are_evaluate_plan(refine(term_parts, mode, memo))
+    assert len(table.steps) > filled if mode == 2 else len(table.steps) == filled
+
+
+@pytest.mark.parametrize("mode", [2, 3])
+def test_term_search_reads_node_steps(mode, monkeypatch):
+    # stocks of up to 8 cuts searched as nodes: a term over them, small or
+    # large, is searched and costed without simulating a single cut (no
+    # two stocks alike, so no stacked plan is evaluated either)
+    rng = random.Random(f"no-resim-{mode}")
+    node_memo = NodeMemo()
+    terms = []
+    while len(terms) < 30:
+        stocks = random_term(rng, max_stocks=4)
+        if len(set(map(repr, stocks))) == len(stocks) and term_cuts(stocks) <= 12:
+            terms.append(build_term(stocks, node_memo=node_memo))
+    assert max(sum(len(o.cuts) for o in t[2].values()) for t in terms) > EXHAUSTIVE_TERM_CUTS
+    calls = []
+    resolve = cost_module.resolve_geometry
+
+    def counted(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(cost_module, "resolve_geometry", counted)
+    monkeypatch.setattr(ordering, "resolve_geometry", counted)
+    for term_parts in terms:
+        assert refine(term_parts, mode)
+    assert calls == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planwright.libraries import default_stocks, default_tools
-from planwright.model import Design, Material, Part, Tool, ticks
+from planwright.model import Design, Material, Part, Tool, part_fits_stock, ticks
 from planwright.oracle import all_arrangements
 from planwright.packing import (
     InfeasiblePartError,
@@ -66,6 +66,49 @@ def test_shrink_keeps_needed_size():
     family = [s for s in STOCKS if s.family == "2x4" and s.material is Material.WOOD]
     shrunk = shrink_instances(frag, family, {p.id: p for p in parts})
     assert shrunk[0][0].id == "2x4-96"
+
+
+def scan_shrink(fragment, stocks, parts_by_id):
+    """Reference: the cheapest holder of each instance, scanned afresh."""
+    out = []
+    for designated, places in fragment:
+        axes = range(len(designated.dims))
+        used = [max(off[a] + parts_by_id[pid].shape[a] for pid, off in places)
+                for a in axes]
+        fits = [s for s in stocks if s.is_sheet == designated.is_sheet
+                and s.material is designated.material
+                and all(s.dims[a] >= used[a] for a in axes)]
+        out.append((min(fits, key=lambda s: (s.effective_price(), s.capacity, s.id),
+                        default=designated), places))
+    return out
+
+
+@pytest.mark.parametrize("family", ["2x4", "sheet-1/2"])
+def test_shared_shrink_lookup_matches_plain_scan(family):
+    rng = random.Random(f"shrink-{family}")
+    stocks = [s for s in STOCKS if s.family == family]
+    holders = {}
+    instances = 0
+    for _ in range(60):
+        if family == "2x4":
+            parts = [lumber(i, rng.choice([5, 10, "20.5", 22, 30, 45]))
+                     for i in range(rng.randint(1, 5))]
+        else:
+            parts = [Part(id=f"s{i}", family=family,
+                          shape=(ticks(rng.choice([3, 5, "9.5", 11])),
+                                 ticks(rng.choice([4, 6, "9.25", 19]))))
+                     for i in range(rng.randint(1, 5))]
+        by_id = {p.id: p for p in parts}
+        designated = rng.choice([s for s in stocks
+                                 if all(part_fits_stock(p, s) for p in parts)])
+        fragment = pack_traversal(parts, designated, KERF)
+        shared = shrink_instances(fragment, stocks, by_id, holders)
+        instances += len(shared)
+        assert shared == shrink_instances(fragment, stocks, by_id) == \
+            scan_shrink(fragment, stocks, by_id)
+    # the lookup was shared: fewer distinct (spec, used extent) keys than
+    # instances shrunk
+    assert 0 < len(holders) < instances
 
 
 def test_sheet_packing_shelves():
