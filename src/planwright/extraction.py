@@ -74,11 +74,6 @@ class _DesignState:
     design: Design
     egraph: BopEGraph
     cache: OrderCache = field(default_factory=dict)
-    refine_cache: dict[tuple, list[tuple[FabPlan, PlanCost]]] = field(default_factory=dict)
-
-
-def _front_points(archive: list[Solution]) -> list[tuple[float, ...]]:
-    return [s.cost.objectives for s in archive]
 
 
 def _merge_archive(archive: list[Solution], new: list[Solution]) -> list[Solution]:
@@ -116,15 +111,18 @@ def evaluate_term(
     term: Term,
     tools: dict[Tool, ToolSpec],
     params: IceeParams,
-    archive_front: list[tuple[float, ...]],
     memo: TermMemo,
+    refine_cache: dict[tuple, list[tuple[FabPlan, PlanCost]]],
 ) -> list[Solution]:
+    """The term's refined plans as solutions. `refine_cache` (one per
+    extraction) holds each term's plans by its signature, so a term the GA
+    draws again is refined once."""
     key = term.signature()
-    cached = state.refine_cache.get(key)
+    cached = refine_cache.get(key)
     if cached is None:
         cached = refine_term(state.egraph, term, state.cache, tools,
-                             archive_front, params.objective_mode, memo)
-        state.refine_cache[key] = cached
+                             params.objective_mode, memo)
+        refine_cache[key] = cached
     return [
         Solution(design=state.design, plan=plan,
                  cost=cost.vector(params.objective_mode), term=term)
@@ -207,35 +205,34 @@ def ga_extract(
     state: _DesignState,
     tools: dict[Tool, ToolSpec],
     params: IceeParams,
-    archive_front: list[tuple[float, ...]],
     rng: random.Random,
     memo: TermMemo,
-) -> list[Solution]:
-    """Non-dominated solutions of one design's e-graph.
+) -> tuple[list[Solution], int]:
+    """Non-dominated solutions of one design's e-graph, and the number of
+    distinct terms refined.
 
     Small term spaces are enumerated exactly; larger ones run a rank +
     crowding GA with e-node choice crossover and re-sampling mutation.
     """
     egraph = state.egraph
     if egraph.root is None:
-        return []
+        return [], 0
 
     all_terms = _enumerate_terms(egraph, params.population)
     collected: list[Solution] = []
+    refine_cache: dict[tuple, list[tuple[FabPlan, PlanCost]]] = {}
     if all_terms is not None:
         for term in all_terms:
             collected.extend(
-                evaluate_term(state, term, tools, params, archive_front, memo))
-        return _merge_archive([], collected)
+                evaluate_term(state, term, tools, params, memo, refine_cache))
+        return _merge_archive([], collected), len(refine_cache)
 
     population = [egraph.sample_term(rng) for _ in range(params.population)]
-    worst = tuple([float("inf")] * params.objective_mode)
 
     def fitness(term: Term) -> tuple[float, ...]:
-        sols = evaluate_term(state, term, tools, params, archive_front, memo)
+        # every term has a plan: refinement keeps a best of its candidates
+        sols = evaluate_term(state, term, tools, params, memo, refine_cache)
         collected.extend(sols)
-        if not sols:
-            return worst
         return min(s.cost.objectives for s in sols)
 
     fitnesses = [fitness(t) for t in population]
@@ -269,7 +266,7 @@ def ga_extract(
         population = offspring
         fitnesses = [fitness(t) for t in population]
 
-    return _merge_archive([], collected)
+    return _merge_archive([], collected), len(refine_cache)
 
 
 # -- outer loop ----------------------------------------------------------------
@@ -300,8 +297,6 @@ def _expand(
             node = state.egraph.nodes[nid]
             if isinstance(node, AtomicNode):
                 state.cache[nid] = optimize_enode(node, parts_by_id, tools, memo)
-    # new arrangements invalidate cached refinement pruning decisions
-    state.refine_cache.clear()
 
 
 def icee_run(
@@ -367,7 +362,6 @@ def icee_run(
                 chosen.append(design)
 
         budget = max(1, params.traversals // max(1, len(chosen)))
-        front_pts = _front_points(archive)
         new_solutions: list[Solution] = []
         for k, design in enumerate(chosen):
             state = _ensure_state(states, design)
@@ -375,8 +369,8 @@ def icee_run(
                 continue
             rng_task = _rng(params.seed, "design", design.id, iteration, k)
             _expand(state, stock_lib, tools, budget, node_memo, rng_task)
-            sols = ga_extract(state, tools, params, front_pts, rng_task, term_memo)
-            terms_refined += len(state.refine_cache)
+            sols, refined = ga_extract(state, tools, params, rng_task, term_memo)
+            terms_refined += refined
             new_solutions.extend(sols)
 
         archive = _merge_archive(archive, new_solutions)
@@ -388,7 +382,7 @@ def icee_run(
             state.egraph.contract(front_terms, params.top_nodes,
                                   _node_scalar_bound(state))
 
-        hv = hypervolume(_front_points(archive), ref)
+        hv = hypervolume([s.cost.objectives for s in archive], ref)
         report_iters.append({
             "iteration": iteration,
             "designs": sorted({d.id for d in chosen}),

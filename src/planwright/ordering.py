@@ -1,14 +1,14 @@
-"""Cut-order assignment: per-node search, term bounds, pruned refinement.
+"""Cut-order assignment: per-node search and term refinement.
 
 Each atomic e-node caches its minimum-precision and minimum-time cut orders,
 read off the exact order front of its one stock and memoized per run by
-its cut pattern (stock spec and cut geometry). A term-level lower bound
-prunes terms against the archive front. A surviving term gets its exact
-front of cut orders, memoized per run by its stocks' cut patterns, so terms
-of other iterations and designs that cut the same patterns share it. Up to
+its cut pattern (stock spec and cut geometry). A term gets its exact front
+of cut orders, memoized per run by its stocks' cut patterns, so terms of
+other iterations and designs that cut the same patterns share it. Up to
 EXHAUSTIVE_TERM_CUTS cuts the front spans every interleaving of its stocks'
 cuts; above that, the orders that cut each stock in one run, stocks in
-bill order.
+bill order. No term is pruned: a term's plans depend only on its cut
+patterns, the tools and the objective mode.
 
 Both fronts come from one forward label-setting search (Martins 1984) over
 states (done mask, last cut) instead of a scan of every permutation. The
@@ -27,8 +27,9 @@ so a step is simulated once per run. A term's plans are costed by
 replaying their orders through the tables; `evaluate_plan` is left to the
 stacked plans.
 
-`candidate_orders`, `_repair_order` and `term_bounds` are not used by the
-search loop; they remain for the benchmark's tracing and their tests.
+`candidate_orders`, `_repair_order` and `term_bounds` (with `_lower_bound`
+and `_min_epsilon`) are not used by the search loop; they remain for the
+benchmark's tracing and their tests.
 """
 
 from __future__ import annotations
@@ -80,17 +81,22 @@ Step = tuple[tuple, float, int, int]
 
 
 class StepTable:
-    """The steps of one stock cut pattern, filled on demand for a run.
+    """One stock cut pattern of a run: its steps and its node search result.
 
-    Entry `done * k + i`, for the pattern's k cuts in canonical order, is
-    the `Step` of cut i made after the cuts in the done-on-stock mask
-    `done`. It holds all that the cut's cost takes from the stock, since a
-    stock's pieces depend only on the set of cuts already made on it.
-    Equal steps share one tuple through `pool` (one per run). Piece
-    simulators live only as long as one search (`sims` of `step`).
+    Entry `done * k + i` of `steps`, for the pattern's k cuts in canonical
+    order, is the `Step` of cut i made after the cuts in the done-on-stock
+    mask `done`, filled on demand. It holds all that the cut's cost takes
+    from the stock, since a stock's pieces depend only on the set of cuts
+    already made on it. Equal steps share one tuple through `pool` (one per
+    run). Piece simulators live only as long as one search (`sims` of
+    `step`). `best_precision` and `best_time` are the node search's
+    (index path, (f_p ticks, f_t seconds)) of the best-f_p and best-f_t
+    orders. A run's node memo holds one table per pattern, so a table
+    stands for its pattern and compares by identity.
     """
 
-    __slots__ = ("spec", "cuts", "tools", "k", "steps", "pool")
+    __slots__ = ("spec", "cuts", "tools", "k", "steps", "pool",
+                 "best_precision", "best_time")
 
     def __init__(self, spec: StockSpec, cuts: list[Cut],
                  tools: dict[Tool, ToolSpec], pool: dict[Step, Step]) -> None:
@@ -100,6 +106,7 @@ class StepTable:
         self.k = len(cuts)
         self.steps: dict[int, Step] = {}
         self.pool = pool
+        self.best_precision = self.best_time = None  # set by the node search
 
     def step(self, i: int, done: int, sims: dict | None = None) -> Step:
         """The step of cut i after the cuts in `done`. `sims` holds one
@@ -142,9 +149,7 @@ class NodeOrders:
     best_precision_cost: tuple[int, float]  # (f_p ticks, f_t seconds)
     best_time: tuple[Cut, ...]
     best_time_cost: tuple[int, float]
-    # (spec, ((geometry key, parent index), ...) per cut): the node memo key
-    pattern: tuple
-    # the pattern's steps, shared by every node with it
+    # the node's cut pattern, shared by every node with it
     steps: StepTable = field(compare=False, repr=False)
 
 
@@ -159,13 +164,11 @@ class NodeMemo:
     """One run's node search results, for one tool table.
 
     `patterns` maps each cut pattern (spec, cut geometry and parent index
-    per cut) to (that key, stored once for every node with the pattern;
-    (path, (f_p ticks, f_t seconds)) of the best-f_p order; the same of the
-    best-f_t order; the pattern's step table). `pool` interns the steps of
-    every table.
+    per cut) to its `StepTable`, which holds the node search's best orders
+    and the pattern's steps. `pool` interns the steps of every table.
     """
 
-    patterns: dict[tuple, tuple] = field(default_factory=dict)
+    patterns: dict[tuple, StepTable] = field(default_factory=dict)
     pool: dict[Step, Step] = field(default_factory=dict)
 
 
@@ -174,8 +177,8 @@ OrderCache = dict[str, NodeOrders]
 # stack group, per cut), (index into the term's stocks, per bill entry),
 # its cost
 Recipe = tuple[tuple[tuple[int, str | None], ...], tuple[int, ...], PlanCost]
-# the term's cut patterns, in `_term_stocks` order -> (lower bound, recipes)
-TermMemo = dict[tuple, tuple[CostVector, tuple[Recipe, ...]]]
+# the term's cut patterns (step tables), in `_term_stocks` order -> recipes
+TermMemo = dict[tuple[StepTable, ...], tuple[Recipe, ...]]
 Label = tuple[tuple[int, ...], float, int]  # (path, f_t seconds, f_p ticks)
 
 
@@ -251,8 +254,8 @@ def optimize_enode(
     by (f_t, f_p, order), orders compared by cut index, which is the
     permutation argmin with first-order tie-break. The answer depends only
     on the stock spec and the cut geometry, so `memo` (one per run and tool
-    table) holds it per pattern, as index paths, with the pattern's step
-    table, and each node gets it on its own cuts.
+    table) holds it in the pattern's step table, as index paths, and each
+    node gets it on its own cuts. An uncut node's one order is the empty one.
     """
     inst = _node_instance(node)
     cuts = cuts_for_instance(inst, list(node.placements), parts_by_id)
@@ -260,25 +263,22 @@ def optimize_enode(
     key = (node.spec, tuple((c.geometry_key(), index.get(c.parent)) for c in cuts))
     if memo is None:
         memo = NodeMemo()
-    if not cuts:
-        empty: tuple[Cut, ...] = ()
-        return NodeOrders(empty, empty, (0, 0.0), empty, (0, 0.0), key,
-                          StepTable(node.spec, [], tools, memo.pool))
-    if key not in memo.patterns:
+    table = memo.patterns.get(key)
+    if table is None:
         table = StepTable(node.spec, cuts, tools, memo.pool)
         labels = _pareto_orders([table], 3)
         p = min(range(len(labels)), key=lambda i: (labels[i][2], labels[i][1], i))
         t = min(range(len(labels)), key=lambda i: (labels[i][1], labels[i][2], i))
-        memo.patterns[key] = (key, *((labels[i][0], (labels[i][2], labels[i][1]))
-                                     for i in (p, t)), table)
-    pattern, (path_p, cost_p), (path_t, cost_t), table = memo.patterns[key]
+        table.best_precision, table.best_time = (
+            (labels[i][0], (labels[i][2], labels[i][1])) for i in (p, t))
+        memo.patterns[key] = table
+    (path_p, cost_p), (path_t, cost_t) = table.best_precision, table.best_time
     return NodeOrders(
         cuts=tuple(cuts),
         best_precision=tuple(cuts[i] for i in path_p),
         best_precision_cost=cost_p,
         best_time=tuple(cuts[i] for i in path_t),
         best_time_cost=cost_t,
-        pattern=pattern,
         steps=table,
     )
 
@@ -362,7 +362,14 @@ def term_bounds(
     tools: dict[Tool, ToolSpec],
 ) -> Bounds:
     """Upper: cost of the concatenated per-node best orders (realizable).
-    Lower: per-cut costs assuming every cut is independent of the others."""
+    Lower: per-cut costs assuming every cut is independent of the others.
+
+    The lower bound holds for unstacked plans only. Stacking cuts several
+    stocks in one operation, which the bound charges once per cut: four
+    2x4-96 sticks each cut into six 12" parts have the bound (40 $,
+    6.8 min, 0.375") while their stacked plan costs (40 $, 4.317 min,
+    0.094").
+    """
     stocks = _term_stocks(egraph, term, cache)
     design_id = egraph.design_id
     cost_p = evaluate_plan(_concat_plan(design_id, stocks, "precision"), tools)
@@ -530,12 +537,6 @@ def _replay(path: list[int], plan: FabPlan, per_cut: CutSteps) -> PlanCost:
 # -- refinement --------------------------------------------------------------
 
 
-def _weakly_dominated(lower: CostVector, front: list[tuple[float, ...]],
-                      mode: int) -> bool:
-    target = lower.objectives if mode == 3 else (lower.f_c, lower.f_t)
-    return any(all(s <= t for s, t in zip(point, target)) for point in front)
-
-
 def _recipes(refined: list[tuple[FabPlan, PlanCost]], all_cuts: list[Cut],
              stocks: list[tuple[StockInstance, NodeOrders]]) -> tuple[Recipe, ...]:
     cut_at = {c.id: i for i, c in enumerate(all_cuts)}
@@ -567,11 +568,35 @@ def refine_term(
     term: Term,
     cache: OrderCache,
     tools: dict[Tool, ToolSpec],
-    archive_front: list[tuple[float, ...]],
     mode: int,
     memo: TermMemo | None = None,
 ) -> list[tuple[FabPlan, PlanCost]]:
-    """Ordered plans for a term, or [] when its lower bound is dominated.
+    """The non-dominated ordered plans of a term, found by `_refined`.
+
+    The plans depend only on the term's cut patterns (the step tables of
+    its node orders, in stock order), given the tools and the mode. So
+    `memo` (one per run, which fixes those) holds them per tuple of tables,
+    as recipes over cut and stock indices, and every term with the same
+    patterns gets them on its own cuts and stocks without a search. Tables
+    compare by identity, so the node orders in `cache` must come from one
+    node memo, for `tools`.
+    """
+    stocks = _term_stocks(egraph, term, cache)
+    all_cuts = [c for _, orders in stocks for c in orders.cuts]
+    tables = tuple(orders.steps for _, orders in stocks)
+    if memo is None:
+        memo = {}
+    recipes = memo.get(tables)
+    if recipes is None:
+        recipes = memo[tables] = _recipes(
+            _refined(egraph.design_id, stocks, all_cuts, tools, mode), all_cuts, stocks)
+    return [_rebuild(r, egraph.design_id, all_cuts, stocks) for r in recipes]
+
+
+def _refined(design_id: str, stocks: list[tuple[StockInstance, NodeOrders]],
+             all_cuts: list[Cut], tools: dict[Tool, ToolSpec],
+             mode: int) -> list[tuple[FabPlan, PlanCost]]:
+    """`refine_term`'s search: its candidates, costed and filtered.
 
     The candidates are the upper-bound orders (the per-node best orders,
     plain and stacked), then the term's exact order front, then the stacked
@@ -582,28 +607,7 @@ def refine_term(
     the term's cuts, which is what scoring every such order would keep: up
     to EXHAUSTIVE_TERM_CUTS cuts every interleaving of its stocks, above
     that every order that cuts each stock in one run, stocks in bill order.
-
-    The front and the lower bound depend only on the term's cut patterns
-    (`NodeOrders.pattern`, in stock order), given the tools and the mode.
-    So `memo` (one per run, which fixes those) holds them per pattern
-    tuple, the plans as recipes over cut and stock indices, and every term
-    with the same patterns gets them on its own cuts and stocks without a
-    search; the prune is still made against this term's `archive_front`.
-    The step tables of the node orders in `cache` must be for `tools`.
     """
-    stocks = _term_stocks(egraph, term, cache)
-    all_cuts = [c for _, orders in stocks for c in orders.cuts]
-    design_id = egraph.design_id
-    key = tuple(orders.pattern for _, orders in stocks)
-    if memo is not None and key in memo:
-        lower, recipes = memo[key]
-        if _weakly_dominated(lower, archive_front, mode):
-            return []
-        return [_rebuild(r, design_id, all_cuts, stocks) for r in recipes]
-    lower = _lower_bound(stocks, tools)
-    if _weakly_dominated(lower, archive_front, mode):
-        return []
-
     bill = tuple(inst for inst, _ in stocks)
     tables = [orders.steps for _, orders in stocks]
     per_cut = _cut_steps(tables)
@@ -630,7 +634,4 @@ def refine_term(
         consider(path)
     # stacked counterparts of each per-stock canonical order
     consider_stacked([(inst, list(orders.cuts)) for inst, orders in stocks])
-    refined = pareto_filter(evaluated, key=lambda pc: pc[1].vector(mode).objectives)
-    if memo is not None:
-        memo[key] = (lower, _recipes(refined, all_cuts, stocks))
-    return refined
+    return pareto_filter(evaluated, key=lambda pc: pc[1].vector(mode).objectives)

@@ -207,7 +207,7 @@ def test_04_bounds_soundness_and_refinement():
         assert bounds.upper.f_t >= best_t - 1e-12
         front = pareto_filter([(round(p, 12), round(t, 12))
                                for p, t in exhaustive])
-        refined = refine_term(g, term, cache, TOOLS, [], mode=3)
+        refined = refine_term(g, term, cache, TOOLS, mode=3)
         assert refined
         for _, cost in refined:
             point = (round(cost.f_p_ticks / 64.0, 12),

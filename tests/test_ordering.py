@@ -119,7 +119,7 @@ def test_term_bounds_sound_against_exhaustive():
 
 def test_refine_term_within_exhaustive_pareto():
     g, term, cache, node, parts = term_for([10, 20, 30])
-    results = refine_term(g, term, cache, TOOLS, [], mode=2)
+    results = refine_term(g, term, cache, TOOLS, mode=2)
     assert results
     all_costs = exhaustive_node_costs(node, parts)
     # refined plans never beat the exhaustive (non-stacked) optimum on
@@ -134,12 +134,6 @@ def test_refine_term_within_exhaustive_pareto():
     objs = [c.vector(2).objectives for _, c in results]
     for a in objs:
         assert not any(all(x <= y for x, y in zip(b, a)) and b != a for b in objs)
-
-
-def test_refine_term_prunes_dominated_lower_bound():
-    g, term, cache, node, parts = term_for([10, 20, 30])
-    results = refine_term(g, term, cache, TOOLS, [(0.0, 0.0)], mode=2)
-    assert results == []
 
 
 def test_optimize_enode_empty_node():
@@ -313,7 +307,7 @@ def term_cuts(stocks):
 def assert_parity(stocks, mode, tools=TOOLS):
     g, term, cache = build_term(stocks, tools)
     assert sum(len(orders.cuts) for orders in cache.values()) <= PARITY_MAX_CUTS
-    got = refine_term(g, term, cache, tools, [], mode=mode)
+    got = refine_term(g, term, cache, tools, mode=mode)
     assert outcome(got) == outcome(permutation_refine(g, term, cache, mode, tools))
     return got
 
@@ -460,6 +454,7 @@ def test_node_memo_shares_orders_across_relabelled_nodes():
         assert len(memo.patterns) == size + 1
         b = optimize_enode(again, again_parts, TOOLS, memo)
         assert len(memo.patterns) == size + 1
+        assert a.steps is b.steps
         assert b == optimize_enode(again, again_parts, TOOLS)
         assert all(c.stock_key == "n17" for c in b.best_precision + b.best_time)
         index_a = {c.id: i for i, c in enumerate(a.cuts)}
@@ -502,7 +497,7 @@ def test_large_node_search_is_capped(stock_id, layout):
     g, term, cache = build_term([(stock_id, layout)])
     cuts = sorted(c.id for orders in cache.values() for c in orders.cuts)
     start = time.perf_counter()
-    refined = refine_term(g, term, cache, TOOLS, [], mode=3)
+    refined = refine_term(g, term, cache, TOOLS, mode=3)
     assert time.perf_counter() - start < 2.0
     assert refined
     for plan, cost in refined:
@@ -516,9 +511,9 @@ def test_large_node_search_is_capped(stock_id, layout):
 # -- term memo: one exact front per run and term cut pattern -----------------
 
 
-def refine(term_parts, mode, memo=None, front=()):
+def refine(term_parts, mode, memo=None):
     g, term, cache = term_parts
-    return refine_term(g, term, cache, TOOLS, list(front), mode=mode, memo=memo)
+    return refine_term(g, term, cache, TOOLS, mode=mode, memo=memo)
 
 
 def full_outcome(results):
@@ -535,7 +530,10 @@ def node_ids(term_parts):
 
 @pytest.mark.parametrize("mode", [2, 3])
 def test_term_memo_shares_fronts_across_relabelled_terms(mode, monkeypatch):
+    # as in a run, every node search shares one node memo, so a cut pattern
+    # has one step table, which the term memo keys on
     rng = random.Random(f"term-memo-{mode}")
+    node_memo = NodeMemo()
     memo = {}
     stacked = 0
     cases = [[("2x2-24", [ticks(3), ticks(4)])] * 2]
@@ -549,8 +547,8 @@ def test_term_memo_shares_fronts_across_relabelled_terms(mode, monkeypatch):
         elif EXHAUSTIVE_TERM_CUTS < n_cuts <= PARITY_MAX_CUTS and len(large) < 6:
             large.append(stocks)
     for stocks in cases + large:
-        first = build_term(stocks)
-        again = build_term(stocks, prefix="q", first_node=20)
+        first = build_term(stocks, node_memo=node_memo)
+        again = build_term(stocks, prefix="q", first_node=20, node_memo=node_memo)
         assert set(node_ids(first)).isdisjoint(node_ids(again))
         assert set(first[0].design_parts).isdisjoint(again[0].design_parts)
         refine(first, mode, memo)
@@ -560,32 +558,46 @@ def test_term_memo_shares_fronts_across_relabelled_terms(mode, monkeypatch):
         assert full_outcome(got) == full_outcome(refine(again, mode))
         assert all(c.stock_key in node_ids(again) for plan, _ in got for c in plan.cuts)
         stacked += any(c.stack_group for plan, _ in got for c in plan.cuts)
-        # a hit is still pruned against the archive front
-        assert refine(again, mode, memo, front=[(0.0,) * mode]) == []
-        assert len(memo) == size
     assert stacked
     # the stock spec, the cut geometry and the parent links are all part of
     # the pattern: the metal twin, a moved cut and the same cuts without
     # their parent links are each searched anew
     base = [("2x4-48", [LENGTHS[4], LENGTHS[0]]),
             ("sheet-1/2-24x20", [(SHELF_HEIGHTS[1], WIDTHS[:2])])]
-    refine(build_term(base), mode, memo)
+    refine(build_term(base, node_memo=node_memo), mode, memo)
     twin = [("metal-2x4-48", base[0][1]), base[1]]
     moved = [("2x4-48", [LENGTHS[0], LENGTHS[4]]), base[1]]
     for stocks in (twin, moved):
         size = len(memo)
-        term_parts = build_term(stocks, prefix="q", first_node=20)
+        term_parts = build_term(stocks, prefix="q", first_node=20, node_memo=node_memo)
         assert full_outcome(refine(term_parts, mode, memo)) == \
             full_outcome(refine(term_parts, mode))
         assert len(memo) == size + 1
     cuts_for_instance = ordering.cuts_for_instance
     monkeypatch.setattr(ordering, "cuts_for_instance", lambda *args: [
         dataclasses.replace(c, parent=None) for c in cuts_for_instance(*args)])
-    unlinked = build_term(base, prefix="q", first_node=20)
+    unlinked = build_term(base, prefix="q", first_node=20, node_memo=node_memo)
     size = len(memo)
     assert full_outcome(refine(unlinked, mode, memo)) == \
         full_outcome(refine(unlinked, mode))
     assert len(memo) == size + 1
+
+
+@pytest.mark.parametrize("mode", [2, 3])
+def test_term_memo_shares_uncut_stocks(mode):
+    # one part exactly filling a 2x4-24 leaves that stock uncut; its pattern
+    # has one step table like any other, so the relabelled term is a hit
+    node_memo = NodeMemo()
+    memo = {}
+    stocks = [("2x4-24", [STOCKS["2x4-24"].dims[0]]), ("2x4-48", [LENGTHS[4], LENGTHS[0]])]
+    first = build_term(stocks, node_memo=node_memo)
+    again = build_term(stocks, prefix="q", first_node=20, node_memo=node_memo)
+    assert sorted(len(o.cuts) for o in again[2].values()) == [0, 2]
+    refine(first, mode, memo)
+    size = len(memo)
+    got = refine(again, mode, memo)
+    assert len(memo) == size
+    assert full_outcome(got) == full_outcome(refine(again, mode))
 
 
 # -- step tables: plan costs and term searches read the node searches' steps --
