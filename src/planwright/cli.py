@@ -59,6 +59,9 @@ def cmd_optimize(args) -> int:
     params = _params_from_args(args)
     run = baseline_run if args.baseline else icee_run
     front, report = run(space, stocks, tools, params)
+    clipped = analysis.ClipReport([tuple(p) for p in report["clipped_points"]])
+    for warning in clipped.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     for entry in report["iterations"]:
         print("iter {iteration}: terms_refined={terms_refined} "
               "term_patterns={term_patterns} "

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field, replace
 
-from .analysis import default_reference, hypervolume, pareto_filter
+from .analysis import ClipReport, default_reference, hypervolume, pareto_filter
 from .cost import FabPlan, PlanCost
 from .designspace import DesignSpace, enumerate_variants, sample_design
 from .egraph import AtomicNode, BopEGraph, Term
@@ -324,6 +324,7 @@ def icee_run(
     terms_refined = 0
     prev_hv = None
     stall = 0
+    clip = ClipReport()  # the last front's points outside the reference box
 
     def next_unexplored() -> Design | None:
         """The next enumerated design not explored yet, moving the cursor."""
@@ -382,7 +383,8 @@ def icee_run(
             state.egraph.contract(front_terms, params.top_nodes,
                                   _node_scalar_bound(state))
 
-        hv = hypervolume([s.cost.objectives for s in archive], ref)
+        clip = ClipReport()
+        hv = hypervolume([s.cost.objectives for s in archive], ref, clip)
         report_iters.append({
             "iteration": iteration,
             "designs": sorted({d.id for d in chosen}),
@@ -412,6 +414,7 @@ def icee_run(
         },
         "front_size": len(archive),
         "hypervolume": report_iters[-1]["hypervolume"] if report_iters else 0.0,
+        "clipped_points": [list(p) for p in clip.clipped],
     }
     return archive, report
 

@@ -10,22 +10,30 @@ cuts; above that, the orders that cut each stock in one run, stocks in
 bill order. No term is pruned: a term's plans depend only on its cut
 patterns, the tools and the objective mode.
 
-Both fronts come from one forward label-setting search (Martins 1984) over
-states (done mask, last cut) instead of a scan of every permutation. The
-state is enough: a stock's pieces depend only on the set of cuts already
-made on it (lumber chops and guillotine sheet cuts under their parent
-links alike), so each cut's measured length, operation time and precision
-error are fixed by that set; setup sharing depends only on the previous
-cut's (tool, axis, measured length), and loading only on whether the stock
+The fronts come from forward label-setting searches (Martins 1984), not
+from a scan of every permutation. A stock's front, and a small term's,
+comes from a search over states (done mask, last cut). The state is
+enough: a stock's pieces depend only on the set of cuts already made on
+it (lumber chops and guillotine sheet cuts under their parent links
+alike), so each cut's measured length, operation time and precision error
+are fixed by that set; setup sharing depends only on the previous cut's
+(tool, axis, measured length), and loading only on whether the stock
 changed. Nodes of more than 8 cuts may exceed MAX_LAYER_STATES states per
 cut count; the search then keeps the most promising ones.
 
+A term with one cut stock reads that stock's front. A larger term joins
+its stocks' fronts, kept per last setup signature, in a second search over
+stocks whose state is the last cut's setup signature (`_joined`), when its
+step times are whole multiples of 1/64 s, so that float sums do not depend
+on their order; other large terms (the 4.5 in/s tracksaw's times are no
+such multiples) run the cut search under the one-run-per-stock constraint.
+
 Those per-cut step costs come from one `StepTable` per stock cut pattern,
-kept in the node memo for the whole run: the node search fills it, and
-every term search and plan cost over a stock with that pattern reads it,
-so a step is simulated once per run. A term's plans are costed by
-replaying their orders through the tables; `evaluate_plan` is left to the
-stacked plans.
+kept in the node memo for the whole run with the pattern's fronts: the
+node search fills it, and every term search and plan cost over a stock
+with that pattern reads it, so a step is simulated once per run. A term's
+plans are costed by replaying their orders through the tables;
+`evaluate_plan` is left to the stacked plans.
 
 `candidate_orders`, `_repair_order` and `term_bounds` (with `_lower_bound`
 and `_min_epsilon`) are not used by the search loop; they remain for the
@@ -81,7 +89,7 @@ Step = tuple[tuple, float, int, int]
 
 
 class StepTable:
-    """One stock cut pattern of a run: its steps and its node search result.
+    """One stock cut pattern of a run: its steps and its order fronts.
 
     Entry `done * k + i` of `steps`, for the pattern's k cuts in canonical
     order, is the `Step` of cut i made after the cuts in the done-on-stock
@@ -89,13 +97,17 @@ class StepTable:
     from the stock, since a stock's pieces depend only on the set of cuts
     already made on it. Equal steps share one tuple through `pool` (one per
     run). Piece simulators live only as long as one search (`sims` of
-    `step`). `best_precision` and `best_time` are the node search's
-    (index path, (f_p ticks, f_t seconds)) of the best-f_p and best-f_t
-    orders. A run's node memo holds one table per pattern, so a table
-    stands for its pattern and compares by identity.
+    `step`). `fronts` maps an entry signature to the pattern's mode-3 order
+    front after a cut with it, per last setup signature (`front`); entry
+    None is the node search. `exact` says whether every step time the
+    fronts read is a whole number of 1/64 s. `best_precision` and
+    `best_time` are the node search's (index path, (f_p ticks, f_t
+    seconds)) of the best-f_p and best-f_t orders. A run's node memo holds
+    one table per pattern, so a table stands for its pattern and compares
+    by identity.
     """
 
-    __slots__ = ("spec", "cuts", "tools", "k", "steps", "pool",
+    __slots__ = ("spec", "cuts", "tools", "k", "steps", "pool", "fronts", "exact",
                  "best_precision", "best_time")
 
     def __init__(self, spec: StockSpec, cuts: list[Cut],
@@ -106,7 +118,22 @@ class StepTable:
         self.k = len(cuts)
         self.steps: dict[int, Step] = {}
         self.pool = pool
+        self.fronts: dict[tuple | None, dict[tuple | None, list[Label]]] = {}
+        self.exact = True
         self.best_precision = self.best_time = None  # set by the node search
+
+    def front(self, entry: tuple | None = None) -> dict[tuple | None, list[Label]]:
+        """`_pareto_orders([self], 3, entry)`, searched once per run."""
+        front = self.fronts.get(entry)
+        if front is None:
+            front = self.fronts[entry] = _pareto_orders([self], 3, entry)
+            times = [load_seconds([self.spec])]
+            for c in self.cuts:
+                tool = self.tools[c.tool]
+                times += (tool.setup_full(self.spec.is_sheet), tool.setup_partial or 0.0)
+            times += (op_seconds for _, op_seconds, _, _ in self.steps.values())
+            self.exact = all(t * 64 % 1 == 0 for t in times)
+        return front
 
     def step(self, i: int, done: int, sims: dict | None = None) -> Step:
         """The step of cut i after the cuts in `done`. `sims` holds one
@@ -249,8 +276,8 @@ def optimize_enode(
 ) -> NodeOrders:
     """Cache the node's minimum-precision and minimum-time cut orders.
 
-    Both come from the exact order front of the node's one stock
-    (`_pareto_orders` in mode 3): best-f_p by (f_p, f_t, order) and best-f_t
+    Both come from the exact order front of the node's one stock (its
+    table's entry-None `front`): best-f_p by (f_p, f_t, order) and best-f_t
     by (f_t, f_p, order), orders compared by cut index, which is the
     permutation argmin with first-order tie-break. The answer depends only
     on the stock spec and the cut geometry, so `memo` (one per run and tool
@@ -266,11 +293,11 @@ def optimize_enode(
     table = memo.patterns.get(key)
     if table is None:
         table = StepTable(node.spec, cuts, tools, memo.pool)
-        labels = _pareto_orders([table], 3)
-        p = min(range(len(labels)), key=lambda i: (labels[i][2], labels[i][1], i))
-        t = min(range(len(labels)), key=lambda i: (labels[i][1], labels[i][2], i))
+        labels = [label for labels in table.front().values() for label in labels]
+        p = min(labels, key=lambda label: (label[2], label[1], label[0]))
+        t = min(labels, key=lambda label: (label[1], label[2], label[0]))
         table.best_precision, table.best_time = (
-            (labels[i][0], (labels[i][2], labels[i][1])) for i in (p, t))
+            (path, (ticks, seconds)) for path, seconds, ticks in (p, t))
         memo.patterns[key] = table
     (path_p, cost_p), (path_t, cost_t) = table.best_precision, table.best_time
     return NodeOrders(
@@ -432,12 +459,16 @@ def _cut_steps(tables: list[StepTable]) -> CutSteps:
     return out
 
 
-def _pareto_orders(tables: list[StepTable], mode: int) -> list[Label]:
+def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = None
+                   ) -> dict[tuple | None, list[Label]]:
     """Labels (path, f_t seconds, f_p ticks) of feasible orders of the
     stocks' cuts, a path being the order's indices into the concatenated
     cuts of `tables` (the stocks in bill order), that hold, for every
     non-dominated order cost, the lexicographically first order with it,
-    and its exact `evaluate_plan` cost (f_p held at 0 in mode 2). Above
+    and its exact `evaluate_plan` cost (f_p held at 0 in mode 2), as if the
+    orders followed a cut of setup signature `entry` (None: a full setup
+    first). The labels are grouped by the setup signature of their last cut,
+    and each group is a `_lex_front`, in path order. Above
     EXHAUSTIVE_TERM_CUTS cuts, a feasible order also cuts each stock in one
     run, stocks in bill order: every cut needs the cuts of the stocks
     before its own.
@@ -461,8 +492,10 @@ def _pareto_orders(tables: list[StepTable], mode: int) -> list[Label]:
     sums are monotone), so no lexicographically first order of a
     non-dominated cost is ever dropped, even where rounding turns strict
     dominance into a tie. This holds under the run constraint too, since
-    which suffixes are feasible still depends only on the done mask. The
-    returned labels are in path order and may include dominated ones.
+    which suffixes are feasible still depends only on the done mask. So
+    each group holds exactly the orders that no smaller order ending on its
+    signature weakly dominates, and the `_lex_front` of all groups is the
+    front.
 
     A layer of more than MAX_LAYER_STATES states (none for 8 cuts or fewer)
     is cut down to that many by `_cap_layer`; the result is then a
@@ -482,12 +515,12 @@ def _pareto_orders(tables: list[StepTable], mode: int) -> list[Label]:
         need = [m | (1 << start) - 1 for m, (_, _, start, *_) in zip(need, per_cut)]
     sims: dict[StepTable, dict] = {table: {} for table in tables}
 
-    signature: dict[tuple[int, int], tuple] = {}
+    signature: dict[tuple[int, int], tuple | None] = {(0, -1): entry}
     layer: dict[tuple[int, int], list] = {(0, -1): [((), 0.0, 0)]}
     for _ in range(n):
         grown: dict[tuple[int, int], list] = {}
         for (mask, last), labels in layer.items():
-            prev = signature.get((mask, last))
+            prev = signature[mask, last]
             last_stock = per_cut[last][3] if last >= 0 else 0
             for i in range(n):
                 if mask >> i & 1 or need[i] & ~mask:
@@ -510,7 +543,66 @@ def _pareto_orders(tables: list[StepTable], mode: int) -> list[Label]:
         layer = {state: _lex_front(labels) for state, labels in grown.items()}
         if len(layer) > MAX_LAYER_STATES:
             layer = _cap_layer(layer)
-    return _lex_front([label for labels in layer.values() for label in labels])
+    groups: dict[tuple | None, list[Label]] = {}
+    for state, labels in layer.items():
+        groups.setdefault(signature[state], []).extend(labels)
+    return {sig: _lex_front(labels) for sig, labels in groups.items()}
+
+
+def _joined(tables: list[StepTable], mode: int) -> list[Label] | None:
+    """`_pareto_orders`' labels, flattened, for orders that cut each stock
+    in one run, stocks in bill order, found by joining the stocks' fronts.
+    Those are all the feasible orders when at most one stock has cuts, and
+    the ones the term's front spans above EXHAUSTIVE_TERM_CUTS cuts. None
+    for a term of two or more cut stocks with fewer cuts (its orders may
+    interleave stocks) or with a step time that is not a whole number of
+    1/64 s.
+
+    Label-setting over the stocks (Martins 1984), as `_pareto_orders` does
+    over cuts. The state is the last cut's setup signature, all that the
+    next stock's cost takes from the stocks before it: its first cut gets a
+    partial setup when it repeats that signature, and it pays its own load
+    anyway. So a stock contributes a label of its table's front after that
+    signature that ends on the signature the state moves to, and an uncut
+    stock leaves the state as it is. After a signature that no first cut
+    of the stock with a partial setup repeats, every order costs what it
+    costs after a full setup, so the entry-None front (the node search)
+    serves. In mode 2 the labels' f_p is held at 0.
+
+    A stock's labels sum its steps from 0, so the join adds its sum to the
+    running one, where the cut search adds step by step. With step times
+    that are whole multiples of 1/64 s every such sum is exact, so the two
+    agree, and a stock order is dropped from its front only for a smaller
+    one no worse after any prefix: the join keeps what the cut search keeps.
+    With other step times (the 4.5 in/s tracksaw) the float sums depend on
+    their order and 1-ulp ties fall otherwise, so `_refined` runs the cut
+    search. One stock with cuts needs no such care: its sums start at 0.
+    `exact` covers the steps the node searches read, which are all that an
+    entry front reads unless its stock has more than 8 cuts; such a stock's
+    fronts are capped, so the join is then a heuristic as the cut search is.
+    """
+    cut = [table for table in tables if table.k]
+    if len(cut) > 1 and (sum(table.k for table in cut) <= EXHAUSTIVE_TERM_CUTS
+                         or not all(table.exact for table in cut)):
+        return None
+    states: dict[tuple | None, list[Label]] = {None: [((), 0.0, 0)]}
+    offset = 0
+    for table in cut:
+        tools = table.tools
+        opens = {table.step(j, 0)[0] for j, c in enumerate(table.cuts)
+                 if c.parent is None and tools[c.tool].setup_partial is not None}
+        grown: dict[tuple | None, list[Label]] = {}
+        for sig, labels in states.items():
+            for last, stock_labels in table.front(sig if sig in opens else None).items():
+                out = grown.setdefault(last, [])
+                for spath, st, sp in stock_labels:
+                    spath = tuple(offset + i for i in spath)
+                    sp = 0 if mode == 2 else sp
+                    for path, t, p in labels:
+                        out.append((path + spath, t + st, p + sp))
+        states = {sig: _lex_front(labels) for sig, labels in grown.items()}
+        offset += table.k
+    return _lex_front([label for labels in states.values() for label in labels])
 
 
 def _replay(path: list[int], plan: FabPlan, per_cut: CutSteps) -> PlanCost:
@@ -602,11 +694,13 @@ def _refined(design_id: str, stocks: list[tuple[StockInstance, NodeOrders]],
     plain and stacked), then the term's exact order front, then the stacked
     per-stock canonical orders. Unstacked candidates are costed by
     replaying them through the stocks' step tables (`_replay`), stacked
-    ones by `evaluate_plan`. `_pareto_orders` finds, for every
-    non-dominated cost, the lexicographically first feasible order of all
-    the term's cuts, which is what scoring every such order would keep: up
-    to EXHAUSTIVE_TERM_CUTS cuts every interleaving of its stocks, above
-    that every order that cuts each stock in one run, stocks in bill order.
+    ones by `evaluate_plan`. The front holds, for every non-dominated cost,
+    the lexicographically first feasible order of all the term's cuts,
+    which is what scoring every such order would keep: up to
+    EXHAUSTIVE_TERM_CUTS cuts every interleaving of its stocks, above that
+    every order that cuts each stock in one run, stocks in bill order.
+    `_joined` finds it for a term with one cut stock and for a large term
+    with exact step times, `_pareto_orders` for the others.
     """
     bill = tuple(inst for inst, _ in stocks)
     tables = [orders.steps for _, orders in stocks]
@@ -630,7 +724,11 @@ def _refined(design_id: str, stocks: list[tuple[StockInstance, NodeOrders]],
     ):
         consider([at[c.id] for _, order in per_stock for c in order])
         consider_stacked(per_stock)
-    for path, _, _ in _pareto_orders(tables, mode):
+    labels = _joined(tables, mode)
+    if labels is None:
+        fronts = _pareto_orders(tables, mode).values()
+        labels = _lex_front([label for labels in fronts for label in labels])
+    for path, _, _ in labels:
         consider(path)
     # stacked counterparts of each per-stock canonical order
     consider_stacked([(inst, list(orders.cuts)) for inst, orders in stocks])

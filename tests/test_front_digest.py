@@ -1,4 +1,4 @@
-"""Front digest guard: the exact fronts of four fixed runs.
+"""Front digest guard: the exact fronts of seven fixed runs.
 
 A change meant to make the search faster without changing what it finds
 must leave these fronts as they are: every member's design id, cut order
@@ -6,12 +6,17 @@ and exact cost tuple. If a change moves them on purpose, say why and take
 the new digest from the changed code.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from planwright import corpus_path
 from planwright.extraction import IceeParams, icee_run
-from planwright.io import load_design_space
+from planwright.io import design_space_from_json, load_design_space
 from planwright.libraries import default_stocks, default_tools, with_metal_twins
+
+SYNTH = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
 
 # corpus -> (params, stock library)
 CASES = {
@@ -22,6 +27,11 @@ CASES = {
     # metal stock: its load and operation factors
     "metal-mix": (IceeParams(seed=0, objective_mode=3), with_metal_twins(default_stocks())),
 }
+
+# ring of N parts (ring seed 0) -> ICEE iterations at ICEE seed 0: the
+# benchmark's rings, whose lumber terms above 6 cuts join their stocks'
+# fronts, and a longer ring-12 run whose terms also need entry fronts
+RINGS = {"ring-8": (8, 1), "ring-12": (12, 1), "ring-12-3it": (12, 3)}
 
 DIGEST = {
     "frame": [
@@ -55,14 +65,52 @@ DIGEST = {
     "metal-mix": [
         ("metal-mix/butt", ("n0:c0", "n1:c0"), (63.0, 0.03125, 3.683333333333333)),
     ],
+    "ring-8": [
+        ("ring8-s0/butt-butt-butt-butt-butt-butt-butt-butt",
+         ("n0:c0", "n0:c1", "n0:c2", "n1:c0", "n1:c1", "n1:c2", "n1:c3", "n1:c4"),
+         (20.0, 9.966666666666667)),
+        ("ring8-s0/butt-butt-butt-butt-butt-butt-butt-butt",
+         ("n67:c0", "n73:c0", "n79:c2", "n79:c0", "n79:c1", "n87:c0", "n87:c1",
+          "n97:c0"),
+         (25.0, 9.5)),
+    ],
+    "ring-12": [
+        ("ring12-s0/butt-butt-lap-lap-butt-butt-lap-butt-lap-butt-lap-lap",
+         ("n91:c2", "n91:c0", "n91:c1", "n92:c0", "n92:c1", "n92:c2", "n92:c3",
+          "n93:c0", "n93:c1", "n93:c2", "n93:c3"),
+         (30.0, 13.183333333333334)),
+    ],
+    "ring-12-3it": [
+        ("ring12-s0/butt-butt-lap-lap-butt-butt-lap-butt-lap-butt-lap-lap",
+         ("n754:c0", "n754:c2", "n754:c1", "n758:c0", "n758:c2", "n758:c1",
+          "n758:c3", "n758:c4", "n760:c0", "n760:c1", "n760:c2"),
+         (30.0, 12.433333333333334)),
+    ],
 }
+
+
+def ring_design(seed, n_parts):
+    spec = importlib.util.spec_from_file_location("perfbench_synth", SYNTH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ring_design(seed, n_parts)
+
+
+def digest(space, stocks, params):
+    front, _ = icee_run(space, stocks, default_tools(), params)
+    return [(s.design.id, tuple(c.id for c in s.plan.cuts), s.cost.objectives)
+            for s in front]
 
 
 @pytest.mark.parametrize("corpus", sorted(CASES))
 def test_front_matches_digest(corpus):
-    space = load_design_space(corpus_path(corpus))
     params, stocks = CASES[corpus]
-    front, _ = icee_run(space, stocks, default_tools(), params)
-    digest = [(s.design.id, tuple(c.id for c in s.plan.cuts), s.cost.objectives)
-              for s in front]
-    assert digest == DIGEST[corpus]
+    assert digest(load_design_space(corpus_path(corpus)), stocks, params) == DIGEST[corpus]
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_ring_front_matches_digest(ring):
+    n_parts, iterations = RINGS[ring]
+    space = design_space_from_json(ring_design(0, n_parts))
+    params = IceeParams(seed=0, iterations=iterations)
+    assert digest(space, default_stocks(), params) == DIGEST[ring]

@@ -161,6 +161,31 @@ def test_cli_dump_libraries():
     assert len(payload["tools"]) == 5
 
 
+def test_cli_optimize_reports_clipped_points(tmp_path):
+    # stock at 100 times its price puts every lframe plan beyond the 100 $
+    # of the default reference point: the final front is clipped, and the
+    # run says so in report.json and on stderr
+    libraries = json.loads(run_cli("dump-libraries").stdout)
+    for stock in libraries["stocks"]:
+        stock["price"] *= 100
+    lib_path = tmp_path / "libraries.json"
+    lib_path.write_text(json.dumps(libraries))
+    for name, lib in (("plain", []), ("dear", ["--libraries", str(lib_path)])):
+        result = run_cli("optimize", corpus_path("lframe"), *FAST_ARGS, *lib,
+                         "--out", str(tmp_path / name))
+        assert result.returncode == 0, result.stderr
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        front = read_front_csv(str(tmp_path / name / "front.csv"))
+        warnings = [line for line in result.stderr.splitlines()
+                    if line.startswith("warning: point")]
+        if name == "plain":
+            assert report["clipped_points"] == [] and warnings == []
+        else:
+            clipped = report["clipped_points"]
+            assert sorted(map(tuple, clipped)) == sorted(tuple(r.objectives2) for r in front)
+            assert len(warnings) == len(clipped) > 0
+
+
 def test_cli_oracle_matches_optimize_on_lframe(tmp_path):
     opt_dir = tmp_path / "opt"
     orc_dir = tmp_path / "orc"

@@ -390,6 +390,37 @@ def test_exact_order_front_keeps_first_order_on_rounding_ties():
     assert any(len(seconds[cost.vector(2)]) > 1 for _, cost in got)
 
 
+@pytest.mark.parametrize("mode", [2, 3])
+@pytest.mark.parametrize("stocks", [
+    # the fastest order ends the first stick on a 6" cut and starts the
+    # second one on a 6" cut, so the jig carries over the stock boundary;
+    # the second stick's order for it is not on its front after a full setup
+    [("2x2-48", [ticks(6), ticks("395/64"), ticks("6.125"), ticks(4)]),
+     ("2x4-48", [ticks(6), ticks(4), ticks(5), ticks(5)])],
+    # the same with an uncut 2x4-24 between them: it makes no cut, so the
+    # setup still carries over
+    [("2x2-48", [ticks(6), ticks("395/64"), ticks("6.125"), ticks(4)]),
+     ("2x4-24", [STOCKS["2x4-24"].dims[0]]),
+     ("2x4-48", [ticks(6), ticks(4), ticks(5), ticks(5)])],
+    # metal lumber: its load and operation factors
+    [("metal-2x4-48", [ticks(4), ticks(5), ticks(5)]),
+     ("metal-2x4-48", [ticks(6), ticks("6.125")]),
+     ("metal-2x2-24", [ticks(4), ticks("6.125"), ticks("395/64")])],
+], ids=["boundary", "uncut-between", "metal"])
+def test_joined_front_shares_setup_across_stocks(stocks, mode):
+    # lumber terms above EXHAUSTIVE_TERM_CUTS cuts: their fronts join the
+    # stocks' fronts, one of them searched after the previous stock's last
+    # cut (an entry front)
+    assert term_cuts(stocks) > EXHAUSTIVE_TERM_CUTS
+    got = assert_parity(stocks, mode)
+    plan, cost = min(got, key=lambda pc: pc[1].f_t_seconds)
+    assert not any(c.stack_group for c in plan.cuts)
+    firsts = [i for i, c in enumerate(plan.cuts)
+              if i and c.stock_key != plan.cuts[i - 1].stock_key]
+    partial = TOOLS[Tool.CHOPSAW].setup_partial
+    assert any(cost.rows[i].setup == partial for i in firsts)
+
+
 # -- node order search: parity with scoring every permutation ----------------
 
 
@@ -645,9 +676,9 @@ def test_refined_costs_equal_evaluate_plan(mode):
         for memo in (None, term_memo, term_memo):
             assert_costs_are_evaluate_plan(refine(term_parts, mode, memo))
     assert metal
-    # one stock of 10 cuts: its node search and its term search are both
-    # capped; in mode 2 they keep different states, so the term search
-    # fills the table further (in mode 3 the two searches are the same)
+    # one stock of 10 cuts: its node search is capped, and its term, in
+    # either mode, reads the node search's front instead of searching again,
+    # so the table gains no step
     stocks = [("2x4-96", [LENGTHS[i % 5] for i in range(10)])]
     term_parts = build_term(stocks, node_memo=node_memo)
     (table,) = {orders.steps for orders in term_parts[2].values()}
@@ -655,14 +686,19 @@ def test_refined_costs_equal_evaluate_plan(mode):
     filled = len(table.steps)
     for memo in (None, term_memo, term_memo):
         assert_costs_are_evaluate_plan(refine(term_parts, mode, memo))
-    assert len(table.steps) > filled if mode == 2 else len(table.steps) == filled
+    assert len(table.steps) == filled
 
 
 @pytest.mark.parametrize("mode", [2, 3])
 def test_term_search_reads_node_steps(mode, monkeypatch):
     # stocks of up to 8 cuts searched as nodes: a term over them, small or
     # large, is searched and costed without simulating a single cut (no
-    # two stocks alike, so no stacked plan is evaluated either)
+    # two stocks alike, so no stacked plan is evaluated either). A term
+    # with one cut stock reads its node search's front, and a lumber term
+    # above EXHAUSTIVE_TERM_CUTS joins its stocks' fronts, searching only
+    # the entry fronts its tables lack; a sheet term above that (tracksaw
+    # times are no multiples of 1/64 s) and a smaller term of several cut
+    # stocks run one term search.
     rng = random.Random(f"no-resim-{mode}")
     node_memo = NodeMemo()
     terms = []
@@ -670,16 +706,50 @@ def test_term_search_reads_node_steps(mode, monkeypatch):
         stocks = random_term(rng, max_stocks=4)
         if len(set(map(repr, stocks))) == len(stocks) and term_cuts(stocks) <= 12:
             terms.append(build_term(stocks, node_memo=node_memo))
-    assert max(sum(len(o.cuts) for o in t[2].values()) for t in terms) > EXHAUSTIVE_TERM_CUTS
+    lumber = [("2x2-48", [ticks(6), ticks("395/64"), ticks("6.125"), ticks(4)]),
+              ("2x4-48", [ticks(6), ticks(4), ticks(5), ticks(5)])]
+    terms.append(build_term(lumber, node_memo=node_memo))
     calls = []
+    searches = []
     resolve = cost_module.resolve_geometry
+    pareto_orders = ordering._pareto_orders
 
     def counted(*args):
         calls.append(args)
         return resolve(*args)
 
+    def searched(tables, mode, entry=None):
+        searches.append((len(tables), entry))
+        return pareto_orders(tables, mode, entry)
+
     monkeypatch.setattr(cost_module, "resolve_geometry", counted)
     monkeypatch.setattr(ordering, "resolve_geometry", counted)
-    for term_parts in terms:
-        assert refine(term_parts, mode)
+    monkeypatch.setattr(ordering, "_pareto_orders", searched)
+    kinds = set()
+    entered = 0
+    for again in (False, True):
+        for term_parts in terms:
+            orders = term_parts[2].values()
+            n_cuts = sum(len(o.cuts) for o in orders)
+            cut = [o for o in orders if o.cuts]
+            if len(cut) < 2:
+                kind = "one stock"
+            elif n_cuts <= EXHAUSTIVE_TERM_CUTS:
+                kind = "interleaved"
+            elif any(o.steps.spec.is_sheet for o in cut):
+                kind = "sheet"
+            else:
+                kind = "joined"
+            kinds.add(kind)
+            searches.clear()
+            assert refine(term_parts, mode)
+            if kind == "one stock" or kind == "joined" and again:
+                assert searches == []
+            elif kind == "joined":
+                assert all(size == 1 and entry is not None for size, entry in searches)
+                entered += len(searches)
+            else:
+                assert searches == [(len(orders), None)]
+    assert kinds == {"one stock", "interleaved", "sheet", "joined"}
+    assert entered  # the last term's second stock needs an entry front
     assert calls == []
