@@ -24,15 +24,8 @@ def default_reference(mode: int) -> tuple[float, ...]:
     return DEFAULT_REF_2D if mode == 2 else DEFAULT_REF_3D
 
 
-def dominates(a: CostVector, b: CostVector) -> bool:
-    """a weakly better everywhere and strictly better somewhere (minimization)."""
-    if a.mode != b.mode:
-        raise ValueError("cost vectors have different objective modes")
-    ao, bo = a.objectives, b.objectives
-    return all(x <= y for x, y in zip(ao, bo)) and any(x < y for x, y in zip(ao, bo))
-
-
 def point_dominates(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
+    """a weakly better everywhere and strictly better somewhere (minimization)."""
     return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
 
 

@@ -106,9 +106,15 @@ class PlanCost:
         return self.f_p_ticks / 64.0
 
     def vector(self, mode: int = 3) -> CostVector:
-        if mode == 2:
-            return CostVector(f_c=self.f_c, f_t=self.f_t_minutes)
-        return CostVector(f_c=self.f_c, f_t=self.f_t_minutes, f_p=self.f_p_inches)
+        return totals_vector(self.f_c, self.f_t_seconds, self.f_p_ticks, mode)
+
+
+def totals_vector(f_c: float, f_t_seconds: float, f_p_ticks: int,
+                  mode: int = 3) -> CostVector:
+    """A plan's totals as a cost vector: minutes, and inches in mode 3 only."""
+    if mode == 2:
+        return CostVector(f_c=f_c, f_t=f_t_seconds / 60.0)
+    return CostVector(f_c=f_c, f_t=f_t_seconds / 60.0, f_p=f_p_ticks / 64.0)
 
 
 def measurement_error(measured_ticks: int) -> int:

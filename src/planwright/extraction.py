@@ -14,7 +14,6 @@ import random
 from dataclasses import asdict, dataclass, field, replace
 
 from .analysis import ClipReport, default_reference, hypervolume, pareto_filter
-from .cost import FabPlan, PlanCost
 from .designspace import DesignSpace, enumerate_variants, sample_design
 from .egraph import AtomicNode, BopEGraph, Term
 from .model import CostVector, Design, StockSpec, Tool, ToolSpec, validate_design
@@ -112,22 +111,20 @@ def evaluate_term(
     tools: dict[Tool, ToolSpec],
     params: IceeParams,
     memo: TermMemo,
-    refine_cache: dict[tuple, list[tuple[FabPlan, PlanCost]]],
+    refine_cache: dict[tuple, list[Solution]],
 ) -> list[Solution]:
     """The term's refined plans as solutions. `refine_cache` (one per
-    extraction) holds each term's plans by its signature, so a term the GA
-    draws again is refined once."""
+    extraction) holds each term's solutions by its signature, built once,
+    so a term the GA draws again is neither refined nor rebuilt."""
     key = term.signature()
-    cached = refine_cache.get(key)
-    if cached is None:
-        cached = refine_term(state.egraph, term, state.cache, tools,
-                             params.objective_mode, memo)
-        refine_cache[key] = cached
-    return [
-        Solution(design=state.design, plan=plan,
-                 cost=cost.vector(params.objective_mode), term=term)
-        for plan, cost in cached
-    ]
+    sols = refine_cache.get(key)
+    if sols is None:
+        sols = refine_cache[key] = [
+            Solution(design=state.design, plan=plan, cost=cost, term=term)
+            for plan, cost in refine_term(state.egraph, term, state.cache, tools,
+                                          params.objective_mode, memo)
+        ]
+    return sols
 
 
 def _enumerate_terms(egraph: BopEGraph, limit: int) -> list[Term] | None:
@@ -213,26 +210,31 @@ def ga_extract(
 
     Small term spaces are enumerated exactly; larger ones run a rank +
     crowding GA with e-node choice crossover and re-sampling mutation.
+    Each evaluated term's solutions go into the result once, in the order
+    of the terms' first evaluations; the archive keeps the first solution
+    of each cost.
     """
     egraph = state.egraph
     if egraph.root is None:
         return [], 0
 
     all_terms = _enumerate_terms(egraph, params.population)
-    collected: list[Solution] = []
-    refine_cache: dict[tuple, list[tuple[FabPlan, PlanCost]]] = {}
+    refine_cache: dict[tuple, list[Solution]] = {}
+
+    def evaluated() -> tuple[list[Solution], int]:
+        sols = [s for term_sols in refine_cache.values() for s in term_sols]
+        return _merge_archive([], sols), len(refine_cache)
+
     if all_terms is not None:
         for term in all_terms:
-            collected.extend(
-                evaluate_term(state, term, tools, params, memo, refine_cache))
-        return _merge_archive([], collected), len(refine_cache)
+            evaluate_term(state, term, tools, params, memo, refine_cache)
+        return evaluated()
 
     population = [egraph.sample_term(rng) for _ in range(params.population)]
 
     def fitness(term: Term) -> tuple[float, ...]:
         # every term has a plan: refinement keeps a best of its candidates
         sols = evaluate_term(state, term, tools, params, memo, refine_cache)
-        collected.extend(sols)
         return min(s.cost.objectives for s in sols)
 
     fitnesses = [fitness(t) for t in population]
@@ -266,7 +268,7 @@ def ga_extract(
         population = offspring
         fitnesses = [fitness(t) for t in population]
 
-    return _merge_archive([], collected), len(refine_cache)
+    return evaluated()
 
 
 # -- outer loop ----------------------------------------------------------------

@@ -108,6 +108,8 @@ def plan_from_json(payload: dict, stock_lib: list[StockSpec]) -> FabPlan:
                 kind=c.get("kind", "manual"),
                 axis=c.get("axis", 0),
                 position=_length(c["position_in"]) if "position_in" in c else 0,
+                anchor=(tuple(_length(v) for v in c["anchor_in"])
+                        if "anchor_in" in c else (0, 0)),
                 parent=c.get("parent"),
                 measured_len=(_length(c["measured_in"])
                               if "measured_in" in c else None),
@@ -167,9 +169,7 @@ def front_rows(solutions) -> list[FrontRow]:
 
 def write_front_csv(rows: list[FrontRow], path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(FRONT_HEADER + "\n")
-        for row in rows:
-            fh.write(row.line() + "\n")
+        fh.write(emit_front_csv(rows))
 
 
 def read_front_csv(path: str) -> list[FrontRow]:

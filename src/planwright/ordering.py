@@ -32,8 +32,10 @@ Those per-cut step costs come from one `StepTable` per stock cut pattern,
 kept in the node memo for the whole run with the pattern's fronts: the
 node search fills it, and every term search and plan cost over a stock
 with that pattern reads it, so a step is simulated once per run. A term's
-plans are costed by replaying their orders through the tables;
-`evaluate_plan` is left to the stacked plans.
+front orders carry the costs their labels sum, and the per-node best
+orders are costed by replaying them through the tables; `evaluate_plan`
+is left to the stacked plans. Refinement hands on only each plan's
+`CostVector` in the run's objective mode.
 
 `candidate_orders`, `_repair_order` and `term_bounds` (with `_lower_bound`
 and `_min_epsilon`) are not used by the search loop; they remain for the
@@ -50,18 +52,16 @@ from dataclasses import dataclass, field
 from .analysis import pareto_filter
 from .cost import (
     Cut,
-    CutTimeBreakdown,
     FabPlan,
-    PlanCost,
     StockInstance,
     evaluate_plan,
     load_seconds,
-    material_cost,
     measurement_error,
     new_sim,
     operation_seconds,
     order_is_feasible,
     resolve_geometry,
+    totals_vector,
 )
 from .egraph import AtomicNode, BopEGraph, Term
 from .model import (
@@ -202,8 +202,8 @@ class NodeMemo:
 OrderCache = dict[str, NodeOrders]
 # a refined plan on a term's own cuts: (index into the term's cuts and
 # stack group, per cut), (index into the term's stocks, per bill entry),
-# its cost
-Recipe = tuple[tuple[tuple[int, str | None], ...], tuple[int, ...], PlanCost]
+# its cost vector in the run's objective mode
+Recipe = tuple[tuple[tuple[int, str | None], ...], tuple[int, ...], CostVector]
 # the term's cut patterns (step tables), in `_term_stocks` order -> recipes
 TermMemo = dict[tuple[StepTable, ...], tuple[Recipe, ...]]
 Label = tuple[tuple[int, ...], float, int]  # (path, f_t seconds, f_p ticks)
@@ -232,13 +232,6 @@ def _repair_order(cuts: list[Cut]) -> list[Cut]:
     if len(out) != len(cuts):
         raise ValueError("cyclic cut dependencies")
     return out
-
-
-def _eval_node_order(inst: StockInstance, order: list[Cut],
-                     tools: dict[Tool, ToolSpec]) -> tuple[int, float]:
-    plan = FabPlan(design_id="node", cuts=tuple(order), stock_bill=(inst,))
-    cost = evaluate_plan(plan, tools)
-    return cost.f_p_ticks, cost.f_t_seconds
 
 
 def candidate_orders(cuts: list[Cut], budget: int, rng: random.Random) -> list[list[Cut]]:
@@ -605,31 +598,28 @@ def _joined(tables: list[StepTable], mode: int) -> list[Label] | None:
     return _lex_front([label for labels in states.values() for label in labels])
 
 
-def _replay(path: list[int], plan: FabPlan, per_cut: CutSteps) -> PlanCost:
-    """`evaluate_plan`'s cost of an unstacked plan whose cuts are `path`
-    into `per_cut`, read off the step tables: the same rows, and the same
-    sums in the same float order."""
-    rows = []
+def _replay(path: list[int], per_cut: CutSteps) -> tuple[float, int]:
+    """`evaluate_plan`'s (f_t seconds, f_p ticks) of an unstacked plan
+    whose cuts are `path` into `per_cut`, read off the step tables: the
+    same sums in the same float order."""
     f_t = 0.0
     f_p = 0
     prev = None
     last_stock = done = 0
-    for cut, i in zip(plan.cuts, path):
+    for i in path:
         table, j, offset, stock, partial, full, load = per_cut[i]
         sig, op_seconds, eps, perr = table.step(j, (done & stock) >> offset)
         setup = partial if partial is not None and prev == sig else full
-        run_load = load if stock != last_stock else 0.0
-        f_t += setup + run_load + op_seconds
+        f_t += setup + (load if stock != last_stock else 0.0) + op_seconds
         f_p += eps + perr
-        rows.append(CutTimeBreakdown(cut.id, setup, run_load, op_seconds, eps, perr))
         prev, last_stock, done = sig, stock, done | 1 << i
-    return PlanCost(rows=rows, f_c=material_cost(plan), f_t_seconds=f_t, f_p_ticks=f_p)
+    return f_t, f_p
 
 
 # -- refinement --------------------------------------------------------------
 
 
-def _recipes(refined: list[tuple[FabPlan, PlanCost]], all_cuts: list[Cut],
+def _recipes(refined: list[tuple[FabPlan, CostVector]], all_cuts: list[Cut],
              stocks: list[tuple[StockInstance, NodeOrders]]) -> tuple[Recipe, ...]:
     cut_at = {c.id: i for i, c in enumerate(all_cuts)}
     stock_at = {inst.key: j for j, (inst, _) in enumerate(stocks)}
@@ -640,19 +630,13 @@ def _recipes(refined: list[tuple[FabPlan, PlanCost]], all_cuts: list[Cut],
 
 def _rebuild(recipe: Recipe, design_id: str, all_cuts: list[Cut],
              stocks: list[tuple[StockInstance, NodeOrders]]
-             ) -> tuple[FabPlan, PlanCost]:
-    """A recipe's plan on this term's cuts, its cost rows re-labelled with
-    their ids (a cost row and the plan cut at its place share an id)."""
+             ) -> tuple[FabPlan, CostVector]:
+    """A recipe's plan on this term's cuts and stocks, with its cost."""
     cut_refs, bill_refs, cost = recipe
     cuts = tuple(all_cuts[i] if group is None else stack_member(all_cuts[i], group)
                  for i, group in cut_refs)
-    rows = [CutTimeBreakdown(c.id, r.setup, r.load, r.op, r.eps_ticks,
-                             r.op_error_ticks, r.merged)
-            for c, r in zip(cuts, cost.rows)]
-    plan = FabPlan(design_id=design_id, cuts=cuts,
-                   stock_bill=tuple(stocks[j][0] for j in bill_refs))
-    return plan, PlanCost(rows=rows, f_c=cost.f_c, f_t_seconds=cost.f_t_seconds,
-                          f_p_ticks=cost.f_p_ticks)
+    return FabPlan(design_id=design_id, cuts=cuts,
+                   stock_bill=tuple(stocks[j][0] for j in bill_refs)), cost
 
 
 def refine_term(
@@ -662,8 +646,9 @@ def refine_term(
     tools: dict[Tool, ToolSpec],
     mode: int,
     memo: TermMemo | None = None,
-) -> list[tuple[FabPlan, PlanCost]]:
-    """The non-dominated ordered plans of a term, found by `_refined`.
+) -> list[tuple[FabPlan, CostVector]]:
+    """The non-dominated ordered plans of a term, found by `_refined`, each
+    with its cost vector in objective mode `mode`.
 
     The plans depend only on the term's cut patterns (the step tables of
     its node orders, in stock order), given the tools and the mode. So
@@ -687,14 +672,18 @@ def refine_term(
 
 def _refined(design_id: str, stocks: list[tuple[StockInstance, NodeOrders]],
              all_cuts: list[Cut], tools: dict[Tool, ToolSpec],
-             mode: int) -> list[tuple[FabPlan, PlanCost]]:
+             mode: int) -> list[tuple[FabPlan, CostVector]]:
     """`refine_term`'s search: its candidates, costed and filtered.
 
     The candidates are the upper-bound orders (the per-node best orders,
     plain and stacked), then the term's exact order front, then the stacked
-    per-stock canonical orders. Unstacked candidates are costed by
-    replaying them through the stocks' step tables (`_replay`), stacked
-    ones by `evaluate_plan`. The front holds, for every non-dominated cost,
+    per-stock canonical orders, each costed once as a `CostVector` in mode
+    `mode`. A front order takes its label's (f_t seconds, f_p ticks), which
+    both searches sum in `evaluate_plan`'s float order (a mode-2 label's
+    f_p is 0; its vector has none), and the term's f_c; the plain per-node
+    best orders are replayed through the stocks' step tables (`_replay`),
+    and stacked plans go through `evaluate_plan`. The front holds, for
+    every non-dominated cost,
     the lexicographically first feasible order of all the term's cuts,
     which is what scoring every such order would keep: up to
     EXHAUSTIVE_TERM_CUTS cuts every interleaving of its stocks, above that
@@ -703,33 +692,35 @@ def _refined(design_id: str, stocks: list[tuple[StockInstance, NodeOrders]],
     with exact step times, `_pareto_orders` for the others.
     """
     bill = tuple(inst for inst, _ in stocks)
+    f_c = sum(inst.spec.effective_price() for inst in bill)  # as `material_cost` sums
     tables = [orders.steps for _, orders in stocks]
     per_cut = _cut_steps(tables)
     at = {c.id: i for i, c in enumerate(all_cuts)}
-    evaluated: list[tuple[FabPlan, PlanCost]] = []
+    evaluated: list[tuple[FabPlan, CostVector]] = []
 
-    def consider(path: list[int]) -> None:
+    def consider(path: list[int], seconds: float, ticks: int) -> None:
         plan = FabPlan(design_id=design_id, cuts=tuple(all_cuts[i] for i in path),
                        stock_bill=bill)
-        evaluated.append((plan, _replay(path, plan, per_cut)))
+        evaluated.append((plan, totals_vector(f_c, seconds, ticks, mode)))
 
     def consider_stacked(per_stock: list[tuple[StockInstance, list[Cut]]]) -> None:
         plan = stacked_variant(design_id, per_stock, tools)
         if plan is not None:
-            evaluated.append((plan, evaluate_plan(plan, tools)))
+            evaluated.append((plan, evaluate_plan(plan, tools).vector(mode)))
 
     for per_stock in (
         [(inst, list(orders.best_precision)) for inst, orders in stocks],
         [(inst, list(orders.best_time)) for inst, orders in stocks],
     ):
-        consider([at[c.id] for _, order in per_stock for c in order])
+        path = [at[c.id] for _, order in per_stock for c in order]
+        consider(path, *_replay(path, per_cut))
         consider_stacked(per_stock)
     labels = _joined(tables, mode)
     if labels is None:
         fronts = _pareto_orders(tables, mode).values()
         labels = _lex_front([label for labels in fronts for label in labels])
-    for path, _, _ in labels:
-        consider(path)
+    for label in labels:
+        consider(*label)
     # stacked counterparts of each per-stock canonical order
     consider_stacked([(inst, list(orders.cuts)) for inst, orders in stocks])
-    return pareto_filter(evaluated, key=lambda pc: pc[1].vector(mode).objectives)
+    return pareto_filter(evaluated, key=lambda pc: pc[1].objectives)

@@ -210,8 +210,7 @@ def test_04_bounds_soundness_and_refinement():
         refined = refine_term(g, term, cache, TOOLS, mode=3)
         assert refined
         for _, cost in refined:
-            point = (round(cost.f_p_ticks / 64.0, 12),
-                     round(cost.f_t_seconds / 60.0, 12))
+            point = (round(cost.f_p, 12), round(cost.f_t, 12))
             assert point in front, point
     ok(4, "500 random terms: bounds sound, refinement on the order-Pareto set")
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from planwright.analysis import (
     ClipReport,
-    dominates,
     hypervolume,
     hypervolume_inclusion_exclusion,
     improvement_table,
@@ -23,12 +22,10 @@ def cv(f_c, f_t):
 
 
 def test_dominates_trivials():
-    assert dominates(cv(1, 1), cv(2, 2))
-    assert dominates(cv(1, 2), cv(1, 3))
-    assert not dominates(cv(1, 1), cv(1, 1))
-    assert not dominates(cv(1, 3), cv(2, 2))
-    with pytest.raises(ValueError):
-        dominates(cv(1, 1), CostVector(f_c=1, f_t=1, f_p=1))
+    assert point_dominates((1, 1), (2, 2))
+    assert point_dominates((1, 2), (1, 3))
+    assert not point_dominates((1, 1), (1, 1))
+    assert not point_dominates((1, 3), (2, 2))
 
 
 def oracle_pareto(points):

@@ -2,8 +2,10 @@
 
 A change meant to make the search faster without changing what it finds
 must leave these fronts as they are: every member's design id, cut order
-and exact cost tuple. If a change moves them on purpose, say why and take
-the new digest from the changed code.
+and exact cost tuple, and each iteration's counters from the run's report
+(distinct terms refined so far, term cut patterns searched, front size).
+If a change moves them on purpose, say why and take the new digest from
+the changed code.
 """
 
 import importlib.util
@@ -88,6 +90,18 @@ DIGEST = {
     ],
 }
 
+# per iteration: (terms_refined, term_patterns, front_size)
+COUNTERS = {
+    "frame": [(74, 3, 3), (148, 12, 3), (222, 12, 3), (296, 25, 3), (370, 34, 3),
+        (444, 34, 3), (518, 58, 3), (592, 58, 3), (666, 58, 3), (740, 59, 3)],
+    "sheet-box": [(64, 13, 1), (132, 35, 1), (200, 37, 1), (264, 45, 2), (332, 46, 2)],
+    "tiny-table": [(152, 26, 2), (351, 90, 2), (546, 136, 2), (756, 212, 2)],
+    "metal-mix": [(2, 1, 1), (4, 2, 1), (6, 2, 1), (8, 2, 1)],
+    "ring-8": [(204, 148, 2)],
+    "ring-12": [(187, 185, 1)],
+    "ring-12-3it": [(187, 185, 1), (460, 403, 1), (737, 615, 1)],
+}
+
 
 def ring_design(seed, n_parts):
     spec = importlib.util.spec_from_file_location("perfbench_synth", SYNTH)
@@ -97,15 +111,19 @@ def ring_design(seed, n_parts):
 
 
 def digest(space, stocks, params):
-    front, _ = icee_run(space, stocks, default_tools(), params)
-    return [(s.design.id, tuple(c.id for c in s.plan.cuts), s.cost.objectives)
-            for s in front]
+    """The run's front digest and per-iteration counters."""
+    front, report = icee_run(space, stocks, default_tools(), params)
+    return ([(s.design.id, tuple(c.id for c in s.plan.cuts), s.cost.objectives)
+             for s in front],
+            [(it["terms_refined"], it["term_patterns"], it["front_size"])
+             for it in report["iterations"]])
 
 
 @pytest.mark.parametrize("corpus", sorted(CASES))
 def test_front_matches_digest(corpus):
     params, stocks = CASES[corpus]
-    assert digest(load_design_space(corpus_path(corpus)), stocks, params) == DIGEST[corpus]
+    assert digest(load_design_space(corpus_path(corpus)), stocks, params) == \
+        (DIGEST[corpus], COUNTERS[corpus])
 
 
 @pytest.mark.parametrize("ring", sorted(RINGS))
@@ -113,4 +131,4 @@ def test_ring_front_matches_digest(ring):
     n_parts, iterations = RINGS[ring]
     space = design_space_from_json(ring_design(0, n_parts))
     params = IceeParams(seed=0, iterations=iterations)
-    assert digest(space, default_stocks(), params) == DIGEST[ring]
+    assert digest(space, default_stocks(), params) == (DIGEST[ring], COUNTERS[ring])

@@ -1,15 +1,22 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no function goes unused.
 
-No linter is configured for this project, so this scan stands in for one:
+No linter is configured for this project, so these scans stand in for one:
 every name an `import` binds must appear as an `ast.Name` somewhere in the
-same module. `planwright/__init__.py` is skipped because its imports are
-re-exports.
+same module (`planwright/__init__.py` is skipped because its imports are
+re-exports), and every function defined in `src/planwright` must be
+referenced there, as a name, an attribute or an `__all__` entry. The
+functions only the benchmark's tracer patches, and two that only the tests
+call as cross-checks, are exempt.
 """
 
 import ast
 from pathlib import Path
 
+from test_bench_contract import load_tracing
+
 ROOT = Path(__file__).resolve().parent.parent
+# oracles the tests check the program against
+TEST_REFERENCES = {"hypervolume_inclusion_exclusion", "check_acyclic"}
 
 
 def _modules() -> list[Path]:
@@ -45,3 +52,38 @@ def test_no_unused_imports():
     found = {str(p.relative_to(ROOT)): unused_imports(p.read_text())
              for p in _modules()}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def unreferenced_functions(sources: list[str]) -> list[str]:
+    """Functions defined in `sources`, dunder methods aside, that none of
+    them references."""
+    defined: list[str] = []
+    used: set[str] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(e.value for e in node.value.elts)
+    return sorted({name for name in defined
+                   if name not in used and not name.startswith("__")})
+
+
+def test_unreferenced_functions_detected():
+    sources = ["def a(): pass\ndef b(): pass\nclass C:\n"
+               "    def __init__(self): pass\n    def m(self): pass\n    def n(self): pass\n",
+               "__all__ = ['d']\ndef d(): pass\nprint(b, C().m)\n"]
+    assert unreferenced_functions(sources) == ["a", "n"]
+
+
+def test_no_unreferenced_functions():
+    tracing = load_tracing()
+    patched = {attr for _, attr, _, _, _ in tracing._patch_table(tracing.Tracer())}
+    sources = [p.read_text() for p in sorted((ROOT / "src" / "planwright").glob("*.py"))]
+    found = set(unreferenced_functions(sources)) - patched - TEST_REFERENCES
+    assert found == set()

@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
 from planwright import corpus_path
+from planwright.cost import StockInstance, evaluate_plan
 from planwright.designspace import DesignInputError
 from planwright.io import (
     FRONT_HEADER,
@@ -16,7 +18,9 @@ from planwright.io import (
     read_front_csv,
     write_front_csv,
 )
-from planwright.libraries import default_stocks
+from planwright.libraries import default_stocks, default_tools
+from planwright.model import TICKS_PER_INCH, Part, Tool, ticks
+from planwright.plans import assemble_plan, cuts_for_instance
 
 
 def run_cli(*argv, env_extra=None, cwd=None):
@@ -204,3 +208,33 @@ def test_load_plan_round_trip(tmp_path):
     assert plan.design_id == "d"
     assert len(plan.cuts) == 1
     assert plan.cuts[0].position == 30 * 64
+
+
+def test_plan_file_keeps_sheet_cut_anchors():
+    # two shelves on one sheet: each cut splits the piece its anchor lies
+    # in, and the upper shelf's cuts lie outside the piece at (0, 0)
+    spec = next(s for s in default_stocks() if s.id == "sheet-1/2-24x20")
+    tools = default_tools()
+    kerf = tools[Tool.TRACKSAW].kerf
+    parts = {pid: Part(id=pid, family=spec.family, shape=(ticks(w), ticks(h)))
+             for pid, w, h in [("a", 10, 5), ("b", 8, 5), ("c", 12, 6)]}
+    placements = [("a", (0, 0)), ("b", (ticks(10) + kerf, 0)),
+                  ("c", (0, ticks(5) + kerf))]
+    inst = StockInstance(key="s#0", spec=spec)
+    plan = assemble_plan("d", [(inst, cuts_for_instance(inst, placements, parts))])
+    assert any(c.anchor != (0, 0) for c in plan.cuts)
+
+    def length(t):
+        return str(Fraction(t, TICKS_PER_INCH))
+
+    payload = {
+        "design_id": "d",
+        "stock_bill": [{"key": inst.key, "stock_id": spec.id}],
+        "cuts": [{"id": c.id, "tool": c.tool.value, "stock_key": c.stock_key,
+                  "kind": c.kind, "axis": c.axis, "position_in": length(c.position),
+                  "anchor_in": [length(x) for x in c.anchor], "parent": c.parent,
+                  "op_length_in": length(c.op_length)} for c in plan.cuts],
+    }
+    loaded = plan_from_json(payload, default_stocks())
+    assert evaluate_plan(loaded, tools) == evaluate_plan(plan, tools)
+    assert loaded == plan
