@@ -5,6 +5,12 @@ precision are order-dependent: setup sharing needs consecutive cuts with
 identical parameters, load/unload is paid per contiguous run on a stock,
 and the measured length of a cut depends on which reference edges of its
 piece survive earlier cuts.
+
+Step times (setup, load and operation seconds) are floats, but a plan's
+f_t sums them exactly, as whole numbers of 1/TIME_QUANTA s (`quanta`), so
+that the total does not depend on the order the steps are added in. It
+becomes float seconds, `q / TIME_QUANTA` (one correctly rounded division),
+only where a `PlanCost` or a cost vector is built.
 """
 
 from __future__ import annotations
@@ -23,6 +29,16 @@ from .model import (
     Tool,
     ToolSpec,
 )
+
+
+# f_t is summed in whole units of 2^-64 s: a float of at least 2^-12 s is
+# such a whole number, so every step time converts exactly
+TIME_QUANTA = 2**64
+
+
+def quanta(seconds: float) -> int:
+    """`seconds` as a whole number of 1/TIME_QUANTA s."""
+    return round(seconds * TIME_QUANTA)
 
 
 class PlanError(ValueError):
@@ -262,7 +278,7 @@ def evaluate_plan(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> PlanCost:
     sims = {inst.key: new_sim(inst.spec) for inst in plan.stock_bill}
 
     rows: list[CutTimeBreakdown] = []
-    f_t = 0.0
+    f_t = 0  # quanta
     f_p = 0
     prev_signature: Optional[tuple] = None
     current_run: Optional[tuple[str, ...]] = None
@@ -299,13 +315,14 @@ def evaluate_plan(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> PlanCost:
         eps = measurement_error(measured)
         perr = tool.op_error_for(spec.material)
         f_p += eps + perr
-        f_t += setup + load + op_seconds
+        f_t += quanta(setup) + quanta(load) + quanta(op_seconds)
 
         rows.append(CutTimeBreakdown(lead.id, setup, load, op_seconds, eps, perr))
         for c in op[1:]:
             rows.append(CutTimeBreakdown(c.id, 0.0, 0.0, 0.0, 0, 0, merged=True))
 
-    return PlanCost(rows=rows, f_c=material_cost(plan), f_t_seconds=f_t, f_p_ticks=f_p)
+    return PlanCost(rows=rows, f_c=material_cost(plan), f_t_seconds=f_t / TIME_QUANTA,
+                    f_p_ticks=f_p)
 
 
 def new_sim(spec: StockSpec) -> _Sim:

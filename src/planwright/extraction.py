@@ -14,6 +14,7 @@ import random
 from dataclasses import asdict, dataclass, field, replace
 
 from .analysis import ClipReport, default_reference, hypervolume, pareto_filter
+from .cost import FabPlan
 from .designspace import DesignSpace, enumerate_variants, sample_design
 from .egraph import AtomicNode, BopEGraph, Term
 from .model import CostVector, Design, StockSpec, Tool, ToolSpec, validate_design

@@ -201,12 +201,6 @@ class Design:
     parts: tuple[Part, ...]
     provenance: dict[str, str] = field(default_factory=dict)  # joint id -> variant id
 
-    def part(self, part_id: str) -> Part:
-        for p in self.parts:
-            if p.id == part_id:
-                return p
-        raise KeyError(part_id)
-
 
 @dataclass(frozen=True, slots=True)
 class CostVector:
@@ -225,10 +219,6 @@ class CostVector:
         if self.f_p is None:
             return (self.f_c, self.f_t)
         return (self.f_c, self.f_p, self.f_t)
-
-    @property
-    def mode(self) -> int:
-        return 2 if self.f_p is None else 3
 
 
 @dataclass(frozen=True)

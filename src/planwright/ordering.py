@@ -21,12 +21,12 @@ are fixed by that set; setup sharing depends only on the previous cut's
 changed. Nodes of more than 8 cuts may exceed MAX_LAYER_STATES states per
 cut count; the search then keeps the most promising ones.
 
-A term with one cut stock reads that stock's front. A larger term joins
-its stocks' fronts, kept per last setup signature, in a second search over
-stocks whose state is the last cut's setup signature (`_joined`), when its
-step times are whole multiples of 1/64 s, so that float sums do not depend
-on their order; other large terms (the 4.5 in/s tracksaw's times are no
-such multiples) run the cut search under the one-run-per-stock constraint.
+A term with one cut stock reads that stock's front. A term above
+EXHAUSTIVE_TERM_CUTS cuts joins its stocks' fronts, kept per last setup
+signature, in a second search over stocks whose state is the last cut's
+setup signature (`_joined`). Times are summed in whole quanta
+(`cost.quanta`), so a sum does not depend on the order of its steps, and
+the join finds the orders that scoring every one-run order would keep.
 
 Those per-cut step costs come from one `StepTable` per stock cut pattern,
 kept in the node memo for the whole run with the pattern's fronts: the
@@ -54,12 +54,14 @@ from .cost import (
     Cut,
     FabPlan,
     StockInstance,
+    TIME_QUANTA,
     evaluate_plan,
     load_seconds,
     measurement_error,
     new_sim,
     operation_seconds,
     order_is_feasible,
+    quanta,
     resolve_geometry,
     totals_vector,
 )
@@ -83,9 +85,9 @@ EXHAUSTIVE_TERM_CUTS = 6  # terms up to this many cuts may interleave stocks
 MAX_LAYER_STATES = 300
 
 
-# (setup signature (tool, axis, measured length), op seconds, eps ticks,
-# op-error ticks) of one cut made after a set of cuts on its stock
-Step = tuple[tuple, float, int, int]
+# (setup signature (tool, axis, measured length), op time in quanta, eps
+# ticks, op-error ticks) of one cut made after a set of cuts on its stock
+Step = tuple[tuple, int, int, int]
 
 
 class StepTable:
@@ -99,15 +101,13 @@ class StepTable:
     run). Piece simulators live only as long as one search (`sims` of
     `step`). `fronts` maps an entry signature to the pattern's mode-3 order
     front after a cut with it, per last setup signature (`front`); entry
-    None is the node search. `exact` says whether every step time the
-    fronts read is a whole number of 1/64 s. `best_precision` and
-    `best_time` are the node search's (index path, (f_p ticks, f_t
-    seconds)) of the best-f_p and best-f_t orders. A run's node memo holds
-    one table per pattern, so a table stands for its pattern and compares
-    by identity.
+    None is the node search. `best_precision` and `best_time` are the node
+    search's (index path, (f_p ticks, f_t seconds)) of the best-f_p and
+    best-f_t orders. A run's node memo holds one table per pattern, so a
+    table stands for its pattern and compares by identity.
     """
 
-    __slots__ = ("spec", "cuts", "tools", "k", "steps", "pool", "fronts", "exact",
+    __slots__ = ("spec", "cuts", "tools", "k", "steps", "pool", "fronts",
                  "best_precision", "best_time")
 
     def __init__(self, spec: StockSpec, cuts: list[Cut],
@@ -119,7 +119,6 @@ class StepTable:
         self.steps: dict[int, Step] = {}
         self.pool = pool
         self.fronts: dict[tuple | None, dict[tuple | None, list[Label]]] = {}
-        self.exact = True
         self.best_precision = self.best_time = None  # set by the node search
 
     def front(self, entry: tuple | None = None) -> dict[tuple | None, list[Label]]:
@@ -127,12 +126,6 @@ class StepTable:
         front = self.fronts.get(entry)
         if front is None:
             front = self.fronts[entry] = _pareto_orders([self], 3, entry)
-            times = [load_seconds([self.spec])]
-            for c in self.cuts:
-                tool = self.tools[c.tool]
-                times += (tool.setup_full(self.spec.is_sheet), tool.setup_partial or 0.0)
-            times += (op_seconds for _, op_seconds, _, _ in self.steps.values())
-            self.exact = all(t * 64 % 1 == 0 for t in times)
         return front
 
     def step(self, i: int, done: int, sims: dict | None = None) -> Step:
@@ -159,7 +152,7 @@ class StepTable:
         cut = self.cuts[i]
         tool = self.tools[cut.tool]
         step = ((cut.tool, cut.axis, measured),
-                operation_seconds(cut, tool, self.spec, op_len),
+                quanta(operation_seconds(cut, tool, self.spec, op_len)),
                 measurement_error(measured), tool.op_error_for(self.spec.material))
         step = self.steps[key] = self.pool.setdefault(step, step)
         return step
@@ -206,7 +199,7 @@ OrderCache = dict[str, NodeOrders]
 Recipe = tuple[tuple[tuple[int, str | None], ...], tuple[int, ...], CostVector]
 # the term's cut patterns (step tables), in `_term_stocks` order -> recipes
 TermMemo = dict[tuple[StepTable, ...], tuple[Recipe, ...]]
-Label = tuple[tuple[int, ...], float, int]  # (path, f_t seconds, f_p ticks)
+Label = tuple[tuple[int, ...], int, int]  # (path, f_t quanta, f_p ticks)
 
 
 def _node_instance(node: AtomicNode) -> StockInstance:
@@ -290,7 +283,7 @@ def optimize_enode(
         p = min(labels, key=lambda label: (label[2], label[1], label[0]))
         t = min(labels, key=lambda label: (label[1], label[2], label[0]))
         table.best_precision, table.best_time = (
-            (path, (ticks, seconds)) for path, seconds, ticks in (p, t))
+            (path, (ticks, q / TIME_QUANTA)) for path, q, ticks in (p, t))
         memo.patterns[key] = table
     (path_p, cost_p), (path_t, cost_t) = table.best_precision, table.best_time
     return NodeOrders(
@@ -433,8 +426,8 @@ def _cap_layer(layer: dict[tuple[int, int], list[Label]]
 
 # per cut of a search: (its table, index in the table, offset of its
 # stock's cuts, mask of its stock's cuts, partial setup or None, full
-# setup, load of a run starting on it)
-CutSteps = list[tuple[StepTable, int, int, int, float | None, float, float]]
+# setup, load of a run starting on it), times in quanta
+CutSteps = list[tuple[StepTable, int, int, int, int | None, int, int]]
 
 
 def _cut_steps(tables: list[StepTable]) -> CutSteps:
@@ -443,28 +436,26 @@ def _cut_steps(tables: list[StepTable]) -> CutSteps:
     offset = 0
     for table in tables:
         mask = ((1 << table.k) - 1) << offset
-        load = load_seconds([table.spec])
+        load = quanta(load_seconds([table.spec]))
         for j, c in enumerate(table.cuts):
             tool = table.tools[c.tool]
-            out.append((table, j, offset, mask, tool.setup_partial,
-                        tool.setup_full(table.spec.is_sheet), load))
+            partial = None if tool.setup_partial is None else quanta(tool.setup_partial)
+            out.append((table, j, offset, mask, partial,
+                        quanta(tool.setup_full(table.spec.is_sheet)), load))
         offset += table.k
     return out
 
 
 def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = None
                    ) -> dict[tuple | None, list[Label]]:
-    """Labels (path, f_t seconds, f_p ticks) of feasible orders of the
+    """Labels (path, f_t quanta, f_p ticks) of feasible orders of the
     stocks' cuts, a path being the order's indices into the concatenated
     cuts of `tables` (the stocks in bill order), that hold, for every
     non-dominated order cost, the lexicographically first order with it,
     and its exact `evaluate_plan` cost (f_p held at 0 in mode 2), as if the
     orders followed a cut of setup signature `entry` (None: a full setup
     first). The labels are grouped by the setup signature of their last cut,
-    and each group is a `_lex_front`, in path order. Above
-    EXHAUSTIVE_TERM_CUTS cuts, a feasible order also cuts each stock in one
-    run, stocks in bill order: every cut needs the cuts of the stocks
-    before its own.
+    and each group is a `_lex_front`, in path order.
 
     Precondition: each stock's cuts are contiguous and in the canonical
     order of its table's pattern, so cut i of a stock whose cuts start at
@@ -478,15 +469,12 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
     measured length and operation length depend only on the set of cuts
     already made on its stock, setup sharing only on the last cut's
     signature, and loading only on the last cut's stock. A label's f_t and
-    f_p are summed step by step in the same float order as `evaluate_plan`.
-    A label is dropped only for a kept label at the same state with a
-    smaller path and a weakly dominating value: the same suffix then
-    completes that path to a smaller order whose cost is no worse (float
-    sums are monotone), so no lexicographically first order of a
-    non-dominated cost is ever dropped, even where rounding turns strict
-    dominance into a tie. This holds under the run constraint too, since
-    which suffixes are feasible still depends only on the done mask. So
-    each group holds exactly the orders that no smaller order ending on its
+    f_p are exact integer sums of its steps, as `evaluate_plan`'s are. A
+    label is dropped only for a kept label at the same state with a smaller
+    path and a weakly dominating value: the same suffix then completes that
+    path to a smaller order whose cost is no worse, so no lexicographically
+    first order of a non-dominated cost is ever dropped. So each group
+    holds exactly the orders that no smaller order ending on its
     signature weakly dominates, and the `_lex_front` of all groups is the
     front.
 
@@ -504,12 +492,10 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
         need.extend(0 if c.parent is None else 1 << index.get(c.parent, n)
                     for c in table.cuts)
         start += table.k
-    if n > EXHAUSTIVE_TERM_CUTS:
-        need = [m | (1 << start) - 1 for m, (_, _, start, *_) in zip(need, per_cut)]
     sims: dict[StepTable, dict] = {table: {} for table in tables}
 
     signature: dict[tuple[int, int], tuple | None] = {(0, -1): entry}
-    layer: dict[tuple[int, int], list] = {(0, -1): [((), 0.0, 0)]}
+    layer: dict[tuple[int, int], list] = {(0, -1): [((), 0, 0)]}
     for _ in range(n):
         grown: dict[tuple[int, int], list] = {}
         for (mask, last), labels in layer.items():
@@ -523,9 +509,9 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
                 step = table.steps.get(done * table.k + j)
                 if step is None:
                     step = table.step(j, done, sims[table])
-                sig, op_seconds, eps, perr = step
+                sig, op_time, eps, perr = step
                 setup = partial if partial is not None and prev == sig else full
-                step_t = setup + (load if stock != last_stock else 0.0) + op_seconds
+                step_t = setup + (load if stock != last_stock else 0) + op_time
                 # mode 2 has no f_p objective: a constant 0 never separates labels
                 ticks = 0 if mode == 2 else eps + perr
                 state = (mask | 1 << i, i)
@@ -548,8 +534,7 @@ def _joined(tables: list[StepTable], mode: int) -> list[Label] | None:
     Those are all the feasible orders when at most one stock has cuts, and
     the ones the term's front spans above EXHAUSTIVE_TERM_CUTS cuts. None
     for a term of two or more cut stocks with fewer cuts (its orders may
-    interleave stocks) or with a step time that is not a whole number of
-    1/64 s.
+    interleave stocks).
 
     Label-setting over the stocks (Martins 1984), as `_pareto_orders` does
     over cuts. The state is the last cut's setup signature, all that the
@@ -562,23 +547,17 @@ def _joined(tables: list[StepTable], mode: int) -> list[Label] | None:
     costs after a full setup, so the entry-None front (the node search)
     serves. In mode 2 the labels' f_p is held at 0.
 
-    A stock's labels sum its steps from 0, so the join adds its sum to the
-    running one, where the cut search adds step by step. With step times
-    that are whole multiples of 1/64 s every such sum is exact, so the two
-    agree, and a stock order is dropped from its front only for a smaller
-    one no worse after any prefix: the join keeps what the cut search keeps.
-    With other step times (the 4.5 in/s tracksaw) the float sums depend on
-    their order and 1-ulp ties fall otherwise, so `_refined` runs the cut
-    search. One stock with cuts needs no such care: its sums start at 0.
-    `exact` covers the steps the node searches read, which are all that an
-    entry front reads unless its stock has more than 8 cuts; such a stock's
-    fronts are capped, so the join is then a heuristic as the cut search is.
+    A stock's labels sum its steps from 0, and the join adds that sum to
+    the running one: integer sums do not depend on their order, so a stock
+    order is dropped from its front only for a smaller one no worse after
+    any prefix, and the join keeps what scoring every one-run order would
+    keep. A stock of more than 8 cuts has capped fronts, so the join is then
+    a heuristic.
     """
     cut = [table for table in tables if table.k]
-    if len(cut) > 1 and (sum(table.k for table in cut) <= EXHAUSTIVE_TERM_CUTS
-                         or not all(table.exact for table in cut)):
+    if len(cut) > 1 and sum(table.k for table in cut) <= EXHAUSTIVE_TERM_CUTS:
         return None
-    states: dict[tuple | None, list[Label]] = {None: [((), 0.0, 0)]}
+    states: dict[tuple | None, list[Label]] = {None: [((), 0, 0)]}
     offset = 0
     for table in cut:
         tools = table.tools
@@ -598,34 +577,23 @@ def _joined(tables: list[StepTable], mode: int) -> list[Label] | None:
     return _lex_front([label for labels in states.values() for label in labels])
 
 
-def _replay(path: list[int], per_cut: CutSteps) -> tuple[float, int]:
-    """`evaluate_plan`'s (f_t seconds, f_p ticks) of an unstacked plan
-    whose cuts are `path` into `per_cut`, read off the step tables: the
-    same sums in the same float order."""
-    f_t = 0.0
-    f_p = 0
+def _replay(path: list[int], per_cut: CutSteps) -> tuple[int, int]:
+    """`evaluate_plan`'s (f_t quanta, f_p ticks) of an unstacked plan whose
+    cuts are `path` into `per_cut`, read off the step tables."""
+    f_t = f_p = 0
     prev = None
     last_stock = done = 0
     for i in path:
         table, j, offset, stock, partial, full, load = per_cut[i]
-        sig, op_seconds, eps, perr = table.step(j, (done & stock) >> offset)
+        sig, op_time, eps, perr = table.step(j, (done & stock) >> offset)
         setup = partial if partial is not None and prev == sig else full
-        f_t += setup + (load if stock != last_stock else 0.0) + op_seconds
+        f_t += setup + (load if stock != last_stock else 0) + op_time
         f_p += eps + perr
         prev, last_stock, done = sig, stock, done | 1 << i
     return f_t, f_p
 
 
 # -- refinement --------------------------------------------------------------
-
-
-def _recipes(refined: list[tuple[FabPlan, CostVector]], all_cuts: list[Cut],
-             stocks: list[tuple[StockInstance, NodeOrders]]) -> tuple[Recipe, ...]:
-    cut_at = {c.id: i for i, c in enumerate(all_cuts)}
-    stock_at = {inst.key: j for j, (inst, _) in enumerate(stocks)}
-    return tuple((tuple((cut_at[c.id], c.stack_group) for c in plan.cuts),
-                  tuple(stock_at[inst.key] for inst in plan.stock_bill), cost)
-                 for plan, cost in refined)
 
 
 def _rebuild(recipe: Recipe, design_id: str, all_cuts: list[Cut],
@@ -665,48 +633,50 @@ def refine_term(
         memo = {}
     recipes = memo.get(tables)
     if recipes is None:
-        recipes = memo[tables] = _recipes(
-            _refined(egraph.design_id, stocks, all_cuts, tools, mode), all_cuts, stocks)
+        recipes = memo[tables] = _refined(egraph.design_id, stocks, all_cuts, tools, mode)
     return [_rebuild(r, egraph.design_id, all_cuts, stocks) for r in recipes]
 
 
 def _refined(design_id: str, stocks: list[tuple[StockInstance, NodeOrders]],
              all_cuts: list[Cut], tools: dict[Tool, ToolSpec],
-             mode: int) -> list[tuple[FabPlan, CostVector]]:
-    """`refine_term`'s search: its candidates, costed and filtered.
+             mode: int) -> tuple[Recipe, ...]:
+    """`refine_term`'s search: its candidates as recipes, costed and
+    filtered, so that only the kept ones become plans.
 
     The candidates are the upper-bound orders (the per-node best orders,
     plain and stacked), then the term's exact order front, then the stacked
     per-stock canonical orders, each costed once as a `CostVector` in mode
-    `mode`. A front order takes its label's (f_t seconds, f_p ticks), which
-    both searches sum in `evaluate_plan`'s float order (a mode-2 label's
-    f_p is 0; its vector has none), and the term's f_c; the plain per-node
-    best orders are replayed through the stocks' step tables (`_replay`),
-    and stacked plans go through `evaluate_plan`. The front holds, for
-    every non-dominated cost,
-    the lexicographically first feasible order of all the term's cuts,
-    which is what scoring every such order would keep: up to
-    EXHAUSTIVE_TERM_CUTS cuts every interleaving of its stocks, above that
-    every order that cuts each stock in one run, stocks in bill order.
-    `_joined` finds it for a term with one cut stock and for a large term
-    with exact step times, `_pareto_orders` for the others.
+    `mode`. A front order takes its label's (f_t quanta, f_p ticks), which
+    sum its steps exactly as `evaluate_plan` does (a mode-2 label's f_p is
+    0; its vector has none), and the term's f_c; the plain per-node best
+    orders are replayed through the stocks' step tables (`_replay`), and
+    stacked plans go through `evaluate_plan`. The front holds, for every
+    non-dominated cost, the lexicographically first feasible order of all
+    the term's cuts, which is what scoring every such order would keep: up
+    to EXHAUSTIVE_TERM_CUTS cuts every interleaving of its stocks, above
+    that every order that cuts each stock in one run, stocks in bill order.
+    `_joined` finds it for a term with one cut stock and for every term
+    above EXHAUSTIVE_TERM_CUTS cuts, `_pareto_orders` for the others.
     """
     bill = tuple(inst for inst, _ in stocks)
     f_c = sum(inst.spec.effective_price() for inst in bill)  # as `material_cost` sums
     tables = [orders.steps for _, orders in stocks]
     per_cut = _cut_steps(tables)
     at = {c.id: i for i, c in enumerate(all_cuts)}
-    evaluated: list[tuple[FabPlan, CostVector]] = []
+    stock_at = {inst.key: j for j, inst in enumerate(bill)}
+    plain_bill = tuple(range(len(bill)))
+    candidates: list[Recipe] = []
 
-    def consider(path: list[int], seconds: float, ticks: int) -> None:
-        plan = FabPlan(design_id=design_id, cuts=tuple(all_cuts[i] for i in path),
-                       stock_bill=bill)
-        evaluated.append((plan, totals_vector(f_c, seconds, ticks, mode)))
+    def consider(path: list[int], q: int, ticks: int) -> None:
+        candidates.append((tuple((i, None) for i in path), plain_bill,
+                           totals_vector(f_c, q / TIME_QUANTA, ticks, mode)))
 
     def consider_stacked(per_stock: list[tuple[StockInstance, list[Cut]]]) -> None:
         plan = stacked_variant(design_id, per_stock, tools)
         if plan is not None:
-            evaluated.append((plan, evaluate_plan(plan, tools).vector(mode)))
+            candidates.append((tuple((at[c.id], c.stack_group) for c in plan.cuts),
+                               tuple(stock_at[inst.key] for inst in plan.stock_bill),
+                               evaluate_plan(plan, tools).vector(mode)))
 
     for per_stock in (
         [(inst, list(orders.best_precision)) for inst, orders in stocks],
@@ -723,4 +693,4 @@ def _refined(design_id: str, stocks: list[tuple[StockInstance, NodeOrders]],
         consider(*label)
     # stacked counterparts of each per-stock canonical order
     consider_stacked([(inst, list(orders.cuts)) for inst, orders in stocks])
-    return pareto_filter(evaluated, key=lambda pc: pc[1].objectives)
+    return tuple(pareto_filter(candidates, key=lambda recipe: recipe[2].objectives))

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -59,6 +60,20 @@ def test_first_cut_on_fresh_96_lumber_totals_116s():
     assert (row.setup, row.load, row.op) == (60, 40 + 15, 1)
     assert cost.f_t_seconds == 116
     assert cost.f_t_minutes == pytest.approx(116 / 60)
+
+
+def test_f_t_is_the_exact_sum_of_step_times():
+    # tracksaw operation times (4.5 in/s) are no whole numbers of 1/64 s,
+    # so float sums of them depend on their order; in every order f_t is
+    # the exact sum of the rows' times, rounded once
+    inst = StockInstance(key="s0", spec=STOCKS["sheet-1/2-24x20"])
+    cuts = [Cut(id=f"c{i}", tool=Tool.TRACKSAW, stock_key="s0", kind="manual",
+                measured_len=ticks(m), op_length=ticks(w))
+            for i, (m, w) in enumerate([(4, 3), (4, "5.5"), (6, 20), (5, "3.25")])]
+    for perm in itertools.permutations(cuts):
+        cost = evaluate_plan(FabPlan(design_id="d", cuts=perm, stock_bill=(inst,)), TOOLS)
+        exact = sum(Fraction(r.setup) + Fraction(r.load) + Fraction(r.op) for r in cost.rows)
+        assert cost.f_t_seconds == float(exact)
 
 
 def test_partial_cut_totals_16s():

@@ -1,15 +1,22 @@
-"""No module imports a name it never uses, and no function goes unused.
+"""No module imports a name it never uses, no function goes unused, and
+every annotation resolves.
 
 No linter is configured for this project, so these scans stand in for one:
 every name an `import` binds must appear as an `ast.Name` somewhere in the
 same module (`planwright/__init__.py` is skipped because its imports are
 re-exports), and every function defined in `src/planwright` must be
-referenced there, as a name, an attribute or an `__all__` entry. The
-functions only the benchmark's tracer patches, and two that only the tests
-call as cross-checks, are exempt.
+referenced there: a module-level or nested function as a name, an
+attribute or an `__all__` entry, a method or property only as an
+attribute. The functions only the benchmark's tracer patches, and two that
+only the tests call as cross-checks, are exempt. `typing.get_type_hints`
+must resolve the annotations of every class, method and function of the
+package.
 """
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 from test_bench_contract import load_tracing
@@ -56,29 +63,37 @@ def test_no_unused_imports():
 
 def unreferenced_functions(sources: list[str]) -> list[str]:
     """Functions defined in `sources`, dunder methods aside, that none of
-    them references."""
-    defined: list[str] = []
-    used: set[str] = set()
+    them references: a method (a function defined in a class body) only
+    counts as referenced through an attribute, since a name of the same
+    spelling is some other variable."""
+    functions: set[str] = set()
+    methods: set[str] = set()
+    names: set[str] = set()
+    attributes: set[str] = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.append(node.name)
+                functions.add(node.name)
+            elif isinstance(node, ast.ClassDef):
+                methods.update(f.name for f in node.body
+                               if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
             elif isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-                used.update(e.value for e in node.value.elts)
-    return sorted({name for name in defined
-                   if name not in used and not name.startswith("__")})
+                names.update(e.value for e in node.value.elts)
+    unreferenced = (functions - names - attributes) | (methods - attributes)
+    return sorted(name for name in unreferenced if not name.startswith("__"))
 
 
 def test_unreferenced_functions_detected():
     sources = ["def a(): pass\ndef b(): pass\nclass C:\n"
-               "    def __init__(self): pass\n    def m(self): pass\n    def n(self): pass\n",
-               "__all__ = ['d']\ndef d(): pass\nprint(b, C().m)\n"]
-    assert unreferenced_functions(sources) == ["a", "n"]
+               "    def __init__(self): pass\n    def m(self): pass\n    def n(self): pass\n"
+               "    @property\n    def p(self): pass\n",
+               "__all__ = ['d']\ndef d(): pass\np = 1\nprint(b, C().m, p)\n"]
+    assert unreferenced_functions(sources) == ["a", "n", "p"]
 
 
 def test_no_unreferenced_functions():
@@ -87,3 +102,32 @@ def test_no_unreferenced_functions():
     sources = [p.read_text() for p in sorted((ROOT / "src" / "planwright").glob("*.py"))]
     found = set(unreferenced_functions(sources)) - patched - TEST_REFERENCES
     assert found == set()
+
+
+def annotated_objects():
+    """(qualified name, object) of every class, method, property getter and
+    function that `src/planwright` defines."""
+    for path in sorted((ROOT / "src" / "planwright").glob("*.py")):
+        name = "planwright" if path.stem == "__init__" else f"planwright.{path.stem}"
+        module = importlib.import_module(name)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != name:
+                continue
+            if inspect.isclass(obj):
+                yield obj.__qualname__, obj
+                for attr in vars(obj).values():
+                    attr = getattr(attr, "fget", getattr(attr, "__func__", attr))
+                    if inspect.isfunction(attr):
+                        yield attr.__qualname__, attr
+            elif inspect.isfunction(obj):
+                yield obj.__qualname__, obj
+
+
+def test_type_hints_resolve():
+    unresolved = []
+    for qualname, obj in annotated_objects():
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append(f"{qualname}: {exc}")
+    assert unresolved == []

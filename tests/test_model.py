@@ -65,7 +65,7 @@ def test_cost_vector_modes():
     three = CostVector(f_c=1.0, f_t=2.0, f_p=0.5)
     assert two.objectives == (1.0, 2.0)
     assert three.objectives == (1.0, 0.5, 2.0)
-    assert two.mode == 2 and three.mode == 3
+    assert len(two.objectives) == 2 and len(three.objectives) == 3
 
 
 def test_validate_design_oversized_part():

@@ -135,7 +135,7 @@ def test_refine_term_within_exhaustive_pareto():
         # either axis unless stacking applies (single stock: it cannot); a
         # mode-2 vector has no f_p
         for plan, cost in results:
-            assert cost.mode == mode
+            assert len(cost.objectives) == mode
             assert cost.f_t >= best_t / 60
             if mode == 3:
                 assert cost.f_p >= best_p / 64
@@ -376,11 +376,10 @@ def test_exact_order_front_partial_setup_tie(mode):
 
 
 def test_exact_order_front_keeps_first_order_on_rounding_ties():
-    # A 0.1 s chop makes f_t's float sum depend on the order of its terms:
-    # orders with the same steps can differ by a rounding step in seconds
-    # and still tie in minutes. Scoring every permutation keeps the first
-    # of them; pruning labels in value order instead of path order would
-    # keep the one with fewer seconds.
+    # A 0.1 s chop is no whole number of 1/64 s, so float sums of the steps
+    # would depend on the order they are added in. f_t sums them exactly:
+    # orders made of the same steps have one f_t_seconds, and of the orders
+    # tied on a front cost the first in permutation order is kept.
     tools = dict(TOOLS)
     tools[Tool.CHOPSAW] = dataclasses.replace(
         TOOLS[Tool.CHOPSAW], op_rate=OpRate(OpRateKind.PER_CUT, 0.1))
@@ -392,10 +391,16 @@ def test_exact_order_front_keeps_first_order_on_rounding_ties():
     term_cuts = [c for nid in sorted(cache) for c in cache[nid].cuts]
     bill = got[0][0].stock_bill
     seconds = {}
+    orders = {}
     for perm in itertools.permutations(term_cuts):
         cost = evaluate_plan(FabPlan("d", perm, bill), tools)
-        seconds.setdefault(cost.vector(2), set()).add(cost.f_t_seconds)
-    assert any(len(seconds[cost]) > 1 for _, cost in got)
+        steps = tuple(sorted((row.setup, row.load, row.op) for row in cost.rows))
+        seconds.setdefault(steps, set()).add(cost.f_t_seconds)
+        orders.setdefault(cost.vector(2), []).append(perm)
+    assert all(len(s) == 1 for s in seconds.values())
+    assert any(len(orders[cost]) > 1 for _, cost in got)
+    for plan, cost in got:
+        assert plan.cuts == orders[cost][0]
 
 
 @pytest.mark.parametrize("mode", [2, 3])
@@ -659,10 +664,10 @@ def assert_costs_are_evaluate_plan(results, mode):
 # terms the random ones may miss: two sheets whose 4" shelves are best cut
 # back to back (interleaved front orders that no plain per-node best order
 # dominates, so a wrong label sum cannot hide behind one), a tracksaw sheet
-# term above EXHAUSTIVE_TERM_CUTS (the cut search under the one-run
-# constraint; its step times are no multiples of 1/64 s), a lumber one (a
-# join of its stocks' fronts, one of them an entry front), and two like
-# sticks, whose stacked plans `evaluate_plan` costs
+# term and a lumber one above EXHAUSTIVE_TERM_CUTS (joins of their stocks'
+# fronts, the lumber one with an entry front; tracksaw step times are no
+# whole numbers of 1/64 s), and two like sticks, whose stacked plans
+# `evaluate_plan` costs
 LABEL_SUM_TERMS = {
     "interleaved": [("sheet-1/2-24x20", [(SHELF_HEIGHTS[0], WIDTHS[1:2])]),
                     ("sheet-3/4-12x20", [(SHELF_HEIGHTS[0], WIDTHS[1::-1])])],
@@ -707,7 +712,6 @@ def test_refined_costs_equal_evaluate_plan(mode):
             assert any(c.stack_group for plan, _ in results for c in plan.cuts)
         else:
             assert len(cut) > 1 and sum(t.k for t in cut) > EXHAUSTIVE_TERM_CUTS
-            assert all(t.exact for t in cut) == (kind == "joined")
     # one stock of 10 cuts: its node search is capped, and its term, in
     # either mode, reads the node search's front instead of searching again,
     # so the table gains no step
@@ -726,11 +730,10 @@ def test_term_search_reads_node_steps(mode, monkeypatch):
     # stocks of up to 8 cuts searched as nodes: a term over them, small or
     # large, is searched and costed without simulating a single cut (no
     # two stocks alike, so no stacked plan is evaluated either). A term
-    # with one cut stock reads its node search's front, and a lumber term
-    # above EXHAUSTIVE_TERM_CUTS joins its stocks' fronts, searching only
-    # the entry fronts its tables lack; a sheet term above that (tracksaw
-    # times are no multiples of 1/64 s) and a smaller term of several cut
-    # stocks run one term search.
+    # with one cut stock reads its node search's front, and a lumber or
+    # sheet term above EXHAUSTIVE_TERM_CUTS joins its stocks' fronts,
+    # searching only the entry fronts its tables lack; a smaller term of
+    # several cut stocks runs one term search.
     rng = random.Random(f"no-resim-{mode}")
     node_memo = NodeMemo()
     terms = []
@@ -775,13 +778,13 @@ def test_term_search_reads_node_steps(mode, monkeypatch):
             kinds.add(kind)
             searches.clear()
             assert refine(term_parts, mode)
-            if kind == "one stock" or kind == "joined" and again:
+            if kind == "one stock" or kind != "interleaved" and again:
                 assert searches == []
-            elif kind == "joined":
+            elif kind == "interleaved":
+                assert searches == [(len(orders), None)]
+            else:
                 assert all(size == 1 and entry is not None for size, entry in searches)
                 entered += len(searches)
-            else:
-                assert searches == [(len(orders), None)]
     assert kinds == {"one stock", "interleaved", "sheet", "joined"}
     assert entered  # the last term's second stock needs an entry front
     assert calls == []
