@@ -7,7 +7,7 @@ and cutting precision (inches).
 
 from importlib import resources
 
-from .cost import FabPlan, PlanCost, cost_vector, evaluate_plan
+from .cost import FabPlan, PlanCost, evaluate_plan
 from .designspace import DesignSpace, enumerate_variants
 from .extraction import IceeParams, Solution, baseline_run, icee_run
 from .libraries import default_stocks, default_tools, load_libraries
@@ -39,7 +39,6 @@ __all__ = [
     "Tool",
     "baseline_run",
     "corpus_path",
-    "cost_vector",
     "default_stocks",
     "default_tools",
     "enumerate_variants",

@@ -1,8 +1,9 @@
 """Pareto-front utilities: dominance, filtering, hypervolume, scalarization.
 
 Hypervolume is exact: sort-and-sweep in 2D and slab slicing over the third
-objective in 3D. A naive inclusion-exclusion implementation is kept as a
-cross-check oracle for small fronts.
+objective in 3D; points outside the reference box are clipped to it and
+listed in the caller's `ClipReport`. A naive inclusion-exclusion
+implementation is kept as a cross-check oracle for small fronts.
 """
 
 from __future__ import annotations
@@ -59,14 +60,13 @@ class ClipReport:
 
 
 def _clip(points: list[tuple[float, ...]], ref: tuple[float, ...],
-          report: ClipReport | None) -> list[tuple[float, ...]]:
+          report: ClipReport) -> list[tuple[float, ...]]:
     out = []
     for p in points:
         if len(p) != len(ref):
             raise ValueError("point/reference dimensionality mismatch")
         if any(x >= r for x, r in zip(p, ref)):
-            if report is not None:
-                report.clipped.append(p)
+            report.clipped.append(p)
             clipped = tuple(min(x, r) for x, r in zip(p, ref))
             out.append(clipped)
         else:
@@ -75,8 +75,9 @@ def _clip(points: list[tuple[float, ...]], ref: tuple[float, ...],
 
 
 def hypervolume(points: list[tuple[float, ...]], ref: tuple[float, ...],
-                report: ClipReport | None = None) -> float:
-    """Exact dominated volume of `points` up to the reference point."""
+                report: ClipReport) -> float:
+    """Exact dominated volume of `points` up to the reference point; the
+    points outside it are clipped to it and listed in `report`."""
     if not points:
         return 0.0
     pts = pareto_filter(_clip(points, ref, report))
@@ -115,7 +116,7 @@ def _hv3(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
 def hypervolume_inclusion_exclusion(points: list[tuple[float, ...]],
                                     ref: tuple[float, ...]) -> float:
     """Exponential-time oracle; only for small fronts (tests)."""
-    pts = pareto_filter(_clip(points, ref, None))
+    pts = pareto_filter(_clip(points, ref, ClipReport()))
     hv = 0.0
     for r in range(1, len(pts) + 1):
         for subset in itertools.combinations(pts, r):
@@ -150,7 +151,7 @@ def scalarize(costs: list[CostVector], hourly_price: float) -> tuple[int, float]
 def improvement_table(
     front_a: list[CostVector],
     front_b: list[CostVector],
-    prices: tuple[float, ...] = DEFAULT_PRICES,
+    prices: tuple[float, ...],
 ) -> list[int | None]:
     """Integer percent improvement of front_b over front_a per price.
 

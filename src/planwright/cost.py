@@ -121,12 +121,12 @@ class PlanCost:
     def f_p_inches(self) -> float:
         return self.f_p_ticks / 64.0
 
-    def vector(self, mode: int = 3) -> CostVector:
+    def vector(self, mode: int) -> CostVector:
         return totals_vector(self.f_c, self.f_t_seconds, self.f_p_ticks, mode)
 
 
 def totals_vector(f_c: float, f_t_seconds: float, f_p_ticks: int,
-                  mode: int = 3) -> CostVector:
+                  mode: int) -> CostVector:
     """A plan's totals as a cost vector: minutes, and inches in mode 3 only."""
     if mode == 2:
         return CostVector(f_c=f_c, f_t=f_t_seconds / 60.0)
@@ -262,9 +262,9 @@ def _validate_stack(op: list[Cut], instances: dict[str, StockInstance],
             raise PlanError(f"stack {lead.stack_group}: mixed stock families")
 
 
-def material_cost(plan: FabPlan) -> float:
+def material_cost(stock_bill: tuple[StockInstance, ...]) -> float:
     """f_c: sum of stock prices; metal stock costs 20x its wood price."""
-    return sum(inst.spec.effective_price() for inst in plan.stock_bill)
+    return sum(inst.spec.effective_price() for inst in stock_bill)
 
 
 def evaluate_plan(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> PlanCost:
@@ -321,8 +321,8 @@ def evaluate_plan(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> PlanCost:
         for c in op[1:]:
             rows.append(CutTimeBreakdown(c.id, 0.0, 0.0, 0.0, 0, 0, merged=True))
 
-    return PlanCost(rows=rows, f_c=material_cost(plan), f_t_seconds=f_t / TIME_QUANTA,
-                    f_p_ticks=f_p)
+    return PlanCost(rows=rows, f_c=material_cost(plan.stock_bill),
+                    f_t_seconds=f_t / TIME_QUANTA, f_p_ticks=f_p)
 
 
 def new_sim(spec: StockSpec) -> _Sim:
@@ -390,7 +390,3 @@ def order_is_feasible(cuts: list[Cut]) -> bool:
             return False
         done.add(c.id)
     return True
-
-
-def cost_vector(plan: FabPlan, tools: dict[Tool, ToolSpec], mode: int = 3) -> CostVector:
-    return evaluate_plan(plan, tools).vector(mode)

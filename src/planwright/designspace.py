@@ -97,24 +97,16 @@ def _variant(joint: Joint, variant_id: str) -> ConnectorVariant:
     raise DesignInputError(f"joint {joint.id}: unknown variant {variant_id!r}")
 
 
-def enumerate_variants(
-    space: DesignSpace, limit: int, report_skipped: list | None = None
-) -> list[Design]:
-    """Lexicographic enumeration of variant selections, up to `limit` designs."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+def enumerate_variants(space: DesignSpace) -> list[Design]:
+    """Every design of the space, in lexicographic order of variant
+    selections; selections that collapse a part are skipped."""
     designs: list[Design] = []
     choice_lists = [[v.id for v in j.variants] for j in space.joints]
     for combo in itertools.product(*choice_lists):
         selection = {j.id: vid for j, vid in zip(space.joints, combo)}
         design = instantiate(space, selection)
-        if design is None:
-            if report_skipped is not None:
-                report_skipped.append(selection)
-            continue
-        designs.append(design)
-        if len(designs) >= limit:
-            break
+        if design is not None:
+            designs.append(design)
     return designs
 
 

@@ -211,7 +211,7 @@ class BopEGraph:
         self,
         pareto_terms: list[Term],
         n: int,
-        scalar_bound: Callable[[str], float] | None = None,
+        scalar_bound: Callable[[str], float],
     ) -> None:
         """Keep the top-n e-nodes per class, ranked by appearances in the
         given Pareto terms, then by scalarized lower bound, then by id."""
@@ -222,11 +222,10 @@ class BopEGraph:
             for nid in term.chosen.values():
                 appearances[nid] = appearances.get(nid, 0) + 1
 
-        bound = scalar_bound or (lambda nid: 0.0)
         for eclass in self.classes.values():
             ranked = sorted(
                 eclass.nodes,
-                key=lambda nid: (-appearances.get(nid, 0), bound(nid), nid),
+                key=lambda nid: (-appearances.get(nid, 0), scalar_bound(nid), nid),
             )
             eclass.nodes = ranked[:n]
 

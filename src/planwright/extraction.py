@@ -22,6 +22,8 @@ from .ordering import NodeMemo, OrderCache, TermMemo, optimize_enode, refine_ter
 from .packing import generate_arrangements
 
 BREADTH_ENUMERATION_LIMIT = 1024  # design spaces this small are swept in order
+P_CROSSOVER = 0.95  # GA: chance an offspring takes one class's node from its second parent
+P_MUTATION = 0.1  # GA: chance an offspring re-draws one class's node
 
 
 @dataclass(frozen=True)
@@ -29,8 +31,6 @@ class IceeParams:
     traversals: int = 50          # packing traversal budget T
     top_nodes: int = 10           # contraction keeps n nodes per class
     population: int = 120
-    p_crossover: float = 0.95
-    p_mutation: float = 0.1
     alpha: float = 0.75           # depth (reuse) vs breadth (new design)
     iterations: int = 10
     objective_mode: int = 2       # 2 = (f_c, f_t); 3 adds f_p
@@ -41,8 +41,6 @@ class IceeParams:
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must be in [0, 1]")
-        if not (0.0 <= self.p_crossover <= 1.0 and 0.0 <= self.p_mutation <= 1.0):
-            raise ValueError("probabilities must be in [0, 1]")
         if self.objective_mode not in (2, 3):
             raise ValueError("objective_mode must be 2 or 3")
         for name in ("traversals", "top_nodes", "population", "iterations",
@@ -109,7 +107,6 @@ def _node_scalar_bound(state: _DesignState):
 def evaluate_term(
     state: _DesignState,
     term: Term,
-    tools: dict[Tool, ToolSpec],
     params: IceeParams,
     memo: TermMemo,
     refine_cache: dict[tuple, list[Solution]],
@@ -122,7 +119,7 @@ def evaluate_term(
     if sols is None:
         sols = refine_cache[key] = [
             Solution(design=state.design, plan=plan, cost=cost, term=term)
-            for plan, cost in refine_term(state.egraph, term, state.cache, tools,
+            for plan, cost in refine_term(state.egraph, term, state.cache,
                                           params.objective_mode, memo)
         ]
     return sols
@@ -201,7 +198,6 @@ def crowding_distance(objs: list[tuple[float, ...]], indices: list[int]) -> dict
 
 def ga_extract(
     state: _DesignState,
-    tools: dict[Tool, ToolSpec],
     params: IceeParams,
     rng: random.Random,
     memo: TermMemo,
@@ -228,14 +224,14 @@ def ga_extract(
 
     if all_terms is not None:
         for term in all_terms:
-            evaluate_term(state, term, tools, params, memo, refine_cache)
+            evaluate_term(state, term, params, memo, refine_cache)
         return evaluated()
 
     population = [egraph.sample_term(rng) for _ in range(params.population)]
 
     def fitness(term: Term) -> tuple[float, ...]:
         # every term has a plan: refinement keeps a best of its candidates
-        sols = evaluate_term(state, term, tools, params, memo, refine_cache)
+        sols = evaluate_term(state, term, params, memo, refine_cache)
         return min(s.cost.objectives for s in sols)
 
     fitnesses = [fitness(t) for t in population]
@@ -254,13 +250,13 @@ def ga_extract(
         while len(offspring) < params.population:
             a, b = tournament(), tournament()
             choices = dict(a.chosen)
-            if rng.random() < params.p_crossover:
+            if rng.random() < P_CROSSOVER:
                 shared = sorted(set(a.chosen) & set(b.chosen))
                 if shared:
                     pick = rng.choice(shared)
                     choices[pick] = b.chosen[pick]
             child = egraph.term_from_choices(choices)
-            if rng.random() < params.p_mutation:
+            if rng.random() < P_MUTATION:
                 cid = rng.choice(sorted(child.chosen))
                 mutated = dict(child.chosen)
                 mutated[cid] = rng.choice(egraph.classes[cid].nodes)
@@ -299,7 +295,7 @@ def _expand(
         for nid in state.egraph.add_arrangement(arrangement):
             node = state.egraph.nodes[nid]
             if isinstance(node, AtomicNode):
-                state.cache[nid] = optimize_enode(node, parts_by_id, tools, memo)
+                state.cache[nid] = optimize_enode(node, parts_by_id, memo)
 
 
 def icee_run(
@@ -315,14 +311,14 @@ def icee_run(
         raise ValidationFailure(violations)
 
     states: dict[str, _DesignState] = {}
-    node_memo = NodeMemo()  # node cut orders and steps per pattern, for this run's tools
+    node_memo = NodeMemo(tools)  # node cut orders and steps per pattern
     term_memo: TermMemo = {}  # term order fronts per pattern, for this run's tools and mode
     archive: list[Solution] = []
     ref = default_reference(params.objective_mode)
     report_iters: list[dict] = []
     enumerated: list[Design] = []
     if space.cardinality <= BREADTH_ENUMERATION_LIMIT:
-        enumerated = enumerate_variants(space, space.cardinality)
+        enumerated = enumerate_variants(space)
     breadth_cursor = 0
     terms_refined = 0
     prev_hv = None
@@ -373,7 +369,7 @@ def icee_run(
                 continue
             rng_task = _rng(params.seed, "design", design.id, iteration, k)
             _expand(state, stock_lib, tools, budget, node_memo, rng_task)
-            sols, refined = ga_extract(state, tools, params, rng_task, term_memo)
+            sols, refined = ga_extract(state, params, rng_task, term_memo)
             terms_refined += refined
             new_solutions.extend(sols)
 
@@ -385,6 +381,9 @@ def icee_run(
                            if s.design.id == design.id and s.term is not None]
             state.egraph.contract(front_terms, params.top_nodes,
                                   _node_scalar_bound(state))
+            # node ids are never reused: a removed node's orders are dead
+            state.cache = {nid: orders for nid, orders in state.cache.items()
+                           if nid in state.egraph.nodes}
 
         clip = ClipReport()
         hv = hypervolume([s.cost.objectives for s in archive], ref, clip)

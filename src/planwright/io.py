@@ -211,11 +211,12 @@ def front_json(rows: list[FrontRow], solutions) -> str:
 
 # -- SVG -----------------------------------------------------------------------
 
+SVG_WIDTH, SVG_HEIGHT = 640, 480  # front plot size, pixels
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 
-def front_svg(rows: list[FrontRow], width: int = 640, height: int = 480) -> str:
+def front_svg(rows: list[FrontRow]) -> str:
     """Scatter of (f_c, f_t) with one color per design variant."""
     margin = 50.0
     pts = [(float(r.f_c), float(r.f_t), r.design_id) for r in rows]
@@ -234,23 +235,23 @@ def front_svg(rows: list[FrontRow], width: int = 640, height: int = 480) -> str:
         y1 = y0 + 1.0
 
     def sx(x: float) -> float:
-        return margin + (x - x0) / (x1 - x0) * (width - 2 * margin)
+        return margin + (x - x0) / (x1 - x0) * (SVG_WIDTH - 2 * margin)
 
     def sy(y: float) -> float:
-        return height - margin - (y - y0) / (y1 - y0) * (height - 2 * margin)
+        return SVG_HEIGHT - margin - (y - y0) / (y1 - y0) * (SVG_HEIGHT - 2 * margin)
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
+        f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
+        f'<line x1="{margin}" y1="{SVG_HEIGHT - margin}" x2="{SVG_WIDTH - margin}" '
+        f'y2="{SVG_HEIGHT - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<text x="{width / 2}" y="{height - 10}" text-anchor="middle" '
+        f'y2="{SVG_HEIGHT - margin}" stroke="black"/>',
+        f'<text x="{SVG_WIDTH / 2}" y="{SVG_HEIGHT - 10}" text-anchor="middle" '
         f'font-size="12">material cost ($)</text>',
-        f'<text x="14" y="{height / 2}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 14 {height / 2})">fabrication time (min)</text>',
+        f'<text x="14" y="{SVG_HEIGHT / 2}" text-anchor="middle" font-size="12" '
+        f'transform="rotate(-90 14 {SVG_HEIGHT / 2})">fabrication time (min)</text>',
     ]
     for x, y, d in pts:
         out.append(
@@ -259,9 +260,9 @@ def front_svg(rows: list[FrontRow], width: int = 640, height: int = 480) -> str:
         )
     for i, d in enumerate(designs):
         ly = margin + 14 * i
-        out.append(f'<circle cx="{width - margin + 10}" cy="{ly}" r="4" '
+        out.append(f'<circle cx="{SVG_WIDTH - margin + 10}" cy="{ly}" r="4" '
                    f'fill="{color[d]}"/>')
-        out.append(f'<text x="{width - margin + 18}" y="{ly + 4}" '
+        out.append(f'<text x="{SVG_WIDTH - margin + 18}" y="{ly + 4}" '
                    f'font-size="10">{d}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -83,7 +83,7 @@ def brute_force_design(
     design: Design,
     stock_lib: list[StockSpec],
     tools: dict[Tool, ToolSpec],
-    mode: int = 2,
+    mode: int,
 ) -> list[tuple[FabPlan, PlanCost]]:
     """All non-dominated plans for one fixed design."""
     parts_by_id = {p.id: p for p in design.parts}
@@ -146,11 +146,11 @@ def brute_force_front(
     space: DesignSpace,
     stock_lib: list[StockSpec],
     tools: dict[Tool, ToolSpec],
-    mode: int = 2,
+    mode: int,
 ) -> list[tuple[Design, FabPlan, CostVector]]:
     """Non-dominated (design, plan, cost) triples over the whole space."""
     pool: list[tuple[Design, FabPlan, PlanCost]] = []
-    for design in enumerate_variants(space, space.cardinality):
+    for design in enumerate_variants(space):
         for plan, cost in brute_force_design(design, stock_lib, tools, mode):
             pool.append((design, plan, cost))
     front = pareto_filter(pool, key=lambda t: t[2].vector(mode).objectives)

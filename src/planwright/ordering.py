@@ -57,6 +57,7 @@ from .cost import (
     TIME_QUANTA,
     evaluate_plan,
     load_seconds,
+    material_cost,
     measurement_error,
     new_sim,
     operation_seconds,
@@ -181,13 +182,14 @@ class Bounds:
 
 @dataclass
 class NodeMemo:
-    """One run's node search results, for one tool table.
+    """One run's node search results, for its tool table `tools`.
 
     `patterns` maps each cut pattern (spec, cut geometry and parent index
     per cut) to its `StepTable`, which holds the node search's best orders
     and the pattern's steps. `pool` interns the steps of every table.
     """
 
+    tools: dict[Tool, ToolSpec]
     patterns: dict[tuple, StepTable] = field(default_factory=dict)
     pool: dict[Step, Step] = field(default_factory=dict)
 
@@ -257,8 +259,7 @@ def candidate_orders(cuts: list[Cut], budget: int, rng: random.Random) -> list[l
 def optimize_enode(
     node: AtomicNode,
     parts_by_id: dict[str, Part],
-    tools: dict[Tool, ToolSpec],
-    memo: NodeMemo | None = None,
+    memo: NodeMemo,
 ) -> NodeOrders:
     """Cache the node's minimum-precision and minimum-time cut orders.
 
@@ -266,19 +267,17 @@ def optimize_enode(
     table's entry-None `front`): best-f_p by (f_p, f_t, order) and best-f_t
     by (f_t, f_p, order), orders compared by cut index, which is the
     permutation argmin with first-order tie-break. The answer depends only
-    on the stock spec and the cut geometry, so `memo` (one per run and tool
-    table) holds it in the pattern's step table, as index paths, and each
-    node gets it on its own cuts. An uncut node's one order is the empty one.
+    on the stock spec and the cut geometry, given `memo.tools`, so `memo`
+    (one per run) holds it in the pattern's step table, as index paths, and
+    each node gets it on its own cuts. An uncut node's one order is empty.
     """
     inst = _node_instance(node)
     cuts = cuts_for_instance(inst, list(node.placements), parts_by_id)
     index = {c.id: i for i, c in enumerate(cuts)}
     key = (node.spec, tuple((c.geometry_key(), index.get(c.parent)) for c in cuts))
-    if memo is None:
-        memo = NodeMemo()
     table = memo.patterns.get(key)
     if table is None:
-        table = StepTable(node.spec, cuts, tools, memo.pool)
+        table = StepTable(node.spec, cuts, memo.tools, memo.pool)
         labels = [label for labels in table.front().values() for label in labels]
         p = min(labels, key=lambda label: (label[2], label[1], label[0]))
         t = min(labels, key=lambda label: (label[1], label[2], label[0]))
@@ -611,35 +610,31 @@ def refine_term(
     egraph: BopEGraph,
     term: Term,
     cache: OrderCache,
-    tools: dict[Tool, ToolSpec],
     mode: int,
-    memo: TermMemo | None = None,
+    memo: TermMemo,
 ) -> list[tuple[FabPlan, CostVector]]:
     """The non-dominated ordered plans of a term, found by `_refined`, each
     with its cost vector in objective mode `mode`.
 
     The plans depend only on the term's cut patterns (the step tables of
-    its node orders, in stock order), given the tools and the mode. So
-    `memo` (one per run, which fixes those) holds them per tuple of tables,
-    as recipes over cut and stock indices, and every term with the same
-    patterns gets them on its own cuts and stocks without a search. Tables
-    compare by identity, so the node orders in `cache` must come from one
-    node memo, for `tools`.
+    its node orders, in stock order), given the mode. The tables cost the
+    plans with the tools of the node memo that built them, one per run, so
+    the node orders in `cache` come from one node search. `memo` (one per
+    run and mode) holds the plans per tuple of tables, as recipes over cut
+    and stock indices, and every term with the same patterns gets them on
+    its own cuts and stocks without a search.
     """
     stocks = _term_stocks(egraph, term, cache)
     all_cuts = [c for _, orders in stocks for c in orders.cuts]
     tables = tuple(orders.steps for _, orders in stocks)
-    if memo is None:
-        memo = {}
     recipes = memo.get(tables)
     if recipes is None:
-        recipes = memo[tables] = _refined(egraph.design_id, stocks, all_cuts, tools, mode)
+        recipes = memo[tables] = _refined(egraph.design_id, stocks, all_cuts, mode)
     return [_rebuild(r, egraph.design_id, all_cuts, stocks) for r in recipes]
 
 
 def _refined(design_id: str, stocks: list[tuple[StockInstance, NodeOrders]],
-             all_cuts: list[Cut], tools: dict[Tool, ToolSpec],
-             mode: int) -> tuple[Recipe, ...]:
+             all_cuts: list[Cut], mode: int) -> tuple[Recipe, ...]:
     """`refine_term`'s search: its candidates as recipes, costed and
     filtered, so that only the kept ones become plans.
 
@@ -659,8 +654,9 @@ def _refined(design_id: str, stocks: list[tuple[StockInstance, NodeOrders]],
     above EXHAUSTIVE_TERM_CUTS cuts, `_pareto_orders` for the others.
     """
     bill = tuple(inst for inst, _ in stocks)
-    f_c = sum(inst.spec.effective_price() for inst in bill)  # as `material_cost` sums
+    f_c = material_cost(bill)
     tables = [orders.steps for _, orders in stocks]
+    tools = tables[0].tools  # the node memo's, which the steps were costed with
     per_cut = _cut_steps(tables)
     at = {c.id: i for i, c in enumerate(all_cuts)}
     stock_at = {inst.key: j for j, inst in enumerate(bill)}

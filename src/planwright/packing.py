@@ -128,15 +128,13 @@ def pack_traversal(parts: list[Part], designated: StockSpec, kerf: int) -> Fragm
 
 def shrink_instances(
     fragment: Fragment, stocks: list[StockSpec], parts_by_id: dict[str, Part],
-    holders: dict[tuple, StockSpec] | None = None,
+    holders: dict[tuple, StockSpec],
 ) -> Fragment:
     """Swap each instance for the cheapest family stock that holds its spread.
 
-    `holders`, when given, keeps the answer per (instance spec, used
-    extent) for later calls over the same `stocks`.
+    `holders` keeps the answer per (instance spec, used extent) for later
+    calls over the same `stocks`.
     """
-    if holders is None:
-        holders = {}
     out = []
     for spec, placements in fragment:
         used = tuple(max(off[axis] + parts_by_id[pid].shape[axis] for pid, off in placements)

@@ -12,6 +12,8 @@ import pytest
 
 from planwright import CORPUS_NAMES, corpus_path
 from planwright.analysis import (
+    DEFAULT_PRICES,
+    ClipReport,
     hypervolume,
     hypervolume_inclusion_exclusion,
     improvement_table,
@@ -31,7 +33,7 @@ from planwright.io import load_design_space
 from planwright.libraries import default_stocks, default_tools, with_metal_twins
 from planwright.model import Material, Part, Tool, ticks
 from planwright.oracle import brute_force_front
-from planwright.ordering import optimize_enode, refine_term, term_bounds
+from planwright.ordering import NodeMemo, optimize_enode, refine_term, term_bounds
 from planwright.packing import Arrangement
 from planwright.plans import assemble_plan, cuts_for_instance, stacked_variant
 
@@ -180,7 +182,7 @@ def random_term(rng):
         design_id="d", stocks=((inst, tuple(sorted(placements))),)))
     term = g.term_from_choices({})
     node = next(nd for nd in g.nodes.values() if isinstance(nd, AtomicNode))
-    cache = {node.id: optimize_enode(node, parts, TOOLS)}
+    cache = {node.id: optimize_enode(node, parts, NodeMemo(TOOLS))}
     return g, term, cache, inst, node, parts
 
 
@@ -207,7 +209,7 @@ def test_04_bounds_soundness_and_refinement():
         assert bounds.upper.f_t >= best_t - 1e-12
         front = pareto_filter([(round(p, 12), round(t, 12))
                                for p, t in exhaustive])
-        refined = refine_term(g, term, cache, TOOLS, mode=3)
+        refined = refine_term(g, term, cache, 3, {})
         assert refined
         for _, cost in refined:
             point = (round(cost.f_p, 12), round(cost.f_t, 12))
@@ -237,7 +239,9 @@ def test_05_oracle_front_equivalence():
         for a in pts:
             assert not any(point_dominates(b, a) for b in pts)
         ref = (100.0, 100.0)
-        ratio = hypervolume(pts, ref) / hypervolume(oracle_pts, ref)
+        clips = ClipReport()
+        ratio = hypervolume(pts, ref, clips) / hypervolume(oracle_pts, ref, clips)
+        assert clips.clipped == [], name
         ratios[name] = ratio
         assert ratio >= 0.95, (name, ratio)
     ok(5, "oracle HV ratios " + ", ".join(
@@ -253,15 +257,15 @@ def test_06_frame_alignment():
     base_front, _ = baseline_run(space, STOCKS, TOOLS, params)
     base_costs = [s.cost for s in base_front]
     assert min(c.f_c for c in base_costs) == 10.0
-    table = improvement_table(base_costs, opt_costs)
+    table = improvement_table(base_costs, opt_costs, DEFAULT_PRICES)
     assert table[0] == 15
     ok(6, "front reaches $8.50, baseline min $10.00, 15% at 0 $/h")
 
 
 def test_07_hypervolume_correctness():
-    assert hypervolume([(0.0, 0.0)], (1.0, 1.0)) == 1.0
-    assert hypervolume([(0.5, 0.5)], (1.0, 1.0)) == 0.25
-    assert hypervolume([(0.2, 0.6), (0.6, 0.2)], (1.0, 1.0)) \
+    assert hypervolume([(0.0, 0.0)], (1.0, 1.0), ClipReport()) == 1.0
+    assert hypervolume([(0.5, 0.5)], (1.0, 1.0), ClipReport()) == 0.25
+    assert hypervolume([(0.2, 0.6), (0.6, 0.2)], (1.0, 1.0), ClipReport()) \
         == pytest.approx(0.48)
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -328,7 +332,7 @@ def test_10_alpha_behavior():
                                 traversals=20, population=60, generations=5)
             front, _ = icee_run(space, STOCKS, TOOLS, params)
             hv[alpha] = hypervolume([s.cost.objectives for s in front],
-                                    (100.0, 100.0))
+                                    (100.0, 100.0), ClipReport())
         if hv[0.95] >= hv[0.5]:
             wins += 1
     assert wins >= 3, wins

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planwright.analysis import (
+    DEFAULT_PRICES,
     ClipReport,
     hypervolume,
     hypervolume_inclusion_exclusion,
@@ -54,12 +55,13 @@ def test_pareto_filter_dedup_and_sorted():
 
 
 def test_hypervolume_exact_2d():
-    assert hypervolume([(0.0, 0.0)], (1.0, 1.0)) == 1.0
-    assert hypervolume([(0.5, 0.5)], (1.0, 1.0)) == 0.25
+    assert hypervolume([(0.0, 0.0)], (1.0, 1.0), ClipReport()) == 1.0
+    assert hypervolume([(0.5, 0.5)], (1.0, 1.0), ClipReport()) == 0.25
     # two-point staircase: 0.5*0.8 + (0.8-0.5)*0.4... laid out explicitly:
     # (0.2, 0.6) contributes (1-0.2)*(1-0.6)=0.32; (0.6, 0.2) adds
     # (1-0.6)*(0.6-0.2)=0.16 -> 0.48
-    assert hypervolume([(0.2, 0.6), (0.6, 0.2)], (1.0, 1.0)) == pytest.approx(0.48)
+    assert hypervolume([(0.2, 0.6), (0.6, 0.2)], (1.0, 1.0),
+                       ClipReport()) == pytest.approx(0.48)
 
 
 def test_hypervolume_3d_matches_inclusion_exclusion():
@@ -67,7 +69,7 @@ def test_hypervolume_3d_matches_inclusion_exclusion():
     for _ in range(25):
         pts = [tuple(rng.uniform(0, 1) for _ in range(3)) for _ in range(6)]
         ref = (1.0, 1.0, 1.0)
-        assert hypervolume(pts, ref) == pytest.approx(
+        assert hypervolume(pts, ref, ClipReport()) == pytest.approx(
             hypervolume_inclusion_exclusion(pts, ref), abs=1e-9)
 
 
@@ -83,7 +85,7 @@ def test_hypervolume_monte_carlo_check():
             hits += 1
     estimate = hits / n
     sigma = (estimate * (1 - estimate) / n) ** 0.5
-    assert abs(hypervolume(pts, ref) - estimate) < 5 * sigma + 1e-6
+    assert abs(hypervolume(pts, ref, ClipReport()) - estimate) < 5 * sigma + 1e-6
 
 
 def test_hypervolume_clips_and_warns():
@@ -96,8 +98,8 @@ def test_hypervolume_clips_and_warns():
 
 
 def test_hypervolume_empty_and_degenerate():
-    assert hypervolume([], (1.0, 1.0)) == 0.0
-    assert hypervolume([(1.0, 1.0)], (1.0, 1.0)) == 0.0
+    assert hypervolume([], (1.0, 1.0), ClipReport()) == 0.0
+    assert hypervolume([(1.0, 1.0)], (1.0, 1.0), ClipReport()) == 0.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -105,8 +107,8 @@ def test_hypervolume_empty_and_degenerate():
                 max_size=8))
 def test_hypervolume_front_invariance(points):
     ref = (1.0, 1.0)
-    assert hypervolume(points, ref) == pytest.approx(
-        hypervolume(pareto_filter(points), ref))
+    assert hypervolume(points, ref, ClipReport()) == pytest.approx(
+        hypervolume(pareto_filter(points), ref, ClipReport()))
 
 
 def test_scalar_cost_units():
@@ -132,20 +134,20 @@ def test_scalarize_picks_min_and_breaks_ties():
 
 def test_improvement_table_zero_when_equal():
     front = [cv(10.0, 5.0)]
-    assert improvement_table(front, front) == [0] * 8
+    assert improvement_table(front, front, DEFAULT_PRICES) == [0] * 8
 
 
 def test_improvement_table_frozen_example():
     base = [cv(10.0, 209.0)]
     better = [cv(8.5, 242.0), cv(12.0, 82.0)]
-    got = improvement_table(base, better)
+    got = improvement_table(base, better, DEFAULT_PRICES)
     # price 0: (10 - 8.5) / 10 = 15%
     assert got[0] == 15
     assert all(isinstance(v, int) for v in got)
 
 
 def test_improvement_table_none_on_zero_baseline():
-    assert improvement_table([cv(0.0, 0.0)], [cv(1.0, 1.0)])[0] is None
+    assert improvement_table([cv(0.0, 0.0)], [cv(1.0, 1.0)], DEFAULT_PRICES)[0] is None
 
 
 def test_point_dominates():

@@ -98,13 +98,12 @@ def test_empty_plan_is_free():
 
 def test_material_cost_sums_stock_bill():
     bill = (StockInstance("a", STOCKS["2x2-48"]), StockInstance("b", STOCKS["2x2-24"]))
-    plan = FabPlan(design_id="d", cuts=(), stock_bill=bill)
-    assert material_cost(plan) == 8.5
+    assert material_cost(bill) == 8.5
 
 
 def test_one_2x4_96_costs_ten_dollars():
     plan = lumber_plan("2x4-96", [])
-    assert material_cost(plan) == 10.0
+    assert material_cost(plan.stock_bill) == 10.0
 
 
 # -- precision ------------------------------------------------------------------
@@ -131,7 +130,7 @@ def test_reordering_never_changes_material():
     positions = [ticks(10), ticks(30), ticks(50)]
     plan = lumber_plan("2x4-96", positions)
     costs = {
-        material_cost(FabPlan("d", tuple(perm), plan.stock_bill))
+        evaluate_plan(FabPlan("d", tuple(perm), plan.stock_bill), TOOLS).f_c
         for perm in itertools.permutations(plan.cuts)
     }
     assert costs == {10.0}

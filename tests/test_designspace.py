@@ -43,25 +43,27 @@ def test_detect_joints_rejects_unknown_and_self():
 def test_cardinality_and_enumeration():
     space = two_by_two_space()
     assert space.cardinality == 4
-    designs = enumerate_variants(space, 10)
+    designs = enumerate_variants(space)
     assert len(designs) == 4
     assert len({d.id for d in designs}) == 4
 
 
-def test_enumeration_respects_limit_lexicographic():
+def test_enumeration_is_lexicographic():
     parts = (Part(id="a", family="2x2", shape=(ticks(20),)),
-             Part(id="b", family="2x2", shape=(ticks(10),)))
-    variants = [ConnectorVariant(f"v{i}", 0, 0) for i in range(3)]
-    joints = detect_joints(list(parts), [("a", "b", variants)])
+             Part(id="b", family="2x2", shape=(ticks(10),)),
+             Part(id="c", family="2x2", shape=(ticks(10),)))
+    joints = detect_joints(list(parts), [
+        ("a", "b", [ConnectorVariant(f"v{i}", 0, 0) for i in range(3)]),
+        ("b", "c", [ConnectorVariant(f"w{i}", 0, 0) for i in range(2)])])
     space = DesignSpace("t", parts, tuple(joints))
-    designs = enumerate_variants(space, 2)
-    assert [d.id for d in designs] == ["t/v0", "t/v1"]
+    assert [d.id for d in enumerate_variants(space)] == \
+        [f"t/v{i}-w{j}" for i in range(3) for j in range(2)]
 
 
 def test_frame_corpus_enumerates_sixteen():
     space = load_design_space(corpus_path("frame"))
     assert space.cardinality == 16
-    assert len(enumerate_variants(space, 100)) == 16
+    assert len(enumerate_variants(space)) == 16
 
 
 def test_deltas_apply_to_length():
@@ -80,9 +82,7 @@ def test_collapsed_dimension_returns_none():
     joints = detect_joints(list(parts), [("a", "b", variants)])
     space = DesignSpace("t", parts, tuple(joints))
     assert instantiate(space, {joints[0].id: "kill"}) is None
-    skipped = []
-    designs = enumerate_variants(space, 10, report_skipped=skipped)
-    assert len(designs) == 1 and len(skipped) == 1
+    assert [d.id for d in enumerate_variants(space)] == ["t/v0"]
 
 
 def test_instantiate_idempotent_on_result():
@@ -100,7 +100,7 @@ def test_sample_design_deterministic_and_uniform():
     counts = Counter(
         sample_design(space, random.Random(f"s{i}")).id for i in range(10_000)
     )
-    assert set(counts) == {d.id for d in enumerate_variants(space, 10)}
+    assert set(counts) == {d.id for d in enumerate_variants(space)}
     # each of the 4 designs expected 2500 times; 5 sigma ~ 217
     for n in counts.values():
         assert abs(n - 2500) < 5 * (10_000 * 0.25 * 0.75) ** 0.5

@@ -91,7 +91,7 @@ def test_contract_keeps_pareto_nodes_and_fresh_class_ids():
         g.add_arrangement(arr("d", "ab", (stock, [("a", 0)]), ("2x4-24", [("b", 0)])))
     favored = g.term_from_choices({})
     class_count = len(g.classes)
-    g.contract([favored], 1)
+    g.contract([favored], 1, lambda nid: 0.0)
     assert g.check_acyclic()
     assert g.count_terms() >= 1
     for eclass in g.classes.values():

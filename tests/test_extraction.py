@@ -1,9 +1,10 @@
 import dataclasses
 import random
 
-from planwright import corpus_path
-from planwright.analysis import hypervolume, pareto_filter, point_dominates
+from planwright import corpus_path, extraction
+from planwright.analysis import ClipReport, hypervolume, pareto_filter, point_dominates
 from planwright.cost import evaluate_plan
+from planwright.egraph import AtomicNode
 from planwright.extraction import (
     IceeParams,
     baseline_run,
@@ -141,10 +142,38 @@ def test_optimized_weakly_improves_on_baseline():
     opt, _ = icee_run(space, STOCKS, TOOLS, full)
     base, _ = baseline_run(space, STOCKS, TOOLS, full)
     ref = (100.0, 100.0)
-    hv_opt = hypervolume([s.cost.objectives for s in opt], ref)
-    hv_base = hypervolume([s.cost.objectives for s in base], ref)
+    hv_opt = hypervolume([s.cost.objectives for s in opt], ref, ClipReport())
+    hv_base = hypervolume([s.cost.objectives for s in base], ref, ClipReport())
     assert hv_opt >= hv_base
     assert min(s.cost.f_c for s in opt) == 8.5
+
+
+def test_contraction_drops_the_orders_of_removed_nodes(monkeypatch):
+    # after a run, each design keeps node orders for exactly the atomic
+    # nodes its contracted e-graph still holds
+    states = {}
+    searched = []
+    ensure_state = extraction._ensure_state
+    optimize_enode = extraction.optimize_enode
+
+    def recorded(all_states, design):
+        states[design.id] = ensure_state(all_states, design)
+        return states[design.id]
+
+    def counted(node, *args):
+        searched.append(node.id)
+        return optimize_enode(node, *args)
+
+    monkeypatch.setattr(extraction, "_ensure_state", recorded)
+    monkeypatch.setattr(extraction, "optimize_enode", counted)
+    run("frame")
+    kept = 0
+    for state in states.values():
+        atomic = {nid for nid, node in state.egraph.nodes.items()
+                  if isinstance(node, AtomicNode)}
+        assert set(state.cache) == atomic
+        kept += len(atomic)
+    assert 0 < kept < len(searched)
 
 
 def test_params_validation():

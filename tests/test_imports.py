@@ -1,5 +1,5 @@
-"""No module imports a name it never uses, no function goes unused, and
-every annotation resolves.
+"""No module imports a name it never uses, no function goes unused, every
+default is needed, and every annotation resolves.
 
 No linter is configured for this project, so these scans stand in for one:
 every name an `import` binds must appear as an `ast.Name` somewhere in the
@@ -8,9 +8,11 @@ re-exports), and every function defined in `src/planwright` must be
 referenced there: a module-level or nested function as a name, an
 attribute or an `__all__` entry, a method or property only as an
 attribute. The functions only the benchmark's tracer patches, and two that
-only the tests call as cross-checks, are exempt. `typing.get_type_hints`
-must resolve the annotations of every class, method and function of the
-package.
+only the tests call as cross-checks, are exempt. A parameter default of a
+`src/planwright` function must be left out by some call there, and set by
+another, or the parameter is needlessly settable; the console-script entry
+point `cli.main(argv)` is exempt. `typing.get_type_hints` must resolve the
+annotations of every class, method and function of the package.
 """
 
 import ast
@@ -24,6 +26,8 @@ from test_bench_contract import load_tracing
 ROOT = Path(__file__).resolve().parent.parent
 # oracles the tests check the program against
 TEST_REFERENCES = {"hypervolume_inclusion_exclusion", "check_acyclic"}
+# the console script calls `main()`; tests pass their own argv
+ENTRY_POINT_DEFAULTS = {"main.argv"}
 
 
 def _modules() -> list[Path]:
@@ -102,6 +106,66 @@ def test_no_unreferenced_functions():
     sources = [p.read_text() for p in sorted((ROOT / "src" / "planwright").glob("*.py"))]
     found = set(unreferenced_functions(sources)) - patched - TEST_REFERENCES
     assert found == set()
+
+
+def unneeded_defaults(sources: list[str]) -> tuple[list[str], list[str]]:
+    """Defaulted parameters, as "function.parameter", that no call in
+    `sources` leaves out, and those that no call sets. Calls match
+    definitions by name; a call's arguments fill a method's parameters
+    after `self`. A `*args` or `**kwargs` argument counts as setting every
+    parameter it could fill."""
+    defaulted: dict[str, list[tuple[str, int | None]]] = {}
+    calls: list[ast.Call] = []
+    for source in sources:
+        tree = ast.parse(source)
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.append(node)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            skip = 1 if id(node) in methods else 0
+            first = len(positional) - len(a.defaults)
+            params = defaulted.setdefault(node.name, [])
+            params.extend((arg.arg, i - skip) for i, arg in enumerate(positional)
+                          if i >= first)
+            params.extend((arg.arg, None) for arg, default
+                          in zip(a.kwonlyargs, a.kw_defaults) if default is not None)
+    left_out: set[str] = set()
+    set_by_call: set[str] = set()
+    for call in calls:
+        func = call.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        star = any(isinstance(arg, ast.Starred) for arg in call.args)
+        n_pos = len(call.args)
+        keywords = {k.arg for k in call.keywords}
+        for param, index in defaulted.get(name, ()):
+            filled = (None in keywords or param in keywords
+                      or index is not None and (star or index < n_pos))
+            (set_by_call if filled else left_out).add(f"{name}.{param}")
+    every = {f"{name}.{param}" for name, params in defaulted.items()
+             for param, _ in params}
+    return sorted(every - left_out), sorted(every - set_by_call)
+
+
+def test_unneeded_defaults_detected():
+    sources = ["def f(a, b=1, *, c=2, d=3): pass\n"
+               "def g(x=0): pass\ndef h(y=0): pass\n"
+               "class C:\n    def m(self, k=0): pass\n",
+               "f(1, d=4)\nf(1, 2, **kw)\ng(*xs)\nh()\nC().m()\nC().m(1)\n"
+               "f = lambda z=0: z\n"]
+    assert unneeded_defaults(sources) == (["f.d", "g.x"], ["h.y"])
+
+
+def test_defaults_are_used():
+    sources = [p.read_text() for p in sorted((ROOT / "src" / "planwright").glob("*.py"))]
+    never_left_out, never_set = unneeded_defaults(sources)
+    assert set(never_left_out) - ENTRY_POINT_DEFAULTS == set()
+    assert set(never_set) - ENTRY_POINT_DEFAULTS == set()
 
 
 def annotated_objects():

@@ -24,11 +24,11 @@ def long_short_space(family="2x2"):
 
 
 def test_oracle_skips_oversize_variant_and_rejects_unknown_family():
-    front = brute_force_front(long_short_space(), STOCKS, TOOLS)
+    front = brute_force_front(long_short_space(), STOCKS, TOOLS, 2)
     assert front
     assert {design.id for design, _, _ in front} == {"x/butt"}
     with pytest.raises(InfeasiblePartError):
-        brute_force_front(long_short_space(family="9x9"), STOCKS, TOOLS)
+        brute_force_front(long_short_space(family="9x9"), STOCKS, TOOLS, 2)
 
 
 def shape_signature(arrangement, parts_by_id):
@@ -40,7 +40,7 @@ def shape_signature(arrangement, parts_by_id):
 @pytest.mark.parametrize("corpus", ["frame", "sheet-box"])
 def test_oracle_covers_optimizer_packings(corpus):
     space = load_design_space(corpus_path(corpus))
-    for design in enumerate_variants(space, space.cardinality):
+    for design in enumerate_variants(space):
         parts_by_id = {p.id: p for p in design.parts}
         oracle = {shape_signature(a, parts_by_id)
                   for a in all_arrangements(design, STOCKS, TOOLS)}

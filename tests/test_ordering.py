@@ -68,7 +68,7 @@ def exhaustive_node_costs(node, parts):
 
 def test_optimize_enode_matches_exhaustive_small():
     node, parts = lumber_node([10, 20, 30])
-    result = optimize_enode(node, parts, TOOLS)
+    result = optimize_enode(node, parts, NodeMemo(TOOLS))
     all_costs = exhaustive_node_costs(node, parts)
     assert result.best_precision_cost[0] == min(p for p, _ in all_costs)
     assert result.best_time_cost[1] == min(t for _, t in all_costs)
@@ -77,7 +77,7 @@ def test_optimize_enode_matches_exhaustive_small():
 def test_optimize_enode_order_dependent_case():
     # offsets land off the measurement grid, so the reference edge matters
     node, parts = lumber_node([ticks("395/64") / 64, 30, 40])
-    result = optimize_enode(node, parts, TOOLS)
+    result = optimize_enode(node, parts, NodeMemo(TOOLS))
     all_costs = exhaustive_node_costs(node, parts)
     assert len({p for p, _ in all_costs}) > 1
     assert result.best_precision_cost[0] == min(p for p, _ in all_costs)
@@ -108,7 +108,7 @@ def term_for(lengths_in, stock_id="2x4-96"):
     for cid, nid in term.chosen.items():
         n = g.nodes[nid]
         if isinstance(n, AtomicNode):
-            cache[nid] = optimize_enode(n, parts, TOOLS)
+            cache[nid] = optimize_enode(n, parts, NodeMemo(TOOLS))
     return g, term, cache, node, parts
 
 
@@ -129,7 +129,7 @@ def test_refine_term_within_exhaustive_pareto():
     best_t = min(t for _, t in all_costs)
     best_p = min(p for p, _ in all_costs)
     for mode in (2, 3):
-        results = refine_term(g, term, cache, TOOLS, mode=mode)
+        results = refine_term(g, term, cache, mode, {})
         assert results
         # refined plans never beat the exhaustive (non-stacked) optimum on
         # either axis unless stacking applies (single stock: it cannot); a
@@ -152,7 +152,7 @@ def test_optimize_enode_empty_node():
     pid = "p0"
     parts = {pid: Part(id=pid, family="2x4", shape=(stock.dims[0],))}
     node = AtomicNode(id="n0", spec=stock, placements=((pid, (0,)),))
-    result = optimize_enode(node, parts, TOOLS)
+    result = optimize_enode(node, parts, NodeMemo(TOOLS))
     assert result.cuts == ()
     assert result.best_time_cost == (0, 0.0)
 
@@ -236,8 +236,10 @@ def build_term(stocks, tools=TOOLS, prefix="p", first_node=0, node_memo=None):
 
     Each entry is (stock id, layout), a layout as `place` takes it. Part
     ids start with `prefix`; node ids count up from `first_node`. The node
-    searches share `node_memo` when one is given.
+    searches share `node_memo` (by default a new one for `tools`).
     """
+    if node_memo is None:
+        node_memo = NodeMemo(tools)
     parts = {}
     placed = []
     for j, (stock_id, layout) in enumerate(stocks):
@@ -248,7 +250,7 @@ def build_term(stocks, tools=TOOLS, prefix="p", first_node=0, node_memo=None):
     g._next = first_node
     g.add_arrangement(Arrangement(design_id="d", stocks=tuple(placed)))
     term = g.term_from_choices({})
-    cache = {n.id: optimize_enode(n, parts, tools, node_memo)
+    cache = {n.id: optimize_enode(n, parts, node_memo)
              for n in g.atomic_nodes_of(term)}
     return g, term, cache
 
@@ -316,7 +318,7 @@ def term_cuts(stocks):
 def assert_parity(stocks, mode, tools=TOOLS):
     g, term, cache = build_term(stocks, tools)
     assert sum(len(orders.cuts) for orders in cache.values()) <= PARITY_MAX_CUTS
-    got = refine_term(g, term, cache, tools, mode=mode)
+    got = refine_term(g, term, cache, mode, {})
     assert outcome(got) == outcome(permutation_refine(g, term, cache, mode, tools))
     return got
 
@@ -479,7 +481,7 @@ def test_node_orders_match_permutation_argmin(kind, count):
     sizes = set()
     for _ in range(count):
         node, parts = layout_node(*random_node(rng, kind))
-        got = optimize_enode(node, parts, TOOLS)
+        got = optimize_enode(node, parts, NodeMemo(TOOLS))
         sizes.add(len(got.cuts))
         assert (got.best_precision, got.best_precision_cost,
                 got.best_time, got.best_time_cost) == brute_force_node(node, parts)
@@ -487,7 +489,7 @@ def test_node_orders_match_permutation_argmin(kind, count):
 
 
 def test_node_memo_shares_orders_across_relabelled_nodes():
-    memo = NodeMemo()
+    memo = NodeMemo(TOOLS)
     for stock_id, layout in [("2x4-48", [LENGTHS[4], LENGTHS[0], LENGTHS[4]]),
                              ("sheet-1/2-24x20", [(SHELF_HEIGHTS[1], WIDTHS[:2]),
                                                   (SHELF_HEIGHTS[0], WIDTHS[1:])])]:
@@ -495,12 +497,12 @@ def test_node_memo_shares_orders_across_relabelled_nodes():
         again, again_parts = layout_node(stock_id, layout, "n17", prefix="q")
         assert set(first_parts).isdisjoint(again_parts)
         size = len(memo.patterns)
-        a = optimize_enode(first, first_parts, TOOLS, memo)
+        a = optimize_enode(first, first_parts, memo)
         assert len(memo.patterns) == size + 1
-        b = optimize_enode(again, again_parts, TOOLS, memo)
+        b = optimize_enode(again, again_parts, memo)
         assert len(memo.patterns) == size + 1
         assert a.steps is b.steps
-        assert b == optimize_enode(again, again_parts, TOOLS)
+        assert b == optimize_enode(again, again_parts, NodeMemo(TOOLS))
         assert all(c.stock_key == "n17" for c in b.best_precision + b.best_time)
         index_a = {c.id: i for i, c in enumerate(a.cuts)}
         index_b = {c.id: i for i, c in enumerate(b.cuts)}
@@ -515,8 +517,8 @@ def test_node_memo_shares_orders_across_relabelled_nodes():
                              ("2x4-48", [LENGTHS[4], LENGTHS[4], LENGTHS[0]])]:
         node, parts = layout_node(stock_id, layout, "n9")
         size = len(memo.patterns)
-        assert optimize_enode(node, parts, TOOLS, memo) == \
-            optimize_enode(node, parts, TOOLS)
+        assert optimize_enode(node, parts, memo) == \
+            optimize_enode(node, parts, NodeMemo(TOOLS))
         assert len(memo.patterns) == size + 1
 
 
@@ -528,7 +530,7 @@ def test_node_memo_shares_orders_across_relabelled_nodes():
 def test_large_node_search_is_capped(stock_id, layout):
     node, parts = layout_node(stock_id, layout)
     start = time.perf_counter()
-    got = optimize_enode(node, parts, TOOLS)
+    got = optimize_enode(node, parts, NodeMemo(TOOLS))
     assert time.perf_counter() - start < 2.0
     assert len(got.cuts) == 16
     inst = StockInstance(key=node.id, spec=node.spec)
@@ -542,7 +544,7 @@ def test_large_node_search_is_capped(stock_id, layout):
     g, term, cache = build_term([(stock_id, layout)])
     cuts = sorted(c.id for orders in cache.values() for c in orders.cuts)
     start = time.perf_counter()
-    refined = refine_term(g, term, cache, TOOLS, mode=3)
+    refined = refine_term(g, term, cache, 3, {})
     assert time.perf_counter() - start < 2.0
     assert refined
     for plan, cost in refined:
@@ -556,7 +558,7 @@ def test_large_node_search_is_capped(stock_id, layout):
 
 def refine(term_parts, mode, memo=None):
     g, term, cache = term_parts
-    return refine_term(g, term, cache, TOOLS, mode=mode, memo=memo)
+    return refine_term(g, term, cache, mode, {} if memo is None else memo)
 
 
 def full_outcome(results):
@@ -575,7 +577,7 @@ def test_term_memo_shares_fronts_across_relabelled_terms(mode, monkeypatch):
     # as in a run, every node search shares one node memo, so a cut pattern
     # has one step table, which the term memo keys on
     rng = random.Random(f"term-memo-{mode}")
-    node_memo = NodeMemo()
+    node_memo = NodeMemo(TOOLS)
     memo = {}
     stacked = 0
     cases = [[("2x2-24", [ticks(3), ticks(4)])] * 2]
@@ -629,7 +631,7 @@ def test_term_memo_shares_fronts_across_relabelled_terms(mode, monkeypatch):
 def test_term_memo_shares_uncut_stocks(mode):
     # one part exactly filling a 2x4-24 leaves that stock uncut; its pattern
     # has one step table like any other, so the relabelled term is a hit
-    node_memo = NodeMemo()
+    node_memo = NodeMemo(TOOLS)
     memo = {}
     stocks = [("2x4-24", [STOCKS["2x4-24"].dims[0]]), ("2x4-48", [LENGTHS[4], LENGTHS[0]])]
     first = build_term(stocks, node_memo=node_memo)
@@ -685,7 +687,7 @@ def test_refined_costs_equal_evaluate_plan(mode):
     # every refined cost is `evaluate_plan`'s, exactly: a front order's is
     # its label's sums, a plain per-node best order's is replayed
     rng = random.Random(f"replay-{mode}")
-    node_memo = NodeMemo()
+    node_memo = NodeMemo(TOOLS)
     term_memo = {}
     sizes = set()
     metal = False
@@ -726,6 +728,25 @@ def test_refined_costs_equal_evaluate_plan(mode):
 
 
 @pytest.mark.parametrize("mode", [2, 3])
+def test_refine_term_costs_stacked_plans_with_node_memo_tools(mode):
+    # three 378-tick parts on a 2x2-24 leave a 378-tick offcut, so the
+    # fastest order measures every cut at 378 ticks and shares setups; two
+    # such sticks stack. A chopsaw whose partial setup is not the default
+    # table's prices those plans differently, and refinement costs them
+    # with the tools of the node memo that built the term's step tables.
+    tools = dict(TOOLS)
+    tools[Tool.CHOPSAW] = dataclasses.replace(TOOLS[Tool.CHOPSAW], setup_partial=5)
+    g, term, cache = build_term([("2x2-24", [378] * 3)] * 2, tools)
+    results = refine_term(g, term, cache, mode, {})
+    stacked = [(plan, cost) for plan, cost in results
+               if any(c.stack_group for c in plan.cuts)]
+    assert stacked
+    for plan, cost in results:
+        assert cost == evaluate_plan(plan, tools).vector(mode)
+    assert all(cost != evaluate_plan(plan, TOOLS).vector(mode) for plan, cost in stacked)
+
+
+@pytest.mark.parametrize("mode", [2, 3])
 def test_term_search_reads_node_steps(mode, monkeypatch):
     # stocks of up to 8 cuts searched as nodes: a term over them, small or
     # large, is searched and costed without simulating a single cut (no
@@ -735,7 +756,7 @@ def test_term_search_reads_node_steps(mode, monkeypatch):
     # searching only the entry fronts its tables lack; a smaller term of
     # several cut stocks runs one term search.
     rng = random.Random(f"no-resim-{mode}")
-    node_memo = NodeMemo()
+    node_memo = NodeMemo(TOOLS)
     terms = []
     while len(terms) < 30:
         stocks = random_term(rng, max_stocks=4)

@@ -56,7 +56,7 @@ def test_shrink_moves_to_cheapest_fit():
     parts = [lumber(0, 20)]
     frag = pack_traversal(parts, spec("2x4-96"), KERF)
     family = [s for s in STOCKS if s.family == "2x4" and s.material is Material.WOOD]
-    shrunk = shrink_instances(frag, family, {p.id: p for p in parts})
+    shrunk = shrink_instances(frag, family, {p.id: p for p in parts}, {})
     assert shrunk[0][0].id == "2x4-24"
 
 
@@ -64,7 +64,7 @@ def test_shrink_keeps_needed_size():
     parts = [lumber(0, 40), lumber(1, 40)]
     frag = pack_traversal(parts, spec("2x4-96"), KERF)
     family = [s for s in STOCKS if s.family == "2x4" and s.material is Material.WOOD]
-    shrunk = shrink_instances(frag, family, {p.id: p for p in parts})
+    shrunk = shrink_instances(frag, family, {p.id: p for p in parts}, {})
     assert shrunk[0][0].id == "2x4-96"
 
 
@@ -104,7 +104,7 @@ def test_shared_shrink_lookup_matches_plain_scan(family):
         fragment = pack_traversal(parts, designated, KERF)
         shared = shrink_instances(fragment, stocks, by_id, holders)
         instances += len(shared)
-        assert shared == shrink_instances(fragment, stocks, by_id) == \
+        assert shared == shrink_instances(fragment, stocks, by_id, {}) == \
             scan_shrink(fragment, stocks, by_id)
     # the lookup was shared: fewer distinct (spec, used extent) keys than
     # instances shrunk
