@@ -361,7 +361,7 @@ def icee_run(
                     design = states[did].design if did else base
                 chosen.append(design)
 
-        budget = max(1, params.traversals // max(1, len(chosen)))
+        budget = max(1, params.traversals // len(chosen))
         new_solutions: list[Solution] = []
         for k, design in enumerate(chosen):
             state = _ensure_state(states, design)
@@ -415,7 +415,7 @@ def icee_run(
             did: states[did].egraph.count_terms() for did in sorted(states)
         },
         "front_size": len(archive),
-        "hypervolume": report_iters[-1]["hypervolume"] if report_iters else 0.0,
+        "hypervolume": report_iters[-1]["hypervolume"],
         "clipped_points": [list(p) for p in clip.clipped],
     }
     return archive, report

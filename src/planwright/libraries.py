@@ -8,8 +8,10 @@ operation error, and per-stock load/unload times.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from typing import Any, Iterable
 
+from .designspace import DesignInputError
 from .model import (
     Material,
     OpRate,
@@ -72,17 +74,7 @@ def default_stocks() -> list[StockSpec]:
 
 def metal_twin(stock: StockSpec) -> StockSpec:
     """Metal stock with the same geometry; priced at cost time (20x wood)."""
-    return StockSpec(
-        id=f"metal-{stock.id}",
-        family=stock.family,
-        dims=stock.dims,
-        price=stock.price,
-        load_full=stock.load_full,
-        load_partial=stock.load_partial,
-        unload_full=stock.unload_full,
-        unload_partial=stock.unload_partial,
-        material=Material.METAL,
-    )
+    return replace(stock, id=f"metal-{stock.id}", material=Material.METAL)
 
 
 def with_metal_twins(stocks: Iterable[StockSpec]) -> list[StockSpec]:
@@ -178,7 +170,13 @@ def load_libraries(path: str | None) -> tuple[list[StockSpec], dict[Tool, ToolSp
         return default_stocks(), default_tools()
     with open(path) as fh:
         payload = json.load(fh)
-    stocks = [stock_from_json(o) for o in payload.get("stocks", [])] or default_stocks()
-    tools_list = [tool_from_json(o) for o in payload.get("tools", [])]
+    try:
+        stocks = [stock_from_json(o) for o in payload.get("stocks", [])]
+        tools_list = [tool_from_json(o) for o in payload.get("tools", [])]
+    except KeyError as exc:
+        raise DesignInputError(f"bad library file: missing field {exc}") from exc
+    except (AttributeError, TypeError) as exc:
+        raise DesignInputError(f"bad library file: {exc}") from exc
+    stocks = stocks or default_stocks()
     tools = {t.id: t for t in tools_list} if tools_list else default_tools()
     return stocks, tools

@@ -30,11 +30,14 @@ the join finds the orders that scoring every one-run order would keep.
 
 Those per-cut step costs come from one `StepTable` per stock cut pattern,
 kept in the node memo for the whole run with the pattern's fronts: the
-node search fills it, and every term search and plan cost over a stock
-with that pattern reads it, so a step is simulated once per run. A term's
-front orders carry the costs their labels sum, and the per-node best
-orders are costed by replaying them through the tables; `evaluate_plan`
-is left to the stacked plans. Refinement hands on only each plan's
+node search fills it, and every term search over a stock with that
+pattern reads it, so a step is simulated once per run. A term's front
+orders carry the costs their labels sum, and `evaluate_plan` is left to
+the stacked plans. Refinement's candidates are the stacked per-node best
+orders, then the term's exact front, then the stacked canonical orders.
+The plain concatenations of the per-node best orders are not candidates:
+unless a stock's search is capped, the front spans them, so they could
+add a tie but never a cost. Refinement hands on only each plan's
 `CostVector` in the run's objective mode.
 
 `candidate_orders`, `_repair_order` and `term_bounds` (with `_lower_bound`
@@ -576,22 +579,6 @@ def _joined(tables: list[StepTable], mode: int) -> list[Label] | None:
     return _lex_front([label for labels in states.values() for label in labels])
 
 
-def _replay(path: list[int], per_cut: CutSteps) -> tuple[int, int]:
-    """`evaluate_plan`'s (f_t quanta, f_p ticks) of an unstacked plan whose
-    cuts are `path` into `per_cut`, read off the step tables."""
-    f_t = f_p = 0
-    prev = None
-    last_stock = done = 0
-    for i in path:
-        table, j, offset, stock, partial, full, load = per_cut[i]
-        sig, op_time, eps, perr = table.step(j, (done & stock) >> offset)
-        setup = partial if partial is not None and prev == sig else full
-        f_t += setup + (load if stock != last_stock else 0) + op_time
-        f_p += eps + perr
-        prev, last_stock, done = sig, stock, done | 1 << i
-    return f_t, f_p
-
-
 # -- refinement --------------------------------------------------------------
 
 
@@ -638,34 +625,31 @@ def _refined(design_id: str, stocks: list[tuple[StockInstance, NodeOrders]],
     """`refine_term`'s search: its candidates as recipes, costed and
     filtered, so that only the kept ones become plans.
 
-    The candidates are the upper-bound orders (the per-node best orders,
-    plain and stacked), then the term's exact order front, then the stacked
-    per-stock canonical orders, each costed once as a `CostVector` in mode
-    `mode`. A front order takes its label's (f_t quanta, f_p ticks), which
-    sum its steps exactly as `evaluate_plan` does (a mode-2 label's f_p is
-    0; its vector has none), and the term's f_c; the plain per-node best
-    orders are replayed through the stocks' step tables (`_replay`), and
-    stacked plans go through `evaluate_plan`. The front holds, for every
-    non-dominated cost, the lexicographically first feasible order of all
-    the term's cuts, which is what scoring every such order would keep: up
-    to EXHAUSTIVE_TERM_CUTS cuts every interleaving of its stocks, above
-    that every order that cuts each stock in one run, stocks in bill order.
-    `_joined` finds it for a term with one cut stock and for every term
-    above EXHAUSTIVE_TERM_CUTS cuts, `_pareto_orders` for the others.
+    The candidates are the stacked per-node best orders, then the term's
+    exact order front, then the stacked per-stock canonical orders, each
+    costed once as a `CostVector` in mode `mode`. A front order takes its
+    label's (f_t quanta, f_p ticks), which sum its steps exactly as
+    `evaluate_plan` does (a mode-2 label's f_p is 0; its vector has none),
+    and the term's f_c; stacked plans go through `evaluate_plan`. The front
+    holds, for every non-dominated cost, the lexicographically first
+    feasible order of all the term's cuts, which is what scoring every such
+    order would keep: up to EXHAUSTIVE_TERM_CUTS cuts every interleaving of
+    its stocks, above that every order that cuts each stock in one run,
+    stocks in bill order. `_joined` finds it for a term with one cut stock
+    and for every term above EXHAUSTIVE_TERM_CUTS cuts, `_pareto_orders`
+    for the others. The plain concatenations of the per-node best orders
+    are not candidates: each cuts every stock in one run, stocks in bill
+    order, so unless a stock's search is capped the front spans it, and it
+    could add a tie but never a cost.
     """
     bill = tuple(inst for inst, _ in stocks)
     f_c = material_cost(bill)
     tables = [orders.steps for _, orders in stocks]
     tools = tables[0].tools  # the node memo's, which the steps were costed with
-    per_cut = _cut_steps(tables)
     at = {c.id: i for i, c in enumerate(all_cuts)}
     stock_at = {inst.key: j for j, inst in enumerate(bill)}
     plain_bill = tuple(range(len(bill)))
     candidates: list[Recipe] = []
-
-    def consider(path: list[int], q: int, ticks: int) -> None:
-        candidates.append((tuple((i, None) for i in path), plain_bill,
-                           totals_vector(f_c, q / TIME_QUANTA, ticks, mode)))
 
     def consider_stacked(per_stock: list[tuple[StockInstance, list[Cut]]]) -> None:
         plan = stacked_variant(design_id, per_stock, tools)
@@ -674,19 +658,15 @@ def _refined(design_id: str, stocks: list[tuple[StockInstance, NodeOrders]],
                                tuple(stock_at[inst.key] for inst in plan.stock_bill),
                                evaluate_plan(plan, tools).vector(mode)))
 
-    for per_stock in (
-        [(inst, list(orders.best_precision)) for inst, orders in stocks],
-        [(inst, list(orders.best_time)) for inst, orders in stocks],
-    ):
-        path = [at[c.id] for _, order in per_stock for c in order]
-        consider(path, *_replay(path, per_cut))
-        consider_stacked(per_stock)
+    consider_stacked([(inst, list(orders.best_precision)) for inst, orders in stocks])
+    consider_stacked([(inst, list(orders.best_time)) for inst, orders in stocks])
     labels = _joined(tables, mode)
     if labels is None:
         fronts = _pareto_orders(tables, mode).values()
         labels = _lex_front([label for labels in fronts for label in labels])
-    for label in labels:
-        consider(*label)
+    for path, q, ticks in labels:
+        candidates.append((tuple((i, None) for i in path), plain_bill,
+                           totals_vector(f_c, q / TIME_QUANTA, ticks, mode)))
     # stacked counterparts of each per-stock canonical order
     consider_stacked([(inst, list(orders.cuts)) for inst, orders in stocks])
     return tuple(pareto_filter(candidates, key=lambda recipe: recipe[2].objectives))

@@ -1,0 +1,59 @@
+"""Differential check: ICEE's front equals the brute-force oracle's.
+
+Small synthetic rings (`perfbench/synth.ring_design`) of 3 and 4 parts,
+whose whole design and plan spaces `oracle.brute_force_front` can search.
+Each case runs `icee_run` with the default libraries and `IceeParams` and
+compares the set of front objective tuples with the oracle's.
+
+These fronts have one or two points, so the suite catches faults in the
+design sweep and in stacking rather than in the cut-order search;
+`tests/test_ordering.py` checks that search against scoring every order.
+"""
+
+import functools
+
+import pytest
+
+from planwright.cost import PlanError
+from planwright.extraction import IceeParams, icee_run
+from planwright.io import design_space_from_json
+from planwright.libraries import default_stocks, default_tools
+from planwright.oracle import brute_force_front
+from test_front_digest import ring_design
+
+RING_SEEDS = range(100, 112)
+
+# (parts, ring seed) whose packings leave a kerf sliver that the cut
+# simulator rejects, on both sides (ROADMAP item 1)
+SLIVER = {(3, 103), (3, 106), (4, 107), (4, 109)}
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_front(n_parts, ring_seed, mode):
+    space = design_space_from_json(ring_design(ring_seed, n_parts))
+    front = brute_force_front(space, default_stocks(), default_tools(), mode)
+    return {cost.objectives for _, _, cost in front}
+
+
+def case(n_parts, ring_seed, mode, seed):
+    marks = []
+    if (n_parts, ring_seed) in SLIVER:
+        marks.append(pytest.mark.xfail(
+            raises=PlanError, strict=True,
+            reason="kerf-sliver packing defect (ROADMAP item 1)"))
+    return pytest.param(n_parts, ring_seed, mode, seed, marks=marks,
+                        id=f"ring{n_parts}-s{ring_seed}-m{mode}-seed{seed}")
+
+
+CASES = ([case(3, r, mode, seed) for r in RING_SEEDS for mode in (2, 3)
+          for seed in (0, 1)]
+         + [case(4, r, 2, 0) for r in RING_SEEDS])
+
+
+@pytest.mark.parametrize("n_parts, ring_seed, mode, seed", CASES)
+def test_icee_front_equals_oracle(n_parts, ring_seed, mode, seed):
+    space = design_space_from_json(ring_design(ring_seed, n_parts))
+    front, _ = icee_run(space, default_stocks(), default_tools(),
+                        IceeParams(seed=seed, objective_mode=mode))
+    got = {s.cost.objectives for s in front}
+    assert got == oracle_front(n_parts, ring_seed, mode)

@@ -165,6 +165,26 @@ def test_cli_dump_libraries():
     assert len(payload["tools"]) == 5
 
 
+@pytest.mark.parametrize("fault", ["stock without price", "tool without setup",
+                                   "dims not a list", "not an object"])
+def test_cli_bad_library_file_is_a_validation_error(tmp_path, fault):
+    libraries = json.loads(run_cli("dump-libraries").stdout)
+    if fault == "stock without price":
+        del libraries["stocks"][0]["price"]
+    elif fault == "tool without setup":
+        del libraries["tools"][0]["setup_full_lumber"]
+    elif fault == "dims not a list":
+        libraries["stocks"][0]["dims_in"] = 24
+    else:
+        libraries = libraries["stocks"]
+    lib_path = tmp_path / "libraries.json"
+    lib_path.write_text(json.dumps(libraries))
+    result = run_cli("optimize", corpus_path("lframe"), *FAST_ARGS,
+                     "--libraries", str(lib_path), "--out", str(tmp_path))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: bad library file"), result.stderr
+
+
 def test_cli_optimize_reports_clipped_points(tmp_path):
     # stock at 100 times its price puts every lframe plan beyond the 100 $
     # of the default reference point: the final front is clipped, and the

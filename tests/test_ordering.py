@@ -282,12 +282,8 @@ def permutation_refine(g, term, cache, mode, tools=TOOLS):
         if plan is not None:
             consider(plan)
 
-    for per_stock in (
-        [(inst, list(orders.best_precision)) for inst, orders in stocks],
-        [(inst, list(orders.best_time)) for inst, orders in stocks],
-    ):
-        consider(assemble_plan("d", per_stock))
-        consider_stacked(per_stock)
+    consider_stacked([(inst, list(orders.best_precision)) for inst, orders in stocks])
+    consider_stacked([(inst, list(orders.best_time)) for inst, orders in stocks])
     all_cuts = [c for _, orders in stocks for c in orders.cuts]
     bill = tuple(inst for inst, _ in stocks)
     if len(all_cuts) <= EXHAUSTIVE_TERM_CUTS:
