@@ -56,8 +56,9 @@ class Cut:
     """One cutting (or drilling) operation on a stock instance.
 
     Generated cuts carry geometry (kind/axis/position) and get their
-    measured length from piece simulation. Manual cuts (loaded from plan
-    files) may instead carry an explicit measured_len and op_length.
+    measured length from the piece they split (`cut_piece`). Manual cuts
+    (loaded from plan files) may instead carry an explicit measured_len and
+    op_length.
     """
 
     id: str
@@ -142,79 +143,73 @@ def measurement_error(measured_ticks: int) -> int:
 
 
 class _Sim:
-    """Piece tracker: the pieces of one stock left by the cuts so far."""
+    """Piece tracker: the pieces of one stock left by the cuts so far,
+    starting from the uncut stock `spec`."""
 
-    pieces: list[tuple]
+    def __init__(self, spec: StockSpec) -> None:
+        self.sheet = spec.is_sheet
+        self.pieces = [whole_piece(spec)]
 
-    def copy(self) -> _Sim:
-        twin = object.__new__(type(self))
-        twin.pieces = list(self.pieces)
-        return twin
-
-
-class _Sim1D(_Sim):
-    """Piece tracker for a lumber stock: intervals with original-edge flags."""
-
-    def __init__(self, length: int) -> None:
-        self.pieces: list[tuple[int, int, bool, bool]] = [(0, length, True, True)]
-
-    def cut(self, position: int, kerf: int) -> int:
-        """Apply a chop at `position`; returns the governing measured length."""
-        for i, (a, b, lo, ro) in enumerate(self.pieces):
-            if a <= position and position + kerf <= b:
-                measured = _measured_from_refs(position - a, b - position - kerf, lo, ro)
-                replacement = []
-                if position > a:
-                    replacement.append((a, position, lo, False))
-                if b > position + kerf:
-                    replacement.append((position + kerf, b, False, ro))
-                self.pieces[i:i + 1] = replacement
-                return measured
-        raise PlanError(f"1D cut at {position} hits no piece")
+    def cut(self, cut: Cut, kerf: int) -> tuple[int, int]:
+        """Make `cut` through the first piece that `holds` it."""
+        piece = next((p for p in self.pieces if holds(p, cut, kerf, self.sheet)), None)
+        measured_and_op = cut_piece(piece, cut, kerf, self.sheet)
+        at = self.pieces.index(piece)
+        self.pieces[at:at + 1] = split_piece(piece, cut, kerf, self.sheet)
+        return measured_and_op
 
 
-class _Sim2D(_Sim):
-    """Piece tracker for a sheet: axis-aligned rectangles (guillotine cuts)."""
+def whole_piece(spec: StockSpec) -> tuple:
+    """An uncut stock as a piece. A lumber piece is (start, end, start
+    original, end original); a sheet piece is (x0, y0, x1, y1, left, right,
+    bottom, top original)."""
+    if spec.is_sheet:
+        return (0, 0, *spec.dims, True, True, True, True)
+    return (0, spec.dims[0], True, True)
 
-    def __init__(self, width: int, height: int) -> None:
-        # (x0, y0, x1, y1, orig flags: left, right, bottom, top)
-        self.pieces: list[tuple[int, int, int, int, bool, bool, bool, bool]] = [
-            (0, 0, width, height, True, True, True, True)
-        ]
 
-    def cut(self, axis: int, position: int, kerf: int,
-            anchor: tuple[int, int]) -> tuple[int, int]:
-        """Full-width/height guillotine cut through the piece containing anchor.
+def holds(piece: tuple, cut: Cut, kerf: int, sheet: bool) -> bool:
+    """Whether `piece` holds `cut`: its anchor on a sheet, its kerf on lumber."""
+    if sheet:
+        ax, ay = cut.anchor
+        return piece[0] <= ax < piece[2] and piece[1] <= ay < piece[3]
+    return piece[0] <= cut.position and cut.position + kerf <= piece[1]
 
-        Returns (measured length, cut length for operation time).
-        """
-        ax, ay = anchor
-        for i, (x0, y0, x1, y1, lo, ro, bo, to) in enumerate(self.pieces):
-            if not (x0 <= ax < x1 and y0 <= ay < y1):
-                continue
-            if axis == 1:  # horizontal cut at y = position
-                if not (y0 <= position and position + kerf <= y1):
-                    raise PlanError("horizontal cut outside its piece")
-                measured = _measured_from_refs(position - y0, y1 - position - kerf, bo, to)
-                replacement = []
-                if position > y0:
-                    replacement.append((x0, y0, x1, position, lo, ro, bo, False))
-                if y1 > position + kerf:
-                    replacement.append((x0, position + kerf, x1, y1, lo, ro, False, to))
-                self.pieces[i:i + 1] = replacement
-                return measured, x1 - x0
-            else:  # vertical cut at x = position
-                if not (x0 <= position and position + kerf <= x1):
-                    raise PlanError("vertical cut outside its piece")
-                measured = _measured_from_refs(position - x0, x1 - position - kerf, lo, ro)
-                replacement = []
-                if position > x0:
-                    replacement.append((x0, y0, position, y1, lo, False, bo, to))
-                if x1 > position + kerf:
-                    replacement.append((position + kerf, y0, x1, y1, False, ro, bo, to))
-                self.pieces[i:i + 1] = replacement
-                return measured, y1 - y0
-        raise PlanError(f"2D cut anchor {anchor} hits no piece")
+
+def cut_piece(piece: tuple | None, cut: Cut, kerf: int, sheet: bool) -> tuple[int, int]:
+    """The measured length of `cut` made through `piece`, the one piece of
+    its stock that may hold it (None: none does), and the length it cuts
+    (0 on lumber). A sheet cut is a full-width (axis 1, at y) or
+    full-height (axis 0, at x) guillotine cut through its piece."""
+    if piece is None or not holds(piece, cut, kerf, sheet):
+        raise PlanError(f"2D cut anchor {cut.anchor} hits no piece" if sheet
+                        else f"1D cut at {cut.position} hits no piece")
+    x = cut.position
+    if not sheet:
+        a, b, near, far = piece
+        return _measured_from_refs(x - a, b - x - kerf, near, far), 0
+    x0, y0, x1, y1, lo, ro, bo, to = piece
+    if cut.axis == 1:
+        a, b, near, far, span, name = y0, y1, bo, to, x1 - x0, "horizontal"
+    else:
+        a, b, near, far, span, name = x0, x1, lo, ro, y1 - y0, "vertical"
+    if not (a <= x and x + kerf <= b):
+        raise PlanError(f"{name} cut outside its piece")
+    return _measured_from_refs(x - a, b - x - kerf, near, far), span
+
+
+def split_piece(piece: tuple, cut: Cut, kerf: int, sheet: bool) -> list[tuple]:
+    """The nonempty pieces that `cut` leaves of `piece`, in order."""
+    x = cut.position
+    if not sheet:
+        a, b, lo, ro = piece
+        return [p for p in ((a, x, lo, False), (x + kerf, b, False, ro)) if p[0] < p[1]]
+    x0, y0, x1, y1, lo, ro, bo, to = piece
+    if cut.axis == 1:
+        return [p for p in ((x0, y0, x1, x, lo, ro, bo, False),
+                            (x0, x + kerf, x1, y1, lo, ro, False, to)) if p[1] < p[3]]
+    return [p for p in ((x0, y0, x, y1, lo, False, bo, to),
+                        (x + kerf, y0, x1, y1, False, ro, bo, to)) if p[0] < p[2]]
 
 
 def _measured_from_refs(near: int, far: int, near_orig: bool, far_orig: bool) -> int:
@@ -275,7 +270,7 @@ def evaluate_plan(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> PlanCost:
     for cut in plan.cuts:
         if cut.stock_key not in instances:
             raise PlanError(f"unknown stock instance {cut.stock_key!r}")
-    sims = {inst.key: new_sim(inst.spec) for inst in plan.stock_bill}
+    sims = {inst.key: _Sim(inst.spec) for inst in plan.stock_bill}
 
     rows: list[CutTimeBreakdown] = []
     f_t = 0  # quanta
@@ -325,13 +320,6 @@ def evaluate_plan(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> PlanCost:
                     f_t_seconds=f_t / TIME_QUANTA, f_p_ticks=f_p)
 
 
-def new_sim(spec: StockSpec) -> _Sim:
-    """Fresh piece tracker for one uncut stock."""
-    if spec.is_sheet:
-        return _Sim2D(spec.dims[0], spec.dims[1])
-    return _Sim1D(spec.dims[0])
-
-
 def resolve_geometry(op: list[Cut], tool: ToolSpec, sims: dict) -> tuple[int, int]:
     """Returns (measured length, op length) for one operation, advancing sims."""
     lead = op[0]
@@ -340,17 +328,9 @@ def resolve_geometry(op: list[Cut], tool: ToolSpec, sims: dict) -> tuple[int, in
             raise PlanError(f"cut {lead.id}: manual cut needs measured_len")
         return lead.measured_len, lead.op_length or 0
 
-    measured = op_len = None
-    for c in op:  # all stacked members share geometry; simulate each stock
-        sim = sims[c.stock_key]
-        if isinstance(sim, _Sim1D):
-            m = sim.cut(c.position, tool.kerf)
-            length = 0
-        else:
-            m, length = sim.cut(c.axis, c.position, tool.kerf, anchor=c.anchor)
-        if measured is None:
-            measured, op_len = m, length
-    assert measured is not None and op_len is not None
+    measured, op_len = sims[lead.stock_key].cut(lead, tool.kerf)
+    for c in op[1:]:  # stacked members share the lead's geometry; cut each stock
+        sims[c.stock_key].cut(c, tool.kerf)
     return measured, op_len
 
 

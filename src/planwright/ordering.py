@@ -31,7 +31,8 @@ the join finds the orders that scoring every one-run order would keep.
 Those per-cut step costs come from one `StepTable` per stock cut pattern,
 kept in the node memo for the whole run with the pattern's fronts: the
 node search fills it, and every term search over a stock with that
-pattern reads it, so a step is simulated once per run. A term's front
+pattern reads it, so a step is costed once per run, from the one piece
+its cut splits (`cost.cut_piece`), with no piece simulator. A term's front
 orders carry the costs their labels sum, and `evaluate_plan` is left to
 the stacked plans. Refinement's candidates are the stacked per-node best
 orders, then the term's exact front, then the stacked canonical orders.
@@ -58,16 +59,18 @@ from .cost import (
     FabPlan,
     StockInstance,
     TIME_QUANTA,
+    cut_piece,
     evaluate_plan,
+    holds,
     load_seconds,
     material_cost,
     measurement_error,
-    new_sim,
     operation_seconds,
     order_is_feasible,
     quanta,
-    resolve_geometry,
+    split_piece,
     totals_vector,
+    whole_piece,
 )
 from .egraph import AtomicNode, BopEGraph, Term
 from .model import (
@@ -102,25 +105,33 @@ class StepTable:
     mask `done`, filled on demand. It holds all that the cut's cost takes
     from the stock, since a stock's pieces depend only on the set of cuts
     already made on it. Equal steps share one tuple through `pool` (one per
-    run). Piece simulators live only as long as one search (`sims` of
-    `step`). `fronts` maps an entry signature to the pattern's mode-3 order
-    front after a cut with it, per last setup signature (`front`); entry
-    None is the node search. `best_precision` and `best_time` are the node
-    search's (index path, (f_p ticks, f_t seconds)) of the best-f_p and
-    best-f_t orders. A run's node memo holds one table per pattern, so a
-    table stands for its pattern and compares by identity.
+    run). A step is costed from the one piece that holds its cut
+    (`_piece`; on lumber the cuts must ascend in position, as
+    `plans._lumber_cuts` makes them), and `tails` keeps it per (cut,
+    measured length, op length), which fix the rest. `fronts` maps an entry
+    signature to the pattern's mode-3 order front after a cut with it, per
+    last setup signature (`front`); entry None is the node search.
+    `best_precision` and `best_time` are the node search's (index path,
+    (f_p ticks, f_t seconds)) of the best-f_p and best-f_t orders. A run's
+    node memo holds one table per pattern, so a table stands for its
+    pattern and compares by identity.
     """
 
-    __slots__ = ("spec", "cuts", "tools", "k", "steps", "pool", "fronts",
-                 "best_precision", "best_time")
+    __slots__ = ("spec", "cuts", "tools", "k", "steps", "tails", "pieces", "pool",
+                 "fronts", "best_precision", "best_time")
 
     def __init__(self, spec: StockSpec, cuts: list[Cut],
                  tools: dict[Tool, ToolSpec], pool: dict[Step, Step]) -> None:
+        if not spec.is_sheet and any(a.position >= b.position
+                                     for a, b in zip(cuts, cuts[1:])):
+            raise ValueError("lumber cuts must ascend in position")
         self.spec = spec
         self.cuts = cuts  # the first stock with the pattern, canonical order
         self.tools = tools
         self.k = len(cuts)
         self.steps: dict[int, Step] = {}
+        self.tails: dict[int, Step] = {}
+        self.pieces: dict[int, tuple | None] = {}  # sheets only, keyed as `steps`
         self.pool = pool
         self.fronts: dict[tuple | None, dict[tuple | None, list[Label]]] = {}
         self.best_precision = self.best_time = None  # set by the node search
@@ -132,38 +143,52 @@ class StepTable:
             front = self.fronts[entry] = _pareto_orders([self], 3, entry)
         return front
 
-    def step(self, i: int, done: int, sims: dict | None = None) -> Step:
-        """The step of cut i after the cuts in `done`. `sims` holds one
-        search's simulators per done mask; without one for `done`, the
-        done cuts are made afresh in canonical index order, which puts
-        every parent cut before its children."""
+    def step(self, i: int, done: int) -> Step:
+        """The step of cut i after the cuts in `done`, made through the one
+        piece that holds it (`_piece`)."""
         key = done * self.k + i
         step = self.steps.get(key)
         if step is not None:
             return step
-        if sims is None:
-            sims = {}
-        sim = sims.get(done)
-        if sim is None:
-            sim = new_sim(self.spec)
-            for j in range(self.k):
-                if done >> j & 1:
-                    self._cut(j, sim)
-        else:
-            sim = sim.copy()
-        measured, op_len = self._cut(i, sim)
-        sims.setdefault(done | 1 << i, sim)
         cut = self.cuts[i]
         tool = self.tools[cut.tool]
-        step = ((cut.tool, cut.axis, measured),
-                quanta(operation_seconds(cut, tool, self.spec, op_len)),
-                measurement_error(measured), tool.op_error_for(self.spec.material))
-        step = self.steps[key] = self.pool.setdefault(step, step)
+        sheet = self.spec.is_sheet
+        measured, op_len = cut_piece(self._piece(i, done), cut, tool.kerf, sheet)
+        tail = ((measured << 32) + op_len) * self.k + i  # lengths are under 2**32 ticks
+        step = self.tails.get(tail)
+        if step is None:
+            step = ((cut.tool, cut.axis, measured),
+                    quanta(operation_seconds(cut, tool, self.spec, op_len)),
+                    measurement_error(measured), tool.op_error_for(self.spec.material))
+            step = self.tails[tail] = self.pool.setdefault(step, step)
+        self.steps[key] = step
         return step
 
-    def _cut(self, i: int, sim) -> tuple[int, int]:
-        cut = self.cuts[i]
-        return resolve_geometry([cut], self.tools[cut.tool], {cut.stock_key: sim})
+    def _piece(self, i: int, done: int) -> tuple | None:
+        """The one piece that may hold cut i after the cuts in `done`. On
+        lumber it lies between the nearest done cut on each side. On a
+        sheet, cut i's anchor is followed through the done cuts in index
+        order (parents first): the piece after `done` is the one after
+        `done` less its last cut j, split by j when j's anchor lies in it,
+        as in a piece simulator. `pieces` keeps it (None: in a kerf)."""
+        cuts = self.cuts
+        if not self.spec.is_sheet:
+            below, above = done & (1 << i) - 1, done >> i + 1
+            start = cuts[below.bit_length() - 1] if below else None
+            end = cuts[i + (above & -above).bit_length()] if above else None
+            return (start.position + self.tools[start.tool].kerf if start else 0,
+                    end.position if end else self.spec.dims[0], not start, not end)
+        if not done:
+            return whole_piece(self.spec)
+        piece = self.pieces.get(done * self.k + i, False)
+        if piece is False:
+            j = done.bit_length() - 1
+            piece = self._piece(i, done ^ 1 << j)
+            if piece is not None and holds(piece, cuts[j], 0, True):
+                left = split_piece(piece, cuts[j], self.tools[cuts[j].tool].kerf, True)
+                piece = next((p for p in left if holds(p, cuts[i], 0, True)), None)
+            self.pieces[done * self.k + i] = piece
+        return piece
 
 
 @dataclass(frozen=True)
@@ -462,9 +487,7 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
     Precondition: each stock's cuts are contiguous and in the canonical
     order of its table's pattern, so cut i of a stock whose cuts start at
     `offset` reads its step off that table at local index i - offset and
-    local done mask `(mask & stock mask) >> offset`. A step the table lacks
-    (a state of a capped search, or none searched yet) is simulated and
-    kept; the simulators live only as long as this search.
+    local done mask `(mask & stock mask) >> offset`.
 
     Forward label-setting over states (done mask, last cut), one popcount at
     a time. The state fixes everything that later steps cost: a cut's
@@ -480,6 +503,12 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
     signature weakly dominates, and the `_lex_front` of all groups is the
     front.
 
+    Each layer is one list of labels in path order: its labels, taken in
+    turn, each extended by its ready cuts in ascending index, give the next
+    layer's in path order too. So the labels already kept at a new label's
+    state are exactly those with smaller paths, and it is dropped when one
+    of them weakly dominates it: `_lex_front`'s rule, with no sort.
+
     A layer of more than MAX_LAYER_STATES states (none for 8 cuts or fewer)
     is cut down to that many by `_cap_layer`; the result is then a
     deterministic heuristic front rather than the exact one.
@@ -494,40 +523,56 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
         need.extend(0 if c.parent is None else 1 << index.get(c.parent, n)
                     for c in table.cuts)
         start += table.k
-    sims: dict[StepTable, dict] = {table: {} for table in tables}
 
     signature: dict[tuple[int, int], tuple | None] = {(0, -1): entry}
-    layer: dict[tuple[int, int], list] = {(0, -1): [((), 0, 0)]}
+    # (path, f_t, f_p, state) per label, in path order
+    layer: list[tuple[tuple[int, ...], int, int, tuple[int, int]]] = [((), 0, 0, (0, -1))]
     for _ in range(n):
-        grown: dict[tuple[int, int], list] = {}
-        for (mask, last), labels in layer.items():
-            prev = signature[mask, last]
-            last_stock = per_cut[last][3] if last >= 0 else 0
-            for i in range(n):
-                if mask >> i & 1 or need[i] & ~mask:
-                    continue
-                table, j, offset, stock, partial, full, load = per_cut[i]
-                done = (mask & stock) >> offset
-                step = table.steps.get(done * table.k + j)
-                if step is None:
-                    step = table.step(j, done, sims[table])
-                sig, op_time, eps, perr = step
-                setup = partial if partial is not None and prev == sig else full
-                step_t = setup + (load if stock != last_stock else 0) + op_time
-                # mode 2 has no f_p objective: a constant 0 never separates labels
-                ticks = 0 if mode == 2 else eps + perr
-                state = (mask | 1 << i, i)
-                signature[state] = sig
-                out = grown.setdefault(state, [])
-                for path, t, p in labels:
-                    out.append((path + (i,), t + step_t, p + ticks))
-        layer = {state: _lex_front(labels) for state, labels in grown.items()}
-        if len(layer) > MAX_LAYER_STATES:
-            layer = _cap_layer(layer)
-    groups: dict[tuple | None, list[Label]] = {}
-    for state, labels in layer.items():
-        groups.setdefault(signature[state], []).extend(labels)
-    return {sig: _lex_front(labels) for sig, labels in groups.items()}
+        grown = []
+        # (f_t, f_p) of the kept labels per state of the new layer, and the
+        # moves (cut, next state, step f_t, step f_p) per state of this one
+        kept: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        moves: dict[tuple[int, int], list[tuple[int, tuple[int, int], int, int]]] = {}
+        for path, t, p, state in layer:
+            out = moves.get(state)
+            if out is None:
+                out = moves[state] = []
+                mask, last = state
+                prev = signature[state]
+                last_stock = per_cut[last][3] if last >= 0 else 0
+                for i in range(n):
+                    if mask >> i & 1 or need[i] & ~mask:
+                        continue
+                    table, j, offset, stock, partial, full, load = per_cut[i]
+                    done = (mask & stock) >> offset
+                    step = table.steps.get(done * table.k + j) or table.step(j, done)
+                    sig, op_time, eps, perr = step
+                    setup = partial if partial is not None and prev == sig else full
+                    to = (mask | 1 << i, i)
+                    signature[to] = sig
+                    # mode 2 has no f_p objective: a constant 0 never separates labels
+                    out.append((i, to, setup + (load if stock != last_stock else 0)
+                                + op_time, 0 if mode == 2 else eps + perr))
+            for i, to, step_t, ticks in out:
+                t2, p2 = t + step_t, p + ticks
+                front = kept.setdefault(to, [])
+                for kt, kp in front:
+                    if kt <= t2 and kp <= p2:
+                        break
+                else:
+                    front.append((t2, p2))
+                    grown.append((path + (i,), t2, p2, to))
+        if len(kept) > MAX_LAYER_STATES:
+            groups: dict[tuple[int, int], list[Label]] = {}
+            for path, t, p, state in grown:
+                groups.setdefault(state, []).append((path, t, p))
+            capped = _cap_layer(groups)
+            grown = [label for label in grown if label[3] in capped]
+        layer = grown
+    fronts: dict[tuple | None, list[Label]] = {}
+    for path, t, p, state in layer:
+        fronts.setdefault(signature[state], []).append((path, t, p))
+    return {sig: _lex_front(labels) for sig, labels in fronts.items()}
 
 
 def _joined(tables: list[StepTable], mode: int) -> list[Label] | None:

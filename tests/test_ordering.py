@@ -6,7 +6,16 @@ import time
 import pytest
 
 from planwright.analysis import pareto_filter
-from planwright.cost import FabPlan, StockInstance, evaluate_plan, order_is_feasible
+from planwright.cost import (
+    FabPlan,
+    PlanError,
+    StockInstance,
+    evaluate_plan,
+    measurement_error,
+    operation_seconds,
+    order_is_feasible,
+    quanta,
+)
 from planwright.plans import assemble_plan, cuts_for_instance, stacked_variant
 from planwright.egraph import AtomicNode, BopEGraph
 from planwright.libraries import default_stocks, default_tools, with_metal_twins
@@ -15,6 +24,7 @@ from planwright import cost as cost_module, ordering
 from planwright.ordering import (
     EXHAUSTIVE_TERM_CUTS,
     NodeMemo,
+    StepTable,
     _repair_order,
     candidate_orders,
     optimize_enode,
@@ -745,8 +755,9 @@ def test_refine_term_costs_stacked_plans_with_node_memo_tools(mode):
 @pytest.mark.parametrize("mode", [2, 3])
 def test_term_search_reads_node_steps(mode, monkeypatch):
     # stocks of up to 8 cuts searched as nodes: a term over them, small or
-    # large, is searched and costed without simulating a single cut (no
-    # two stocks alike, so no stacked plan is evaluated either). A term
+    # large, is searched and costed without costing a single cut afresh
+    # (every step it reads is already in its step table) or simulating one
+    # (no two stocks are alike, so no stacked plan is evaluated). A term
     # with one cut stock reads its node search's front, and a lumber or
     # sheet term above EXHAUSTIVE_TERM_CUTS joins its stocks' fronts,
     # searching only the entry fronts its tables lack; a smaller term of
@@ -761,12 +772,19 @@ def test_term_search_reads_node_steps(mode, monkeypatch):
     lumber = [("2x2-48", [ticks(6), ticks("395/64"), ticks("6.125"), ticks(4)]),
               ("2x4-48", [ticks(6), ticks(4), ticks(5), ticks(5)])]
     terms.append(build_term(lumber, node_memo=node_memo))
+    misses = []
     calls = []
     searches = []
+    step = ordering.StepTable.step
     resolve = cost_module.resolve_geometry
     pareto_orders = ordering._pareto_orders
 
-    def counted(*args):
+    def counted(table, i, done):
+        if done * table.k + i not in table.steps:
+            misses.append((table, i, done))
+        return step(table, i, done)
+
+    def simulated(*args):
         calls.append(args)
         return resolve(*args)
 
@@ -774,8 +792,8 @@ def test_term_search_reads_node_steps(mode, monkeypatch):
         searches.append((len(tables), entry))
         return pareto_orders(tables, mode, entry)
 
-    monkeypatch.setattr(cost_module, "resolve_geometry", counted)
-    monkeypatch.setattr(ordering, "resolve_geometry", counted)
+    monkeypatch.setattr(ordering.StepTable, "step", counted)
+    monkeypatch.setattr(cost_module, "resolve_geometry", simulated)
     monkeypatch.setattr(ordering, "_pareto_orders", searched)
     kinds = set()
     entered = 0
@@ -804,4 +822,149 @@ def test_term_search_reads_node_steps(mode, monkeypatch):
                 entered += len(searches)
     assert kinds == {"one stock", "interleaved", "sheet", "joined"}
     assert entered  # the last term's second stock needs an entry front
+    assert misses == []
     assert calls == []
+
+
+# -- steps from the one piece a cut splits -----------------------------------
+
+
+def table_for(stock_id, layout):
+    """A step table for one packed stock, built without a node search."""
+    node, parts = layout_node(stock_id, layout)
+    inst = StockInstance(key=node.id, spec=node.spec)
+    cuts = cuts_for_instance(inst, list(node.placements), parts)
+    return StepTable(node.spec, cuts, TOOLS, {})
+
+
+def simulated_step(table, i, done):
+    """The step of cut i after the cuts in `done`, made on a fresh simulator
+    in index order; None when the done cuts cannot all be made, and the
+    `PlanError` message when cut i cannot."""
+    sim = {"s": cost_module._Sim(table.spec)}
+    cuts = [dataclasses.replace(c, stock_key="s") for c in table.cuts]
+    for j in range(table.k):
+        if done >> j & 1:
+            try:
+                cost_module.resolve_geometry([cuts[j]], TOOLS[cuts[j].tool], sim)
+            except PlanError:
+                return None
+    cut, tool = cuts[i], TOOLS[cuts[i].tool]
+    try:
+        measured, op_len = cost_module.resolve_geometry([cut], tool, sim)
+    except PlanError as e:
+        return str(e)
+    return ((cut.tool, cut.axis, measured),
+            quanta(operation_seconds(cut, tool, table.spec, op_len)),
+            measurement_error(measured), tool.op_error_for(table.spec.material))
+
+
+def test_steps_match_fresh_simulator():
+    # every feasible (done, i) of random lumber and sheet shelf patterns, and
+    # of a stick whose last part ends within one kerf of its end: there the
+    # last cut hits no piece, and the step table raises what the simulator does
+    rng = random.Random("steps")
+    kerf = TOOLS[Tool.CHOPSAW].kerf
+    length = STOCKS["2x4-48"].dims[0]
+    sliver = [ticks(10), ticks(12), length - ticks(22) - 2 * kerf - kerf // 2]
+    patterns = [("2x4-48", sliver)]
+    for kind in ("lumber", "sheet"):
+        patterns += [random_node(rng, kind) for _ in range(15)]
+    raised = 0
+    lengths = {}
+    for stock_id, layout in patterns:
+        table = table_for(stock_id, layout)
+        parent = [next((j for j, p in enumerate(table.cuts) if p.id == c.parent), None)
+                  for c in table.cuts]
+        for done in range(1 << table.k):
+            if any(done >> j & 1 and p is not None and not done >> p & 1
+                   for j, p in enumerate(parent)):
+                continue
+            for i in range(table.k):
+                if done >> i & 1 or parent[i] is not None and not done >> parent[i] & 1:
+                    continue
+                want = simulated_step(table, i, done)
+                if want is None:
+                    continue
+                if isinstance(want, str):
+                    with pytest.raises(PlanError) as e:
+                        table.step(i, done)
+                    assert str(e.value) == want
+                    raised += 1
+                else:
+                    assert table.step(i, done) == want
+                    lengths.setdefault((table.spec.is_sheet, table, i), set()).add(want[0][2])
+    assert raised
+    # on both kinds of stock, some cut's measured length depends on the done cuts
+    assert {sheet for (sheet, _, _), measured in lengths.items() if len(measured) > 1} == \
+        {False, True}
+
+
+def layer_loop_orders(tables, mode, entry=None):
+    """Reference: `_pareto_orders` keeping each layer per state, each state's
+    labels sorted and filtered by `_lex_front`, capped by `_cap_layer`.
+    Returns the fronts and whether any layer was capped."""
+    per_cut = ordering._cut_steps(tables)
+    n = len(per_cut)
+    need = []
+    start = 0
+    for table in tables:
+        index = {c.id: start + j for j, c in enumerate(table.cuts)}
+        need.extend(0 if c.parent is None else 1 << index.get(c.parent, n)
+                    for c in table.cuts)
+        start += table.k
+    signature = {(0, -1): entry}
+    layer = {(0, -1): [((), 0, 0)]}
+    capped = False
+    for _ in range(n):
+        grown = {}
+        for (mask, last), labels in layer.items():
+            prev = signature[mask, last]
+            last_stock = per_cut[last][3] if last >= 0 else 0
+            for i in range(n):
+                if mask >> i & 1 or need[i] & ~mask:
+                    continue
+                table, j, offset, stock, partial, full, load = per_cut[i]
+                sig, op_time, eps, perr = table.step(j, (mask & stock) >> offset)
+                setup = partial if partial is not None and prev == sig else full
+                step_t = setup + (load if stock != last_stock else 0) + op_time
+                ticks_ = 0 if mode == 2 else eps + perr
+                state = (mask | 1 << i, i)
+                signature[state] = sig
+                grown.setdefault(state, []).extend(
+                    (path + (i,), t + step_t, p + ticks_) for path, t, p in labels)
+        layer = {state: ordering._lex_front(labels) for state, labels in grown.items()}
+        if len(layer) > ordering.MAX_LAYER_STATES:
+            layer = ordering._cap_layer(layer)
+            capped = True
+    groups = {}
+    for state, labels in layer.items():
+        groups.setdefault(signature[state], []).extend(labels)
+    return {sig: ordering._lex_front(labels) for sig, labels in groups.items()}, capped
+
+
+@pytest.mark.parametrize("kind", ["lumber", "sheet"])
+def test_capped_search_matches_layer_loop(kind):
+    # single stocks above 8 cuts, whose searches may be capped: 2x4-96
+    # sticks of 9-12 cuts and 48x36 sheets of 3-4 shelves and 10-16 cuts
+    rng = random.Random(f"capped-{kind}")
+    capped = 0
+    cases = 0
+    while cases < 4:
+        if kind == "lumber":
+            table = table_for("2x4-96", [rng.choice(LENGTHS)
+                                         for _ in range(rng.randint(9, 12))])
+        else:
+            table = table_for("sheet-1/2-48x36", [
+                (rng.choice(SHELF_HEIGHTS),
+                 [rng.choice(WIDTHS) for _ in range(rng.randint(2, 4))])
+                for _ in range(rng.randint(3, 4))])
+            if not 10 <= table.k <= 16:
+                continue
+        assert table.k > 8
+        cases += 1
+        for mode in (2, 3):
+            want, was_capped = layer_loop_orders([table], mode)
+            assert ordering._pareto_orders([table], mode) == want
+            capped += was_capped
+    assert capped
