@@ -48,7 +48,11 @@ def detect_joints(
     adjacency: list[tuple[str, str, list[ConnectorVariant]]],
 ) -> list[Joint]:
     """One joint per declared adjacency pair, seeded with its variants."""
-    known = {p.id for p in base_parts}
+    known = set()
+    for part in base_parts:
+        if part.id in known:
+            raise DesignInputError(f"design repeats part id {part.id!r}")
+        known.add(part.id)
     joints = []
     for idx, (a, b, variants) in enumerate(adjacency):
         for pid in (a, b):

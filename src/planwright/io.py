@@ -50,6 +50,7 @@ def load_design_space(path: str) -> DesignSpace:
 
 def design_space_from_json(payload: dict) -> DesignSpace:
     try:
+        base_id = payload["id"]
         parts = [
             Part(
                 id=p["id"],
@@ -79,9 +80,7 @@ def design_space_from_json(payload: dict) -> DesignSpace:
     if not parts:
         raise DesignInputError("bad design file: empty parts list")
     joints = detect_joints(parts, adjacency)
-    return DesignSpace(
-        base_id=payload["id"], base_parts=tuple(parts), joints=tuple(joints)
-    )
+    return DesignSpace(base_id=base_id, base_parts=tuple(parts), joints=tuple(joints))
 
 
 # -- plans ---------------------------------------------------------------------

@@ -11,20 +11,25 @@ bill order. No term is pruned: a term's plans depend only on its cut
 patterns, the tools and the objective mode.
 
 The fronts come from forward label-setting searches (Martins 1984), not
-from a scan of every permutation. A stock's front, and a small term's,
-comes from a search over states (done mask, last cut). The state is
-enough: a stock's pieces depend only on the set of cuts already made on
-it (lumber chops and guillotine sheet cuts under their parent links
-alike), so each cut's measured length, operation time and precision error
-are fixed by that set; setup sharing depends only on the previous cut's
-(tool, axis, measured length), and loading only on whether the stock
-changed. Nodes of more than 8 cuts may exceed MAX_LAYER_STATES states per
-cut count; the search then keeps the most promising ones.
+from a scan of every permutation, each a chain of one step, `_grow`: it
+extends every label (path, f_t, f_p, state) of a path-ordered layer by
+every move of its state and drops a new label that one kept before it at
+its next state weakly dominates. A front is one path-ordered list of
+labels. A stock's front, and a small term's, moves cut by cut over states
+(done mask, last cut), and ends on each order's last setup signature
+(`_pareto_orders`). The state is enough: a stock's pieces depend only on
+the set of cuts already made on it (lumber chops and guillotine sheet cuts
+under their parent links alike), so each cut's measured length, operation
+time and precision error are fixed by that set; setup sharing depends only
+on the previous cut's (tool, axis, measured length), and loading only on
+whether the stock changed. Nodes of more than 8 cuts may exceed
+MAX_LAYER_STATES states per cut count; the search then keeps the most
+promising ones.
 
 A term with one cut stock reads that stock's front. A term above
-EXHAUSTIVE_TERM_CUTS cuts joins its stocks' fronts, kept per last setup
-signature, in a second search over stocks whose state is the last cut's
-setup signature (`_joined`). Times are summed in whole quanta
+EXHAUSTIVE_TERM_CUTS cuts joins its stocks' fronts, moving stock by stock
+over states that are the last cut's setup signature, each move a label of
+the stock's front after it (`_joined`). Times are summed in whole quanta
 (`cost.quanta`), so a sum does not depend on the order of its steps, and
 the join finds the orders that scoring every one-run order would keep.
 
@@ -51,7 +56,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .analysis import pareto_filter
 from .cost import (
@@ -84,7 +90,7 @@ from .model import (
     Tool,
     ToolSpec,
 )
-from .plans import assemble_plan, cuts_for_instance, stack_member, stacked_variant
+from .plans import assemble_plan, cuts_for_instance, stacked_variant
 
 EXHAUSTIVE_TERM_CUTS = 6  # terms up to this many cuts may interleave stocks
 # states the label search keeps per number of cuts done; 8 cuts give at
@@ -108,17 +114,19 @@ class StepTable:
     run). A step is costed from the one piece that holds its cut
     (`_piece`; on lumber the cuts must ascend in position, as
     `plans._lumber_cuts` makes them), and `tails` keeps it per (cut,
-    measured length, op length), which fix the rest. `fronts` maps an entry
-    signature to the pattern's mode-3 order front after a cut with it, per
-    last setup signature (`front`); entry None is the node search.
+    measured length, op length), which fix the rest. `setups` holds each
+    cut's (partial setup or None, full setup) and `load` the stock's load,
+    in quanta. `fronts` maps an entry signature to the pattern's mode-3
+    order labels after a cut with it (`front`); entry None is the node
+    search.
     `best_precision` and `best_time` are the node search's (index path,
     (f_p ticks, f_t seconds)) of the best-f_p and best-f_t orders. A run's
     node memo holds one table per pattern, so a table stands for its
     pattern and compares by identity.
     """
 
-    __slots__ = ("spec", "cuts", "tools", "k", "steps", "tails", "pieces", "pool",
-                 "fronts", "best_precision", "best_time")
+    __slots__ = ("spec", "cuts", "tools", "k", "setups", "load", "steps", "tails",
+                 "pieces", "pool", "fronts", "best_precision", "best_time")
 
     def __init__(self, spec: StockSpec, cuts: list[Cut],
                  tools: dict[Tool, ToolSpec], pool: dict[Step, Step]) -> None:
@@ -129,14 +137,18 @@ class StepTable:
         self.cuts = cuts  # the first stock with the pattern, canonical order
         self.tools = tools
         self.k = len(cuts)
+        self.setups = [(None if tools[c.tool].setup_partial is None
+                        else quanta(tools[c.tool].setup_partial),
+                        quanta(tools[c.tool].setup_full(spec.is_sheet))) for c in cuts]
+        self.load = quanta(load_seconds([spec]))
         self.steps: dict[int, Step] = {}
         self.tails: dict[int, Step] = {}
         self.pieces: dict[int, tuple | None] = {}  # sheets only, keyed as `steps`
         self.pool = pool
-        self.fronts: dict[tuple | None, dict[tuple | None, list[Label]]] = {}
+        self.fronts: dict[tuple | None, list[Label]] = {}
         self.best_precision = self.best_time = None  # set by the node search
 
-    def front(self, entry: tuple | None = None) -> dict[tuple | None, list[Label]]:
+    def front(self, entry: tuple | None = None) -> list[Label]:
         """`_pareto_orders([self], 3, entry)`, searched once per run."""
         front = self.fronts.get(entry)
         if front is None:
@@ -229,7 +241,10 @@ OrderCache = dict[str, NodeOrders]
 Recipe = tuple[tuple[tuple[int, str | None], ...], tuple[int, ...], CostVector]
 # the term's cut patterns (step tables), in `_term_stocks` order -> recipes
 TermMemo = dict[tuple[StepTable, ...], tuple[Recipe, ...]]
-Label = tuple[tuple[int, ...], int, int]  # (path, f_t quanta, f_p ticks)
+# a search label: (path, f_t quanta, f_p ticks, state), and a move of a
+# state: (path segment, next state, step f_t quanta, step f_p ticks)
+Label = tuple[tuple[int, ...], int, int, tuple | None]
+Move = tuple[tuple[int, ...], tuple | None, int, int]
 
 
 def _node_instance(node: AtomicNode) -> StockInstance:
@@ -306,11 +321,11 @@ def optimize_enode(
     table = memo.patterns.get(key)
     if table is None:
         table = StepTable(node.spec, cuts, memo.tools, memo.pool)
-        labels = [label for labels in table.front().values() for label in labels]
+        labels = table.front()
         p = min(labels, key=lambda label: (label[2], label[1], label[0]))
         t = min(labels, key=lambda label: (label[1], label[2], label[0]))
         table.best_precision, table.best_time = (
-            (path, (ticks, q / TIME_QUANTA)) for path, q, ticks in (p, t))
+            (path, (ticks, q / TIME_QUANTA)) for path, q, ticks, _ in (p, t))
         memo.patterns[key] = table
     (path_p, cost_p), (path_t, cost_t) = table.best_precision, table.best_time
     return NodeOrders(
@@ -422,177 +437,165 @@ def term_bounds(
     return Bounds(lower=_lower_bound(stocks, tools), upper=upper)
 
 
-def _lex_front(labels: list[Label]) -> list[Label]:
-    """(path, f_t, f_p) labels in path order, less each one that a kept
-    label with a smaller path weakly dominates."""
-    kept: list[Label] = []
-    for label in sorted(labels):
-        _, t, p = label
-        for _, kt, kp in kept:
-            if kt <= t and kp <= p:
-                break
-        else:
-            kept.append(label)
-    return kept
+def _grow(layer: list[Label], moves: Callable[[tuple | None], list[Move]]
+          ) -> list[Label]:
+    """One label-setting step (Martins 1984), the one dominance rule of
+    every search here: each label of `layer` extended by each move
+    (segment, next state, f_t, f_p) of its state, its segment appended to
+    its path and its costs added, less each new label that a label kept
+    before it at its next state weakly dominates.
+
+    `layer` holds distinct paths of one length in path order, and `moves`
+    gives each state's moves in segment order, segments of one length per
+    step. The new labels are then made in path order too, so the labels
+    kept before one at its state are exactly those with smaller paths, and
+    no sort is needed. A dropped label has a smaller one at its state with
+    no worse cost; a state fixes what every later step costs, so the same
+    moves complete both, and for every non-dominated cost of a search the
+    lexicographically first path with it is kept. After a step onto one
+    state, the labels are that front, in path order.
+    """
+    grown: list[Label] = []
+    kept: dict[tuple | None, list[tuple[int, int]]] = {}  # (f_t, f_p) per next state
+    made: dict[tuple | None, list[Move]] = {}
+    for path, t, p, state in layer:
+        out = made.get(state)
+        if out is None:
+            out = made[state] = moves(state)
+        for segment, to, step_t, step_p in out:
+            t2, p2 = t + step_t, p + step_p
+            front = kept.setdefault(to, [])
+            for kt, kp in front:
+                if kt <= t2 and kp <= p2:
+                    break
+            else:
+                front.append((t2, p2))
+                grown.append((path + segment, t2, p2, to))
+    return grown
 
 
-def _cap_layer(layer: dict[tuple[int, int], list[Label]]
-               ) -> dict[tuple[int, int], list[Label]]:
-    """The MAX_LAYER_STATES states whose best labels come first, taken in
-    turn by (f_p, f_t, path) and by (f_t, f_p, path). No two states share a
-    path, so the choice is a total order and deterministic."""
-    by_p = sorted(layer, key=lambda s: min((p, t, path) for path, t, p in layer[s]))
-    by_t = sorted(layer, key=lambda s: min((t, p, path) for path, t, p in layer[s]))
-    kept: dict[tuple[int, int], list[Label]] = {}
+def _cap_layer(layer: list[Label]) -> list[Label]:
+    """`layer` less all but the MAX_LAYER_STATES states whose best labels
+    come first, taken in turn by (f_p, f_t, path) and by (f_t, f_p, path).
+    No two states share a path, so the choice is a total order and
+    deterministic."""
+    states: dict[tuple | None, list[Label]] = {}
+    for label in layer:
+        states.setdefault(label[3], []).append(label)
+    if len(states) <= MAX_LAYER_STATES:
+        return layer
+    by_p = sorted(states, key=lambda s: min((p, t, path) for path, t, p, _ in states[s]))
+    by_t = sorted(states, key=lambda s: min((t, p, path) for path, t, p, _ in states[s]))
+    kept: set[tuple | None] = set()
     for pair in zip(by_p, by_t):
         for state in pair:
             if len(kept) < MAX_LAYER_STATES:
-                kept.setdefault(state, layer[state])
-    return kept
-
-
-# per cut of a search: (its table, index in the table, offset of its
-# stock's cuts, mask of its stock's cuts, partial setup or None, full
-# setup, load of a run starting on it), times in quanta
-CutSteps = list[tuple[StepTable, int, int, int, int | None, int, int]]
-
-
-def _cut_steps(tables: list[StepTable]) -> CutSteps:
-    """Per cut of the stocks' concatenated cuts, where its steps are."""
-    out: CutSteps = []
-    offset = 0
-    for table in tables:
-        mask = ((1 << table.k) - 1) << offset
-        load = quanta(load_seconds([table.spec]))
-        for j, c in enumerate(table.cuts):
-            tool = table.tools[c.tool]
-            partial = None if tool.setup_partial is None else quanta(tool.setup_partial)
-            out.append((table, j, offset, mask, partial,
-                        quanta(tool.setup_full(table.spec.is_sheet)), load))
-        offset += table.k
-    return out
+                kept.add(state)
+    return [label for label in layer if label[3] in kept]
 
 
 def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = None
-                   ) -> dict[tuple | None, list[Label]]:
-    """Labels (path, f_t quanta, f_p ticks) of feasible orders of the
-    stocks' cuts, a path being the order's indices into the concatenated
-    cuts of `tables` (the stocks in bill order), that hold, for every
-    non-dominated order cost, the lexicographically first order with it,
-    and its exact `evaluate_plan` cost (f_p held at 0 in mode 2), as if the
-    orders followed a cut of setup signature `entry` (None: a full setup
-    first). The labels are grouped by the setup signature of their last cut,
-    and each group is a `_lex_front`, in path order.
+                   ) -> list[Label]:
+    """Labels (path, f_t quanta, f_p ticks, last setup signature) of feasible
+    orders of the stocks' cuts, in path order, a path being the order's
+    indices into the concatenated cuts of `tables` (the stocks in bill
+    order), each with its exact `evaluate_plan` cost (f_p held at 0 in mode
+    2) as if it followed a cut of setup signature `entry` (None: a full
+    setup first). Per last signature, they are the orders that no smaller
+    order ending on it weakly dominates, so a `_grow` onto one state keeps
+    the front.
 
     Precondition: each stock's cuts are contiguous and in the canonical
     order of its table's pattern, so cut i of a stock whose cuts start at
     `offset` reads its step off that table at local index i - offset and
     local done mask `(mask & stock mask) >> offset`.
 
-    Forward label-setting over states (done mask, last cut), one popcount at
-    a time. The state fixes everything that later steps cost: a cut's
-    measured length and operation length depend only on the set of cuts
-    already made on its stock, setup sharing only on the last cut's
-    signature, and loading only on the last cut's stock. A label's f_t and
-    f_p are exact integer sums of its steps, as `evaluate_plan`'s are. A
-    label is dropped only for a kept label at the same state with a smaller
-    path and a weakly dominating value: the same suffix then completes that
-    path to a smaller order whose cost is no worse, so no lexicographically
-    first order of a non-dominated cost is ever dropped. So each group
-    holds exactly the orders that no smaller order ending on its
-    signature weakly dominates, and the `_lex_front` of all groups is the
-    front.
-
-    Each layer is one list of labels in path order: its labels, taken in
-    turn, each extended by its ready cuts in ascending index, give the next
-    layer's in path order too. So the labels already kept at a new label's
-    state are exactly those with smaller paths, and it is dropped when one
-    of them weakly dominates it: `_lex_front`'s rule, with no sort.
+    n `_grow` steps over states (done mask, last cut), one cut each, then
+    one onto each state's last setup signature. The state fixes everything
+    that later steps cost: a cut's measured length and operation length
+    depend only on the set of cuts already made on its stock, setup
+    sharing only on the last cut's signature, and loading only on the last
+    cut's stock. A label's f_t and f_p are exact integer sums of its steps,
+    as `evaluate_plan`'s are.
 
     A layer of more than MAX_LAYER_STATES states (none for 8 cuts or fewer)
     is cut down to that many by `_cap_layer`; the result is then a
     deterministic heuristic front rather than the exact one.
     """
-    per_cut = _cut_steps(tables)
-    n = len(per_cut)
+    n = sum(table.k for table in tables)
+    # per cut: its table, index in the table, offset and mask of its
+    # stock's cuts, partial setup (None: none) and full setup
+    per_cut: list[tuple[StepTable, int, int, int, int | None, int]] = []
+    # per cut, the mask of its parent; bit n is never set, so a cut whose
+    # parent is missing is never ready
     need = []
-    start = 0
+    offset = 0
     for table in tables:
-        index = {c.id: start + j for j, c in enumerate(table.cuts)}
-        # bit n is never set, so a cut whose parent is missing is never ready
-        need.extend(0 if c.parent is None else 1 << index.get(c.parent, n)
-                    for c in table.cuts)
-        start += table.k
+        stock = ((1 << table.k) - 1) << offset
+        index = {c.id: offset + j for j, c in enumerate(table.cuts)}
+        for j, c in enumerate(table.cuts):
+            per_cut.append((table, j, offset, stock) + table.setups[j])
+            need.append(0 if c.parent is None else 1 << index.get(c.parent, n))
+        offset += table.k
+    signature: dict[tuple, tuple | None] = {(0, -1): entry}
 
-    signature: dict[tuple[int, int], tuple | None] = {(0, -1): entry}
-    # (path, f_t, f_p, state) per label, in path order
-    layer: list[tuple[tuple[int, ...], int, int, tuple[int, int]]] = [((), 0, 0, (0, -1))]
+    def moves(state: tuple) -> list[Move]:
+        mask, last = state
+        prev = signature[state]
+        last_stock = per_cut[last][3] if last >= 0 else 0
+        out = []
+        for i in range(n):
+            if mask >> i & 1 or need[i] & ~mask:
+                continue
+            table, j, offset, stock, partial, full = per_cut[i]
+            done = (mask & stock) >> offset
+            step = table.steps.get(done * table.k + j) or table.step(j, done)
+            sig, op_time, eps, perr = step
+            setup = partial if partial is not None and prev == sig else full
+            to = (mask | 1 << i, i)
+            signature[to] = sig
+            # mode 2 has no f_p objective: a constant 0 never separates labels
+            out.append(((i,), to, setup + (table.load if stock != last_stock else 0)
+                        + op_time, 0 if mode == 2 else eps + perr))
+        return out
+
+    layer: list[Label] = [((), 0, 0, (0, -1))]
     for _ in range(n):
-        grown = []
-        # (f_t, f_p) of the kept labels per state of the new layer, and the
-        # moves (cut, next state, step f_t, step f_p) per state of this one
-        kept: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        moves: dict[tuple[int, int], list[tuple[int, tuple[int, int], int, int]]] = {}
-        for path, t, p, state in layer:
-            out = moves.get(state)
-            if out is None:
-                out = moves[state] = []
-                mask, last = state
-                prev = signature[state]
-                last_stock = per_cut[last][3] if last >= 0 else 0
-                for i in range(n):
-                    if mask >> i & 1 or need[i] & ~mask:
-                        continue
-                    table, j, offset, stock, partial, full, load = per_cut[i]
-                    done = (mask & stock) >> offset
-                    step = table.steps.get(done * table.k + j) or table.step(j, done)
-                    sig, op_time, eps, perr = step
-                    setup = partial if partial is not None and prev == sig else full
-                    to = (mask | 1 << i, i)
-                    signature[to] = sig
-                    # mode 2 has no f_p objective: a constant 0 never separates labels
-                    out.append((i, to, setup + (load if stock != last_stock else 0)
-                                + op_time, 0 if mode == 2 else eps + perr))
-            for i, to, step_t, ticks in out:
-                t2, p2 = t + step_t, p + ticks
-                front = kept.setdefault(to, [])
-                for kt, kp in front:
-                    if kt <= t2 and kp <= p2:
-                        break
-                else:
-                    front.append((t2, p2))
-                    grown.append((path + (i,), t2, p2, to))
-        if len(kept) > MAX_LAYER_STATES:
-            groups: dict[tuple[int, int], list[Label]] = {}
-            for path, t, p, state in grown:
-                groups.setdefault(state, []).append((path, t, p))
-            capped = _cap_layer(groups)
-            grown = [label for label in grown if label[3] in capped]
-        layer = grown
-    fronts: dict[tuple | None, list[Label]] = {}
-    for path, t, p, state in layer:
-        fronts.setdefault(signature[state], []).append((path, t, p))
-    return {sig: _lex_front(labels) for sig, labels in fronts.items()}
+        layer = _cap_layer(_grow(layer, moves))
+    return _grow(layer, lambda state: [((), signature[state], 0, 0)])
+
+
+def _stock_moves(table: StepTable, offset: int, mode: int
+                 ) -> Callable[[tuple | None], list[Move]]:
+    """`_joined`'s moves over one cut stock whose cuts start at `offset`:
+    from a last setup signature, one per label of the stock's front after
+    it, onto that label's last signature."""
+    opens = {table.step(j, 0)[0] for j, c in enumerate(table.cuts)
+             if c.parent is None and table.setups[j][0] is not None}
+
+    def moves(sig: tuple | None) -> list[Move]:
+        return [(tuple(offset + i for i in path), last, t, 0 if mode == 2 else p)
+                for path, t, p, last in table.front(sig if sig in opens else None)]
+    return moves
 
 
 def _joined(tables: list[StepTable], mode: int) -> list[Label] | None:
-    """`_pareto_orders`' labels, flattened, for orders that cut each stock
-    in one run, stocks in bill order, found by joining the stocks' fronts.
-    Those are all the feasible orders when at most one stock has cuts, and
-    the ones the term's front spans above EXHAUSTIVE_TERM_CUTS cuts. None
-    for a term of two or more cut stocks with fewer cuts (its orders may
-    interleave stocks).
+    """`_pareto_orders`' labels for orders that cut each stock in one run,
+    stocks in bill order, found by joining the stocks' fronts. Those are
+    all the feasible orders when at most one stock has cuts, and the ones
+    the term's front spans above EXHAUSTIVE_TERM_CUTS cuts. None for a term
+    of two or more cut stocks with fewer cuts (its orders may interleave
+    stocks).
 
-    Label-setting over the stocks (Martins 1984), as `_pareto_orders` does
-    over cuts. The state is the last cut's setup signature, all that the
-    next stock's cost takes from the stocks before it: its first cut gets a
-    partial setup when it repeats that signature, and it pays its own load
-    anyway. So a stock contributes a label of its table's front after that
-    signature that ends on the signature the state moves to, and an uncut
-    stock leaves the state as it is. After a signature that no first cut
-    of the stock with a partial setup repeats, every order costs what it
-    costs after a full setup, so the entry-None front (the node search)
-    serves. In mode 2 the labels' f_p is held at 0.
+    One `_grow` step per cut stock, over states that are the last cut's
+    setup signature, all that the next stock's cost takes from the stocks
+    before it: its first cut gets a partial setup when it repeats that
+    signature, and it pays its own load anyway. So a stock's moves are the
+    labels of its table's front after that signature, already in path
+    order, and an uncut stock leaves the state as it is. After a signature
+    that no first cut of the stock with a partial setup repeats, every
+    order costs what it costs after a full setup, so the entry-None front
+    (the node search) serves. In mode 2 the labels' f_p is held at 0.
 
     A stock's labels sum its steps from 0, and the join adds that sum to
     the running one: integer sums do not depend on their order, so a stock
@@ -604,24 +607,12 @@ def _joined(tables: list[StepTable], mode: int) -> list[Label] | None:
     cut = [table for table in tables if table.k]
     if len(cut) > 1 and sum(table.k for table in cut) <= EXHAUSTIVE_TERM_CUTS:
         return None
-    states: dict[tuple | None, list[Label]] = {None: [((), 0, 0)]}
+    layer: list[Label] = [((), 0, 0, None)]
     offset = 0
     for table in cut:
-        tools = table.tools
-        opens = {table.step(j, 0)[0] for j, c in enumerate(table.cuts)
-                 if c.parent is None and tools[c.tool].setup_partial is not None}
-        grown: dict[tuple | None, list[Label]] = {}
-        for sig, labels in states.items():
-            for last, stock_labels in table.front(sig if sig in opens else None).items():
-                out = grown.setdefault(last, [])
-                for spath, st, sp in stock_labels:
-                    spath = tuple(offset + i for i in spath)
-                    sp = 0 if mode == 2 else sp
-                    for path, t, p in labels:
-                        out.append((path + spath, t + st, p + sp))
-        states = {sig: _lex_front(labels) for sig, labels in grown.items()}
+        layer = _grow(layer, _stock_moves(table, offset, mode))
         offset += table.k
-    return _lex_front([label for labels in states.values() for label in labels])
+    return layer
 
 
 # -- refinement --------------------------------------------------------------
@@ -632,7 +623,7 @@ def _rebuild(recipe: Recipe, design_id: str, all_cuts: list[Cut],
              ) -> tuple[FabPlan, CostVector]:
     """A recipe's plan on this term's cuts and stocks, with its cost."""
     cut_refs, bill_refs, cost = recipe
-    cuts = tuple(all_cuts[i] if group is None else stack_member(all_cuts[i], group)
+    cuts = tuple(all_cuts[i] if group is None else replace(all_cuts[i], stack_group=group)
                  for i, group in cut_refs)
     return FabPlan(design_id=design_id, cuts=cuts,
                    stock_bill=tuple(stocks[j][0] for j in bill_refs)), cost
@@ -707,9 +698,8 @@ def _refined(design_id: str, stocks: list[tuple[StockInstance, NodeOrders]],
     consider_stacked([(inst, list(orders.best_time)) for inst, orders in stocks])
     labels = _joined(tables, mode)
     if labels is None:
-        fronts = _pareto_orders(tables, mode).values()
-        labels = _lex_front([label for labels in fronts for label in labels])
-    for path, q, ticks in labels:
+        labels = _pareto_orders(tables, mode)
+    for path, q, ticks, _ in _grow(labels, lambda state: [((), None, 0, 0)]):
         candidates.append((tuple((i, None) for i in path), plain_bill,
                            totals_vector(f_c, q / TIME_QUANTA, ticks, mode)))
     # stacked counterparts of each per-stock canonical order

@@ -42,9 +42,6 @@ class Arrangement:
     design_id: str
     stocks: tuple[tuple[StockInstance, Places], ...]
 
-    def signature(self) -> tuple:
-        return tuple(sorted((inst.spec.id, places) for inst, places in self.stocks))
-
 
 def group_parts(design: Design, stock_lib: list[StockSpec]) -> dict[str, list[Part]]:
     """Parts keyed by family (metal parts get their own group)."""
@@ -238,19 +235,11 @@ def pack_fragments(
 def combine(
     design: Design, per_group: list[list[Fragment]], cap: int | None = None
 ) -> list[Arrangement]:
-    """Distinct arrangements from the cross product of per-group fragments,
-    stopping once `cap` are found."""
-    arrangements: list[Arrangement] = []
-    seen: set[tuple] = set()
-    for combo in itertools.product(*per_group):
-        arrangement = _assemble(design, combo)
-        sig = arrangement.signature()
-        if sig not in seen:
-            seen.add(sig)
-            arrangements.append(arrangement)
-            if cap is not None and len(arrangements) >= cap:
-                break
-    return arrangements
+    """The first `cap` arrangements (all for None) of the cross product of
+    per-group fragments. They are distinct: a group's fragments are, and
+    groups hold disjoint parts."""
+    return [_assemble(design, combo)
+            for combo in itertools.islice(itertools.product(*per_group), cap)]
 
 
 def generate_arrangements(

@@ -9,6 +9,8 @@ into stacked operations.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .cost import Cut, FabPlan, StockInstance
 from .model import MAX_STACK_HEIGHT, Part, StockSpec, Tool, ToolSpec
 
@@ -105,16 +107,6 @@ def assemble_plan(
     )
 
 
-def stack_member(c: Cut, group: str) -> Cut:
-    """`c` as one of the cuts of stacked operation `group`."""
-    return Cut(
-        id=c.id, tool=c.tool, stock_key=c.stock_key, kind=c.kind,
-        axis=c.axis, position=c.position, anchor=c.anchor,
-        parent=c.parent, measured_len=c.measured_len,
-        op_length=c.op_length, depth=c.depth, stack_group=group,
-    )
-
-
 def stacked_variant(
     design_id: str,
     per_stock: list[tuple[StockInstance, list[Cut]]],
@@ -165,7 +157,7 @@ def stacked_variant(
                 tag = f"sg{group_no}"
                 group_no += 1
                 for inst, stock_cuts in chunk:
-                    cuts.append(stack_member(stock_cuts[j], tag))
+                    cuts.append(replace(stock_cuts[j], stack_group=tag))
     if not stackable:
         return None
     return FabPlan(design_id=design_id, cuts=tuple(cuts), stock_bill=tuple(bill))

@@ -157,6 +157,23 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("optimize", str(empty)).returncode == 2
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"parts": [{"id": "a", "family": "2x2", "shape_in": ["20"]}]},
+     "bad design file: 'id'"),
+    # two 40" parts "a" need two 2x2-48 sticks
+    ({"id": "x", "parts": [{"id": "a", "family": "2x2", "shape_in": ["40"]},
+                           {"id": "a", "family": "2x2", "shape_in": ["40"]}]},
+     "repeats part id 'a'"),
+], ids=["no-id", "repeated-part-id"])
+def test_bad_design_file_is_a_validation_error(tmp_path, payload, message):
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DesignInputError, match=message):
+        load_design_space(str(path))
+    result = run_cli("optimize", str(path), *FAST_ARGS, cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+
+
 def test_cli_dump_libraries():
     result = run_cli("dump-libraries")
     assert result.returncode == 0

@@ -900,15 +900,29 @@ def test_steps_match_fresh_simulator():
         {False, True}
 
 
+def lex_front(labels):
+    """(path, f_t, f_p) labels in path order, less each one that a kept
+    label with a smaller path weakly dominates."""
+    kept = []
+    for label in sorted(labels):
+        _, t, p = label
+        if not any(kt <= t and kp <= p for _, kt, kp in kept):
+            kept.append(label)
+    return kept
+
+
 def layer_loop_orders(tables, mode, entry=None):
     """Reference: `_pareto_orders` keeping each layer per state, each state's
-    labels sorted and filtered by `_lex_front`, capped by `_cap_layer`.
-    Returns the fronts and whether any layer was capped."""
-    per_cut = ordering._cut_steps(tables)
-    n = len(per_cut)
+    labels sorted and filtered by `lex_front`, capped by `_cap_layer`.
+    Returns the fronts per last setup signature and whether any layer was
+    capped."""
+    n = sum(table.k for table in tables)
+    per_cut = []
     need = []
     start = 0
     for table in tables:
+        stock = ((1 << table.k) - 1) << start
+        per_cut.extend((table, j, start, stock) + table.setups[j] for j in range(table.k))
         index = {c.id: start + j for j, c in enumerate(table.cuts)}
         need.extend(0 if c.parent is None else 1 << index.get(c.parent, n)
                     for c in table.cuts)
@@ -924,23 +938,25 @@ def layer_loop_orders(tables, mode, entry=None):
             for i in range(n):
                 if mask >> i & 1 or need[i] & ~mask:
                     continue
-                table, j, offset, stock, partial, full, load = per_cut[i]
+                table, j, offset, stock, partial, full = per_cut[i]
                 sig, op_time, eps, perr = table.step(j, (mask & stock) >> offset)
                 setup = partial if partial is not None and prev == sig else full
-                step_t = setup + (load if stock != last_stock else 0) + op_time
+                step_t = setup + (table.load if stock != last_stock else 0) + op_time
                 ticks_ = 0 if mode == 2 else eps + perr
                 state = (mask | 1 << i, i)
                 signature[state] = sig
                 grown.setdefault(state, []).extend(
                     (path + (i,), t + step_t, p + ticks_) for path, t, p in labels)
-        layer = {state: ordering._lex_front(labels) for state, labels in grown.items()}
+        layer = {state: lex_front(labels) for state, labels in grown.items()}
         if len(layer) > ordering.MAX_LAYER_STATES:
-            layer = ordering._cap_layer(layer)
+            flat = [label + (state,) for state, labels in layer.items() for label in labels]
+            kept = {label[3] for label in ordering._cap_layer(flat)}
+            layer = {state: labels for state, labels in layer.items() if state in kept}
             capped = True
     groups = {}
     for state, labels in layer.items():
         groups.setdefault(signature[state], []).extend(labels)
-    return {sig: ordering._lex_front(labels) for sig, labels in groups.items()}, capped
+    return {sig: lex_front(labels) for sig, labels in groups.items()}, capped
 
 
 @pytest.mark.parametrize("kind", ["lumber", "sheet"])
@@ -965,6 +981,9 @@ def test_capped_search_matches_layer_loop(kind):
         cases += 1
         for mode in (2, 3):
             want, was_capped = layer_loop_orders([table], mode)
-            assert ordering._pareto_orders([table], mode) == want
+            got = {}  # the search's labels per last setup signature
+            for path, t, p, sig in ordering._pareto_orders([table], mode):
+                got.setdefault(sig, []).append((path, t, p))
+            assert got == want
             capped += was_capped
     assert capped

@@ -129,9 +129,10 @@ def test_generate_arrangements_dedup_and_determinism():
     parts = [lumber(i, 20) for i in range(3)]
     a1 = generate_arrangements(design_of(parts), STOCKS, 8, TOOLS, random.Random("s"))
     a2 = generate_arrangements(design_of(parts), STOCKS, 8, TOOLS, random.Random("s"))
-    assert [a.signature() for a in a1] == [a.signature() for a in a2]
-    sigs = [a.signature() for a in a1]
-    assert len(sigs) == len(set(sigs))
+    assert [a.stocks for a in a1] == [a.stocks for a in a2]
+    layouts = [tuple(sorted((inst.spec.id, places) for inst, places in a.stocks))
+               for a in a1]
+    assert len(layouts) == len(set(layouts))
 
 
 def test_single_traversal_uses_descending_order():
