@@ -6,6 +6,11 @@ with new arrangements, optimizes new atomic nodes' cut orders, extracts
 non-dominated terms (exhaustively when the term space is small, otherwise
 with an NSGA-II style GA), merges into the archive, and contracts each
 e-graph to its top-n nodes per class.
+
+The run keeps three memos: traversal packings (`packing.PackingMemo`),
+node cut orders by packing and cut pattern (`NodeMemo`) and term recipes
+by cut patterns (`TermMemo`). Extraction works on the recipes' costs and
+builds a `FabPlan` only for each solution it returns.
 """
 
 from __future__ import annotations
@@ -18,8 +23,17 @@ from .cost import FabPlan
 from .designspace import DesignSpace, enumerate_variants, sample_design
 from .egraph import AtomicNode, BopEGraph, Term
 from .model import CostVector, Design, StockSpec, Tool, ToolSpec, validate_design
-from .ordering import NodeMemo, OrderCache, TermMemo, optimize_enode, refine_term
-from .packing import generate_arrangements
+from .ordering import (
+    NodeMemo,
+    OrderCache,
+    Recipe,
+    TermMemo,
+    TermStocks,
+    build_plan,
+    optimize_enode,
+    refine_term,
+)
+from .packing import PackingMemo, generate_arrangements
 
 BREADTH_ENUMERATION_LIMIT = 1024  # design spaces this small are swept in order
 P_CROSSOVER = 0.95  # GA: chance an offspring takes one class's node from its second parent
@@ -104,25 +118,26 @@ def _node_scalar_bound(state: _DesignState):
     return bound
 
 
+# one extraction's refined terms by signature: (term, its stocks, recipes)
+RefineCache = dict[tuple, tuple[Term, TermStocks, tuple[Recipe, ...]]]
+
+
 def evaluate_term(
     state: _DesignState,
     term: Term,
     params: IceeParams,
     memo: TermMemo,
-    refine_cache: dict[tuple, list[Solution]],
-) -> list[Solution]:
-    """The term's refined plans as solutions. `refine_cache` (one per
-    extraction) holds each term's solutions by its signature, built once,
-    so a term the GA draws again is neither refined nor rebuilt."""
+    refine_cache: RefineCache,
+) -> tuple[Recipe, ...]:
+    """The term's refined plans as recipes, each with its cost vector.
+    `refine_cache` (one per extraction) holds each term's refinement by its
+    signature, so a term the GA draws again is not refined again."""
     key = term.signature()
-    sols = refine_cache.get(key)
-    if sols is None:
-        sols = refine_cache[key] = [
-            Solution(design=state.design, plan=plan, cost=cost, term=term)
-            for plan, cost in refine_term(state.egraph, term, state.cache,
-                                          params.objective_mode, memo)
-        ]
-    return sols
+    refined = refine_cache.get(key)
+    if refined is None:
+        refined = refine_cache[key] = (term, *refine_term(
+            state.egraph, term, state.cache, params.objective_mode, memo))
+    return refined[2]
 
 
 def _enumerate_terms(egraph: BopEGraph, limit: int) -> list[Term] | None:
@@ -206,21 +221,26 @@ def ga_extract(
     distinct terms refined.
 
     Small term spaces are enumerated exactly; larger ones run a rank +
-    crowding GA with e-node choice crossover and re-sampling mutation.
-    Each evaluated term's solutions go into the result once, in the order
-    of the terms' first evaluations; the archive keeps the first solution
-    of each cost.
+    crowding GA with e-node choice crossover and re-sampling mutation, on
+    the recipes' costs alone. Each evaluated term's recipes are filtered
+    once, in the order of the terms' first evaluations, keeping the first
+    of each cost, and only the kept ones are built into plans.
     """
     egraph = state.egraph
     if egraph.root is None:
         return [], 0
 
     all_terms = _enumerate_terms(egraph, params.population)
-    refine_cache: dict[tuple, list[Solution]] = {}
+    refine_cache: RefineCache = {}
 
     def evaluated() -> tuple[list[Solution], int]:
-        sols = [s for term_sols in refine_cache.values() for s in term_sols]
-        return _merge_archive([], sols), len(refine_cache)
+        kept = pareto_filter(
+            [(term, stocks, recipe) for term, stocks, recipes in refine_cache.values()
+             for recipe in recipes],
+            key=lambda entry: entry[2][2].objectives)
+        return [Solution(design=state.design, cost=recipe[2], term=term,
+                         plan=build_plan(egraph.design_id, stocks, recipe))
+                for term, stocks, recipe in kept], len(refine_cache)
 
     if all_terms is not None:
         for term in all_terms:
@@ -231,8 +251,8 @@ def ga_extract(
 
     def fitness(term: Term) -> tuple[float, ...]:
         # every term has a plan: refinement keeps a best of its candidates
-        sols = evaluate_term(state, term, params, memo, refine_cache)
-        return min(s.cost.objectives for s in sols)
+        recipes = evaluate_term(state, term, params, memo, refine_cache)
+        return min(recipe[2].objectives for recipe in recipes)
 
     fitnesses = [fitness(t) for t in population]
 
@@ -287,9 +307,11 @@ def _expand(
     tools: dict[Tool, ToolSpec],
     budget: int,
     memo: NodeMemo,
+    packing_memo: PackingMemo,
     rng: random.Random,
 ) -> None:
-    arrangements = generate_arrangements(state.design, stock_lib, budget, tools, rng)
+    arrangements = generate_arrangements(state.design, stock_lib, budget, tools, rng,
+                                         packing_memo)
     parts_by_id = {p.id: p for p in state.design.parts}
     for arrangement in arrangements:
         for nid in state.egraph.add_arrangement(arrangement):
@@ -311,6 +333,7 @@ def icee_run(
         raise ValidationFailure(violations)
 
     states: dict[str, _DesignState] = {}
+    packing_memo: PackingMemo = {}  # traversal packings, for this run's stocks and tools
     node_memo = NodeMemo(tools)  # node cut orders and steps per pattern
     term_memo: TermMemo = {}  # term order fronts per pattern, for this run's tools and mode
     archive: list[Solution] = []
@@ -368,7 +391,7 @@ def icee_run(
             if validate_design(design, stock_lib):
                 continue
             rng_task = _rng(params.seed, "design", design.id, iteration, k)
-            _expand(state, stock_lib, tools, budget, node_memo, rng_task)
+            _expand(state, stock_lib, tools, budget, node_memo, packing_memo, rng_task)
             sols, refined = ga_extract(state, params, rng_task, term_memo)
             terms_refined += refined
             new_solutions.extend(sols)

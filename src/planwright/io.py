@@ -48,12 +48,19 @@ def load_design_space(path: str) -> DesignSpace:
     return design_space_from_json(payload)
 
 
+def _id(value, what: str) -> str:
+    """`value` when it is a string: ids are compared and hashed as such."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} {value!r} is not a string")
+    return value
+
+
 def design_space_from_json(payload: dict) -> DesignSpace:
     try:
-        base_id = payload["id"]
+        base_id = _id(payload["id"], "design id")
         parts = [
             Part(
-                id=p["id"],
+                id=_id(p["id"], "part id"),
                 family=p["family"],
                 shape=tuple(_length(v) for v in p["shape_in"]),
                 material=Material(p.get("material", "wood")),
@@ -62,11 +69,11 @@ def design_space_from_json(payload: dict) -> DesignSpace:
         ]
         adjacency = [
             (
-                j["part_a"],
-                j["part_b"],
+                _id(j["part_a"], "joint part"),
+                _id(j["part_b"], "joint part"),
                 [
                     ConnectorVariant(
-                        id=v["id"],
+                        id=_id(v["id"], "variant id"),
                         delta_a=_signed_length(v.get("delta_a_in", 0)),
                         delta_b=_signed_length(v.get("delta_b_in", 0)),
                     )

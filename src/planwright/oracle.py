@@ -50,7 +50,7 @@ def all_arrangements(design: Design, stock_lib: list[StockSpec],
         except InfeasiblePartError:
             return []  # some part fits no stock: this variant has no packing
         orders = [list(order) for order in itertools.permutations(parts)]
-        per_group.append(pack_fragments(orders, stocks, usable, tools, parts_by_id,
+        per_group.append(pack_fragments(orders, stocks, usable, tools, parts_by_id, {},
                                         sig=shape_signature))
     return combine(design, per_group)
 

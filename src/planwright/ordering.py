@@ -2,7 +2,10 @@
 
 Each atomic e-node caches its minimum-precision and minimum-time cut orders,
 read off the exact order front of its one stock and memoized per run by
-its cut pattern (stock spec and cut geometry). A term gets its exact front
+its cut pattern (stock spec and cut geometry). A node is looked up first
+by its packing (spec, placements, part shapes), which fixes its cuts, and
+its own `Cut` objects are built only when read: for a term search's
+stacked candidates or a kept plan. A term gets its exact front
 of cut orders, memoized per run by its stocks' cut patterns, so terms of
 other iterations and designs that cut the same patterns share it. Up to
 EXHAUSTIVE_TERM_CUTS cuts the front spans every interleaving of its stocks'
@@ -43,8 +46,10 @@ the stacked plans. Refinement's candidates are the stacked per-node best
 orders, then the term's exact front, then the stacked canonical orders.
 The plain concatenations of the per-node best orders are not candidates:
 unless a stock's search is capped, the front spans them, so they could
-add a tie but never a cost. Refinement hands on only each plan's
-`CostVector` in the run's objective mode.
+add a tie but never a cost. Refinement hands on each kept plan as a
+recipe over the term's cuts and stocks, with its `CostVector` in the run's
+objective mode; `build_plan` makes the plans of the recipes an extraction
+keeps.
 
 `candidate_orders`, `_repair_order` and `term_bounds` (with `_lower_bound`
 and `_min_epsilon`) are not used by the search loop; they remain for the
@@ -203,15 +208,45 @@ class StepTable:
         return piece
 
 
-@dataclass(frozen=True)
 class NodeOrders:
-    cuts: tuple[Cut, ...]  # canonical generation order
-    best_precision: tuple[Cut, ...]
-    best_precision_cost: tuple[int, float]  # (f_p ticks, f_t seconds)
-    best_time: tuple[Cut, ...]
-    best_time_cost: tuple[int, float]
-    # the node's cut pattern, shared by every node with it
-    steps: StepTable = field(compare=False, repr=False)
+    """A node's minimum-precision and minimum-time cut orders: those of its
+    cut pattern's step table (`steps`, shared by every node with the
+    pattern), on the node's own cuts. The cuts are built from the node's
+    packing (`cuts_for_instance`) when first read, unless the node search
+    built them already."""
+
+    __slots__ = ("node", "parts_by_id", "steps", "_cuts")
+
+    def __init__(self, node: AtomicNode, parts_by_id: dict[str, Part],
+                 steps: StepTable, cuts: tuple[Cut, ...] | None) -> None:
+        self.node = node
+        self.parts_by_id = parts_by_id
+        self.steps = steps
+        self._cuts = cuts
+
+    @property
+    def cuts(self) -> tuple[Cut, ...]:
+        """The node's cuts, in canonical generation order."""
+        if self._cuts is None:
+            self._cuts = tuple(cuts_for_instance(
+                _node_instance(self.node), list(self.node.placements), self.parts_by_id))
+        return self._cuts
+
+    @property
+    def best_precision(self) -> tuple[Cut, ...]:
+        return tuple(self.cuts[i] for i in self.steps.best_precision[0])
+
+    @property
+    def best_precision_cost(self) -> tuple[int, float]:  # (f_p ticks, f_t seconds)
+        return self.steps.best_precision[1]
+
+    @property
+    def best_time(self) -> tuple[Cut, ...]:
+        return tuple(self.cuts[i] for i in self.steps.best_time[0])
+
+    @property
+    def best_time_cost(self) -> tuple[int, float]:
+        return self.steps.best_time[1]
 
 
 @dataclass(frozen=True)
@@ -226,15 +261,20 @@ class NodeMemo:
 
     `patterns` maps each cut pattern (spec, cut geometry and parent index
     per cut) to its `StepTable`, which holds the node search's best orders
-    and the pattern's steps. `pool` interns the steps of every table.
+    and the pattern's steps. `packings` maps each packing (spec, placements
+    and the placed parts' shapes), which fixes the cuts, to its pattern's
+    table. `pool` interns the steps of every table.
     """
 
     tools: dict[Tool, ToolSpec]
     patterns: dict[tuple, StepTable] = field(default_factory=dict)
+    packings: dict[tuple, StepTable] = field(default_factory=dict)
     pool: dict[Step, Step] = field(default_factory=dict)
 
 
 OrderCache = dict[str, NodeOrders]
+# a term's stocks in bill order, each with its node's orders
+TermStocks = list[tuple[StockInstance, NodeOrders]]
 # a refined plan on a term's own cuts: (index into the term's cuts and
 # stack group, per cut), (index into the term's stocks, per bill entry),
 # its cost vector in the run's objective mode
@@ -312,10 +352,16 @@ def optimize_enode(
     permutation argmin with first-order tie-break. The answer depends only
     on the stock spec and the cut geometry, given `memo.tools`, so `memo`
     (one per run) holds it in the pattern's step table, as index paths, and
-    each node gets it on its own cuts. An uncut node's one order is empty.
+    each node gets it on its own cuts. A node whose packing `memo` knows
+    gets its table without building its cuts; otherwise its cuts give the
+    pattern. An uncut node's one order is empty.
     """
-    inst = _node_instance(node)
-    cuts = cuts_for_instance(inst, list(node.placements), parts_by_id)
+    packing = (node.spec, node.placements,
+               tuple(parts_by_id[pid].shape for pid, _ in node.placements))
+    table = memo.packings.get(packing)
+    if table is not None:
+        return NodeOrders(node, parts_by_id, table, None)
+    cuts = cuts_for_instance(_node_instance(node), list(node.placements), parts_by_id)
     index = {c.id: i for i, c in enumerate(cuts)}
     key = (node.spec, tuple((c.geometry_key(), index.get(c.parent)) for c in cuts))
     table = memo.patterns.get(key)
@@ -327,22 +373,14 @@ def optimize_enode(
         table.best_precision, table.best_time = (
             (path, (ticks, q / TIME_QUANTA)) for path, q, ticks, _ in (p, t))
         memo.patterns[key] = table
-    (path_p, cost_p), (path_t, cost_t) = table.best_precision, table.best_time
-    return NodeOrders(
-        cuts=tuple(cuts),
-        best_precision=tuple(cuts[i] for i in path_p),
-        best_precision_cost=cost_p,
-        best_time=tuple(cuts[i] for i in path_t),
-        best_time_cost=cost_t,
-        steps=table,
-    )
+    memo.packings[packing] = table
+    return NodeOrders(node, parts_by_id, table, tuple(cuts))
 
 
 # -- term-level bounds ------------------------------------------------------
 
 
-def _term_stocks(egraph: BopEGraph, term: Term,
-                 cache: OrderCache) -> list[tuple[StockInstance, NodeOrders]]:
+def _term_stocks(egraph: BopEGraph, term: Term, cache: OrderCache) -> TermStocks:
     out = []
     for node in egraph.atomic_nodes_of(term):
         out.append((_node_instance(node), cache[node.id]))
@@ -350,8 +388,7 @@ def _term_stocks(egraph: BopEGraph, term: Term,
     return out
 
 
-def _concat_plan(design_id: str, stocks: list[tuple[StockInstance, NodeOrders]],
-                 which: str) -> FabPlan:
+def _concat_plan(design_id: str, stocks: TermStocks, which: str) -> FabPlan:
     per_stock = []
     for inst, orders in stocks:
         chosen = orders.best_precision if which == "precision" else orders.best_time
@@ -374,8 +411,7 @@ def _min_epsilon(cut: Cut, cuts_same_axis: list[Cut], extent: int, kerf: int) ->
     return min(measurement_error(m) for m in candidates if m >= 0)
 
 
-def _lower_bound(stocks: list[tuple[StockInstance, NodeOrders]],
-                 tools: dict[Tool, ToolSpec]) -> CostVector:
+def _lower_bound(stocks: TermStocks, tools: dict[Tool, ToolSpec]) -> CostVector:
     """Per-cut costs assuming every cut is independent of the others."""
     fp_low = 0
     ft_low = 0.0
@@ -618,15 +654,15 @@ def _joined(tables: list[StepTable], mode: int) -> list[Label] | None:
 # -- refinement --------------------------------------------------------------
 
 
-def _rebuild(recipe: Recipe, design_id: str, all_cuts: list[Cut],
-             stocks: list[tuple[StockInstance, NodeOrders]]
-             ) -> tuple[FabPlan, CostVector]:
-    """A recipe's plan on this term's cuts and stocks, with its cost."""
-    cut_refs, bill_refs, cost = recipe
+def build_plan(design_id: str, stocks: TermStocks, recipe: Recipe) -> FabPlan:
+    """A recipe's plan on the cuts and stocks of the term `refine_term`
+    gave it for."""
+    cut_refs, bill_refs, _ = recipe
+    all_cuts = [c for _, orders in stocks for c in orders.cuts]
     cuts = tuple(all_cuts[i] if group is None else replace(all_cuts[i], stack_group=group)
                  for i, group in cut_refs)
     return FabPlan(design_id=design_id, cuts=cuts,
-                   stock_bill=tuple(stocks[j][0] for j in bill_refs)), cost
+                   stock_bill=tuple(stocks[j][0] for j in bill_refs))
 
 
 def refine_term(
@@ -635,29 +671,27 @@ def refine_term(
     cache: OrderCache,
     mode: int,
     memo: TermMemo,
-) -> list[tuple[FabPlan, CostVector]]:
-    """The non-dominated ordered plans of a term, found by `_refined`, each
-    with its cost vector in objective mode `mode`.
+) -> tuple[TermStocks, tuple[Recipe, ...]]:
+    """The term's stocks and its non-dominated ordered plans, found by
+    `_refined`, as recipes over those stocks, each with its cost vector in
+    objective mode `mode`. `build_plan` makes a recipe's plan.
 
     The plans depend only on the term's cut patterns (the step tables of
     its node orders, in stock order), given the mode. The tables cost the
     plans with the tools of the node memo that built them, one per run, so
     the node orders in `cache` come from one node search. `memo` (one per
-    run and mode) holds the plans per tuple of tables, as recipes over cut
-    and stock indices, and every term with the same patterns gets them on
-    its own cuts and stocks without a search.
+    run and mode) holds the recipes per tuple of tables, and every term
+    with the same patterns gets them without a search, or a cut built.
     """
     stocks = _term_stocks(egraph, term, cache)
-    all_cuts = [c for _, orders in stocks for c in orders.cuts]
     tables = tuple(orders.steps for _, orders in stocks)
     recipes = memo.get(tables)
     if recipes is None:
-        recipes = memo[tables] = _refined(egraph.design_id, stocks, all_cuts, mode)
-    return [_rebuild(r, egraph.design_id, all_cuts, stocks) for r in recipes]
+        recipes = memo[tables] = _refined(egraph.design_id, stocks, mode)
+    return stocks, recipes
 
 
-def _refined(design_id: str, stocks: list[tuple[StockInstance, NodeOrders]],
-             all_cuts: list[Cut], mode: int) -> tuple[Recipe, ...]:
+def _refined(design_id: str, stocks: TermStocks, mode: int) -> tuple[Recipe, ...]:
     """`refine_term`'s search: its candidates as recipes, costed and
     filtered, so that only the kept ones become plans.
 
@@ -678,6 +712,7 @@ def _refined(design_id: str, stocks: list[tuple[StockInstance, NodeOrders]],
     order, so unless a stock's search is capped the front spans it, and it
     could add a tie but never a cost.
     """
+    all_cuts = [c for _, orders in stocks for c in orders.cuts]
     bill = tuple(inst for inst, _ in stocks)
     f_c = material_cost(bill)
     tables = [orders.steps for _, orders in stocks]

@@ -11,7 +11,10 @@ which is how cheaper small-stock arrangements enter the search space.
 `family_stocks`, `pack_fragments` and `combine` are the one enumeration
 pipeline: the optimizer feeds it a budget of traversal orders
 (`generate_arrangements`), the brute-force oracle feeds it every part
-permutation. Both get arrangements in one per-stock layout.
+permutation. Both get arrangements in one per-stock layout. The optimizer
+packs each (designated size, traversal) once per run through its packing
+memo; the oracle passes a fresh memo per call, so it stays an independent
+brute force.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ class InfeasiblePartError(ValueError):
 
 Places = tuple[tuple[str, tuple[int, ...]], ...]  # (part_id, offset), sorted
 Fragment = list[tuple[StockSpec, list[tuple[str, tuple[int, ...]]]]]
+# designated size -> an order's (part id, shape) sequence -> its shrunk
+# packing and that packing's signature
+PackingMemo = dict[StockSpec, dict[tuple, tuple[Fragment, tuple]]]
 
 
 @dataclass(frozen=True)
@@ -212,20 +218,31 @@ def pack_fragments(
     usable: list[StockSpec],
     tools: dict[Tool, ToolSpec],
     parts_by_id: dict[str, Part],
+    memo: PackingMemo,
     sig: Callable[[Fragment], tuple] = _fragment_signature,
 ) -> list[Fragment]:
     """Shrunk packings of every order onto every usable designated size,
     first of each `sig` kept. Parts sit one kerf of the tool that will cut
-    them apart (`plans.cutting_tool`) from each other."""
+    them apart (`plans.cutting_tool`) from each other.
+
+    A designated size fixes its family's stocks and the kerf, and an
+    order's part ids and shapes fix the packing, so `memo` keeps each
+    packing with its `sig` for later calls with the same stock library,
+    tools and `sig` (one run's, or a fresh one per call)."""
     kerf = tools[cutting_tool(stocks[0])].kerf
     fragments: list[Fragment] = []
     seen: set[tuple] = set()
     holders: dict[tuple, StockSpec] = {}
     for designated in usable:
+        packed = memo.setdefault(designated, {})
         for order in orders:
-            fragment = shrink_instances(
-                pack_traversal(order, designated, kerf), stocks, parts_by_id, holders)
-            key = sig(fragment)
+            traversal = tuple((p.id, p.shape) for p in order)
+            hit = packed.get(traversal)
+            if hit is None:
+                fragment = shrink_instances(
+                    pack_traversal(order, designated, kerf), stocks, parts_by_id, holders)
+                hit = packed[traversal] = (fragment, sig(fragment))
+            fragment, key = hit
             if key not in seen:
                 seen.add(key)
                 fragments.append(fragment)
@@ -248,11 +265,15 @@ def generate_arrangements(
     traversals: int,
     tools: dict[Tool, ToolSpec],
     rng: random.Random,
+    memo: PackingMemo,
 ) -> list[Arrangement]:
     """Up to `traversals` packings per designated stock size, deduplicated.
 
     Every usable stock size of each family is tried as the designated size;
-    fragments across families combine by cross product (capped).
+    fragments across families combine by cross product (capped). `memo`
+    (one per run, for its stock library and tools) keeps each traversal's
+    packing, so a traversal drawn again, for this design or another with
+    the same parts, is not packed again.
     """
     if traversals < 1:
         raise ValueError("traversal budget must be >= 1")
@@ -261,7 +282,7 @@ def generate_arrangements(
     for key, parts in group_parts(design, stock_lib).items():
         stocks, usable = family_stocks(key, parts, stock_lib)
         orders = _traversal_orders(parts, traversals, rng)
-        per_group.append(pack_fragments(orders, stocks, usable, tools, parts_by_id))
+        per_group.append(pack_fragments(orders, stocks, usable, tools, parts_by_id, memo))
     cap = max(traversals * 4, sum(len(f) for f in per_group))
     return combine(design, per_group, cap)
 

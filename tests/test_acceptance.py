@@ -33,9 +33,11 @@ from planwright.io import load_design_space
 from planwright.libraries import default_stocks, default_tools, with_metal_twins
 from planwright.model import Material, Part, Tool, ticks
 from planwright.oracle import brute_force_front
-from planwright.ordering import NodeMemo, optimize_enode, refine_term, term_bounds
+from planwright.ordering import NodeMemo, optimize_enode, term_bounds
 from planwright.packing import Arrangement
 from planwright.plans import assemble_plan, cuts_for_instance, stacked_variant
+
+from test_ordering import refined_plans
 
 STOCKS = default_stocks()
 STOCKS_ALL = with_metal_twins(STOCKS)
@@ -209,7 +211,7 @@ def test_04_bounds_soundness_and_refinement():
         assert bounds.upper.f_t >= best_t - 1e-12
         front = pareto_filter([(round(p, 12), round(t, 12))
                                for p, t in exhaustive])
-        refined = refine_term(g, term, cache, 3, {})
+        refined = refined_plans(g, term, cache, 3, {})
         assert refined
         for _, cost in refined:
             point = (round(cost.f_p, 12), round(cost.f_t, 12))

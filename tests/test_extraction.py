@@ -1,6 +1,8 @@
 import dataclasses
 import random
 
+import pytest
+
 from planwright import corpus_path, extraction
 from planwright.analysis import ClipReport, hypervolume, pareto_filter, point_dominates
 from planwright.cost import evaluate_plan
@@ -174,6 +176,44 @@ def test_contraction_drops_the_orders_of_removed_nodes(monkeypatch):
         assert set(state.cache) == atomic
         kept += len(atomic)
     assert 0 < kept < len(searched)
+
+
+@pytest.mark.parametrize("corpus,params", [
+    ("frame", IceeParams(seed=0)),
+    ("sheet-box", IceeParams(seed=0, objective_mode=3, iterations=5)),
+])
+def test_extraction_builds_plans_only_for_its_solutions(corpus, params, monkeypatch):
+    # refinement hands on recipes with their costs; each extraction builds
+    # one plan per solution it returns, through the one plan builder
+    built = []
+    recipes = []
+    extractions = []
+    build_plan = extraction.build_plan
+    refine_term = extraction.refine_term
+    ga_extract = extraction.ga_extract
+
+    def counted_build(*args):
+        built.append(args)
+        return build_plan(*args)
+
+    def counted_refine(*args):
+        stocks, term_recipes = refine_term(*args)
+        recipes.extend(term_recipes)
+        return stocks, term_recipes
+
+    def counted_extract(*args):
+        start = len(built)
+        sols, refined = ga_extract(*args)
+        extractions.append((len(built) - start, len(sols)))
+        return sols, refined
+
+    monkeypatch.setattr(extraction, "build_plan", counted_build)
+    monkeypatch.setattr(extraction, "refine_term", counted_refine)
+    monkeypatch.setattr(extraction, "ga_extract", counted_extract)
+    run(corpus, params)
+    assert extractions
+    assert all(plans == sols for plans, sols in extractions)
+    assert len(built) < len(recipes)
 
 
 def test_params_validation():

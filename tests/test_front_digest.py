@@ -2,8 +2,9 @@
 
 A change meant to make the search faster without changing what it finds
 must leave these fronts as they are: every member's design id, cut order
-and exact cost tuple, and each iteration's counters from the run's report
-(distinct terms refined so far, term cut patterns searched, front size).
+and exact cost tuple, its plan's stock bill and each cut's stack group,
+and each iteration's counters from the run's report (distinct terms
+refined so far, term cut patterns searched, front size).
 If a change moves them on purpose, say why and take the new digest from
 the changed code.
 """
@@ -93,6 +94,21 @@ DIGEST = {
     ],
 }
 
+# per front member, in DIGEST order: (stock bill keys, stack group per cut)
+PLANS = {
+    "frame": [(("n0",), (None,) * 4),
+              (("n24", "n25"), ("sg0", "sg0", "sg1", "sg1")),
+              (("n39", "n40", "n41", "n42"), ("sg0",) * 4)],
+    "sheet-box": [(("n8",), (None,) * 8), (("n0",), (None,) * 6)],
+    "tiny-table": [(("n0",), (None,) * 6),
+                   (("n28", "n29"), ("sg0", "sg0", "sg1", "sg1", "sg2", "sg2"))],
+    "metal-mix": [(("n0", "n1"), (None,) * 2)],
+    "ring-8": [(("n0", "n1"), (None,) * 8),
+               (("n67", "n73", "n79", "n87", "n97"), (None,) * 8)],
+    "ring-12": [(("n91", "n92", "n93"), (None,) * 11)],
+    "ring-12-3it": [(("n754", "n758", "n760"), (None,) * 11)],
+}
+
 # per iteration: (terms_refined, term_patterns, front_size)
 COUNTERS = {
     "frame": [(74, 3, 3), (148, 12, 3), (222, 12, 3), (296, 25, 3), (370, 34, 3),
@@ -114,10 +130,13 @@ def ring_design(seed, n_parts):
 
 
 def digest(space, stocks, params):
-    """The run's front digest and per-iteration counters."""
+    """The run's front digest, its plans' bills and stack groups, and its
+    per-iteration counters."""
     front, report = icee_run(space, stocks, default_tools(), params)
     return ([(s.design.id, tuple(c.id for c in s.plan.cuts), s.cost.objectives)
              for s in front],
+            [(tuple(inst.key for inst in s.plan.stock_bill),
+              tuple(c.stack_group for c in s.plan.cuts)) for s in front],
             [(it["terms_refined"], it["term_patterns"], it["front_size"])
              for it in report["iterations"]])
 
@@ -126,7 +145,7 @@ def digest(space, stocks, params):
 def test_front_matches_digest(corpus):
     params, stocks = CASES[corpus]
     assert digest(load_design_space(corpus_path(corpus)), stocks, params) == \
-        (DIGEST[corpus], COUNTERS[corpus])
+        (DIGEST[corpus], PLANS[corpus], COUNTERS[corpus])
 
 
 @pytest.mark.parametrize("ring", sorted(RINGS))
@@ -134,4 +153,5 @@ def test_ring_front_matches_digest(ring):
     n_parts, iterations = RINGS[ring]
     space = design_space_from_json(ring_design(0, n_parts))
     params = IceeParams(seed=0, iterations=iterations)
-    assert digest(space, default_stocks(), params) == (DIGEST[ring], COUNTERS[ring])
+    assert digest(space, default_stocks(), params) == \
+        (DIGEST[ring], PLANS[ring], COUNTERS[ring])

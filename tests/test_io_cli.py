@@ -164,7 +164,9 @@ def test_cli_exit_codes(tmp_path):
     ({"id": "x", "parts": [{"id": "a", "family": "2x2", "shape_in": ["40"]},
                            {"id": "a", "family": "2x2", "shape_in": ["40"]}]},
      "repeats part id 'a'"),
-], ids=["no-id", "repeated-part-id"])
+    ({"id": "x", "parts": [{"id": ["a"], "family": "2x2", "shape_in": ["20"]}]},
+     r"part id \['a'\] is not a string"),
+], ids=["no-id", "repeated-part-id", "list-part-id"])
 def test_bad_design_file_is_a_validation_error(tmp_path, payload, message):
     path = tmp_path / "design.json"
     path.write_text(json.dumps(payload))

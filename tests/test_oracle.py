@@ -48,5 +48,5 @@ def test_oracle_covers_optimizer_packings(corpus):
             for seed in range(3):
                 rng = random.Random(f"{corpus}/{seed}")
                 for arrangement in generate_arrangements(
-                        design, STOCKS, budget, TOOLS, rng):
+                        design, STOCKS, budget, TOOLS, rng, {}):
                     assert shape_signature(arrangement, parts_by_id) in oracle

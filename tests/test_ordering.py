@@ -26,6 +26,7 @@ from planwright.ordering import (
     NodeMemo,
     StepTable,
     _repair_order,
+    build_plan,
     candidate_orders,
     optimize_enode,
     refine_term,
@@ -53,6 +54,20 @@ def lumber_node(lengths_in, stock_id="2x4-96", nid="n0"):
 
 
 TOOLS_KERF = next(t for t in TOOLS.values() if t.kerf and t.setup_partial).kerf
+
+
+def refined_plans(g, term, cache, mode, memo):
+    """`refine_term`'s plans, each built from its recipe by `build_plan`,
+    with its cost."""
+    stocks, recipes = refine_term(g, term, cache, mode, memo)
+    return [(build_plan(g.design_id, stocks, recipe), recipe[2]) for recipe in recipes]
+
+
+def node_outcome(orders):
+    """All that a node's orders carry but its step table: its cuts and its
+    best orders with their costs."""
+    return (orders.cuts, orders.best_precision, orders.best_precision_cost,
+            orders.best_time, orders.best_time_cost)
 
 
 def eval_node_order(inst, order):
@@ -139,7 +154,7 @@ def test_refine_term_within_exhaustive_pareto():
     best_t = min(t for _, t in all_costs)
     best_p = min(p for p, _ in all_costs)
     for mode in (2, 3):
-        results = refine_term(g, term, cache, mode, {})
+        results = refined_plans(g, term, cache, mode, {})
         assert results
         # refined plans never beat the exhaustive (non-stacked) optimum on
         # either axis unless stacking applies (single stock: it cannot); a
@@ -324,7 +339,7 @@ def term_cuts(stocks):
 def assert_parity(stocks, mode, tools=TOOLS):
     g, term, cache = build_term(stocks, tools)
     assert sum(len(orders.cuts) for orders in cache.values()) <= PARITY_MAX_CUTS
-    got = refine_term(g, term, cache, mode, {})
+    got = refined_plans(g, term, cache, mode, {})
     assert outcome(got) == outcome(permutation_refine(g, term, cache, mode, tools))
     return got
 
@@ -508,7 +523,7 @@ def test_node_memo_shares_orders_across_relabelled_nodes():
         b = optimize_enode(again, again_parts, memo)
         assert len(memo.patterns) == size + 1
         assert a.steps is b.steps
-        assert b == optimize_enode(again, again_parts, NodeMemo(TOOLS))
+        assert node_outcome(b) == node_outcome(optimize_enode(again, again_parts, NodeMemo(TOOLS)))
         assert all(c.stock_key == "n17" for c in b.best_precision + b.best_time)
         index_a = {c.id: i for i, c in enumerate(a.cuts)}
         index_b = {c.id: i for i, c in enumerate(b.cuts)}
@@ -523,9 +538,48 @@ def test_node_memo_shares_orders_across_relabelled_nodes():
                              ("2x4-48", [LENGTHS[4], LENGTHS[4], LENGTHS[0]])]:
         node, parts = layout_node(stock_id, layout, "n9")
         size = len(memo.patterns)
-        assert optimize_enode(node, parts, memo) == \
-            optimize_enode(node, parts, NodeMemo(TOOLS))
+        assert node_outcome(optimize_enode(node, parts, memo)) == \
+            node_outcome(optimize_enode(node, parts, NodeMemo(TOOLS)))
         assert len(memo.patterns) == size + 1
+
+
+def test_node_memo_finds_tables_by_packing(monkeypatch):
+    # a node whose packing (spec, placements, part shapes) the memo knows
+    # gets that node's table without building a cut; a node that shares only
+    # the cut pattern (other part ids) builds its cuts and gets the same
+    # table, and one whose first part is shorter gets a table of its own.
+    # Every node's cuts, built when first read, are its packing's.
+    rng = random.Random("packings")
+    built = []
+    cuts_for = ordering.cuts_for_instance
+    monkeypatch.setattr(ordering, "cuts_for_instance",
+                        lambda inst, *args: built.append(inst.key) or cuts_for(inst, *args))
+    for kind in ["lumber", "sheet"] * 10:
+        stock_id, layout = random_node(rng, kind)
+        first, parts = layout_node(stock_id, layout, "n1")
+        same = dataclasses.replace(first, id="n2")
+        relabelled, relabelled_parts = layout_node(stock_id, layout, "n3", prefix="q")
+        memo = NodeMemo(TOOLS)
+        built.clear()
+        a = optimize_enode(first, parts, memo)
+        b = optimize_enode(same, parts, memo)
+        c = optimize_enode(relabelled, relabelled_parts, memo)
+        assert built == ["n1", "n3"]
+        assert a.steps is b.steps is c.steps
+        assert len(memo.patterns) == 1 and len(memo.packings) == 2
+        shorter_parts = dict(parts, p0=dataclasses.replace(
+            parts["p0"], shape=(parts["p0"].shape[0] - ticks(1),) + parts["p0"].shape[1:]))
+        shorter = dataclasses.replace(first, id="n4")
+        d = optimize_enode(shorter, shorter_parts, memo)
+        assert d.steps is not a.steps
+        for node, node_parts, orders in [(first, parts, a), (same, parts, b),
+                                         (relabelled, relabelled_parts, c),
+                                         (shorter, shorter_parts, d)]:
+            inst = StockInstance(key=node.id, spec=node.spec)
+            assert orders.cuts == tuple(cuts_for(inst, list(node.placements), node_parts))
+            assert node_outcome(orders) == \
+                node_outcome(optimize_enode(node, node_parts, NodeMemo(TOOLS)))
+        assert built.count("n2") == 2  # b's cuts once, then a fresh search's
 
 
 @pytest.mark.parametrize("stock_id,layout", [
@@ -550,7 +604,7 @@ def test_large_node_search_is_capped(stock_id, layout):
     g, term, cache = build_term([(stock_id, layout)])
     cuts = sorted(c.id for orders in cache.values() for c in orders.cuts)
     start = time.perf_counter()
-    refined = refine_term(g, term, cache, 3, {})
+    refined = refined_plans(g, term, cache, 3, {})
     assert time.perf_counter() - start < 2.0
     assert refined
     for plan, cost in refined:
@@ -564,7 +618,7 @@ def test_large_node_search_is_capped(stock_id, layout):
 
 def refine(term_parts, mode, memo=None):
     g, term, cache = term_parts
-    return refine_term(g, term, cache, mode, {} if memo is None else memo)
+    return refined_plans(g, term, cache, mode, {} if memo is None else memo)
 
 
 def full_outcome(results):
@@ -626,7 +680,8 @@ def test_term_memo_shares_fronts_across_relabelled_terms(mode, monkeypatch):
     cuts_for_instance = ordering.cuts_for_instance
     monkeypatch.setattr(ordering, "cuts_for_instance", lambda *args: [
         dataclasses.replace(c, parent=None) for c in cuts_for_instance(*args)])
-    unlinked = build_term(base, prefix="q", first_node=20, node_memo=node_memo)
+    # new part ids: a packing the node memo knows keeps its linked cuts
+    unlinked = build_term(base, prefix="u", first_node=20, node_memo=node_memo)
     size = len(memo)
     assert full_outcome(refine(unlinked, mode, memo)) == \
         full_outcome(refine(unlinked, mode))
@@ -743,7 +798,7 @@ def test_refine_term_costs_stacked_plans_with_node_memo_tools(mode):
     tools = dict(TOOLS)
     tools[Tool.CHOPSAW] = dataclasses.replace(TOOLS[Tool.CHOPSAW], setup_partial=5)
     g, term, cache = build_term([("2x2-24", [378] * 3)] * 2, tools)
-    results = refine_term(g, term, cache, mode, {})
+    results = refined_plans(g, term, cache, mode, {})
     stacked = [(plan, cost) for plan, cost in results
                if any(c.stack_group for c in plan.cuts)]
     assert stacked

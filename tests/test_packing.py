@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planwright import packing
 from planwright.libraries import default_stocks, default_tools
 from planwright.model import Design, Material, Part, Tool, part_fits_stock, ticks
 from planwright.oracle import all_arrangements
@@ -127,18 +128,56 @@ def design_of(parts):
 
 def test_generate_arrangements_dedup_and_determinism():
     parts = [lumber(i, 20) for i in range(3)]
-    a1 = generate_arrangements(design_of(parts), STOCKS, 8, TOOLS, random.Random("s"))
-    a2 = generate_arrangements(design_of(parts), STOCKS, 8, TOOLS, random.Random("s"))
+    a1 = generate_arrangements(design_of(parts), STOCKS, 8, TOOLS, random.Random("s"), {})
+    a2 = generate_arrangements(design_of(parts), STOCKS, 8, TOOLS, random.Random("s"), {})
     assert [a.stocks for a in a1] == [a.stocks for a in a2]
     layouts = [tuple(sorted((inst.spec.id, places) for inst, places in a.stocks))
                for a in a1]
     assert len(layouts) == len(set(layouts))
 
 
+def random_parts(rng, kind):
+    """1-5 lumber or sheet parts of two families, ids counting up from 0."""
+    if kind == "lumber":
+        return [lumber(i, rng.choice([5, 10, "20.5", 22, 30, 45]),
+                       family=rng.choice(["2x2", "2x4"]))
+                for i in range(rng.randint(1, 5))]
+    return [Part(id=f"s{i}", family=rng.choice(["sheet-1/2", "sheet-3/4"]),
+                 shape=(ticks(rng.choice([3, 5, "9.5", 11])),
+                        ticks(rng.choice([4, 6, "9.25", 19]))))
+            for i in range(rng.randint(1, 5))]
+
+
+@pytest.mark.parametrize("kind", ["lumber", "sheet"])
+def test_warm_packing_memo_gives_the_cold_arrangements(kind, monkeypatch):
+    # one memo carried across designs and draws, as in a run: every call
+    # returns what a fresh memo gives, in the same order, packing less
+    rng = random.Random(f"warm-{kind}")
+    packed = []
+    pack = packing.pack_traversal
+    monkeypatch.setattr(packing, "pack_traversal",
+                        lambda *args: packed.append(args) or pack(*args))
+    memo = {}
+    cold_packs = warm_packs = 0
+    for _ in range(30):
+        design = design_of(random_parts(rng, kind))
+        budget = rng.choice([1, 4, 12])
+        seed = rng.random()
+        generate_arrangements(design, STOCKS, budget, TOOLS, random.Random(-seed), memo)
+        packed.clear()
+        cold = generate_arrangements(design, STOCKS, budget, TOOLS, random.Random(seed), {})
+        cold_packs += len(packed)
+        packed.clear()
+        warm = generate_arrangements(design, STOCKS, budget, TOOLS, random.Random(seed), memo)
+        warm_packs += len(packed)
+        assert warm == cold
+    assert warm_packs < cold_packs
+
+
 def test_single_traversal_uses_descending_order():
     parts = [lumber(0, 10), lumber(1, 30), lumber(2, 20)]
     arrangements = generate_arrangements(
-        design_of(parts), STOCKS, 1, TOOLS, random.Random(0)
+        design_of(parts), STOCKS, 1, TOOLS, random.Random(0), {}
     )
     # One designated size survives dedup per distinct packing; the first
     # traversal places parts longest-first.
@@ -156,7 +195,7 @@ def test_parts_are_spaced_by_their_cutting_tool_kerf():
         for i in range(3)]
     design = design_of(parts)
     by_id = {p.id: p for p in parts}
-    for arrangements in (generate_arrangements(design, STOCKS, 8, tools, random.Random(0)),
+    for arrangements in (generate_arrangements(design, STOCKS, 8, tools, random.Random(0), {}),
                          all_arrangements(design, STOCKS, tools)):
         gaps = {"lumber": 0, "row": 0, "shelf": 0}
         for inst, places in (s for a in arrangements for s in a.stocks):
