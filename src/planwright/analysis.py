@@ -136,8 +136,11 @@ def scalar_cost(cost: CostVector, hourly_price: float) -> float:
 def scalarize(costs: list[CostVector], hourly_price: float) -> tuple[int, float]:
     """Index of the cheapest front member after scalarization, and its cost.
 
-    Ties break toward lower f_c, then lower f_t.
+    Ties break toward lower f_c, then lower f_t. A labor price must be a
+    number >= 0.
     """
+    if not hourly_price >= 0:
+        raise ValueError(f"labor price must be >= 0, got {hourly_price}")
     if not costs:
         raise ValueError("front is empty")
     best = min(

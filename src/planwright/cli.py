@@ -108,6 +108,12 @@ def cmd_compare(args) -> int:
     if len(ref) != mode_a:
         print("error: reference point dimension mismatch", file=sys.stderr)
         return EXIT_VALIDATION
+    prices = tuple(args.prices) if args.prices else analysis.DEFAULT_PRICES
+    front_a = [analysis.CostVector(f_c=float(r.f_c), f_t=float(r.f_t))
+               for r in rows_a]
+    front_b = [analysis.CostVector(f_c=float(r.f_c), f_t=float(r.f_t))
+               for r in rows_b]
+    table = analysis.improvement_table(front_a, front_b, prices)
     pts_a = _front_points(rows_a, mode_a)
     pts_b = _front_points(rows_b, mode_a)
     report = analysis.ClipReport()
@@ -124,12 +130,6 @@ def cmd_compare(args) -> int:
         min_b = min((p[d] for p in pts_b), default=float("nan"))
         print(f"{label}_a={pio.fmt_num(min_a)} {label}_b={pio.fmt_num(min_b)}")
 
-    prices = tuple(args.prices) if args.prices else analysis.DEFAULT_PRICES
-    front_a = [analysis.CostVector(f_c=float(r.f_c), f_t=float(r.f_t))
-               for r in rows_a]
-    front_b = [analysis.CostVector(f_c=float(r.f_c), f_t=float(r.f_t))
-               for r in rows_b]
-    table = analysis.improvement_table(front_a, front_b, prices)
     print("price:" + ",".join(str(p) for p in prices))
     print("improvement_pct:" + ",".join(
         "" if v is None else str(v) for v in table))

@@ -61,6 +61,8 @@ class IceeParams:
                      "designs_per_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.generations < 0:
+            raise ValueError("generations must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,15 +3,15 @@
 Each atomic e-node caches its minimum-precision and minimum-time cut orders,
 read off the exact order front of its one stock and memoized per run by
 its cut pattern (stock spec and cut geometry). A node is looked up first
-by its packing (spec, placements, part shapes), which fixes its cuts, and
-its own `Cut` objects are built only when read: for a term search's
-stacked candidates or a kept plan. A term gets its exact front
-of cut orders, memoized per run by its stocks' cut patterns, so terms of
-other iterations and designs that cut the same patterns share it. Up to
-EXHAUSTIVE_TERM_CUTS cuts the front spans every interleaving of its stocks'
-cuts; above that, the orders that cut each stock in one run, stocks in
-bill order. No term is pruned: a term's plans depend only on its cut
-patterns, the tools and the objective mode.
+by its id-free packing (spec and offset-sorted (offset, part shape)
+placements), which fixes its cuts, and its own `Cut` objects are built
+only when read: for a term search's stacked candidates or a kept plan. A
+term gets its exact front of cut orders, memoized per run by its stocks'
+cut patterns, so terms of other iterations and designs that cut the same
+patterns share it. Up to EXHAUSTIVE_TERM_CUTS cuts the front spans every
+interleaving of its stocks' cuts; above that, the orders that cut each
+stock in one run, stocks in bill order. No term is pruned: a term's plans
+depend only on its cut patterns, the tools and the objective mode.
 
 The fronts come from forward label-setting searches (Martins 1984), not
 from a scan of every permutation, each a chain of one step, `_grow`: it
@@ -43,7 +43,9 @@ pattern reads it, so a step is costed once per run, from the one piece
 its cut splits (`cost.cut_piece`), with no piece simulator. A term's front
 orders carry the costs their labels sum, and `evaluate_plan` is left to
 the stacked plans. Refinement's candidates are the stacked per-node best
-orders, then the term's exact front, then the stacked canonical orders.
+orders, then the term's exact front, then the stacked canonical orders;
+the stacked ones are tried only for a term in which two cut stocks share a
+pattern, since only such stocks stack.
 The plain concatenations of the per-node best orders are not candidates:
 unless a stock's search is capped, the front spans them, so they could
 add a tie but never a cost. Refinement hands on each kept plan as a
@@ -261,9 +263,9 @@ class NodeMemo:
 
     `patterns` maps each cut pattern (spec, cut geometry and parent index
     per cut) to its `StepTable`, which holds the node search's best orders
-    and the pattern's steps. `packings` maps each packing (spec, placements
-    and the placed parts' shapes), which fixes the cuts, to its pattern's
-    table. `pool` interns the steps of every table.
+    and the pattern's steps. `packings` maps each id-free packing (spec and
+    the offset-sorted (offset, part shape) placements), which fixes the
+    cuts, to its pattern's table. `pool` interns the steps of every table.
     """
 
     tools: dict[Tool, ToolSpec]
@@ -352,12 +354,15 @@ def optimize_enode(
     permutation argmin with first-order tie-break. The answer depends only
     on the stock spec and the cut geometry, given `memo.tools`, so `memo`
     (one per run) holds it in the pattern's step table, as index paths, and
-    each node gets it on its own cuts. A node whose packing `memo` knows
-    gets its table without building its cuts; otherwise its cuts give the
-    pattern. An uncut node's one order is empty.
+    each node gets it on its own cuts. A node's cuts and their canonical
+    order follow from its placements' offsets and part shapes alone
+    (`plans.cuts_for_instance`), so a node whose id-free packing
+    `memo` knows gets its table without building its cuts, and the table's
+    index paths pick the same cuts out of its own; otherwise its cuts give
+    the pattern. An uncut node's one order is empty.
     """
-    packing = (node.spec, node.placements,
-               tuple(parts_by_id[pid].shape for pid, _ in node.placements))
+    packing = (node.spec, tuple(sorted((off, parts_by_id[pid].shape)
+                                       for pid, off in node.placements)))
     table = memo.packings.get(packing)
     if table is not None:
         return NodeOrders(node, parts_by_id, table, None)
@@ -691,6 +696,15 @@ def refine_term(
     return stocks, recipes
 
 
+def _may_stack(tables: list[StepTable]) -> bool:
+    """Whether two cut stocks share a step table. `stacked_variant` stacks
+    only cut stocks of one spec and one cut geometry, which is one pattern,
+    and a run has one table per pattern; so without a shared table it
+    returns None."""
+    cut = [table for table in tables if table.k]
+    return len(set(cut)) < len(cut)
+
+
 def _refined(design_id: str, stocks: TermStocks, mode: int) -> tuple[Recipe, ...]:
     """`refine_term`'s search: its candidates as recipes, costed and
     filtered, so that only the kept ones become plans.
@@ -711,26 +725,32 @@ def _refined(design_id: str, stocks: TermStocks, mode: int) -> tuple[Recipe, ...
     are not candidates: each cuts every stock in one run, stocks in bill
     order, so unless a stock's search is capped the front spans it, and it
     could add a tie but never a cost.
+
+    Stacked candidates are tried only where `_may_stack` allows one, so a
+    term without two cut stocks of one pattern builds no cut.
     """
-    all_cuts = [c for _, orders in stocks for c in orders.cuts]
     bill = tuple(inst for inst, _ in stocks)
     f_c = material_cost(bill)
     tables = [orders.steps for _, orders in stocks]
-    tools = tables[0].tools  # the node memo's, which the steps were costed with
-    at = {c.id: i for i, c in enumerate(all_cuts)}
-    stock_at = {inst.key: j for j, inst in enumerate(bill)}
+    stackable = _may_stack(tables)
     plain_bill = tuple(range(len(bill)))
     candidates: list[Recipe] = []
 
-    def consider_stacked(per_stock: list[tuple[StockInstance, list[Cut]]]) -> None:
-        plan = stacked_variant(design_id, per_stock, tools)
+    def consider_stacked(pick: Callable[[NodeOrders], tuple[Cut, ...]]) -> None:
+        if not stackable:
+            return
+        tools = tables[0].tools  # the node memo's, which the steps were costed with
+        plan = stacked_variant(design_id, [(inst, list(pick(orders))) for inst, orders in stocks],
+                               tools)
         if plan is not None:
+            at = {c.id: i for i, c in enumerate(c for _, orders in stocks for c in orders.cuts)}
+            stock_at = {inst.key: j for j, inst in enumerate(bill)}
             candidates.append((tuple((at[c.id], c.stack_group) for c in plan.cuts),
                                tuple(stock_at[inst.key] for inst in plan.stock_bill),
                                evaluate_plan(plan, tools).vector(mode)))
 
-    consider_stacked([(inst, list(orders.best_precision)) for inst, orders in stocks])
-    consider_stacked([(inst, list(orders.best_time)) for inst, orders in stocks])
+    consider_stacked(lambda orders: orders.best_precision)
+    consider_stacked(lambda orders: orders.best_time)
     labels = _joined(tables, mode)
     if labels is None:
         labels = _pareto_orders(tables, mode)
@@ -738,5 +758,5 @@ def _refined(design_id: str, stocks: TermStocks, mode: int) -> tuple[Recipe, ...
         candidates.append((tuple((i, None) for i in path), plain_bill,
                            totals_vector(f_c, q / TIME_QUANTA, ticks, mode)))
     # stacked counterparts of each per-stock canonical order
-    consider_stacked([(inst, list(orders.cuts)) for inst, orders in stocks])
+    consider_stacked(lambda orders: orders.cuts)
     return tuple(pareto_filter(candidates, key=lambda recipe: recipe[2].objectives))

@@ -11,10 +11,13 @@ which is how cheaper small-stock arrangements enter the search space.
 `family_stocks`, `pack_fragments` and `combine` are the one enumeration
 pipeline: the optimizer feeds it a budget of traversal orders
 (`generate_arrangements`), the brute-force oracle feeds it every part
-permutation. Both get arrangements in one per-stock layout. The optimizer
-packs each (designated size, traversal) once per run through its packing
-memo; the oracle passes a fresh memo per call, so it stays an independent
-brute force.
+permutation. Both get arrangements in one per-stock layout. A packing
+depends only on the designated size and the traversal's part shapes, not
+on which part sits where, so the packing memo keeps one packing per
+(designated size, shape sequence), its parts as slots of the traversal,
+and labels it with each traversal's part ids. The optimizer keeps one
+memo per run; the oracle passes a fresh memo per call, so it stays an
+independent brute force.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ class InfeasiblePartError(ValueError):
 
 Places = tuple[tuple[str, tuple[int, ...]], ...]  # (part_id, offset), sorted
 Fragment = list[tuple[StockSpec, list[tuple[str, tuple[int, ...]]]]]
-# designated size -> an order's (part id, shape) sequence -> its shrunk
-# packing and that packing's signature
-PackingMemo = dict[StockSpec, dict[tuple, tuple[Fragment, tuple]]]
+# designated size -> an order's shape sequence -> its shrunk packing, each
+# placement's part given as its slot (index) in the order
+PackingMemo = dict[StockSpec, dict[tuple, tuple[tuple[StockSpec, tuple], ...]]]
 
 
 @dataclass(frozen=True)
@@ -226,9 +229,12 @@ def pack_fragments(
     them apart (`plans.cutting_tool`) from each other.
 
     A designated size fixes its family's stocks and the kerf, and an
-    order's part ids and shapes fix the packing, so `memo` keeps each
-    packing with its `sig` for later calls with the same stock library,
-    tools and `sig` (one run's, or a fresh one per call)."""
+    order's shape sequence fixes where each of its slots goes: packing and
+    shrinking read a part's shape, never its id. So `memo` keeps each
+    packing by shape sequence, with slot k standing for the order's k-th
+    part, for later calls with the same stock library and tools (one
+    run's, or a fresh one per call); a hit is labelled with the order's
+    part ids before `sig` reads it."""
     kerf = tools[cutting_tool(stocks[0])].kerf
     fragments: list[Fragment] = []
     seen: set[tuple] = set()
@@ -236,13 +242,18 @@ def pack_fragments(
     for designated in usable:
         packed = memo.setdefault(designated, {})
         for order in orders:
-            traversal = tuple((p.id, p.shape) for p in order)
-            hit = packed.get(traversal)
-            if hit is None:
+            shapes = tuple(p.shape for p in order)
+            slotted = packed.get(shapes)
+            if slotted is None:
                 fragment = shrink_instances(
                     pack_traversal(order, designated, kerf), stocks, parts_by_id, holders)
-                hit = packed[traversal] = (fragment, sig(fragment))
-            fragment, key = hit
+                slot = {p.id: k for k, p in enumerate(order)}
+                packed[shapes] = tuple((spec, tuple((slot[pid], off) for pid, off in places))
+                                       for spec, places in fragment)
+            else:
+                fragment = [(spec, [(order[k].id, off) for k, off in places])
+                            for spec, places in slotted]
+            key = sig(fragment)
             if key not in seen:
                 seen.add(key)
                 fragments.append(fragment)
@@ -272,8 +283,9 @@ def generate_arrangements(
     Every usable stock size of each family is tried as the designated size;
     fragments across families combine by cross product (capped). `memo`
     (one per run, for its stock library and tools) keeps each traversal's
-    packing, so a traversal drawn again, for this design or another with
-    the same parts, is not packed again.
+    packing by its shape sequence, so a traversal of the same shapes, drawn
+    again, for this design or another, or with other parts of those shapes,
+    is not packed again.
     """
     if traversals < 1:
         raise ValueError("traversal budget must be >= 1")

@@ -130,6 +130,11 @@ def test_scalarize_picks_min_and_breaks_ties():
     assert idx == 1
     with pytest.raises(ValueError):
         scalarize([], 0.0)
+    for price in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="labor price"):
+            scalarize(front, price)
+        with pytest.raises(ValueError, match="labor price"):
+            improvement_table(front, front, (0, price))
 
 
 def test_improvement_table_zero_when_equal():

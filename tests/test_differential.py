@@ -8,9 +8,13 @@ compares the set of front objective tuples with the oracle's.
 These fronts have one or two points, so the suite catches faults in the
 design sweep and in stacking rather than in the cut-order search;
 `tests/test_ordering.py` checks that search against scoring every order.
+The repeated-part rings draw each part's length from a pool of two, so
+parts repeat, packings repeat under other part ids and stocks share cut
+patterns, which is where stacking and the geometry-keyed memos act.
 """
 
 import functools
+import random
 
 import pytest
 
@@ -24,23 +28,37 @@ from test_front_digest import ring_design
 RING_SEEDS = range(100, 112)
 
 # (parts, ring seed) whose packings leave a kerf sliver that the cut
-# simulator rejects, on both sides (ROADMAP item 1)
+# simulator rejects, on both sides (ROADMAP item 1), of the rings and of
+# the repeated-part rings
 SLIVER = {(3, 103), (3, 106), (4, 107), (4, 109)}
+REPEATED_SLIVER = {(4, 107)}
+SLIVER_XFAIL = pytest.mark.xfail(raises=PlanError, strict=True,
+                                 reason="kerf-sliver packing defect (ROADMAP item 1)")
+
+
+def repeated_ring_design(ring_seed, n_parts):
+    """`ring_design`, each part's length drawn from the ring's first two."""
+    design = ring_design(ring_seed, n_parts)
+    pool = [part["shape_in"] for part in design["parts"][:2]]
+    rng = random.Random(f"repeated/{ring_seed}/{n_parts}")
+    for part in design["parts"]:
+        part["shape_in"] = rng.choice(pool)
+    design["id"] += "-repeated"
+    return design
+
+
+DESIGNS = {"ring": ring_design, "repeated": repeated_ring_design}
 
 
 @functools.lru_cache(maxsize=None)
-def oracle_front(n_parts, ring_seed, mode):
-    space = design_space_from_json(ring_design(ring_seed, n_parts))
+def oracle_front(kind, n_parts, ring_seed, mode):
+    space = design_space_from_json(DESIGNS[kind](ring_seed, n_parts))
     front = brute_force_front(space, default_stocks(), default_tools(), mode)
     return {cost.objectives for _, _, cost in front}
 
 
 def case(n_parts, ring_seed, mode, seed):
-    marks = []
-    if (n_parts, ring_seed) in SLIVER:
-        marks.append(pytest.mark.xfail(
-            raises=PlanError, strict=True,
-            reason="kerf-sliver packing defect (ROADMAP item 1)"))
+    marks = [SLIVER_XFAIL] if (n_parts, ring_seed) in SLIVER else []
     return pytest.param(n_parts, ring_seed, mode, seed, marks=marks,
                         id=f"ring{n_parts}-s{ring_seed}-m{mode}-seed{seed}")
 
@@ -50,10 +68,23 @@ CASES = ([case(3, r, mode, seed) for r in RING_SEEDS for mode in (2, 3)
          + [case(4, r, 2, 0) for r in RING_SEEDS])
 
 
-@pytest.mark.parametrize("n_parts, ring_seed, mode, seed", CASES)
-def test_icee_front_equals_oracle(n_parts, ring_seed, mode, seed):
-    space = design_space_from_json(ring_design(ring_seed, n_parts))
+def icee_front(kind, n_parts, ring_seed, mode, seed):
+    space = design_space_from_json(DESIGNS[kind](ring_seed, n_parts))
     front, _ = icee_run(space, default_stocks(), default_tools(),
                         IceeParams(seed=seed, objective_mode=mode))
-    got = {s.cost.objectives for s in front}
-    assert got == oracle_front(n_parts, ring_seed, mode)
+    return {s.cost.objectives for s in front}
+
+
+@pytest.mark.parametrize("n_parts, ring_seed, mode, seed", CASES)
+def test_icee_front_equals_oracle(n_parts, ring_seed, mode, seed):
+    assert icee_front("ring", n_parts, ring_seed, mode, seed) == \
+        oracle_front("ring", n_parts, ring_seed, mode)
+
+
+@pytest.mark.parametrize("n_parts, ring_seed", [
+    pytest.param(n, r, id=f"ring{n}-s{r}",
+                 marks=[SLIVER_XFAIL] if (n, r) in REPEATED_SLIVER else [])
+    for n in (3, 4) for r in RING_SEEDS])
+def test_icee_front_equals_oracle_on_repeated_parts(n_parts, ring_seed):
+    assert icee_front("repeated", n_parts, ring_seed, 2, 0) == \
+        oracle_front("repeated", n_parts, ring_seed, 2)

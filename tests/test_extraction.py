@@ -225,6 +225,9 @@ def test_params_validation():
         IceeParams(alpha=1.5)
     with pytest.raises(ValueError):
         IceeParams(objective_mode=4)
+    with pytest.raises(ValueError, match="generations"):
+        IceeParams(generations=-1)
+    assert IceeParams(generations=0).generations == 0
 
 
 def test_objective_mode_three():

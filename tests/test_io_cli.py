@@ -157,6 +157,22 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("optimize", str(empty)).returncode == 2
 
 
+def test_cli_rejects_negative_counts_and_prices(tmp_path):
+    result = run_cli("optimize", corpus_path("lframe"), *FAST_ARGS, "--generations", "-1",
+                     "--out", str(tmp_path))
+    assert result.returncode == 2, result.stderr
+    assert "generations must be >= 0" in result.stderr
+    assert not (tmp_path / "front.csv").exists()
+    run_cli("optimize", corpus_path("lframe"), *FAST_ARGS, "--out", str(tmp_path))
+    front = str(tmp_path / "front.csv")
+    for argv in (["scalarize", front, "--price", "-1"],
+                 ["compare", front, front, "--prices", "0", "-1"]):
+        result = run_cli(*argv)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert "labor price must be >= 0, got -1.0" in result.stderr
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"parts": [{"id": "a", "family": "2x2", "shape_in": ["20"]}]},
      "bad design file: 'id'"),

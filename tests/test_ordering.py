@@ -544,11 +544,11 @@ def test_node_memo_shares_orders_across_relabelled_nodes():
 
 
 def test_node_memo_finds_tables_by_packing(monkeypatch):
-    # a node whose packing (spec, placements, part shapes) the memo knows
-    # gets that node's table without building a cut; a node that shares only
-    # the cut pattern (other part ids) builds its cuts and gets the same
-    # table, and one whose first part is shorter gets a table of its own.
-    # Every node's cuts, built when first read, are its packing's.
+    # a node whose id-free packing (spec, offset-sorted (offset, part shape)
+    # placements) the memo knows gets that packing's table without building
+    # a cut, also under other part ids; one whose first part is shorter gets
+    # a table of its own. Every node's cuts, built when first read, are its
+    # packing's.
     rng = random.Random("packings")
     built = []
     cuts_for = ordering.cuts_for_instance
@@ -564,9 +564,9 @@ def test_node_memo_finds_tables_by_packing(monkeypatch):
         a = optimize_enode(first, parts, memo)
         b = optimize_enode(same, parts, memo)
         c = optimize_enode(relabelled, relabelled_parts, memo)
-        assert built == ["n1", "n3"]
+        assert built == ["n1"]
         assert a.steps is b.steps is c.steps
-        assert len(memo.patterns) == 1 and len(memo.packings) == 2
+        assert len(memo.patterns) == 1 and len(memo.packings) == 1
         shorter_parts = dict(parts, p0=dataclasses.replace(
             parts["p0"], shape=(parts["p0"].shape[0] - ticks(1),) + parts["p0"].shape[1:]))
         shorter = dataclasses.replace(first, id="n4")
@@ -680,8 +680,11 @@ def test_term_memo_shares_fronts_across_relabelled_terms(mode, monkeypatch):
     cuts_for_instance = ordering.cuts_for_instance
     monkeypatch.setattr(ordering, "cuts_for_instance", lambda *args: [
         dataclasses.replace(c, parent=None) for c in cuts_for_instance(*args)])
-    # new part ids: a packing the node memo knows keeps its linked cuts
-    unlinked = build_term(base, prefix="u", first_node=20, node_memo=node_memo)
+    # a packing the node memo knows keeps its linked cuts, whatever its part
+    # ids, so the unlinked nodes look their patterns up in the run's pattern
+    # tables through packings of their own
+    patterns_only = NodeMemo(TOOLS, patterns=node_memo.patterns, pool=node_memo.pool)
+    unlinked = build_term(base, prefix="u", first_node=20, node_memo=patterns_only)
     size = len(memo)
     assert full_outcome(refine(unlinked, mode, memo)) == \
         full_outcome(refine(unlinked, mode))
@@ -805,6 +808,43 @@ def test_refine_term_costs_stacked_plans_with_node_memo_tools(mode):
     for plan, cost in results:
         assert cost == evaluate_plan(plan, tools).vector(mode)
     assert all(cost != evaluate_plan(plan, TOOLS).vector(mode) for plan, cost in stacked)
+
+
+@pytest.mark.parametrize("mode", [2, 3])
+def test_stacked_candidates_need_a_shared_pattern(mode, monkeypatch):
+    # `_refined` tries stacked candidates only when two cut stocks share a
+    # step table (`_may_stack`). On random terms, many of alike stocks or of
+    # parts whose lengths repeat, `stacked_variant` stacks none of the
+    # best-f_p, best-f_t or canonical orders of a term without a shared
+    # table, and the recipes are those of trying the stacked candidates on
+    # every term
+    rng = random.Random(f"may-stack-{mode}")
+    node_memo = NodeMemo(TOOLS)
+    may_stack = {True: 0, False: 0}
+    stacked = 0
+    for n in range(300):
+        if n % 3 == 0:
+            pool = rng.sample(LENGTHS, 2)
+            stocks = [(rng.choice(LUMBER), [rng.choice(pool) for _ in range(rng.randint(1, 3))])
+                      for _ in range(rng.randint(2, 4))]
+        else:
+            stocks = random_term(rng)
+            if n % 3 == 1:
+                stocks = [rng.choice(stocks) for _ in range(rng.randint(2, 4))]
+        g, term, cache = build_term(stocks, node_memo=node_memo)
+        term_stocks = ordering._term_stocks(g, term, cache)
+        may = ordering._may_stack([orders.steps for _, orders in term_stocks])
+        may_stack[may] += 1
+        if not may:
+            for pick in ("best_precision", "best_time", "cuts"):
+                per_stock = [(inst, list(getattr(orders, pick))) for inst, orders in term_stocks]
+                assert stacked_variant("d", per_stock, TOOLS) is None
+        got = ordering._refined("d", term_stocks, mode)
+        with monkeypatch.context() as patched:
+            patched.setattr(ordering, "_may_stack", lambda tables: True)
+            assert ordering._refined("d", term_stocks, mode) == got
+        stacked += any(group for refs, _, _ in got for _, group in refs)
+    assert may_stack[True] > 50 and may_stack[False] > 50 and stacked
 
 
 @pytest.mark.parametrize("mode", [2, 3])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -11,8 +12,10 @@ from planwright.model import Design, Material, Part, Tool, part_fits_stock, tick
 from planwright.oracle import all_arrangements
 from planwright.packing import (
     InfeasiblePartError,
+    family_stocks,
     generate_arrangements,
     group_parts,
+    pack_fragments,
     pack_traversal,
     shrink_instances,
 )
@@ -172,6 +175,49 @@ def test_warm_packing_memo_gives_the_cold_arrangements(kind, monkeypatch):
         warm_packs += len(packed)
         assert warm == cold
     assert warm_packs < cold_packs
+
+
+def repeated_parts(rng, kind, prefix):
+    """2-5 lumber or sheet parts of one family whose shapes come from a pool
+    of two, so shapes repeat; ids are `prefix` + running number."""
+    if kind == "lumber":
+        family = rng.choice(["2x2", "2x4"])
+        pool = [(ticks(rng.choice([5, 10, "20.5", 22, 30, 45])),) for _ in range(2)]
+    else:
+        family = rng.choice(["sheet-1/2", "sheet-3/4"])
+        pool = [(ticks(rng.choice([3, 5, "9.5", 11])), ticks(rng.choice([4, 6, "9.25"])))
+                for _ in range(2)]
+    return [Part(id=f"{prefix}{i}", family=family, shape=rng.choice(pool))
+            for i in range(rng.randint(2, 5))]
+
+
+@pytest.mark.parametrize("kind", ["lumber", "sheet"])
+def test_memoized_packings_equal_fresh_packings(kind, monkeypatch):
+    # one memo carried across designs whose part shapes repeat, under other
+    # part ids per design, as in a run: every packing `pack_fragments`
+    # returns, packed or relabelled from the memo, is the order's own fresh
+    # packing, and most come from the memo
+    rng = random.Random(f"slots-{kind}")
+    packed = []
+    pack = packing.pack_traversal
+    monkeypatch.setattr(packing, "pack_traversal",
+                        lambda *args: packed.append(args) or pack(*args))
+    memo = {}
+    checked = 0
+    for n in range(30):
+        parts = repeated_parts(rng, kind, prefix=f"d{n}p")
+        ((key, group),) = group_parts(design_of(parts), STOCKS).items()
+        stocks, usable = family_stocks(key, group, STOCKS)
+        by_id = {p.id: p for p in parts}
+        orders = [rng.sample(group, len(group)) for _ in range(6)]
+        distinct = itertools.count()  # a signature per packing: keep them all
+        fragments = pack_fragments(orders, stocks, usable, TOOLS, by_id, memo,
+                                   sig=lambda fragment: next(distinct))
+        kerf = TOOLS[cutting_tool(stocks[0])].kerf
+        assert fragments == [shrink_instances(pack(order, designated, kerf), stocks, by_id, {})
+                             for designated in usable for order in orders]
+        checked += len(fragments)
+    assert len(packed) < checked / 2
 
 
 def test_single_traversal_uses_descending_order():
