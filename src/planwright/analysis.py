@@ -9,6 +9,7 @@ implementation is kept as a cross-check oracle for small fronts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
@@ -77,7 +78,10 @@ def _clip(points: list[tuple[float, ...]], ref: tuple[float, ...],
 def hypervolume(points: list[tuple[float, ...]], ref: tuple[float, ...],
                 report: ClipReport) -> float:
     """Exact dominated volume of `points` up to the reference point; the
-    points outside it are clipped to it and listed in `report`."""
+    points outside it are clipped to it and listed in `report`. The
+    reference point must be finite."""
+    if not all(map(math.isfinite, ref)):
+        raise ValueError(f"reference point {ref} is not finite")
     if not points:
         return 0.0
     pts = pareto_filter(_clip(points, ref, report))

@@ -2,12 +2,21 @@
 
 E-classes are keyed by the set of parts they fabricate; e-nodes are either
 atomic (one packed stock instance) or compositions of disjoint child
-classes. Because compose children cover strict subsets of their parent's
-part set, the graph is acyclic by construction.
+classes.
+
+The graph has two levels. `add_arrangement` is the only place nodes are
+made: one atomic node per stock, in the class of that stock's part set,
+and for two or more stocks one compose node in the root class (all the
+design's parts) over those classes. Each of those stocks holds a strict
+subset of the parts, so every compose node is in the root class and every
+other class holds only atomic nodes. A term is a root node and, for a
+compose node, one atomic node per child class; the walks below read the
+graph that way.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -21,10 +30,6 @@ class AtomicNode:
     id: str
     spec: StockSpec
     placements: tuple[tuple[str, tuple[int, ...]], ...]  # (part_id, offset)
-
-    @property
-    def part_set(self) -> frozenset[str]:
-        return frozenset(p for p, _ in self.placements)
 
 
 @dataclass(frozen=True)
@@ -141,21 +146,26 @@ class BopEGraph:
         return self._close(pick)
 
     def _close(self, pick: Callable[[str], str]) -> Term:
-        """Walk from the root, choosing `pick(cid)` in each reached class."""
+        """Choose `pick(cid)` in the root class, then in the chosen node's
+        child classes, last first: a seed's GA draws depend on this order."""
         root = self.root
         if root is None:
             raise ValueError("e-graph has no root class yet")
-        chosen: dict[str, str] = {}
-        stack = [root]
-        while stack:
-            cid = stack.pop()
-            if cid in chosen:
-                continue
-            nid = chosen[cid] = pick(cid)
-            node = self.nodes[nid]
-            if isinstance(node, ComposeNode):
-                stack.extend(node.children)
+        nid = pick(root)
+        chosen = {root: nid}
+        for cid in reversed(self._children(nid)):
+            chosen[cid] = pick(cid)
         return Term(root=root, chosen=chosen)
+
+    def _children(self, nid: str) -> tuple[str, ...]:
+        """A root node's child classes: none for an atomic node."""
+        node = self.nodes[nid]
+        return node.children if isinstance(node, ComposeNode) else ()
+
+    def _root_nodes(self) -> list[str]:
+        """The root class's nodes; none before the first arrangement."""
+        root = self.root
+        return [] if root is None else self.classes[root].nodes
 
     def atomic_nodes_of(self, term: Term) -> list[AtomicNode]:
         out = []
@@ -166,28 +176,24 @@ class BopEGraph:
         return out
 
     def count_terms(self) -> int:
+        total = 0
+        for nid in self._root_nodes():
+            node = self.nodes[nid]
+            total += (math.prod([len(self.classes[cid].nodes) for cid in node.children])
+                      if isinstance(node, ComposeNode) else 1)
+        return total
+
+    def terms(self) -> list[Term]:
+        """Every term: per root node, each choice of one node per child
+        class, the first child class varying fastest."""
         root = self.root
-        if root is None:
-            return 0
-        memo: dict[str, int] = {}
-
-        def count_class(cid: str) -> int:
-            if cid in memo:
-                return memo[cid]
-            total = 0
-            for nid in self.classes[cid].nodes:
-                node = self.nodes[nid]
-                if isinstance(node, AtomicNode):
-                    total += 1
-                else:
-                    prod = 1
-                    for child in node.children:
-                        prod *= count_class(child)
-                    total += prod
-            memo[cid] = total
-            return total
-
-        return count_class(root)
+        out = []
+        for nid in self._root_nodes():
+            partials = [{root: nid}]
+            for cid in self._children(nid):
+                partials = [{**p, cid: c} for c in self.classes[cid].nodes for p in partials]
+            out += [Term(root, p) for p in partials]
+        return out
 
     def check_acyclic(self) -> bool:
         """Compose children must cover strictly smaller part sets."""
@@ -232,19 +238,9 @@ class BopEGraph:
         self._garbage_collect()
 
     def _garbage_collect(self) -> None:
-        root = self.root
-        live_classes: set[str] = set()
-        if root is not None:
-            stack = [root]
-            while stack:
-                cid = stack.pop()
-                if cid in live_classes:
-                    continue
-                live_classes.add(cid)
-                for nid in self.classes[cid].nodes:
-                    node = self.nodes[nid]
-                    if isinstance(node, ComposeNode):
-                        stack.extend(node.children)
+        # the root and its compose nodes' children (no root: no classes)
+        live_classes = {self.root, *(cid for nid in self._root_nodes()
+                                     for cid in self._children(nid))}
         self.classes = {cid: c for cid, c in self.classes.items() if cid in live_classes}
         self._class_of_partset = {
             c.part_set: cid for cid, c in self.classes.items()

@@ -99,21 +99,17 @@ def _node_scalar_bound(state: _DesignState):
     memo: dict[str, float] = {}
     egraph = state.egraph
 
-    def class_min(cid: str) -> float:
-        return min(bound(nid) for nid in egraph.classes[cid].nodes)
-
     def bound(nid: str) -> float:
         if nid in memo:
             return memo[nid]
         node = egraph.nodes[nid]
         if isinstance(node, AtomicNode):
-            orders = state.cache.get(nid)
-            value = node.spec.effective_price()
-            if orders is not None:
-                value += orders.best_time_cost[1] / 60.0
-                value += orders.best_precision_cost[0] / 64.0
+            orders = state.cache[nid]
+            value = (node.spec.effective_price() + orders.best_time_cost[1] / 60.0
+                     + orders.best_precision_cost[0] / 64.0)
         else:
-            value = sum(class_min(cid) for cid in node.children)
+            value = sum(min(bound(child) for child in egraph.classes[cid].nodes)
+                        for cid in node.children)
         memo[nid] = value
         return value
 
@@ -140,33 +136,6 @@ def evaluate_term(
         refined = refine_cache[key] = (term, *refine_term(
             state.egraph, term, state.cache, params.objective_mode, memo))
     return refined[2]
-
-
-def _enumerate_terms(egraph: BopEGraph, limit: int) -> list[Term] | None:
-    """All terms when the space is small; None when it exceeds `limit`."""
-    if egraph.root is None or egraph.count_terms() > limit:
-        return None
-
-    def class_terms(cid: str) -> list[dict[str, str]]:
-        out = []
-        for nid in egraph.classes[cid].nodes:
-            node = egraph.nodes[nid]
-            if isinstance(node, AtomicNode):
-                out.append({cid: nid})
-            else:
-                partials = [{cid: nid}]
-                for child in node.children:
-                    extended = []
-                    for sub in class_terms(child):
-                        for p in partials:
-                            merged = dict(p)
-                            merged.update(sub)
-                            extended.append(merged)
-                    partials = extended
-                out.extend(partials)
-        return out
-
-    return [Term(root=egraph.root, chosen=c) for c in class_terms(egraph.root)]
 
 
 # -- NSGA-II helpers ----------------------------------------------------------
@@ -229,10 +198,6 @@ def ga_extract(
     of each cost, and only the kept ones are built into plans.
     """
     egraph = state.egraph
-    if egraph.root is None:
-        return [], 0
-
-    all_terms = _enumerate_terms(egraph, params.population)
     refine_cache: RefineCache = {}
 
     def evaluated() -> tuple[list[Solution], int]:
@@ -244,8 +209,8 @@ def ga_extract(
                          plan=build_plan(egraph.design_id, stocks, recipe))
                 for term, stocks, recipe in kept], len(refine_cache)
 
-    if all_terms is not None:
-        for term in all_terms:
+    if egraph.count_terms() <= params.population:
+        for term in egraph.terms():
             evaluate_term(state, term, params, memo, refine_cache)
         return evaluated()
 
@@ -382,8 +347,9 @@ def icee_run(
                               if space.cardinality > len(enumerated)
                               else None)
                 if design is None:
-                    did = rng_iter.choice(sorted(states)) if states else None
-                    design = states[did].design if did else base
+                    # states is empty only while iteration 0 picks its slots
+                    design = (states[rng_iter.choice(sorted(states))].design
+                              if states else base)
                 chosen.append(design)
 
         budget = max(1, params.traversals // len(chosen))
@@ -402,8 +368,7 @@ def icee_run(
 
         for design in chosen:
             state = states[design.id]
-            front_terms = [s.term for s in archive
-                           if s.design.id == design.id and s.term is not None]
+            front_terms = [s.term for s in archive if s.design.id == design.id]
             state.egraph.contract(front_terms, params.top_nodes,
                                   _node_scalar_bound(state))
             # node ids are never reused: a removed node's orders are dead

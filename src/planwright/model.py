@@ -8,6 +8,7 @@ at the boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -79,6 +80,10 @@ class OpRate:
     kind: OpRateKind
     value: float  # seconds for PER_CUT, inches/second otherwise
 
+    def __post_init__(self) -> None:
+        if not 0 < self.value < math.inf:
+            raise ValueError(f"op rate value must be finite and positive, got {self.value}")
+
     def seconds(self, length_ticks: int) -> float:
         if self.kind is OpRateKind.PER_CUT:
             return self.value
@@ -102,11 +107,10 @@ class StockSpec:
     def __post_init__(self) -> None:
         if len(self.dims) not in (1, 2):
             raise ValueError(f"stock {self.id}: dims must have 1 or 2 entries")
-        if self.price <= 0:
-            raise ValueError(f"stock {self.id}: price must be positive")
-        for name in ("load_full", "load_partial", "unload_full", "unload_partial"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"stock {self.id}: {name} must be positive")
+        for name in ("price", "load_full", "load_partial", "unload_full",
+                     "unload_partial"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"stock {self.id}: {name} must be finite and positive")
 
     @property
     def is_sheet(self) -> bool:
@@ -139,6 +143,10 @@ class ToolSpec:
             raise ValueError(f"{self.id.value}: partial setup only for chopsaw/tracksaw")
         if self.op_error <= 0:
             raise ValueError(f"{self.id.value}: op_error must be positive")
+        for name in ("setup_full_lumber", "setup_full_sheet", "setup_partial"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{self.id.value}: {name} must be finite and >= 0")
 
     def setup_full(self, sheet: bool) -> float:
         return self.setup_full_sheet if sheet else self.setup_full_lumber

@@ -102,6 +102,14 @@ def test_hypervolume_empty_and_degenerate():
     assert hypervolume([(1.0, 1.0)], (1.0, 1.0), ClipReport()) == 0.0
 
 
+@pytest.mark.parametrize("ref", [(float("nan"), 1.0), (1.0, float("inf")),
+                                 (0.0, 0.0, -float("inf"))])
+def test_hypervolume_rejects_non_finite_reference(ref):
+    for points in ([], [(0.5,) * len(ref)]):
+        with pytest.raises(ValueError, match="not finite"):
+            hypervolume(points, ref, ClipReport())
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.floats(0, 0.99), st.floats(0, 0.99)), min_size=1,
                 max_size=8))

@@ -1,11 +1,13 @@
 import random
 
 from planwright.cost import StockInstance
-from planwright.egraph import AtomicNode, BopEGraph, ComposeNode
-from planwright.libraries import default_stocks
-from planwright.packing import Arrangement
+from planwright.egraph import AtomicNode, BopEGraph, ComposeNode, Term
+from planwright.libraries import default_stocks, default_tools
+from planwright.model import Design, Part
+from planwright.packing import Arrangement, generate_arrangements
 
 STOCKS = {s.id: s for s in default_stocks()}
+TOOLS = default_tools()
 
 
 def arr(design_id, parts, *instances):
@@ -117,3 +119,126 @@ def test_contract_ranks_by_scalar_bound():
     kept = g.classes[root].nodes
     assert len(kept) == 1
     assert g.nodes[kept[0]].spec.id == "2x4-24"
+
+
+# -- the two-level walks against walks over any acyclic e-graph -----------------
+
+
+def reference_close(g, pick):
+    """Stack walk from the root over any acyclic e-graph, choosing
+    `pick(cid)` in each class it reaches."""
+    chosen = {}
+    stack = [g.root]
+    while stack:
+        cid = stack.pop()
+        if cid in chosen:
+            continue
+        nid = chosen[cid] = pick(cid)
+        node = g.nodes[nid]
+        if isinstance(node, ComposeNode):
+            stack.extend(node.children)
+    return Term(root=g.root, chosen=chosen)
+
+
+def reference_terms(g):
+    """Recursive enumeration of every term of any acyclic e-graph."""
+    def class_terms(cid):
+        out = []
+        for nid in g.classes[cid].nodes:
+            node = g.nodes[nid]
+            if isinstance(node, AtomicNode):
+                out.append({cid: nid})
+            else:
+                partials = [{cid: nid}]
+                for child in node.children:
+                    extended = []
+                    for sub in class_terms(child):
+                        for p in partials:
+                            merged = dict(p)
+                            merged.update(sub)
+                            extended.append(merged)
+                    partials = extended
+                out.extend(partials)
+        return out
+
+    return [] if g.root is None else [Term(root=g.root, chosen=c)
+                                      for c in class_terms(g.root)]
+
+
+def random_design(rng):
+    parts = tuple(Part(id=f"p{i}", family=rng.choice(("2x4", "2x2")),
+                       shape=(rng.randint(12, 90) * 32,))
+                  for i in range(rng.randint(2, 6)))
+    return Design(id="d", parts=parts)
+
+
+def random_egraphs(n):
+    """(seed, stage, e-graph): random designs' e-graphs after one and two
+    rounds of arrangements, after contracting them, and after one more
+    round."""
+    for seed in range(n):
+        rng = random.Random(seed)
+        design = random_design(rng)
+        g = BopEGraph(design.id, frozenset(p.id for p in design.parts))
+        memo = {}
+
+        def expand():
+            for a in generate_arrangements(design, list(STOCKS.values()),
+                                           rng.randint(2, 10), TOOLS, rng, memo):
+                g.add_arrangement(a)
+
+        expand()
+        yield seed, "expanded", g
+        expand()
+        yield seed, "expanded twice", g
+        bound = {nid: rng.random() for nid in g.nodes}
+        g.contract([g.sample_term(rng) for _ in range(3)], rng.randint(1, 3),
+                   bound.__getitem__)
+        yield seed, "contracted", g
+        expand()
+        yield seed, "expanded after contracting", g
+
+
+def test_egraph_has_two_levels():
+    """Every compose node is in the root class, over other classes, and
+    every other class holds only atomic nodes: the walks rely on it."""
+    for seed, stage, g in random_egraphs(12):
+        for cid, eclass in g.classes.items():
+            for nid in eclass.nodes:
+                node = g.nodes[nid]
+                if isinstance(node, ComposeNode):
+                    assert cid == g.root and g.root not in node.children, (seed, stage)
+                else:
+                    assert isinstance(node, AtomicNode)
+        assert g.check_acyclic()
+
+
+def test_walks_match_the_generic_walks():
+    multi = 0  # graphs with a compose node over two classes of two nodes or more
+    for seed, stage, g in random_egraphs(12):
+        terms = g.terms()
+        assert terms == reference_terms(g), (seed, stage)
+        assert g.count_terms() == len(terms)
+        for draw in range(4):
+            rng, ref_rng = random.Random(draw), random.Random(draw)
+            term = g.sample_term(rng)
+            assert term == reference_close(
+                g, lambda cid: ref_rng.choice(g.classes[cid].nodes)), (seed, stage)
+            assert rng.getstate() == ref_rng.getstate()
+            # an over-complete map, with some stale and some foreign node ids
+            choices = {cid: rng.choice(list(g.nodes) + ["n-gone"])
+                       for cid in g.classes if rng.random() < 0.7}
+            choices["c-gone"] = "n0"
+            assert g.term_from_choices(choices) == reference_close(
+                g, lambda cid: choices[cid] if choices.get(cid) in g.classes[cid].nodes
+                else g.classes[cid].nodes[0]), (seed, stage)
+        multi += any(sum(len(g.classes[c].nodes) > 1 for c in node.children) > 1
+                     for node in g.nodes.values() if isinstance(node, ComposeNode))
+    assert multi > 0
+
+
+def test_empty_egraph_has_no_terms():
+    g = BopEGraph("d", frozenset({"a"}))
+    assert g.terms() == [] and g.count_terms() == 0
+    g.contract([], 1, lambda nid: 0.0)
+    assert g.classes == {} and g.nodes == {}

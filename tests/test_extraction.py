@@ -6,7 +6,7 @@ import pytest
 from planwright import corpus_path, extraction
 from planwright.analysis import ClipReport, hypervolume, pareto_filter, point_dominates
 from planwright.cost import evaluate_plan
-from planwright.egraph import AtomicNode
+from planwright.egraph import AtomicNode, BopEGraph
 from planwright.extraction import (
     IceeParams,
     baseline_run,
@@ -16,6 +16,7 @@ from planwright.extraction import (
 )
 from planwright.io import load_design_space
 from planwright.libraries import default_stocks, default_tools
+from planwright.model import Design, Part, ticks
 
 STOCKS = default_stocks()
 TOOLS = default_tools()
@@ -131,10 +132,14 @@ def test_seed_changes_search_but_front_stays_optimal_on_lframe():
 
 def test_baseline_restricted_to_base_design():
     space = load_design_space(corpus_path("frame"))
-    front, _ = baseline_run(space, STOCKS, TOOLS, FAST)
     base = space.base_design()
-    assert all(s.design.id == base.id for s in front)
-    assert min(s.cost.f_c for s in front) == 10.0
+    # with three slots, iteration 0's last slot finds the one-design sweep
+    # done before any design is expanded, and falls back to the base
+    for per_iter in (2, 3):
+        params = dataclasses.replace(FAST, designs_per_iter=per_iter)
+        front, _ = baseline_run(space, STOCKS, TOOLS, params)
+        assert all(s.design.id == base.id for s in front)
+        assert min(s.cost.f_c for s in front) == 10.0
 
 
 def test_optimized_weakly_improves_on_baseline():
@@ -214,6 +219,12 @@ def test_extraction_builds_plans_only_for_its_solutions(corpus, params, monkeypa
     assert extractions
     assert all(plans == sols for plans, sols in extractions)
     assert len(built) < len(recipes)
+
+
+def test_extraction_of_an_empty_egraph_is_empty():
+    design = Design("d", (Part("a", "2x4", (ticks(10),)),))
+    state = extraction._DesignState(design=design, egraph=BopEGraph("d", frozenset({"a"})))
+    assert extraction.ga_extract(state, FAST, random.Random(0), {}) == ([], 0)
 
 
 def test_params_validation():

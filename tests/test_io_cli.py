@@ -173,6 +173,23 @@ def test_cli_rejects_negative_counts_and_prices(tmp_path):
         assert "labor price must be >= 0, got -1.0" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["hypervolume", "compare"])
+def test_cli_rejects_non_finite_reference(tmp_path, command):
+    front = tmp_path / "front.csv"
+    front.write_text(FRONT_HEADER + "\nd,p0,5.5,,3.25\nd,p1,3,,8\n")
+    fronts = [str(front)] * (2 if command == "compare" else 1)
+    for ref in (["nan", "nan"], ["inf", "nan"], ["1", "inf"]):
+        result = run_cli(command, *fronts, "--ref", *ref)
+        assert result.returncode == 2, result.stdout
+        assert result.stdout == ""
+        assert "is not finite" in result.stderr
+    # a finite reference that no point is inside still clips and warns
+    result = run_cli(command, *fronts, "--ref", "-1", "-1")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("0\n" if command == "hypervolume" else "hv_a=0\nhv_b=0\n")
+    assert result.stderr.count("warning: point") == 2 * len(fronts)
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"parts": [{"id": "a", "family": "2x2", "shape_in": ["20"]}]},
      "bad design file: 'id'"),

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from planwright import corpus_path
+from planwright.cli import main
 from planwright.libraries import (
     default_stocks,
     default_tools,
@@ -121,3 +123,45 @@ def test_dump_is_valid_json():
 def test_load_missing_file():
     with pytest.raises(OSError):
         load_libraries("/nonexistent/libs.json")
+
+
+# (section, entry index, field, message fragment, values to reject); entry
+# 3 of the tools is the tracksaw
+LIBRARY_NUMBERS = [
+    *[("stocks", 0, name, f"{name} must be finite and positive",
+       (0, -1, float("nan"), float("inf")))
+      for name in ("price", "load_full", "load_partial", "unload_full", "unload_partial")],
+    ("tools", 3, "op_rate_value", "op rate value must be finite and positive",
+     (0, -1, float("nan"), float("inf"))),
+    *[("tools", 3, name, f"{name} must be finite and >= 0",
+       (-1, float("nan"), float("inf")))
+      for name in ("setup_full_lumber", "setup_full_sheet", "setup_partial")],
+]
+
+
+@pytest.mark.parametrize("section, index, field, message, bad_values", LIBRARY_NUMBERS,
+                         ids=[f"{row[0]}-{row[2]}" for row in LIBRARY_NUMBERS])
+def test_library_number_out_of_range_exits_2(tmp_path, capsys, section, index, field,
+                                             message, bad_values):
+    path = tmp_path / "libraries.json"
+    for value in bad_values:
+        payload = json.loads(dump_libraries())
+        payload[section][index][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_libraries(str(path))
+        argv = ["optimize", corpus_path("lframe"), "--libraries", str(path),
+                "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "front.csv").exists()
+
+
+def test_zero_setup_time_is_accepted(tmp_path):
+    payload = json.loads(dump_libraries())
+    for name in ("setup_full_lumber", "setup_full_sheet", "setup_partial"):
+        payload["tools"][3][name] = 0
+    path = tmp_path / "libraries.json"
+    path.write_text(json.dumps(payload))
+    _, tools = load_libraries(str(path))
+    assert tools[Tool.TRACKSAW].setup_partial == 0
