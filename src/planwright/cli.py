@@ -99,6 +99,9 @@ def _front_points(rows, mode):
 def cmd_compare(args) -> int:
     rows_a = pio.read_front_csv(args.front_a)
     rows_b = pio.read_front_csv(args.front_b)
+    if not rows_a or not rows_b:
+        print("error: both fronts must be nonempty", file=sys.stderr)
+        return EXIT_VALIDATION
     mode_a, mode_b = _front_mode(rows_a), _front_mode(rows_b)
     if mode_a != mode_b:
         print("error: fronts have different objective modes", file=sys.stderr)

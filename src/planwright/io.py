@@ -1,13 +1,16 @@
 """File formats: design spaces, plans, fronts (CSV/JSON), reports, SVG plots.
 
 Fronts use CSV with a fixed column order so runs can be diffed byte for
-byte; parsing keeps the original field strings, so a parse/re-emit round
-trip is the identity. Plots are hand-emitted SVG primitives.
+byte. Parsing checks that every cost is a finite number and that f_p is
+empty on every row or on none. It keeps the original field strings, so a
+parse/re-emit round trip is the identity. Plots are hand-emitted SVG
+primitives.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -188,7 +191,17 @@ def read_front_csv(path: str) -> list[FrontRow]:
         fields = line.split(",")
         if len(fields) != 5:
             raise DesignInputError(f"{path}:{n}: expected 5 fields")
-        rows.append(FrontRow(*fields))
+        row = FrontRow(*fields)
+        if rows and (row.f_p == "") != (rows[0].f_p == ""):
+            raise DesignInputError(f"{path}:{n}: f_p must be empty on every row or on none")
+        for name in ("f_c", "f_p", "f_t") if row.f_p else ("f_c", "f_t"):
+            try:
+                value = float(getattr(row, name))
+            except ValueError:
+                raise DesignInputError(f"{path}:{n}: {name} is not a number") from None
+            if not math.isfinite(value):
+                raise DesignInputError(f"{path}:{n}: {name} is not finite")
+        rows.append(row)
     return rows
 
 

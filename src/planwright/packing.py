@@ -11,13 +11,16 @@ which is how cheaper small-stock arrangements enter the search space.
 `family_stocks`, `pack_fragments` and `combine` are the one enumeration
 pipeline: the optimizer feeds it a budget of traversal orders
 (`generate_arrangements`), the brute-force oracle feeds it every part
-permutation. Both get arrangements in one per-stock layout. A packing
-depends only on the designated size and the traversal's part shapes, not
-on which part sits where, so the packing memo keeps one packing per
-(designated size, shape sequence), its parts as slots of the traversal,
-and labels it with each traversal's part ids. The optimizer keeps one
-memo per run; the oracle passes a fresh memo per call, so it stays an
-independent brute force.
+permutation. Both get arrangements in one per-stock layout. A group whose
+n! orders fit the budget gets all of them; a larger group gets random
+ones. A packing depends only on the designated size and the traversal's
+part shapes, not on which part sits where, so the packing memo keeps one
+packing per (designated size, shape sequence), its parts as slots of the
+traversal, and labels it with each traversal's part ids. A design whose
+every group is enumerated draws nothing, so the memo also keeps its
+arrangements whole, and the design is packed once per run. The optimizer
+keeps one memo per run; the oracle passes a fresh memo per call, so it
+stays an independent brute force.
 """
 
 from __future__ import annotations
@@ -39,9 +42,6 @@ class InfeasiblePartError(ValueError):
 
 Places = tuple[tuple[str, tuple[int, ...]], ...]  # (part_id, offset), sorted
 Fragment = list[tuple[StockSpec, list[tuple[str, tuple[int, ...]]]]]
-# designated size -> an order's shape sequence -> its shrunk packing, each
-# placement's part given as its slot (index) in the order
-PackingMemo = dict[StockSpec, dict[tuple, tuple[tuple[StockSpec, tuple], ...]]]
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,14 @@ class Arrangement:
 
     design_id: str
     stocks: tuple[tuple[StockInstance, Places], ...]
+
+
+# designated size -> an order's shape sequence -> its shrunk packing, each
+# placement's part given as its slot (index) in the order; and
+# (design id, parts, traversal budget) -> the arrangements of a design whose
+# every group is enumerated
+PackingMemo = dict[StockSpec | tuple,
+                   dict[tuple, tuple[tuple[StockSpec, tuple], ...]] | tuple[Arrangement, ...]]
 
 
 def group_parts(design: Design, stock_lib: list[StockSpec]) -> dict[str, list[Part]]:
@@ -161,8 +169,12 @@ def shrink_instances(
 
 
 def _traversal_orders(parts: list[Part], budget: int, rng: random.Random) -> list[list[Part]]:
-    """Size-descending first, then input order, then random permutations,
-    until the budget or all n! distinct orders are reached."""
+    """Size-descending first, then input order, then the other orders.
+
+    When the budget holds all n! orders they are all returned, the rest in
+    `itertools.permutations` order, and `rng` is not drawn from. Otherwise
+    random permutations fill the budget (up to `budget * 10` draws).
+    """
     def size_key(p: Part) -> tuple:
         area = p.shape[0] * (p.shape[1] if p.is_sheet else 1)
         return (-area, p.id)
@@ -179,9 +191,12 @@ def _traversal_orders(parts: list[Part], budget: int, rng: random.Random) -> lis
     push(sorted(parts, key=size_key))
     if len(orders) < budget:
         push(list(parts))
-    limit = min(budget, math.factorial(len(parts)))
+    if math.factorial(len(parts)) <= budget:
+        for order in itertools.permutations(parts):
+            push(list(order))
+        return orders
     attempts = 0
-    while len(orders) < limit and attempts < budget * 10:
+    while len(orders) < budget and attempts < budget * 10:
         shuffled = list(parts)
         rng.shuffle(shuffled)
         push(shuffled)
@@ -277,7 +292,7 @@ def generate_arrangements(
     tools: dict[Tool, ToolSpec],
     rng: random.Random,
     memo: PackingMemo,
-) -> list[Arrangement]:
+) -> tuple[Arrangement, ...]:
     """Up to `traversals` packings per designated stock size, deduplicated.
 
     Every usable stock size of each family is tried as the designated size;
@@ -285,18 +300,28 @@ def generate_arrangements(
     (one per run, for its stock library and tools) keeps each traversal's
     packing by its shape sequence, so a traversal of the same shapes, drawn
     again, for this design or another, or with other parts of those shapes,
-    is not packed again.
+    is not packed again. When every group's n! orders fit the budget, no
+    order is drawn from `rng` and the arrangements depend on the design and
+    budget alone, so `memo` keeps them whole and a later call returns them.
     """
     if traversals < 1:
         raise ValueError("traversal budget must be >= 1")
+    key = (design.id, design.parts, traversals)
+    if key in memo:
+        return memo[key]
     parts_by_id = {p.id: p for p in design.parts}
     per_group: list[list[Fragment]] = []
-    for key, parts in group_parts(design, stock_lib).items():
-        stocks, usable = family_stocks(key, parts, stock_lib)
+    enumerated = True
+    for group, parts in group_parts(design, stock_lib).items():
+        stocks, usable = family_stocks(group, parts, stock_lib)
+        enumerated = enumerated and math.factorial(len(parts)) <= traversals
         orders = _traversal_orders(parts, traversals, rng)
         per_group.append(pack_fragments(orders, stocks, usable, tools, parts_by_id, memo))
     cap = max(traversals * 4, sum(len(f) for f in per_group))
-    return combine(design, per_group, cap)
+    arrangements = tuple(combine(design, per_group, cap))
+    if enumerated:
+        memo[key] = arrangements
+    return arrangements
 
 
 def _assemble(design: Design, fragments: tuple[Fragment, ...]) -> Arrangement:

@@ -111,9 +111,9 @@ PLANS = {
 
 # per iteration: (terms_refined, term_patterns, front_size)
 COUNTERS = {
-    "frame": [(74, 3, 3), (148, 12, 3), (222, 12, 3), (296, 25, 3), (370, 34, 3),
-        (444, 34, 3), (518, 58, 3), (592, 58, 3), (666, 58, 3), (740, 59, 3)],
-    "sheet-box": [(64, 13, 1), (132, 35, 1), (200, 37, 1), (264, 45, 2), (332, 46, 2)],
+    "frame": [(74, 3, 3), (148, 12, 3), (222, 12, 3), (296, 24, 3), (370, 33, 3),
+        (444, 33, 3), (518, 56, 3), (592, 56, 3), (666, 56, 3), (740, 56, 3)],
+    "sheet-box": [(64, 12, 1), (132, 32, 1), (200, 34, 1), (264, 42, 2), (332, 42, 2)],
     "tiny-table": [(152, 26, 2), (351, 90, 2), (546, 136, 2), (756, 212, 2)],
     "metal-mix": [(2, 1, 1), (4, 2, 1), (6, 2, 1), (8, 2, 1)],
     "ring-8": [(204, 148, 2)],

@@ -86,16 +86,15 @@ def test_evaluate_breakdown_golden(tmp_path):
 
 def test_front_csv_round_trip_byte_identical(tmp_path):
     path = tmp_path / "front.csv"
-    rows = read_front_csv_from_text(
-        FRONT_HEADER + "\n"
-        "d/a,p0,8.5,,4.033333333\n"
-        "d/b,p0,10,0.046875,3.483333333\n",
-        tmp_path)
-    write_front_csv(rows, str(path))
-    text = path.read_text()
-    rows2 = read_front_csv(str(path))
-    write_front_csv(rows2, str(path))
-    assert path.read_text() == text
+    for body in ("d/a,p0,8.5,,4.033333333\nd/b,p0,10,,3.483333333\n",
+                 "d/a,p0,8.5,0,4.033333333\nd/b,p0,10,0.046875,3.483333333\n"):
+        rows = read_front_csv_from_text(FRONT_HEADER + "\n" + body, tmp_path)
+        write_front_csv(rows, str(path))
+        text = path.read_text()
+        assert text == FRONT_HEADER + "\n" + body
+        rows2 = read_front_csv(str(path))
+        write_front_csv(rows2, str(path))
+        assert path.read_text() == text
 
 
 def read_front_csv_from_text(text, tmp_path):
@@ -188,6 +187,38 @@ def test_cli_rejects_non_finite_reference(tmp_path, command):
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("0\n" if command == "hypervolume" else "hv_a=0\nhv_b=0\n")
     assert result.stderr.count("warning: point") == 2 * len(fronts)
+
+
+@pytest.mark.parametrize("command", ["hypervolume", "scalarize", "compare"])
+@pytest.mark.parametrize("body, message", [
+    ("d,p0,nan,,3.25\n", ":2: f_c is not finite"),
+    ("d,p0,5.5,,3.25\nd,p1,3,,-inf\n", ":3: f_t is not finite"),
+    ("d,p0,5.5,inf,3.25\n", ":2: f_p is not finite"),
+    ("d,p0,five,,3.25\n", ":2: f_c is not a number"),
+    # the f_p of a 3-objective row would be dropped in a 2-objective score
+    ("d,p0,5.5,,3.25\nd,p1,3,0.5,8\n", ":3: f_p must be empty on every row or on none"),
+    ("d,p0,5.5,0.5,3.25\nd,p1,3,,8\n", ":3: f_p must be empty on every row or on none"),
+])
+def test_cli_rejects_bad_front_rows(tmp_path, command, body, message):
+    front = tmp_path / "front.csv"
+    front.write_text(FRONT_HEADER + "\n" + body)
+    argv = {"hypervolume": [str(front)], "scalarize": [str(front), "--price", "0"],
+            "compare": [str(front), str(front)]}[command]
+    result = run_cli(command, *argv)
+    assert result.returncode == 2, result.stdout
+    assert result.stdout == ""
+    assert message in result.stderr
+
+
+def test_cli_compare_rejects_an_empty_front(tmp_path):
+    empty, full = tmp_path / "empty.csv", tmp_path / "full.csv"
+    empty.write_text(FRONT_HEADER + "\n")
+    full.write_text(FRONT_HEADER + "\nd,p0,5.5,,3.25\n")
+    for fronts in ([empty, full], [full, empty], [empty, empty]):
+        result = run_cli("compare", *map(str, fronts))
+        assert result.returncode == 2, result.stdout
+        assert result.stdout == ""
+        assert "both fronts must be nonempty" in result.stderr
 
 
 @pytest.mark.parametrize("payload, message", [

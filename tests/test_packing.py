@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -218,6 +219,102 @@ def test_memoized_packings_equal_fresh_packings(kind, monkeypatch):
                              for designated in usable for order in orders]
         checked += len(fragments)
     assert len(packed) < checked / 2
+
+
+def size_descending(parts):
+    return sorted(parts, key=lambda p: (-p.shape[0] * (p.shape[1] if p.is_sheet else 1), p.id))
+
+
+def sampled_orders(parts, budget, rng):
+    """Reference traversal orders by sampling alone: the two heuristic
+    orders, then random shuffles until the budget or all n! orders are
+    reached. A group with n! > budget must get exactly these."""
+    orders, seen = [], set()
+
+    def push(order):
+        key = tuple(p.id for p in order)
+        if key not in seen:
+            seen.add(key)
+            orders.append(order)
+
+    push(size_descending(parts))
+    if len(orders) < budget:
+        push(list(parts))
+    limit = min(budget, math.factorial(len(parts)))
+    attempts = 0
+    while len(orders) < limit and attempts < budget * 10:
+        shuffled = list(parts)
+        rng.shuffle(shuffled)
+        push(shuffled)
+        attempts += 1
+    return orders[:budget]
+
+
+@pytest.mark.parametrize("kind", ["lumber", "sheet"])
+def test_small_groups_get_every_order_without_a_draw(kind):
+    rng = random.Random(f"enumerate-{kind}")
+    for _ in range(40):
+        parts = random_parts(rng, kind)
+        budget = math.factorial(len(parts)) + rng.choice([0, 1, 50])
+        draws = random.Random(rng.random())
+        state = draws.getstate()
+        orders = packing._traversal_orders(parts, budget, draws)
+        assert draws.getstate() == state
+        ids = [tuple(p.id for p in order) for order in orders]
+        assert sorted(ids) == sorted(tuple(p.id for p in order)
+                                     for order in itertools.permutations(parts))
+        heuristic = list(dict.fromkeys([tuple(p.id for p in size_descending(parts)),
+                                        tuple(p.id for p in parts)]))
+        assert ids[:len(heuristic)] == heuristic
+
+
+@pytest.mark.parametrize("kind", ["lumber", "sheet"])
+def test_large_groups_draw_the_orders_they_drew_before(kind):
+    rng = random.Random(f"sample-{kind}")
+    checked = 0
+    for _ in range(40):
+        parts = random_parts(rng, kind)
+        if len(parts) < 3:
+            continue
+        budget = rng.randint(1, math.factorial(len(parts)) - 1)
+        seed = rng.random()
+        draws, reference = random.Random(seed), random.Random(seed)
+        orders = packing._traversal_orders(parts, budget, draws)
+        assert orders == sampled_orders(parts, budget, reference)
+        assert draws.getstate() == reference.getstate()
+        checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("kind", ["lumber", "sheet"])
+def test_enumerated_designs_are_packed_once_per_memo(kind, monkeypatch):
+    # a design whose every group's orders fit the budget is a pure function
+    # of its parts and budget: a warm memo returns the cold arrangements
+    # and packs nothing, and a design that draws is not kept whole
+    rng = random.Random(f"designs-{kind}")
+    packed = []
+    pack = packing.pack_traversal
+    monkeypatch.setattr(packing, "pack_traversal",
+                        lambda *args: packed.append(args) or pack(*args))
+    memo = {}
+    kept = 0
+    for n in range(30):
+        design = dataclasses.replace(design_of(random_parts(rng, kind)), id=f"d{n}")
+        budget = rng.choice([1, 4, 12, 150])
+        seed = rng.random()
+        cold = generate_arrangements(design, STOCKS, budget, TOOLS, random.Random(seed), {})
+        first = generate_arrangements(design, STOCKS, budget, TOOLS, random.Random(seed), memo)
+        packed.clear()
+        warm = generate_arrangements(design, STOCKS, budget, TOOLS, random.Random(-seed), memo)
+        assert first == cold
+        enumerated = all(math.factorial(len(group)) <= budget
+                         for group in group_parts(design, STOCKS).values())
+        assert ((design.id, design.parts, budget) in memo) == enumerated
+        if enumerated:
+            assert warm == cold
+            assert packed == []
+            kept += 1
+    assert kept >= 5
 
 
 def test_single_traversal_uses_descending_order():
