@@ -2,13 +2,11 @@
 
 Hypervolume is exact: sort-and-sweep in 2D and slab slicing over the third
 objective in 3D; points outside the reference box are clipped to it and
-listed in the caller's `ClipReport`. A naive inclusion-exclusion
-implementation is kept as a cross-check oracle for small fronts.
+listed in the caller's `ClipReport`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
@@ -114,21 +112,6 @@ def _hv3(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
             continue
         slab = pareto_filter([(p[0], p[1]) for p in points if p[2] <= z])
         hv += _hv2(slab, (ref[0], ref[1])) * (z_next - z)
-    return hv
-
-
-def hypervolume_inclusion_exclusion(points: list[tuple[float, ...]],
-                                    ref: tuple[float, ...]) -> float:
-    """Exponential-time oracle; only for small fronts (tests)."""
-    pts = pareto_filter(_clip(points, ref, ClipReport()))
-    hv = 0.0
-    for r in range(1, len(pts) + 1):
-        for subset in itertools.combinations(pts, r):
-            vol = 1.0
-            for d in range(len(ref)):
-                edge = ref[d] - max(p[d] for p in subset)
-                vol *= max(edge, 0.0)
-            hv += vol if r % 2 == 1 else -vol
     return hv
 
 

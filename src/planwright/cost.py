@@ -264,13 +264,8 @@ def material_cost(stock_bill: tuple[StockInstance, ...]) -> float:
 
 def evaluate_plan(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> PlanCost:
     """Full ordered evaluation producing per-cut breakdowns and totals."""
-    instances: dict[str, StockInstance] = {}
-    for inst in plan.stock_bill:
-        instances.setdefault(inst.key, inst)
-    for cut in plan.cuts:
-        if cut.stock_key not in instances:
-            raise PlanError(f"unknown stock instance {cut.stock_key!r}")
-    sims = {inst.key: _Sim(inst.spec) for inst in plan.stock_bill}
+    instances = _checked_instances(plan)
+    sims = {key: _Sim(inst.spec) for key, inst in instances.items()}
 
     rows: list[CutTimeBreakdown] = []
     f_t = 0  # quanta
@@ -318,6 +313,35 @@ def evaluate_plan(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> PlanCost:
 
     return PlanCost(rows=rows, f_c=material_cost(plan.stock_bill),
                     f_t_seconds=f_t / TIME_QUANTA, f_p_ticks=f_p)
+
+
+def _checked_instances(plan: FabPlan) -> dict[str, StockInstance]:
+    """The plan's stock instances by key, once it is known that no two
+    share a key, no two cuts share an id, and every cut is on a listed
+    stock and comes after its parent, which is on the same stock."""
+    instances: dict[str, StockInstance] = {}
+    for inst in plan.stock_bill:
+        if inst.key in instances:
+            raise PlanError(f"stock instance {inst.key!r} is listed twice")
+        instances[inst.key] = inst
+    stock_of: dict[str, str] = {}
+    for cut in plan.cuts:
+        if cut.stock_key not in instances:
+            raise PlanError(f"unknown stock instance {cut.stock_key!r}")
+        if cut.id in stock_of:
+            raise PlanError(f"cut id {cut.id!r} is used twice")
+        stock_of[cut.id] = cut.stock_key
+    made: set[str] = set()
+    for cut in plan.cuts:
+        if cut.parent is not None:
+            if cut.parent not in stock_of:
+                raise PlanError(f"cut {cut.id!r}: parent {cut.parent!r} is not in the plan")
+            if stock_of[cut.parent] != cut.stock_key:
+                raise PlanError(f"cut {cut.id!r}: parent {cut.parent!r} is on another stock")
+            if cut.parent not in made:
+                raise PlanError(f"cut {cut.id!r} comes before its parent {cut.parent!r}")
+        made.add(cut.id)
+    return instances
 
 
 def resolve_geometry(op: list[Cut], tool: ToolSpec, sims: dict) -> tuple[int, int]:

@@ -195,22 +195,6 @@ class BopEGraph:
             out += [Term(root, p) for p in partials]
         return out
 
-    def check_acyclic(self) -> bool:
-        """Compose children must cover strictly smaller part sets."""
-        for node in self.nodes.values():
-            if isinstance(node, ComposeNode):
-                parent = self._partset_of_node(node.id)
-                for child in node.children:
-                    if not self.classes[child].part_set < parent:
-                        return False
-        return True
-
-    def _partset_of_node(self, nid: str) -> frozenset[str]:
-        for eclass in self.classes.values():
-            if nid in eclass.nodes:
-                return eclass.part_set
-        raise KeyError(nid)
-
     # -- contraction -------------------------------------------------------
 
     def contract(

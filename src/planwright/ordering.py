@@ -19,15 +19,15 @@ extends every label (path, f_t, f_p, state) of a path-ordered layer by
 every move of its state and drops a new label that one kept before it at
 its next state weakly dominates. A front is one path-ordered list of
 labels. A stock's front, and a small term's, moves cut by cut over states
-(done mask, last cut), and ends on each order's last setup signature
-(`_pareto_orders`). The state is enough: a stock's pieces depend only on
-the set of cuts already made on it (lumber chops and guillotine sheet cuts
-under their parent links alike), so each cut's measured length, operation
-time and precision error are fixed by that set; setup sharing depends only
-on the previous cut's (tool, axis, measured length), and loading only on
-whether the stock changed. Nodes of more than 8 cuts may exceed
-MAX_LAYER_STATES states per cut count; the search then keeps the most
-promising ones.
+(done mask, last setup signature, last cut's stock), and ends on each
+order's last setup signature (`_pareto_orders`). The state holds exactly
+what fixes the future: a cut's piece, and with it its measured length,
+operation time and precision error, is fixed by its nearest done siblings
+(`StepTable`), which the done mask gives; setup sharing depends only on
+the previous cut's (tool, axis, measured length), and loading only on
+whether the stock changed. Orders whose last cuts share a signature share
+a state. Nodes of more than 8 cuts may exceed MAX_LAYER_STATES states per
+cut count; the search then keeps the most promising ones.
 
 A term with one cut stock reads that stock's front. A term above
 EXHAUSTIVE_TERM_CUTS cuts joins its stocks' fronts, moving stock by stock
@@ -39,8 +39,9 @@ the join finds the orders that scoring every one-run order would keep.
 Those per-cut step costs come from one `StepTable` per stock cut pattern,
 kept in the node memo for the whole run with the pattern's fronts: the
 node search fills it, and every term search over a stock with that
-pattern reads it, so a step is costed once per run, from the one piece
-its cut splits (`cost.cut_piece`), with no piece simulator. A term's front
+pattern reads it, so a step is costed once per run per cut and nearest
+done siblings, from the one piece its cut splits (`cost.cut_piece`), with
+no piece simulator. A term's front
 orders carry the costs their labels sum, and `evaluate_plan` is left to
 the stacked plans. Refinement's candidates are the stacked per-node best
 orders, then the term's exact front, then the stacked canonical orders;
@@ -74,14 +75,12 @@ from .cost import (
     TIME_QUANTA,
     cut_piece,
     evaluate_plan,
-    holds,
     load_seconds,
     material_cost,
     measurement_error,
     operation_seconds,
     order_is_feasible,
     quanta,
-    split_piece,
     totals_vector,
     whole_piece,
 )
@@ -100,8 +99,9 @@ from .model import (
 from .plans import assemble_plan, cuts_for_instance, stacked_variant
 
 EXHAUSTIVE_TERM_CUTS = 6  # terms up to this many cuts may interleave stocks
-# states the label search keeps per number of cuts done; 8 cuts give at
-# most C(8, 4) * 4 = 280 (mask, last cut) states, so up to 8 stay exact
+# states the label search keeps per number of cuts done; the last cut fixes
+# a state's signature and stock, so 8 cuts give at most C(8, 4) * 4 = 280
+# (done mask, last signature, last stock) states, and up to 8 stay exact
 MAX_LAYER_STATES = 300
 
 
@@ -113,44 +113,77 @@ Step = tuple[tuple, int, int, int]
 class StepTable:
     """One stock cut pattern of a run: its steps and its order fronts.
 
-    Entry `done * k + i` of `steps`, for the pattern's k cuts in canonical
-    order, is the `Step` of cut i made after the cuts in the done-on-stock
-    mask `done`, filled on demand. It holds all that the cut's cost takes
-    from the stock, since a stock's pieces depend only on the set of cuts
-    already made on it. Equal steps share one tuple through `pool` (one per
-    run). A step is costed from the one piece that holds its cut
-    (`_piece`; on lumber the cuts must ascend in position, as
-    `plans._lumber_cuts` makes them), and `tails` keeps it per (cut,
-    measured length, op length), which fix the rest. `setups` holds each
-    cut's (partial setup or None, full setup) and `load` the stock's load,
-    in quanta. `fronts` maps an entry signature to the pattern's mode-3
-    order labels after a cut with it (`front`); entry None is the node
-    search.
+    A cut's siblings are the cuts with its parent, on its side of that
+    parent, along its axis: every cut of a stick, or the vertical cuts of
+    one sheet shelf (`plans.cuts_for_instance`). Its base piece (`base`) is
+    what its ancestors alone leave of the stock. Once its parent is done,
+    the piece the cut splits is its base piece narrowed by its nearest done
+    siblings, provided each cut's parent comes before it, siblings ascend
+    in position and a cut with children has no siblings; the table refuses
+    cuts that break one of these (ValueError). Sheet cuts on both axes on
+    one side of one parent (cuts without parent links) are outside the
+    rule, as their pieces depend on the order they were cut in.
+
+    So a cut's `Step` is fixed by the cut and its nearest done siblings:
+    `steps` holds it under `key`, filled on demand from that piece
+    (`cost.cut_piece`), and `siblings` holds each cut's masks of the
+    siblings before and after it, from which `key` takes a done-on-stock
+    mask's nearest ones. Equal steps share one tuple through `pool` (one
+    per run). `parents` holds each cut's parent index (None: none),
+    `setups` each cut's (partial setup or None, full setup) and `load` the
+    stock's load, in quanta. `fronts` maps an entry signature to the
+    pattern's mode-3 order labels after a cut with it (`front`); entry None
+    is the node search.
     `best_precision` and `best_time` are the node search's (index path,
     (f_p ticks, f_t seconds)) of the best-f_p and best-f_t orders. A run's
     node memo holds one table per pattern, so a table stands for its
     pattern and compares by identity.
     """
 
-    __slots__ = ("spec", "cuts", "tools", "k", "setups", "load", "steps", "tails",
-                 "pieces", "pool", "fronts", "best_precision", "best_time")
+    __slots__ = ("spec", "cuts", "tools", "k", "parents", "siblings", "base", "setups",
+                 "load", "steps", "pool", "fronts", "best_precision", "best_time")
 
     def __init__(self, spec: StockSpec, cuts: list[Cut],
                  tools: dict[Tool, ToolSpec], pool: dict[Step, Step]) -> None:
-        if not spec.is_sheet and any(a.position >= b.position
-                                     for a, b in zip(cuts, cuts[1:])):
-            raise ValueError("lumber cuts must ascend in position")
         self.spec = spec
         self.cuts = cuts  # the first stock with the pattern, canonical order
         self.tools = tools
         self.k = len(cuts)
+        self.parents: list[int | None] = []
+        self.base: list[tuple] = []
+        whole = whole_piece(spec)
+        index: dict[str, int] = {}
+        groups: dict[tuple, int] = {}  # (parent, side, axis) -> mask of its cuts
+        keys = []
+        for i, c in enumerate(cuts):
+            p = index.get(c.parent)
+            if p is not None:
+                parent = cuts[p]
+                side = c.anchor[parent.axis] >= parent.position  # beyond the parent
+                base = self._narrowed(self.base[p], parent.axis, *(
+                    (parent, None) if side else (None, parent)))
+            elif c.parent is None:
+                side, base = False, whole
+            else:
+                raise ValueError(f"cut {c.id}: its parent must come before it")
+            key = (p, side, c.axis)
+            mask = groups.get(key, 0)
+            if mask and cuts[mask.bit_length() - 1].position >= c.position:
+                raise ValueError("sibling cuts must ascend in position")
+            groups[key] = mask | 1 << i
+            index[c.id] = i
+            keys.append(key)
+            self.parents.append(p)
+            self.base.append(base)
+        if any(groups[keys[p]] & groups[keys[p]] - 1 for p in self.parents if p is not None):
+            raise ValueError("a cut with children must have no siblings")
+        self.siblings = [(mask & (1 << i) - 1, mask >> i + 1 << i + 1)
+                         for i, mask in enumerate(map(groups.get, keys))]
         self.setups = [(None if tools[c.tool].setup_partial is None
                         else quanta(tools[c.tool].setup_partial),
                         quanta(tools[c.tool].setup_full(spec.is_sheet))) for c in cuts]
         self.load = quanta(load_seconds([spec]))
         self.steps: dict[int, Step] = {}
-        self.tails: dict[int, Step] = {}
-        self.pieces: dict[int, tuple | None] = {}  # sheets only, keyed as `steps`
         self.pool = pool
         self.fronts: dict[tuple | None, list[Label]] = {}
         self.best_precision = self.best_time = None  # set by the node search
@@ -162,52 +195,49 @@ class StepTable:
             front = self.fronts[entry] = _pareto_orders([self], 3, entry)
         return front
 
+    def key(self, i: int, done: int) -> int:
+        """The `steps` key of cut i after the cuts in `done`, as
+        `_pareto_orders` reads it inline: (b + a) * k + i, b being 1 + the
+        index of the nearest done sibling below (0: none) and a the bit of
+        the nearest above (0: none), above bit i so that b + a is unique."""
+        below, above = self.siblings[i]
+        above &= done
+        return ((done & below).bit_length() + (above & -above)) * self.k + i
+
     def step(self, i: int, done: int) -> Step:
-        """The step of cut i after the cuts in `done`, made through the one
-        piece that holds it (`_piece`)."""
-        key = done * self.k + i
+        """The step of cut i after the cuts in `done`, its parent among them,
+        made through its base piece narrowed by its nearest done siblings."""
+        key = self.key(i, done)
         step = self.steps.get(key)
         if step is not None:
             return step
         cut = self.cuts[i]
         tool = self.tools[cut.tool]
-        sheet = self.spec.is_sheet
-        measured, op_len = cut_piece(self._piece(i, done), cut, tool.kerf, sheet)
-        tail = ((measured << 32) + op_len) * self.k + i  # lengths are under 2**32 ticks
-        step = self.tails.get(tail)
-        if step is None:
-            step = ((cut.tool, cut.axis, measured),
-                    quanta(operation_seconds(cut, tool, self.spec, op_len)),
-                    measurement_error(measured), tool.op_error_for(self.spec.material))
-            step = self.tails[tail] = self.pool.setdefault(step, step)
-        self.steps[key] = step
+        below, above = self.siblings[i]
+        below, above = (done & below).bit_length() - 1, done & above
+        piece = self._narrowed(self.base[i], cut.axis, self.cuts[below] if below >= 0 else None,
+                               self.cuts[(above & -above).bit_length() - 1] if above else None)
+        measured, op_len = cut_piece(piece, cut, tool.kerf, self.spec.is_sheet)
+        step = ((cut.tool, cut.axis, measured),
+                quanta(operation_seconds(cut, tool, self.spec, op_len)),
+                measurement_error(measured), tool.op_error_for(self.spec.material))
+        step = self.steps[key] = self.pool.setdefault(step, step)
         return step
 
-    def _piece(self, i: int, done: int) -> tuple | None:
-        """The one piece that may hold cut i after the cuts in `done`. On
-        lumber it lies between the nearest done cut on each side. On a
-        sheet, cut i's anchor is followed through the done cuts in index
-        order (parents first): the piece after `done` is the one after
-        `done` less its last cut j, split by j when j's anchor lies in it,
-        as in a piece simulator. `pieces` keeps it (None: in a kerf)."""
-        cuts = self.cuts
+    def _narrowed(self, piece: tuple, axis: int, below: Cut | None, above: Cut | None
+                  ) -> tuple:
+        """`piece` less what lies, along `axis`, up to the kerf of cut
+        `below` and from cut `above` on (None: nothing)."""
         if not self.spec.is_sheet:
-            below, above = done & (1 << i) - 1, done >> i + 1
-            start = cuts[below.bit_length() - 1] if below else None
-            end = cuts[i + (above & -above).bit_length()] if above else None
-            return (start.position + self.tools[start.tool].kerf if start else 0,
-                    end.position if end else self.spec.dims[0], not start, not end)
-        if not done:
-            return whole_piece(self.spec)
-        piece = self.pieces.get(done * self.k + i, False)
-        if piece is False:
-            j = done.bit_length() - 1
-            piece = self._piece(i, done ^ 1 << j)
-            if piece is not None and holds(piece, cuts[j], 0, True):
-                left = split_piece(piece, cuts[j], self.tools[cuts[j].tool].kerf, True)
-                piece = next((p for p in left if holds(p, cuts[i], 0, True)), None)
-            self.pieces[done * self.k + i] = piece
-        return piece
+            lo, hi, near, far = 0, 1, 2, 3  # (start, end, start original, end original)
+        else:  # (x0, y0, x1, y1, left, right, bottom, top original)
+            lo, hi, near, far = axis, axis + 2, 4 + 2 * axis, 5 + 2 * axis
+        piece = list(piece)
+        if below is not None:
+            piece[lo], piece[near] = below.position + self.tools[below.tool].kerf, False
+        if above is not None:
+            piece[hi], piece[far] = above.position, False
+        return tuple(piece)
 
 
 class NodeOrders:
@@ -520,6 +550,8 @@ def _cap_layer(layer: list[Label]) -> list[Label]:
     come first, taken in turn by (f_p, f_t, path) and by (f_t, f_p, path).
     No two states share a path, so the choice is a total order and
     deterministic."""
+    if len(layer) <= MAX_LAYER_STATES:  # no more states than labels
+        return layer
     states: dict[tuple | None, list[Label]] = {}
     for label in layer:
         states.setdefault(label[3], []).append(label)
@@ -551,59 +583,58 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
     `offset` reads its step off that table at local index i - offset and
     local done mask `(mask & stock mask) >> offset`.
 
-    n `_grow` steps over states (done mask, last cut), one cut each, then
-    one onto each state's last setup signature. The state fixes everything
-    that later steps cost: a cut's measured length and operation length
-    depend only on the set of cuts already made on its stock, setup
-    sharing only on the last cut's signature, and loading only on the last
-    cut's stock. A label's f_t and f_p are exact integer sums of its steps,
-    as `evaluate_plan`'s are.
+    n `_grow` steps over states (done mask, last setup signature, last cut's
+    stock), one cut each, then one onto each state's last setup signature.
+    The state fixes everything that later steps cost: a cut's measured
+    length and operation length depend only on its nearest done siblings,
+    which the done mask gives (`StepTable`), setup sharing only on the last
+    signature, and loading only on the last cut's stock. A label's f_t and
+    f_p are exact integer sums of its steps, as `evaluate_plan`'s are.
 
     A layer of more than MAX_LAYER_STATES states (none for 8 cuts or fewer)
     is cut down to that many by `_cap_layer`; the result is then a
     deterministic heuristic front rather than the exact one.
     """
     n = sum(table.k for table in tables)
-    # per cut: its table, index in the table, offset and mask of its
-    # stock's cuts, partial setup (None: none) and full setup
-    per_cut: list[tuple[StepTable, int, int, int, int | None, int]] = []
-    # per cut, the mask of its parent; bit n is never set, so a cut whose
-    # parent is missing is never ready
-    need = []
+    # per cut: its table's steps and size, its index in the table, the
+    # offset and mask of its stock's cuts, the masks of its siblings before
+    # and after it in the table, its partial setup (None: none) and full
+    # setup, and its table
+    per_cut: list[tuple[dict[int, Step], int, int, int, int, int, int, int | None, int,
+                        StepTable]] = []
+    need = []  # per cut, the mask of its parent
     offset = 0
     for table in tables:
         stock = ((1 << table.k) - 1) << offset
-        index = {c.id: offset + j for j, c in enumerate(table.cuts)}
-        for j, c in enumerate(table.cuts):
-            per_cut.append((table, j, offset, stock) + table.setups[j])
-            need.append(0 if c.parent is None else 1 << index.get(c.parent, n))
+        for j, parent in enumerate(table.parents):
+            per_cut.append((table.steps, table.k, j, offset, stock) + table.siblings[j]
+                           + table.setups[j] + (table,))
+            need.append(0 if parent is None else 1 << offset + parent)
         offset += table.k
-    signature: dict[tuple, tuple | None] = {(0, -1): entry}
 
     def moves(state: tuple) -> list[Move]:
-        mask, last = state
-        prev = signature[state]
-        last_stock = per_cut[last][3] if last >= 0 else 0
+        mask, prev, last_stock = state
         out = []
         for i in range(n):
             if mask >> i & 1 or need[i] & ~mask:
                 continue
-            table, j, offset, stock, partial, full = per_cut[i]
+            steps, k, j, offset, stock, below, above, partial, full, table = per_cut[i]
             done = (mask & stock) >> offset
-            step = table.steps.get(done * table.k + j) or table.step(j, done)
-            sig, op_time, eps, perr = step
+            above &= done
+            sig, op_time, eps, perr = (
+                steps.get(((done & below).bit_length() + (above & -above)) * k + j)
+                or table.step(j, done))
             setup = partial if partial is not None and prev == sig else full
-            to = (mask | 1 << i, i)
-            signature[to] = sig
             # mode 2 has no f_p objective: a constant 0 never separates labels
-            out.append(((i,), to, setup + (table.load if stock != last_stock else 0)
-                        + op_time, 0 if mode == 2 else eps + perr))
+            out.append(((i,), (mask | 1 << i, sig, stock),
+                        setup + (table.load if stock != last_stock else 0) + op_time,
+                        0 if mode == 2 else eps + perr))
         return out
 
-    layer: list[Label] = [((), 0, 0, (0, -1))]
+    layer: list[Label] = [((), 0, 0, (0, entry, 0))]
     for _ in range(n):
         layer = _cap_layer(_grow(layer, moves))
-    return _grow(layer, lambda state: [((), signature[state], 0, 0)])
+    return _grow(layer, lambda state: [((), state[1], 0, 0)])
 
 
 def _stock_moves(table: StepTable, offset: int, mode: int

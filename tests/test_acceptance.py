@@ -15,7 +15,6 @@ from planwright.analysis import (
     DEFAULT_PRICES,
     ClipReport,
     hypervolume,
-    hypervolume_inclusion_exclusion,
     improvement_table,
     pareto_filter,
     point_dominates,
@@ -37,6 +36,7 @@ from planwright.ordering import NodeMemo, optimize_enode, term_bounds
 from planwright.packing import Arrangement
 from planwright.plans import assemble_plan, cuts_for_instance, stacked_variant
 
+from test_analysis import hypervolume_inclusion_exclusion
 from test_ordering import refined_plans
 
 STOCKS = default_stocks()

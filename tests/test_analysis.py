@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from planwright.analysis import (
     DEFAULT_PRICES,
     ClipReport,
+    _clip,
     hypervolume,
-    hypervolume_inclusion_exclusion,
     improvement_table,
     pareto_filter,
     point_dominates,
@@ -16,6 +17,22 @@ from planwright.analysis import (
     scalarize,
 )
 from planwright.model import CostVector
+
+
+def hypervolume_inclusion_exclusion(points, ref):
+    """Reference: the hypervolume of `points` clipped to `ref`, summed by
+    inclusion-exclusion over every subset of their front. Exponential time,
+    for small fronts only."""
+    pts = pareto_filter(_clip(points, ref, ClipReport()))
+    hv = 0.0
+    for r in range(1, len(pts) + 1):
+        for subset in itertools.combinations(pts, r):
+            vol = 1.0
+            for d in range(len(ref)):
+                edge = ref[d] - max(p[d] for p in subset)
+                vol *= max(edge, 0.0)
+            hv += vol if r % 2 == 1 else -vol
+    return hv
 
 
 def cv(f_c, f_t):

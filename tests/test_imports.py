@@ -7,11 +7,11 @@ same module (`planwright/__init__.py` is skipped because its imports are
 re-exports), and every function defined in `src/planwright` must be
 referenced there: a module-level or nested function as a name, an
 attribute or an `__all__` entry, a method or property only as an
-attribute. The functions only the benchmark's tracer patches, and two that
-only the tests call as cross-checks, are exempt. A parameter default of a
-`src/planwright` function must be left out by some call there, and set by
-another, or the parameter is needlessly settable; the console-script entry
-point `cli.main(argv)` is exempt. `typing.get_type_hints` must resolve the
+attribute. The functions only the benchmark's tracer patches are exempt;
+the oracles the tests check the program against live in the tests. A
+parameter default of a `src/planwright` function must be left out by some
+call there, and set by another, or the parameter is needlessly settable;
+the console-script entry point `cli.main(argv)` is exempt. `typing.get_type_hints` must resolve the
 annotations of every class, method and function of the package.
 """
 
@@ -24,8 +24,6 @@ from pathlib import Path
 from test_bench_contract import load_tracing
 
 ROOT = Path(__file__).resolve().parent.parent
-# oracles the tests check the program against
-TEST_REFERENCES = {"hypervolume_inclusion_exclusion", "check_acyclic"}
 # the console script calls `main()`; tests pass their own argv
 ENTRY_POINT_DEFAULTS = {"main.argv"}
 
@@ -104,7 +102,7 @@ def test_no_unreferenced_functions():
     tracing = load_tracing()
     patched = {attr for _, attr, _, _, _ in tracing._patch_table(tracing.Tracer())}
     sources = [p.read_text() for p in sorted((ROOT / "src" / "planwright").glob("*.py"))]
-    found = set(unreferenced_functions(sources)) - patched - TEST_REFERENCES
+    found = set(unreferenced_functions(sources)) - patched
     assert found == set()
 
 

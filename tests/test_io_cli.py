@@ -84,6 +84,64 @@ def test_evaluate_breakdown_golden(tmp_path):
     assert "f_t_s=116" in total and "f_c=10" in total
 
 
+def linked_plan_payload():
+    """Two sticks; the second cut of the first depends on its first cut."""
+    cut = {"tool": "chopsaw", "kind": "lumber", "stock_key": "2x4-96#0"}
+    return {
+        "design_id": "d",
+        "stock_bill": [{"key": "2x4-96#0", "stock_id": "2x4-96"},
+                       {"key": "2x4-96#1", "stock_id": "2x4-96"}],
+        "cuts": [dict(cut, id="c0", position_in="30"),
+                 dict(cut, id="c1", position_in="50", parent="c0")],
+    }
+
+
+def test_evaluate_accepts_a_linked_plan(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(linked_plan_payload()))
+    result = run_cli("evaluate", str(plan))
+    assert result.returncode == 0, result.stderr
+    assert "f_c=20" in result.stdout
+
+
+def _reversed_cuts(payload):
+    payload["cuts"].reverse()
+
+
+def _unknown_parent(payload):
+    payload["cuts"][1]["parent"] = "c9"
+
+
+def _repeated_cut_id(payload):
+    payload["cuts"][1]["id"] = "c0"
+
+
+def _repeated_stock_key(payload):
+    payload["stock_bill"][1] = {"key": "2x4-96#0", "stock_id": "2x2-24"}
+
+
+def _parent_on_another_stock(payload):
+    payload["cuts"][1]["stock_key"] = "2x4-96#1"
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_reversed_cuts, "cut 'c1' comes before its parent 'c0'"),
+    (_unknown_parent, "cut 'c1': parent 'c9' is not in the plan"),
+    (_repeated_cut_id, "cut id 'c0' is used twice"),
+    (_repeated_stock_key, "stock instance '2x4-96#0' is listed twice"),
+    (_parent_on_another_stock, "cut 'c1': parent 'c0' is on another stock"),
+])
+def test_evaluate_rejects_malformed_plans(tmp_path, fault, message):
+    payload = linked_plan_payload()
+    fault(payload)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(payload))
+    result = run_cli("evaluate", str(plan))
+    assert result.returncode == 2, result.stdout
+    assert result.stdout == ""
+    assert message in result.stderr
+
+
 def test_front_csv_round_trip_byte_identical(tmp_path):
     path = tmp_path / "front.csv"
     for body in ("d/a,p0,8.5,,4.033333333\nd/b,p0,10,,3.483333333\n",

@@ -875,7 +875,7 @@ def test_term_search_reads_node_steps(mode, monkeypatch):
     pareto_orders = ordering._pareto_orders
 
     def counted(table, i, done):
-        if done * table.k + i not in table.steps:
+        if table.key(i, done) not in table.steps:
             misses.append((table, i, done))
         return step(table, i, done)
 
@@ -954,9 +954,21 @@ def simulated_step(table, i, done):
             measurement_error(measured), tool.op_error_for(table.spec.material))
 
 
+def edge_shelves(rng, count):
+    """A 24x20 sheet's shelves, bottom up, the top one reaching the sheet's
+    top edge, so that it gets no horizontal cut: its vertical cuts share the
+    parent of the shelf below's (or have none, when `count` is 1)."""
+    heights = [rng.choice(SHELF_HEIGHTS) for _ in range(count - 1)]
+    height = STOCKS["sheet-1/2-24x20"].dims[1]
+    heights.append(height - sum(heights) - (count - 1) * TOOLS_KERF)
+    return (rng.choice(["sheet-1/2-24x20", "metal-sheet-3/4-24x20"]),
+            [(h, [rng.choice(WIDTHS) for _ in range(rng.randint(1, 3))]) for h in heights])
+
+
 def test_steps_match_fresh_simulator():
-    # every feasible (done, i) of random lumber and sheet shelf patterns, and
-    # of a stick whose last part ends within one kerf of its end: there the
+    # every feasible (done, i) of random lumber and sheet shelf patterns,
+    # sheets whose top shelf reaches the sheet's edge (one shelf or more),
+    # and a stick whose last part ends within one kerf of its end: there the
     # last cut hits no piece, and the step table raises what the simulator does
     rng = random.Random("steps")
     kerf = TOOLS[Tool.CHOPSAW].kerf
@@ -965,10 +977,19 @@ def test_steps_match_fresh_simulator():
     patterns = [("2x4-48", sliver)]
     for kind in ("lumber", "sheet"):
         patterns += [random_node(rng, kind) for _ in range(15)]
+    patterns += [edge_shelves(rng, count) for count in (1, 2, 3) for _ in range(4)]
     raised = 0
     lengths = {}
+    shapes = set()  # (parent is None, sides of the parent) of sheet verticals
     for stock_id, layout in patterns:
         table = table_for(stock_id, layout)
+        sides = {}
+        for c in table.cuts:
+            if c.axis == 0 and table.spec.is_sheet:
+                parent = next((p for p in table.cuts if p.id == c.parent), None)
+                sides.setdefault(c.parent, set()).add(
+                    parent is not None and c.anchor[1] >= parent.position)
+        shapes.update((parent is None, len(s)) for parent, s in sides.items())
         parent = [next((j for j, p in enumerate(table.cuts) if p.id == c.parent), None)
                   for c in table.cuts]
         for done in range(1 << table.k):
@@ -990,9 +1011,33 @@ def test_steps_match_fresh_simulator():
                     assert table.step(i, done) == want
                     lengths.setdefault((table.spec.is_sheet, table, i), set()).add(want[0][2])
     assert raised
+    # sheet verticals below their parent only, on both sides of one parent,
+    # and with no parent
+    assert shapes == {(False, 1), (False, 2), (True, 1)}
     # on both kinds of stock, some cut's measured length depends on the done cuts
     assert {sheet for (sheet, _, _), measured in lengths.items() if len(measured) > 1} == \
         {False, True}
+
+
+def test_step_table_refuses_cuts_outside_its_piece_rule():
+    # siblings (cuts with one parent, on one side of it, along one axis)
+    # must ascend in position, a cut with children must have no siblings,
+    # and a cut's parent must come before it
+    lumber = table_for("2x4-48", [ticks(10), ticks(12), ticks(6)]).cuts
+    sheet = table_for("sheet-1/2-24x20", [(SHELF_HEIGHTS[0], WIDTHS[:2])]).cuts
+    assert [c.axis for c in sheet] == [1, 0, 0] and sheet[1].parent == sheet[0].id
+    spec = {"lumber": STOCKS["2x4-48"], "sheet": STOCKS["sheet-1/2-24x20"]}
+    for cuts, message in [
+        (lumber[::-1], "sibling cuts must ascend in position"),
+        (sheet[:1] + sheet[:0:-1], "sibling cuts must ascend in position"),
+        (lumber[:2] + [dataclasses.replace(lumber[2], parent=lumber[0].id)],
+         "a cut with children must have no siblings"),
+        (sheet[1:] + sheet[:1], "its parent must come before it"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            StepTable(spec[cuts[0].kind], cuts, TOOLS, {})
+    for cuts in (lumber, sheet):
+        assert StepTable(spec[cuts[0].kind], cuts, TOOLS, {}).k == 3
 
 
 def lex_front(labels):
@@ -1007,10 +1052,10 @@ def lex_front(labels):
 
 
 def layer_loop_orders(tables, mode, entry=None):
-    """Reference: `_pareto_orders` keeping each layer per state, each state's
-    labels sorted and filtered by `lex_front`, capped by `_cap_layer`.
-    Returns the fronts per last setup signature and whether any layer was
-    capped."""
+    """Reference: `_pareto_orders` keeping each layer per state (done mask,
+    last setup signature, last cut's stock), each state's labels sorted and
+    filtered by `lex_front`, capped by `_cap_layer`. Returns the fronts per
+    last setup signature and whether any layer was capped."""
     n = sum(table.k for table in tables)
     per_cut = []
     need = []
@@ -1019,17 +1064,13 @@ def layer_loop_orders(tables, mode, entry=None):
         stock = ((1 << table.k) - 1) << start
         per_cut.extend((table, j, start, stock) + table.setups[j] for j in range(table.k))
         index = {c.id: start + j for j, c in enumerate(table.cuts)}
-        need.extend(0 if c.parent is None else 1 << index.get(c.parent, n)
-                    for c in table.cuts)
+        need.extend(0 if c.parent is None else 1 << index[c.parent] for c in table.cuts)
         start += table.k
-    signature = {(0, -1): entry}
-    layer = {(0, -1): [((), 0, 0)]}
+    layer = {(0, entry, 0): [((), 0, 0)]}
     capped = False
     for _ in range(n):
         grown = {}
-        for (mask, last), labels in layer.items():
-            prev = signature[mask, last]
-            last_stock = per_cut[last][3] if last >= 0 else 0
+        for (mask, prev, last_stock), labels in layer.items():
             for i in range(n):
                 if mask >> i & 1 or need[i] & ~mask:
                     continue
@@ -1038,9 +1079,7 @@ def layer_loop_orders(tables, mode, entry=None):
                 setup = partial if partial is not None and prev == sig else full
                 step_t = setup + (table.load if stock != last_stock else 0) + op_time
                 ticks_ = 0 if mode == 2 else eps + perr
-                state = (mask | 1 << i, i)
-                signature[state] = sig
-                grown.setdefault(state, []).extend(
+                grown.setdefault((mask | 1 << i, sig, stock), []).extend(
                     (path + (i,), t + step_t, p + ticks_) for path, t, p in labels)
         layer = {state: lex_front(labels) for state, labels in grown.items()}
         if len(layer) > ordering.MAX_LAYER_STATES:
@@ -1049,8 +1088,8 @@ def layer_loop_orders(tables, mode, entry=None):
             layer = {state: labels for state, labels in layer.items() if state in kept}
             capped = True
     groups = {}
-    for state, labels in layer.items():
-        groups.setdefault(signature[state], []).extend(labels)
+    for (_, sig, _), labels in layer.items():
+        groups.setdefault(sig, []).extend(labels)
     return {sig: lex_front(labels) for sig, labels in groups.items()}, capped
 
 
