@@ -6,6 +6,15 @@ identical parameters, load/unload is paid per contiguous run on a stock,
 and the measured length of a cut depends on which reference edges of its
 piece survive earlier cuts.
 
+A piece is one interval (start, end, start original, end original) per
+axis of its stock: one for a stick, x then y for a sheet. An edge stays
+original until a cut makes it. A cut along axis a splits interval a
+(`split_piece`, two calls of `narrowed`), is measured off its edges and
+cuts the span of the other axis, which a stick does not have
+(`cut_piece`). Only this module builds or reads a piece; `cut_cost` turns
+a cut's measured and cut lengths into its setup signature, operation
+time and precision error.
+
 Step times (setup, load and operation seconds) are floats, but a plan's
 f_t sums them exactly, as whole numbers of 1/TIME_QUANTA s (`quanta`), so
 that the total does not depend on the order the steps are added in. It
@@ -144,72 +153,73 @@ def measurement_error(measured_ticks: int) -> int:
 
 class _Sim:
     """Piece tracker: the pieces of one stock left by the cuts so far,
-    starting from the uncut stock `spec`."""
+    starting from the uncut stock of dimensions `dims`."""
 
-    def __init__(self, spec: StockSpec) -> None:
-        self.sheet = spec.is_sheet
-        self.pieces = [whole_piece(spec)]
+    def __init__(self, dims: tuple[int, ...]) -> None:
+        self.sheet = len(dims) == 2
+        self.pieces = [whole_piece(dims)]
 
     def cut(self, cut: Cut, kerf: int) -> tuple[int, int]:
         """Make `cut` through the first piece that `holds` it."""
         piece = next((p for p in self.pieces if holds(p, cut, kerf, self.sheet)), None)
         measured_and_op = cut_piece(piece, cut, kerf, self.sheet)
         at = self.pieces.index(piece)
-        self.pieces[at:at + 1] = split_piece(piece, cut, kerf, self.sheet)
+        self.pieces[at:at + 1] = split_piece(piece, cut, kerf)
         return measured_and_op
 
 
-def whole_piece(spec: StockSpec) -> tuple:
-    """An uncut stock as a piece. A lumber piece is (start, end, start
-    original, end original); a sheet piece is (x0, y0, x1, y1, left, right,
-    bottom, top original)."""
-    if spec.is_sheet:
-        return (0, 0, *spec.dims, True, True, True, True)
-    return (0, spec.dims[0], True, True)
+def whole_piece(dims: tuple[int, ...]) -> tuple:
+    """An uncut stock of dimensions `dims` as a piece: every edge original."""
+    return tuple((0, d, True, True) for d in dims)
+
+
+def narrowed(piece: tuple, axis: int, start: int | None = None, end: int | None = None
+             ) -> tuple:
+    """`piece` with its interval along `axis` moved to begin at `start` and
+    end at `end` (None: that edge kept), each moved edge a cut one."""
+    a, b, near, far = piece[axis]
+    if start is not None:
+        a, near = start, False
+    if end is not None:
+        b, far = end, False
+    return piece[:axis] + ((a, b, near, far),) + piece[axis + 1:]
 
 
 def holds(piece: tuple, cut: Cut, kerf: int, sheet: bool) -> bool:
     """Whether `piece` holds `cut`: its anchor on a sheet, its kerf on lumber."""
     if sheet:
+        (x0, x1, _, _), (y0, y1, _, _) = piece
         ax, ay = cut.anchor
-        return piece[0] <= ax < piece[2] and piece[1] <= ay < piece[3]
-    return piece[0] <= cut.position and cut.position + kerf <= piece[1]
+        return x0 <= ax < x1 and y0 <= ay < y1
+    (a, b, _, _), = piece
+    return a <= cut.position and cut.position + kerf <= b
 
 
 def cut_piece(piece: tuple | None, cut: Cut, kerf: int, sheet: bool) -> tuple[int, int]:
     """The measured length of `cut` made through `piece`, the one piece of
-    its stock that may hold it (None: none does), and the length it cuts
-    (0 on lumber). A sheet cut is a full-width (axis 1, at y) or
-    full-height (axis 0, at x) guillotine cut through its piece."""
+    its stock that may hold it (None: none does), and the length it cuts:
+    a sheet cut is a full-width (axis 1, at y) or full-height (axis 0, at
+    x) guillotine cut through its piece, and a stick's cut cuts 0."""
     if piece is None or not holds(piece, cut, kerf, sheet):
         raise PlanError(f"2D cut anchor {cut.anchor} hits no piece" if sheet
                         else f"1D cut at {cut.position} hits no piece")
+    if not 0 <= cut.axis < len(piece):
+        raise PlanError(f"cut {cut.id}: its stock has no axis {cut.axis!r}")
     x = cut.position
-    if not sheet:
-        a, b, near, far = piece
-        return _measured_from_refs(x - a, b - x - kerf, near, far), 0
-    x0, y0, x1, y1, lo, ro, bo, to = piece
-    if cut.axis == 1:
-        a, b, near, far, span, name = y0, y1, bo, to, x1 - x0, "horizontal"
-    else:
-        a, b, near, far, span, name = x0, x1, lo, ro, y1 - y0, "vertical"
+    a, b, near, far = piece[cut.axis]
     if not (a <= x and x + kerf <= b):
-        raise PlanError(f"{name} cut outside its piece")
+        raise PlanError(f"{('vertical', 'horizontal')[cut.axis]} cut outside its piece")
+    span = a - b  # so that the loop adds the span of the other axis, if any
+    for lo, hi, _, _ in piece:
+        span += hi - lo
     return _measured_from_refs(x - a, b - x - kerf, near, far), span
 
 
-def split_piece(piece: tuple, cut: Cut, kerf: int, sheet: bool) -> list[tuple]:
+def split_piece(piece: tuple, cut: Cut, kerf: int) -> list[tuple]:
     """The nonempty pieces that `cut` leaves of `piece`, in order."""
-    x = cut.position
-    if not sheet:
-        a, b, lo, ro = piece
-        return [p for p in ((a, x, lo, False), (x + kerf, b, False, ro)) if p[0] < p[1]]
-    x0, y0, x1, y1, lo, ro, bo, to = piece
-    if cut.axis == 1:
-        return [p for p in ((x0, y0, x1, x, lo, ro, bo, False),
-                            (x0, x + kerf, x1, y1, lo, ro, False, to)) if p[1] < p[3]]
-    return [p for p in ((x0, y0, x, y1, lo, False, bo, to),
-                        (x + kerf, y0, x1, y1, False, ro, bo, to)) if p[0] < p[2]]
+    axis, x = cut.axis, cut.position
+    return [p for p in (narrowed(piece, axis, end=x), narrowed(piece, axis, start=x + kerf))
+            if p[axis][0] < p[axis][1]]
 
 
 def _measured_from_refs(near: int, far: int, near_orig: bool, far_orig: bool) -> int:
@@ -265,7 +275,7 @@ def material_cost(stock_bill: tuple[StockInstance, ...]) -> float:
 def evaluate_plan(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> PlanCost:
     """Full ordered evaluation producing per-cut breakdowns and totals."""
     instances = _checked_instances(plan)
-    sims = {key: _Sim(inst.spec) for key, inst in instances.items()}
+    sims = {key: _Sim(inst.spec.dims) for key, inst in instances.items()}
 
     rows: list[CutTimeBreakdown] = []
     f_t = 0  # quanta
@@ -282,11 +292,10 @@ def evaluate_plan(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> PlanCost:
 
         measured, op_len = resolve_geometry(op, tool, sims)
         # every stacked member is cut simultaneously
-        op_seconds = operation_seconds(lead, tool, spec, op_len)
+        signature, op_seconds, eps, perr = cut_cost(lead, tool, spec, measured, op_len)
 
         # Setup time: partial only when the preceding operation used the
         # same tool with identical setup parameters.
-        signature = (lead.tool, lead.axis, measured)
         if tool.setup_partial is not None and prev_signature == signature:
             setup = tool.setup_partial
         else:
@@ -302,8 +311,6 @@ def evaluate_plan(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> PlanCost:
         else:
             load = 0.0
 
-        eps = measurement_error(measured)
-        perr = tool.op_error_for(spec.material)
         f_p += eps + perr
         f_t += quanta(setup) + quanta(load) + quanta(op_seconds)
 
@@ -358,8 +365,12 @@ def resolve_geometry(op: list[Cut], tool: ToolSpec, sims: dict) -> tuple[int, in
     return measured, op_len
 
 
-def operation_seconds(lead: Cut, tool: ToolSpec, spec: StockSpec, op_len: int) -> float:
-    """Operation time of one (possibly stacked) operation led by `lead`."""
+def cut_cost(lead: Cut, tool: ToolSpec, spec: StockSpec, measured: int, op_len: int
+             ) -> tuple[tuple, float, int, int]:
+    """The (setup signature, operation seconds, eps ticks, op-error ticks)
+    of one (possibly stacked) operation led by `lead`, from its measured
+    length and the length it cuts. Two operations in a row with one setup
+    signature (tool, axis, measured length) share the saw's setup."""
     if lead.kind == "drill":
         if lead.depth is None:
             raise PlanError(f"cut {lead.id}: drill cut needs a depth")
@@ -368,7 +379,8 @@ def operation_seconds(lead: Cut, tool: ToolSpec, spec: StockSpec, op_len: int) -
         seconds = tool.op_rate.seconds(op_len)
     if spec.material is Material.METAL:
         seconds *= METAL_OP_FACTOR
-    return seconds
+    return ((lead.tool, lead.axis, measured), seconds, measurement_error(measured),
+            tool.op_error_for(spec.material))
 
 
 def load_seconds(specs: list[StockSpec]) -> float:

@@ -22,7 +22,8 @@ FRONT_HEADER = "design_id,plan_id,f_c,f_p,f_t"
 
 
 def fmt_num(x: float) -> str:
-    """Canonical decimal rendering: shortest repr, no exponent for our range."""
+    """Canonical decimal rendering: 10 significant digits (`.10g`), so
+    3.4833333333333334 is written 3.483333333; no exponent for our range."""
     s = format(x, ".10g")
     return s
 
@@ -102,6 +103,13 @@ def load_plan(path: str, stock_lib: list[StockSpec]) -> FabPlan:
     return plan_from_json(payload, stock_lib)
 
 
+def _axis(value) -> int:
+    """A cut's axis: 0 (vertical, at x) or 1 (horizontal, at y)."""
+    if type(value) is not int or value not in (0, 1):
+        raise ValueError(f"axis must be 0 or 1, got {value!r}")
+    return value
+
+
 def plan_from_json(payload: dict, stock_lib: list[StockSpec]) -> FabPlan:
     specs = {s.id: s for s in stock_lib}
     try:
@@ -115,7 +123,7 @@ def plan_from_json(payload: dict, stock_lib: list[StockSpec]) -> FabPlan:
                 tool=Tool(c["tool"]),
                 stock_key=c["stock_key"],
                 kind=c.get("kind", "manual"),
-                axis=c.get("axis", 0),
+                axis=_axis(c.get("axis", 0)),
                 position=_length(c["position_in"]) if "position_in" in c else 0,
                 anchor=(tuple(_length(v) for v in c["anchor_in"])
                         if "anchor_in" in c else (0, 0)),

@@ -118,7 +118,8 @@ class StockSpec:
 
     @property
     def capacity(self) -> int:
-        """Packable extent: length for lumber, area proxy is not used."""
+        """The first dimension (a stick's length, a sheet's width), by
+        which `packing.family_stocks` orders a family largest first."""
         return self.dims[0]
 
     def effective_price(self) -> float:

@@ -73,12 +73,13 @@ from .cost import (
     FabPlan,
     StockInstance,
     TIME_QUANTA,
+    cut_cost,
     cut_piece,
     evaluate_plan,
     load_seconds,
     material_cost,
     measurement_error,
-    operation_seconds,
+    narrowed,
     order_is_feasible,
     quanta,
     totals_vector,
@@ -114,24 +115,26 @@ class StepTable:
     """One stock cut pattern of a run: its steps and its order fronts.
 
     A cut's siblings are the cuts with its parent, on its side of that
-    parent, along its axis: every cut of a stick, or the vertical cuts of
-    one sheet shelf (`plans.cuts_for_instance`). Its base piece (`base`) is
-    what its ancestors alone leave of the stock. Once its parent is done,
-    the piece the cut splits is its base piece narrowed by its nearest done
-    siblings, provided each cut's parent comes before it, siblings ascend
-    in position and a cut with children has no siblings; the table refuses
-    cuts that break one of these (ValueError). Sheet cuts on both axes on
-    one side of one parent (cuts without parent links) are outside the
-    rule, as their pieces depend on the order they were cut in.
+    parent: every cut of a stick, or the vertical cuts of one sheet shelf
+    (`plans.cuts_for_instance`). Its base piece (`base`, a `cost` piece)
+    is what its ancestors alone leave of the stock. Once its parent is
+    done, the piece the cut splits is its base piece narrowed along its
+    axis (`cost.narrowed`) by its nearest done siblings, provided each
+    cut's parent comes before it, siblings share one axis and ascend in
+    position, and a cut with children has no siblings; the table refuses
+    cuts that break one of these (ValueError). Sheet cuts on both axes
+    with no parent, say, are refused: their pieces depend on the order
+    they are cut in.
 
     So a cut's `Step` is fixed by the cut and its nearest done siblings:
     `steps` holds it under `key`, filled on demand from that piece
-    (`cost.cut_piece`), and `siblings` holds each cut's masks of the
-    siblings before and after it, from which `key` takes a done-on-stock
-    mask's nearest ones. Equal steps share one tuple through `pool` (one
-    per run). `parents` holds each cut's parent index (None: none),
-    `setups` each cut's (partial setup or None, full setup) and `load` the
-    stock's load, in quanta. `fronts` maps an entry signature to the
+    (`cost.cut_piece`, `cost.cut_cost`), and `siblings` holds each cut's
+    masks of the siblings before and after it, from which `key` takes a
+    done-on-stock mask's nearest ones. Equal steps share one tuple through
+    `pool` (one per run). `parents` holds each cut's parent index (None:
+    none), `beyond` where the piece beyond each cut begins (past its
+    kerf), `setups` each cut's (partial setup or None, full setup) and
+    `load` the stock's load, in quanta. `fronts` maps an entry signature to the
     pattern's mode-3 order labels after a cut with it (`front`); entry None
     is the node search.
     `best_precision` and `best_time` are the node search's (index path,
@@ -140,8 +143,8 @@ class StepTable:
     pattern and compares by identity.
     """
 
-    __slots__ = ("spec", "cuts", "tools", "k", "parents", "siblings", "base", "setups",
-                 "load", "steps", "pool", "fronts", "best_precision", "best_time")
+    __slots__ = ("spec", "cuts", "tools", "k", "parents", "siblings", "beyond", "base",
+                 "setups", "load", "steps", "pool", "fronts", "best_precision", "best_time")
 
     def __init__(self, spec: StockSpec, cuts: list[Cut],
                  tools: dict[Tool, ToolSpec], pool: dict[Step, Step]) -> None:
@@ -150,26 +153,31 @@ class StepTable:
         self.tools = tools
         self.k = len(cuts)
         self.parents: list[int | None] = []
+        self.beyond = [c.position + tools[c.tool].kerf for c in cuts]
         self.base: list[tuple] = []
-        whole = whole_piece(spec)
+        whole = whole_piece(spec.dims)
         index: dict[str, int] = {}
-        groups: dict[tuple, int] = {}  # (parent, side, axis) -> mask of its cuts
+        groups: dict[tuple, int] = {}  # (parent, side) -> mask of its cuts
         keys = []
         for i, c in enumerate(cuts):
             p = index.get(c.parent)
             if p is not None:
                 parent = cuts[p]
                 side = c.anchor[parent.axis] >= parent.position  # beyond the parent
-                base = self._narrowed(self.base[p], parent.axis, *(
-                    (parent, None) if side else (None, parent)))
+                base = (narrowed(self.base[p], parent.axis, start=self.beyond[p]) if side
+                        else narrowed(self.base[p], parent.axis, end=parent.position))
             elif c.parent is None:
                 side, base = False, whole
             else:
                 raise ValueError(f"cut {c.id}: its parent must come before it")
-            key = (p, side, c.axis)
+            key = (p, side)
             mask = groups.get(key, 0)
-            if mask and cuts[mask.bit_length() - 1].position >= c.position:
-                raise ValueError("sibling cuts must ascend in position")
+            if mask:
+                last = cuts[mask.bit_length() - 1]
+                if last.axis != c.axis:
+                    raise ValueError("sibling cuts must share one axis")
+                if last.position >= c.position:
+                    raise ValueError("sibling cuts must ascend in position")
             groups[key] = mask | 1 << i
             index[c.id] = i
             keys.append(key)
@@ -215,29 +223,13 @@ class StepTable:
         tool = self.tools[cut.tool]
         below, above = self.siblings[i]
         below, above = (done & below).bit_length() - 1, done & above
-        piece = self._narrowed(self.base[i], cut.axis, self.cuts[below] if below >= 0 else None,
-                               self.cuts[(above & -above).bit_length() - 1] if above else None)
-        measured, op_len = cut_piece(piece, cut, tool.kerf, self.spec.is_sheet)
-        step = ((cut.tool, cut.axis, measured),
-                quanta(operation_seconds(cut, tool, self.spec, op_len)),
-                measurement_error(measured), tool.op_error_for(self.spec.material))
+        piece = narrowed(self.base[i], cut.axis, self.beyond[below] if below >= 0 else None,
+                         self.cuts[(above & -above).bit_length() - 1].position if above else None)
+        sig, seconds, eps, perr = cut_cost(cut, tool, self.spec,
+                                           *cut_piece(piece, cut, tool.kerf, self.spec.is_sheet))
+        step = (sig, quanta(seconds), eps, perr)
         step = self.steps[key] = self.pool.setdefault(step, step)
         return step
-
-    def _narrowed(self, piece: tuple, axis: int, below: Cut | None, above: Cut | None
-                  ) -> tuple:
-        """`piece` less what lies, along `axis`, up to the kerf of cut
-        `below` and from cut `above` on (None: nothing)."""
-        if not self.spec.is_sheet:
-            lo, hi, near, far = 0, 1, 2, 3  # (start, end, start original, end original)
-        else:  # (x0, y0, x1, y1, left, right, bottom, top original)
-            lo, hi, near, far = axis, axis + 2, 4 + 2 * axis, 5 + 2 * axis
-        piece = list(piece)
-        if below is not None:
-            piece[lo], piece[near] = below.position + self.tools[below.tool].kerf, False
-        if above is not None:
-            piece[hi], piece[far] = above.position, False
-        return tuple(piece)
 
 
 class NodeOrders:

@@ -9,10 +9,13 @@ from planwright.cost import (
     FabPlan,
     PlanError,
     StockInstance,
+    cut_piece,
     evaluate_plan,
     material_cost,
     measurement_error,
     order_is_feasible,
+    split_piece,
+    whole_piece,
 )
 from planwright.libraries import default_stocks, default_tools, metal_twin
 from planwright.model import Tool, ticks
@@ -228,6 +231,29 @@ def test_drill_time_uses_depth():
     plan = FabPlan("d", (cut,), (StockInstance("s", STOCKS["2x4-96"]),))
     row = evaluate_plan(plan, TOOLS).rows[0]
     assert row.op == 20.0  # 2 inches at 0.1 in/s
+
+
+# -- pieces ---------------------------------------------------------------------
+
+
+def test_piece_is_one_interval_per_axis():
+    # a horizontal cut at 6" across a 24x20 sheet measures 6" off the
+    # bottom edge, cuts the 24" width and leaves two pieces whose edges at
+    # the cut are cut ones
+    w, h, kerf = ticks(24), ticks(20), 8
+    sheet = whole_piece((w, h))
+    assert sheet == ((0, w, True, True), (0, h, True, True))
+    cut = Cut(id="h", tool=Tool.TRACKSAW, stock_key="s", kind="sheet", axis=1,
+              position=ticks(6), anchor=(0, 0))
+    assert cut_piece(sheet, cut, kerf, True) == (ticks(6), w)
+    assert split_piece(sheet, cut, kerf) == [
+        ((0, w, True, True), (0, ticks(6), True, False)),
+        ((0, w, True, True), (ticks(6) + kerf, h, False, True))]
+    stick = whole_piece((ticks(48),))
+    assert cut_piece(stick, chop("c", "s", ticks(10)), kerf, False) == (ticks(10), 0)
+    # a cut along an axis that its stock does not have
+    with pytest.raises(PlanError, match="cut c: its stock has no axis 1"):
+        cut_piece(stick, chop("c", "s", ticks(10), axis=1), kerf, False)
 
 
 # -- feasibility ----------------------------------------------------------------

@@ -124,12 +124,22 @@ def _parent_on_another_stock(payload):
     payload["cuts"][1]["stock_key"] = "2x4-96#1"
 
 
+def _axis_not_a_number(payload):
+    payload["cuts"][1]["axis"] = "1"
+
+
+def _axis_the_stick_lacks(payload):
+    payload["cuts"][1]["axis"] = 1
+
+
 @pytest.mark.parametrize("fault, message", [
     (_reversed_cuts, "cut 'c1' comes before its parent 'c0'"),
     (_unknown_parent, "cut 'c1': parent 'c9' is not in the plan"),
     (_repeated_cut_id, "cut id 'c0' is used twice"),
     (_repeated_stock_key, "stock instance '2x4-96#0' is listed twice"),
     (_parent_on_another_stock, "cut 'c1': parent 'c0' is on another stock"),
+    (_axis_not_a_number, "axis must be 0 or 1, got '1'"),
+    (_axis_the_stick_lacks, "cut c1: its stock has no axis 1"),
 ])
 def test_evaluate_rejects_malformed_plans(tmp_path, fault, message):
     payload = linked_plan_payload()

@@ -11,8 +11,6 @@ from planwright.cost import (
     PlanError,
     StockInstance,
     evaluate_plan,
-    measurement_error,
-    operation_seconds,
     order_is_feasible,
     quanta,
 )
@@ -664,8 +662,8 @@ def test_term_memo_shares_fronts_across_relabelled_terms(mode, monkeypatch):
         stacked += any(c.stack_group for plan, _ in got for c in plan.cuts)
     assert stacked
     # the stock spec, the cut geometry and the parent links are all part of
-    # the pattern: the metal twin, a moved cut and the same cuts without
-    # their parent links are each searched anew
+    # the pattern: the metal twin, a moved cut and the same cuts with other
+    # parent links are each searched anew
     base = [("2x4-48", [LENGTHS[4], LENGTHS[0]]),
             ("sheet-1/2-24x20", [(SHELF_HEIGHTS[1], WIDTHS[:2])])]
     refine(build_term(base, node_memo=node_memo), mode, memo)
@@ -678,16 +676,29 @@ def test_term_memo_shares_fronts_across_relabelled_terms(mode, monkeypatch):
             full_outcome(refine(term_parts, mode))
         assert len(memo) == size + 1
     cuts_for_instance = ordering.cuts_for_instance
-    monkeypatch.setattr(ordering, "cuts_for_instance", lambda *args: [
-        dataclasses.replace(c, parent=None) for c in cuts_for_instance(*args)])
-    # a packing the node memo knows keeps its linked cuts, whatever its part
-    # ids, so the unlinked nodes look their patterns up in the run's pattern
+
+    def chained(*args):
+        # each vertical cut of a sheet shelf the parent of the next one: the
+        # step table accepts these links, and the later cut of each pair
+        # must now come after the earlier one
+        cuts = cuts_for_instance(*args)
+        return cuts[:1] + [
+            dataclasses.replace(c, parent=prev.id)
+            if c.kind == "sheet" and c.axis == prev.axis == 0 and c.parent == prev.parent else c
+            for prev, c in zip(cuts, cuts[1:])]
+
+    monkeypatch.setattr(ordering, "cuts_for_instance", chained)
+    # a packing the node memo knows keeps its own links, whatever its part
+    # ids, so the relinked nodes look their patterns up in the run's pattern
     # tables through packings of their own
     patterns_only = NodeMemo(TOOLS, patterns=node_memo.patterns, pool=node_memo.pool)
-    unlinked = build_term(base, prefix="u", first_node=20, node_memo=patterns_only)
+    relinked = build_term(base, prefix="u", first_node=20, node_memo=patterns_only)
+    cuts = [c for orders in relinked[2].values() for c in orders.cuts]
+    axis = {c.id: c.axis for c in cuts}
+    assert any(c.kind == "sheet" and c.axis == axis.get(c.parent) == 0 for c in cuts)
     size = len(memo)
-    assert full_outcome(refine(unlinked, mode, memo)) == \
-        full_outcome(refine(unlinked, mode))
+    assert full_outcome(refine(relinked, mode, memo)) == \
+        full_outcome(refine(relinked, mode))
     assert len(memo) == size + 1
 
 
@@ -936,7 +947,7 @@ def simulated_step(table, i, done):
     """The step of cut i after the cuts in `done`, made on a fresh simulator
     in index order; None when the done cuts cannot all be made, and the
     `PlanError` message when cut i cannot."""
-    sim = {"s": cost_module._Sim(table.spec)}
+    sim = {"s": cost_module._Sim(table.spec.dims)}
     cuts = [dataclasses.replace(c, stock_key="s") for c in table.cuts]
     for j in range(table.k):
         if done >> j & 1:
@@ -949,9 +960,8 @@ def simulated_step(table, i, done):
         measured, op_len = cost_module.resolve_geometry([cut], tool, sim)
     except PlanError as e:
         return str(e)
-    return ((cut.tool, cut.axis, measured),
-            quanta(operation_seconds(cut, tool, table.spec, op_len)),
-            measurement_error(measured), tool.op_error_for(table.spec.material))
+    sig, seconds, eps, perr = cost_module.cut_cost(cut, tool, table.spec, measured, op_len)
+    return sig, quanta(seconds), eps, perr
 
 
 def edge_shelves(rng, count):
@@ -1020,9 +1030,11 @@ def test_steps_match_fresh_simulator():
 
 
 def test_step_table_refuses_cuts_outside_its_piece_rule():
-    # siblings (cuts with one parent, on one side of it, along one axis)
-    # must ascend in position, a cut with children must have no siblings,
-    # and a cut's parent must come before it
+    # siblings (cuts with one parent, on one side of it) must share one
+    # axis and ascend in position, a cut with children must have no
+    # siblings, and a cut's parent must come before it: so the one-shelf
+    # sheet without its parent links, whose pieces depend on the order its
+    # cuts are made in, is refused
     lumber = table_for("2x4-48", [ticks(10), ticks(12), ticks(6)]).cuts
     sheet = table_for("sheet-1/2-24x20", [(SHELF_HEIGHTS[0], WIDTHS[:2])]).cuts
     assert [c.axis for c in sheet] == [1, 0, 0] and sheet[1].parent == sheet[0].id
@@ -1033,6 +1045,7 @@ def test_step_table_refuses_cuts_outside_its_piece_rule():
         (lumber[:2] + [dataclasses.replace(lumber[2], parent=lumber[0].id)],
          "a cut with children must have no siblings"),
         (sheet[1:] + sheet[:1], "its parent must come before it"),
+        ([dataclasses.replace(c, parent=None) for c in sheet], "sibling cuts must share one axis"),
     ]:
         with pytest.raises(ValueError, match=message):
             StepTable(spec[cuts[0].kind], cuts, TOOLS, {})
