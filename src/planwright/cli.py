@@ -28,12 +28,6 @@ EXIT_VALIDATION = 2
 OUTPUT_DIR_ENV = "PLANWRIGHT_OUT"
 
 
-def _out_dir(args) -> str:
-    out = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _load_inputs(args):
     space = pio.load_design_space(args.design)
     stocks, tools = load_libraries(getattr(args, "libraries", None))
@@ -57,6 +51,8 @@ def _params_from_args(args) -> IceeParams:
 def cmd_optimize(args) -> int:
     space, stocks, tools = _load_inputs(args)
     params = _params_from_args(args)
+    out = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
+    os.makedirs(out, exist_ok=True)  # before the search: a path under a file fails here
     run = baseline_run if args.baseline else icee_run
     front, report = run(space, stocks, tools, params)
     clipped = analysis.ClipReport([tuple(p) for p in report["clipped_points"]])
@@ -66,7 +62,6 @@ def cmd_optimize(args) -> int:
         print("iter {iteration}: terms_refined={terms_refined} "
               "term_patterns={term_patterns} "
               "front={front_size} hv={hypervolume:.6g}".format(**entry))
-    out = _out_dir(args)
     rows = pio.front_rows(front)
     pio.write_front_csv(rows, os.path.join(out, "front.csv"))
     with open(os.path.join(out, "front.json"), "w") as fh:
@@ -179,11 +174,12 @@ def cmd_dump_libraries(args) -> int:
 def cmd_oracle(args) -> int:
     space, stocks, tools = _load_inputs(args)
     mode = args.objectives or 2
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)  # before the search, as in optimize
     front = brute_force_front(space, stocks, tools, mode)
     solutions = [Solution(design=d, plan=p, cost=c) for d, p, c in front]
     rows = pio.front_rows(solutions)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         pio.write_front_csv(rows, os.path.join(args.out, "front.csv"))
     sys.stdout.write(pio.emit_front_csv(rows))
     return EXIT_OK
@@ -256,7 +252,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
+    except (FileNotFoundError, PermissionError, IsADirectoryError, FileExistsError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (DesignInputError, ValidationFailure, PlanError, ValueError,

@@ -11,9 +11,18 @@ axis of its stock: one for a stick, x then y for a sheet. An edge stays
 original until a cut makes it. A cut along axis a splits interval a
 (`split_piece`, two calls of `narrowed`), is measured off its edges and
 cuts the span of the other axis, which a stick does not have
-(`cut_piece`). Only this module builds or reads a piece; `cut_cost` turns
-a cut's measured and cut lengths into its setup signature, operation
-time and precision error.
+(`cut_piece`: `cut_basis` and `measured_length`). Only this module builds
+or reads a piece; `ordering.StepTable` narrows the interval that
+`cut_basis` gives it.
+
+A cut's cost has two parts. Its record (`cut_record`: tool, axis,
+operation seconds, op-error ticks) is fixed by the cut and the length it
+cuts. Its measured length, the one part that depends on the cuts made
+before it, comes from the interval of its piece along its axis
+(`measured_length`, the one measured-length rule, which also checks that
+the cut lies inside that interval). `cut_cost` joins the two into the
+cut's setup signature (tool, axis, measured length), operation time and
+precision error.
 
 Step times (setup, load and operation seconds) are floats, but a plan's
 f_t sums them exactly, as whole numbers of 1/TIME_QUANTA s (`quanta`), so
@@ -197,22 +206,55 @@ def holds(piece: tuple, cut: Cut, kerf: int, sheet: bool) -> bool:
 
 def cut_piece(piece: tuple | None, cut: Cut, kerf: int, sheet: bool) -> tuple[int, int]:
     """The measured length of `cut` made through `piece`, the one piece of
-    its stock that may hold it (None: none does), and the length it cuts:
-    a sheet cut is a full-width (axis 1, at y) or full-height (axis 0, at
-    x) guillotine cut through its piece, and a stick's cut cuts 0."""
-    if piece is None or not holds(piece, cut, kerf, sheet):
+    its stock that may hold it (None: none does), and the length it cuts
+    (`cut_basis`): a sheet cut is a full-width (axis 1, at y) or full-height
+    (axis 0, at x) guillotine cut through its piece, and a stick's cut cuts
+    0. Raises PlanError when `piece` is None or does not hold the cut."""
+    if piece is None:
         raise PlanError(f"2D cut anchor {cut.anchor} hits no piece" if sheet
                         else f"1D cut at {cut.position} hits no piece")
+    span, interval = cut_basis(piece, cut)
+    return measured_length(cut, interval, kerf, sheet), span
+
+
+def cut_basis(piece: tuple, cut: Cut) -> tuple[int, tuple]:
+    """What narrowing `piece` along `cut`'s axis leaves of the cut's
+    geometry: the length it cuts, the span of the other axis, which a stick
+    does not have (0), and the interval along its own axis that narrowing
+    moves. Raises PlanError when its stock has no axis `cut.axis`, or when
+    its anchor lies off `piece` along the other axis."""
     if not 0 <= cut.axis < len(piece):
         raise PlanError(f"cut {cut.id}: its stock has no axis {cut.axis!r}")
+    span = 0
+    for axis, (lo, hi, _, _) in enumerate(piece):
+        if axis != cut.axis:
+            if not lo <= cut.anchor[axis] < hi:
+                raise PlanError(f"2D cut anchor {cut.anchor} hits no piece")
+            span += hi - lo
+    return span, piece[cut.axis]
+
+
+def measured_length(cut: Cut, interval: tuple, kerf: int, sheet: bool) -> int:
+    """The measured length of `cut` made through a piece whose interval
+    along the cut's axis is `interval` (start, end, start original, end
+    original): the distance from the governing reference edge to the cut.
+
+    Original stock edges are preferred; an interval with no original edge
+    falls back to its nearest (previously cut) edge. Raises PlanError when
+    the cut does not lie inside the interval: on a sheet its anchor and its
+    kerf, on a stick its kerf.
+    """
+    a, b, near_orig, far_orig = interval
     x = cut.position
-    a, b, near, far = piece[cut.axis]
+    if sheet and not a <= cut.anchor[cut.axis] < b:
+        raise PlanError(f"2D cut anchor {cut.anchor} hits no piece")
     if not (a <= x and x + kerf <= b):
-        raise PlanError(f"{('vertical', 'horizontal')[cut.axis]} cut outside its piece")
-    span = a - b  # so that the loop adds the span of the other axis, if any
-    for lo, hi, _, _ in piece:
-        span += hi - lo
-    return _measured_from_refs(x - a, b - x - kerf, near, far), span
+        raise PlanError(f"{('vertical', 'horizontal')[cut.axis]} cut outside its piece" if sheet
+                        else f"1D cut at {x} hits no piece")
+    near, far = x - a, b - x - kerf
+    if near_orig != far_orig:
+        return near if near_orig else far
+    return min(near, far)
 
 
 def split_piece(piece: tuple, cut: Cut, kerf: int) -> list[tuple]:
@@ -220,21 +262,6 @@ def split_piece(piece: tuple, cut: Cut, kerf: int) -> list[tuple]:
     axis, x = cut.axis, cut.position
     return [p for p in (narrowed(piece, axis, end=x), narrowed(piece, axis, start=x + kerf))
             if p[axis][0] < p[axis][1]]
-
-
-def _measured_from_refs(near: int, far: int, near_orig: bool, far_orig: bool) -> int:
-    """Distance from the governing reference edge to the cut.
-
-    Original stock edges are preferred; a piece with no original edge falls
-    back to its nearest (previously cut) edge.
-    """
-    if near_orig and far_orig:
-        return min(near, far)
-    if near_orig:
-        return near
-    if far_orig:
-        return far
-    return min(near, far)
 
 
 def _group_stacked(cuts: tuple[Cut, ...]) -> list[list[Cut]]:
@@ -292,7 +319,8 @@ def evaluate_plan(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> PlanCost:
 
         measured, op_len = resolve_geometry(op, tool, sims)
         # every stacked member is cut simultaneously
-        signature, op_seconds, eps, perr = cut_cost(lead, tool, spec, measured, op_len)
+        signature, op_seconds, eps, perr = cut_cost(cut_record(lead, tool, spec, op_len),
+                                                    measured)
 
         # Setup time: partial only when the preceding operation used the
         # same tool with identical setup parameters.
@@ -365,12 +393,14 @@ def resolve_geometry(op: list[Cut], tool: ToolSpec, sims: dict) -> tuple[int, in
     return measured, op_len
 
 
-def cut_cost(lead: Cut, tool: ToolSpec, spec: StockSpec, measured: int, op_len: int
-             ) -> tuple[tuple, float, int, int]:
-    """The (setup signature, operation seconds, eps ticks, op-error ticks)
-    of one (possibly stacked) operation led by `lead`, from its measured
-    length and the length it cuts. Two operations in a row with one setup
-    signature (tool, axis, measured length) share the saw's setup."""
+# what a cut costs whatever its measured length: (tool, axis, operation
+# seconds, op-error ticks)
+CutRecord = tuple[Tool, int, float, int]
+
+
+def cut_record(lead: Cut, tool: ToolSpec, spec: StockSpec, op_len: int) -> CutRecord:
+    """The record of one (possibly stacked) operation led by `lead` that cuts
+    `op_len` ticks: its tool, axis, operation seconds and op-error ticks."""
     if lead.kind == "drill":
         if lead.depth is None:
             raise PlanError(f"cut {lead.id}: drill cut needs a depth")
@@ -379,8 +409,16 @@ def cut_cost(lead: Cut, tool: ToolSpec, spec: StockSpec, measured: int, op_len: 
         seconds = tool.op_rate.seconds(op_len)
     if spec.material is Material.METAL:
         seconds *= METAL_OP_FACTOR
-    return ((lead.tool, lead.axis, measured), seconds, measurement_error(measured),
-            tool.op_error_for(spec.material))
+    return lead.tool, lead.axis, seconds, tool.op_error_for(spec.material)
+
+
+def cut_cost(record: CutRecord, measured: int) -> tuple[tuple, float, int, int]:
+    """The (setup signature, operation seconds, eps ticks, op-error ticks)
+    of an operation with record `record` and measured length `measured`.
+    Two operations in a row with one setup signature (tool, axis, measured
+    length) share the saw's setup."""
+    tool, axis, seconds, op_error = record
+    return (tool, axis, measured), seconds, measurement_error(measured), op_error
 
 
 def load_seconds(specs: list[StockSpec]) -> float:

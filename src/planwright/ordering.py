@@ -21,27 +21,33 @@ its next state weakly dominates. A front is one path-ordered list of
 labels. A stock's front, and a small term's, moves cut by cut over states
 (done mask, last setup signature, last cut's stock), and ends on each
 order's last setup signature (`_pareto_orders`). The state holds exactly
-what fixes the future: a cut's piece, and with it its measured length,
-operation time and precision error, is fixed by its nearest done siblings
-(`StepTable`), which the done mask gives; setup sharing depends only on
-the previous cut's (tool, axis, measured length), and loading only on
-whether the stock changed. Orders whose last cuts share a signature share
+what fixes the future: a cut's operation time and op error are its own,
+and its piece, and with it its measured length and measuring error, is
+fixed by its nearest done siblings (`StepTable`), which the done mask
+gives; setup sharing depends only on the previous cut's (tool, axis,
+measured length), and loading only on whether the stock changed. Orders whose last cuts share a signature share
 a state. Nodes of more than 8 cuts may exceed MAX_LAYER_STATES states per
 cut count; the search then keeps the most promising ones.
 
 A term with one cut stock reads that stock's front. A term above
-EXHAUSTIVE_TERM_CUTS cuts joins its stocks' fronts, moving stock by stock
-over states that are the last cut's setup signature, each move a label of
-the stock's front after it (`_joined`). Times are summed in whole quanta
-(`cost.quanta`), so a sum does not depend on the order of its steps, and
-the join finds the orders that scoring every one-run order would keep.
+EXHAUSTIVE_TERM_CUTS cuts joins its stocks' fronts, moving stock by stock,
+each move a label of the stock's front after the state (`_joined`). A
+state is the last cut's setup signature when the next cut stock can open
+with it (repeat it on a first cut, with a partial setup), and None
+otherwise: every other signature leaves the next stock the future of a
+full setup. Times are summed in whole quanta (`cost.quanta`), so a sum
+does not depend on the order of its steps, and the join finds the orders
+that scoring every one-run order would keep.
 
 Those per-cut step costs come from one `StepTable` per stock cut pattern,
 kept in the node memo for the whole run with the pattern's fronts: the
 node search fills it, and every term search over a stock with that
-pattern reads it, so a step is costed once per run per cut and nearest
-done siblings, from the one piece its cut splits (`cost.cut_piece`), with
-no piece simulator. A term's front
+pattern reads it. A step is a cut's fixed record (`cost.cut_record`:
+tool, axis, operation time, op error) plus one measured length, which
+only its nearest done siblings change (`cost.measured_length`), with no
+piece simulator; the node memo holds one step per record and measured
+length for the whole run, so a step is costed once per run, whichever
+patterns meet it. A term's front
 orders carry the costs their labels sum, and `evaluate_plan` is left to
 the stacked plans. Refinement's candidates are the stacked per-node best
 orders, then the term's exact front, then the stacked canonical orders;
@@ -73,11 +79,14 @@ from .cost import (
     FabPlan,
     StockInstance,
     TIME_QUANTA,
+    CutRecord,
     cut_cost,
-    cut_piece,
+    cut_basis,
+    cut_record,
     evaluate_plan,
     load_seconds,
     material_cost,
+    measured_length,
     measurement_error,
     narrowed,
     order_is_feasible,
@@ -109,6 +118,8 @@ MAX_LAYER_STATES = 300
 # (setup signature (tool, axis, measured length), op time in quanta, eps
 # ticks, op-error ticks) of one cut made after a set of cuts on its stock
 Step = tuple[tuple, int, int, int]
+# a cut record, one object per run, and the run's steps with it by measured length
+RecordSteps = tuple[CutRecord, dict[int, Step]]
 
 
 class StepTable:
@@ -126,34 +137,40 @@ class StepTable:
     with no parent, say, are refused: their pieces depend on the order
     they are cut in.
 
-    So a cut's `Step` is fixed by the cut and its nearest done siblings:
-    `steps` holds it under `key`, filled on demand from that piece
-    (`cost.cut_piece`, `cost.cut_cost`), and `siblings` holds each cut's
-    masks of the siblings before and after it, from which `key` takes a
-    done-on-stock mask's nearest ones. Equal steps share one tuple through
-    `pool` (one per run). `parents` holds each cut's parent index (None:
-    none), `beyond` where the piece beyond each cut begins (past its
-    kerf), `setups` each cut's (partial setup or None, full setup) and
-    `load` the stock's load, in quanta. `fronts` maps an entry signature to the
-    pattern's mode-3 order labels after a cut with it (`front`); entry None
-    is the node search.
+    So a cut's `Step` is its record (`cost.cut_record`: tool, axis,
+    operation time, op error), fixed by the cut and its base piece, plus
+    one measured length, fixed by its nearest done siblings. `step` takes
+    their edges, `cost.measured_length` checks that the cut lies between
+    them and measures it, and the step is the run's one `Step` for that
+    record and length, read from `shared` (the node memo's `steps`).
+    `records` holds, per cut, its record and the record's steps by measured
+    length (the run's one record object and its entry of `shared`), and
+    `intervals` its base interval along its own axis (`cost.cut_basis`),
+    both set when the cut is first stepped; `steps` holds each step read so
+    far under `key`, which `siblings` (each cut's masks of the siblings
+    before and after it) gives from a done-on-stock mask. `parents` holds
+    each cut's parent index (None: none), `setups` each cut's (partial
+    setup or None, full setup) and `load` the stock's load, in quanta.
+    `fronts` maps an entry signature to the pattern's mode-3 order labels
+    after a cut with it (`front`); entry None is the node search.
     `best_precision` and `best_time` are the node search's (index path,
     (f_p ticks, f_t seconds)) of the best-f_p and best-f_t orders. A run's
     node memo holds one table per pattern, so a table stands for its
     pattern and compares by identity.
     """
 
-    __slots__ = ("spec", "cuts", "tools", "k", "parents", "siblings", "beyond", "base",
-                 "setups", "load", "steps", "pool", "fronts", "best_precision", "best_time")
+    __slots__ = ("spec", "cuts", "tools", "k", "parents", "siblings", "base",
+                 "sheet", "setups", "load", "steps", "shared", "records", "intervals",
+                 "_opens", "fronts", "best_precision", "best_time")
 
     def __init__(self, spec: StockSpec, cuts: list[Cut],
-                 tools: dict[Tool, ToolSpec], pool: dict[Step, Step]) -> None:
+                 tools: dict[Tool, ToolSpec], shared: dict[CutRecord, RecordSteps]
+                 ) -> None:
         self.spec = spec
         self.cuts = cuts  # the first stock with the pattern, canonical order
         self.tools = tools
         self.k = len(cuts)
         self.parents: list[int | None] = []
-        self.beyond = [c.position + tools[c.tool].kerf for c in cuts]
         self.base: list[tuple] = []
         whole = whole_piece(spec.dims)
         index: dict[str, int] = {}
@@ -164,7 +181,8 @@ class StepTable:
             if p is not None:
                 parent = cuts[p]
                 side = c.anchor[parent.axis] >= parent.position  # beyond the parent
-                base = (narrowed(self.base[p], parent.axis, start=self.beyond[p]) if side
+                base = (narrowed(self.base[p], parent.axis,
+                                 start=parent.position + tools[parent.tool].kerf) if side
                         else narrowed(self.base[p], parent.axis, end=parent.position))
             elif c.parent is None:
                 side, base = False, whole
@@ -187,12 +205,16 @@ class StepTable:
             raise ValueError("a cut with children must have no siblings")
         self.siblings = [(mask & (1 << i) - 1, mask >> i + 1 << i + 1)
                          for i, mask in enumerate(map(groups.get, keys))]
+        self.sheet = spec.is_sheet
         self.setups = [(None if tools[c.tool].setup_partial is None
                         else quanta(tools[c.tool].setup_partial),
-                        quanta(tools[c.tool].setup_full(spec.is_sheet))) for c in cuts]
+                        quanta(tools[c.tool].setup_full(self.sheet))) for c in cuts]
         self.load = quanta(load_seconds([spec]))
         self.steps: dict[int, Step] = {}
-        self.pool = pool
+        self.shared = shared
+        self.records: list[RecordSteps | None] = [None] * self.k
+        self.intervals: list[tuple | None] = [None] * self.k
+        self._opens: tuple[tuple, ...] | None = None
         self.fronts: dict[tuple | None, list[Label]] = {}
         self.best_precision = self.best_time = None  # set by the node search
 
@@ -202,6 +224,15 @@ class StepTable:
         if front is None:
             front = self.fronts[entry] = _pareto_orders([self], 3, entry)
         return front
+
+    @property
+    def opens(self) -> tuple[tuple, ...]:
+        """The setup signatures a cut of this pattern can repeat first, with
+        a partial setup: those of its parentless cuts whose tool has one."""
+        if self._opens is None:
+            self._opens = tuple({self.step(j, 0)[0] for j, p in enumerate(self.parents)
+                                 if p is None and self.setups[j][0] is not None})
+        return self._opens
 
     def key(self, i: int, done: int) -> int:
         """The `steps` key of cut i after the cuts in `done`, as
@@ -213,23 +244,41 @@ class StepTable:
         return ((done & below).bit_length() + (above & -above)) * self.k + i
 
     def step(self, i: int, done: int) -> Step:
-        """The step of cut i after the cuts in `done`, its parent among them,
-        made through its base piece narrowed by its nearest done siblings."""
-        key = self.key(i, done)
+        """The step of cut i after the cuts in `done`, its parent among them:
+        its record's step for the length measured between its nearest done
+        siblings' edges."""
+        below, above = self.siblings[i]
+        below, above = (done & below).bit_length(), done & above
+        above &= -above
+        key = (below + above) * self.k + i
         step = self.steps.get(key)
         if step is not None:
             return step
         cut = self.cuts[i]
-        tool = self.tools[cut.tool]
-        below, above = self.siblings[i]
-        below, above = (done & below).bit_length() - 1, done & above
-        piece = narrowed(self.base[i], cut.axis, self.beyond[below] if below >= 0 else None,
-                         self.cuts[(above & -above).bit_length() - 1].position if above else None)
-        sig, seconds, eps, perr = cut_cost(cut, tool, self.spec,
-                                           *cut_piece(piece, cut, tool.kerf, self.spec.is_sheet))
-        step = (sig, quanta(seconds), eps, perr)
-        step = self.steps[key] = self.pool.setdefault(step, step)
+        record, by_measured = self.records[i] or self._fix(i)
+        a, b, near, far = self.intervals[i]
+        if below:  # the piece begins past the kerf of the sibling below
+            prev = self.cuts[below - 1]
+            a, near = prev.position + self.tools[prev.tool].kerf, False
+        if above:
+            b, far = self.cuts[above.bit_length() - 1].position, False
+        measured = measured_length(cut, (a, b, near, far), self.tools[cut.tool].kerf,
+                                   self.sheet)
+        step = by_measured.get(measured)
+        if step is None:
+            sig, seconds, eps, perr = cut_cost(record, measured)
+            step = by_measured[measured] = (sig, quanta(seconds), eps, perr)
+        self.steps[key] = step
         return step
+
+    def _fix(self, i: int) -> RecordSteps:
+        """Cut i's entries of `records` and `intervals`, set from its base
+        piece; returns the first."""
+        cut = self.cuts[i]
+        span, self.intervals[i] = cut_basis(self.base[i], cut)
+        record = cut_record(cut, self.tools[cut.tool], self.spec, span)
+        entry = self.records[i] = self.shared.setdefault(record, (record, {}))
+        return entry
 
 
 class NodeOrders:
@@ -287,13 +336,18 @@ class NodeMemo:
     per cut) to its `StepTable`, which holds the node search's best orders
     and the pattern's steps. `packings` maps each id-free packing (spec and
     the offset-sorted (offset, part shape) placements), which fixes the
-    cuts, to its pattern's table. `pool` interns the steps of every table.
+    cuts, to its pattern's table. `steps` holds the run's one `Step` per
+    cut record (`cost.cut_record`) and measured length: it maps a record to
+    its one object in the run and its steps by measured length, and every
+    table shares it. A step depends on nothing else, so one that a pattern
+    has costed is read, not costed, by every cut of any pattern with its
+    record and length.
     """
 
     tools: dict[Tool, ToolSpec]
     patterns: dict[tuple, StepTable] = field(default_factory=dict)
     packings: dict[tuple, StepTable] = field(default_factory=dict)
-    pool: dict[Step, Step] = field(default_factory=dict)
+    steps: dict[CutRecord, RecordSteps] = field(default_factory=dict)
 
 
 OrderCache = dict[str, NodeOrders]
@@ -393,7 +447,7 @@ def optimize_enode(
     key = (node.spec, tuple((c.geometry_key(), index.get(c.parent)) for c in cuts))
     table = memo.patterns.get(key)
     if table is None:
-        table = StepTable(node.spec, cuts, memo.tools, memo.pool)
+        table = StepTable(node.spec, cuts, memo.tools, memo.steps)
         labels = table.front()
         p = min(labels, key=lambda label: (label[2], label[1], label[0]))
         t = min(labels, key=lambda label: (label[1], label[2], label[0]))
@@ -629,17 +683,16 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
     return _grow(layer, lambda state: [((), state[1], 0, 0)])
 
 
-def _stock_moves(table: StepTable, offset: int, mode: int
+def _stock_moves(table: StepTable, offset: int, mode: int, kept: tuple[tuple, ...]
                  ) -> Callable[[tuple | None], list[Move]]:
     """`_joined`'s moves over one cut stock whose cuts start at `offset`:
-    from a last setup signature, one per label of the stock's front after
-    it, onto that label's last signature."""
-    opens = {table.step(j, 0)[0] for j, c in enumerate(table.cuts)
-             if c.parent is None and table.setups[j][0] is not None}
-
+    from a state (a signature the stock opens with, or None), one per label
+    of the stock's front after it, onto that label's last signature if
+    `kept` holds it, else onto None."""
     def moves(sig: tuple | None) -> list[Move]:
-        return [(tuple(offset + i for i in path), last, t, 0 if mode == 2 else p)
-                for path, t, p, last in table.front(sig if sig in opens else None)]
+        return [(tuple(offset + i for i in path), last if last in kept else None, t,
+                 0 if mode == 2 else p)
+                for path, t, p, last in table.front(sig)]
     return moves
 
 
@@ -651,15 +704,19 @@ def _joined(tables: list[StepTable], mode: int) -> list[Label] | None:
     of two or more cut stocks with fewer cuts (its orders may interleave
     stocks).
 
-    One `_grow` step per cut stock, over states that are the last cut's
-    setup signature, all that the next stock's cost takes from the stocks
-    before it: its first cut gets a partial setup when it repeats that
-    signature, and it pays its own load anyway. So a stock's moves are the
-    labels of its table's front after that signature, already in path
-    order, and an uncut stock leaves the state as it is. After a signature
-    that no first cut of the stock with a partial setup repeats, every
-    order costs what it costs after a full setup, so the entry-None front
-    (the node search) serves. In mode 2 the labels' f_p is held at 0.
+    One `_grow` step per cut stock, over states that carry all that the
+    next stock's cost takes from the stocks before it: its first cut gets a
+    partial setup when it repeats the last cut's setup signature, and it
+    pays its own load anyway. Only a first cut with no parent and a tool
+    with a partial setup can repeat one, so the signatures the next stock
+    can repeat are its `opens`. A stock's labels move onto their last
+    signature when the next cut stock opens with it, and onto None
+    otherwise, and always after the last stock: the orders after any
+    signature outside `opens` cost what they cost after a full setup, so
+    all those states have one future and are one state. A stock's moves
+    from a state are the labels of its table's front after it (entry None:
+    the node search's), already in path order, and an uncut stock leaves
+    the state as it is. In mode 2 the labels' f_p is held at 0.
 
     A stock's labels sum its steps from 0, and the join adds that sum to
     the running one: integer sums do not depend on their order, so a stock
@@ -673,8 +730,9 @@ def _joined(tables: list[StepTable], mode: int) -> list[Label] | None:
         return None
     layer: list[Label] = [((), 0, 0, None)]
     offset = 0
-    for table in cut:
-        layer = _grow(layer, _stock_moves(table, offset, mode))
+    for s, table in enumerate(cut):
+        kept = cut[s + 1].opens if s + 1 < len(cut) else ()
+        layer = _grow(layer, _stock_moves(table, offset, mode, kept))
         offset += table.k
     return layer
 

@@ -372,6 +372,23 @@ def test_cli_oracle_matches_optimize_on_lframe(tmp_path):
     assert opt == orc
 
 
+@pytest.mark.parametrize("command", ["optimize", "oracle"])
+@pytest.mark.parametrize("where", ["file", "under a file"])
+def test_cli_refuses_an_output_path_that_is_no_directory(tmp_path, command, where):
+    # the output directory is checked before the search: an I/O error line
+    # and exit 1, nothing printed and no traceback
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker if where == "file" else blocker / "sub"
+    result = run_cli(command, corpus_path("lframe"), *(FAST_ARGS if command == "optimize" else ()),
+                     "--out", str(out))
+    assert result.returncode == 1, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_load_plan_round_trip(tmp_path):
     plan_file = tmp_path / "p.json"
     plan_file.write_text(json.dumps(plan_payload()))

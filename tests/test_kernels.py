@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from planwright.cost import Cut, FabPlan, StockInstance, cut_cost, evaluate_plan, load_seconds
+from planwright.cost import Cut, FabPlan, StockInstance, cut_record, evaluate_plan, load_seconds
 from planwright.kernels import eval_orders_chop
 from planwright.libraries import default_stocks, default_tools, with_metal_twins
 from planwright.model import Tool, ticks
@@ -74,7 +74,7 @@ def test_kernel_matches_evaluate_plan_on_random_orders(stock_id):
             op_error_ticks=tool.op_error_for(spec.material),
             setup_full=tool.setup_full(False),
             setup_partial=tool.setup_partial,
-            op_seconds=cut_cost(cuts[0], tool, spec, 0, 0)[1],
+            op_seconds=cut_record(cuts[0], tool, spec, 0)[2],
             load_seconds=load_seconds([spec]),
             orders=orders,
         )

@@ -456,6 +456,75 @@ def test_joined_front_shares_setup_across_stocks(stocks, mode):
     assert any(rows[i].setup == partial for i in firsts)
 
 
+def raw_joined(tables, mode):
+    """Reference for `ordering._joined`: the join over states that are the
+    raw last setup signatures, each stock's moves its front after the
+    state, whatever the state."""
+    cut = [table for table in tables if table.k]
+    if len(cut) > 1 and sum(table.k for table in cut) <= EXHAUSTIVE_TERM_CUTS:
+        return None
+    layer = [((), 0, 0, None)]
+    offset = 0
+    for table in cut:
+        def moves(sig, table=table, offset=offset):
+            return [(tuple(offset + i for i in path), last, t, 0 if mode == 2 else p)
+                    for path, t, p, last in table.front(sig)]
+        layer = ordering._grow(layer, moves)
+        offset += table.k
+    return layer
+
+
+@pytest.mark.parametrize("mode", [2, 3])
+def test_joined_state_merge_is_exact(mode, monkeypatch):
+    # `_joined` keeps a label's last setup signature only when the next cut
+    # stock can open with it (its `opens`) and merges the rest into None. On
+    # random terms above EXHAUSTIVE_TERM_CUTS cuts, of sticks cut from two
+    # lengths (so that a stock's first cut often repeats the last signature
+    # of the stock before it), a quarter of them with a sheet too, the
+    # recipes equal those of a join over the raw last signatures, and some
+    # of them share a setup across a stock boundary
+    rng = random.Random(f"join-states-{mode}")
+    node_memo = NodeMemo(TOOLS)
+    stock_moves = ordering._stock_moves
+    carried = set()  # the signatures the join's moves keep
+
+    def recorded(table, offset, mode, kept):
+        moves = stock_moves(table, offset, mode, kept)
+
+        def wrapped(sig):
+            out = moves(sig)
+            carried.update(to for _, to, _, _ in out if to is not None)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(ordering, "_stock_moves", recorded)
+    partial = TOOLS[Tool.CHOPSAW].setup_partial
+    terms = across = 0
+    while terms < 40:
+        pool = rng.sample(LENGTHS, 2)
+        stocks = [(rng.choice(LUMBER), [rng.choice(pool) for _ in range(rng.randint(1, 4))])
+                  for _ in range(rng.randint(2, 4))]
+        if rng.random() < 0.25:
+            stocks.insert(rng.randint(0, len(stocks)), random_stock(rng, "sheet"))
+        g, term, cache = build_term(stocks, node_memo=node_memo)
+        term_stocks = ordering._term_stocks(g, term, cache)
+        cut = [orders.steps for _, orders in term_stocks if orders.cuts]
+        if len(cut) < 2 or sum(table.k for table in cut) <= EXHAUSTIVE_TERM_CUTS:
+            continue
+        terms += 1
+        got = ordering._refined(g.design_id, term_stocks, mode)
+        with monkeypatch.context() as patched:
+            patched.setattr(ordering, "_joined", raw_joined)
+            assert ordering._refined(g.design_id, term_stocks, mode) == got
+        for recipe in got:
+            plan = build_plan(g.design_id, term_stocks, recipe)
+            rows = evaluate_plan(plan, TOOLS).rows
+            across += any(rows[i].setup == partial and not plan.cuts[i].stack_group
+                          for i in range(1, len(rows))
+                          if plan.cuts[i].stock_key != plan.cuts[i - 1].stock_key)
+    assert carried and across
+
+
 # -- node order search: parity with scoring every permutation ----------------
 
 
@@ -691,7 +760,7 @@ def test_term_memo_shares_fronts_across_relabelled_terms(mode, monkeypatch):
     # a packing the node memo knows keeps its own links, whatever its part
     # ids, so the relinked nodes look their patterns up in the run's pattern
     # tables through packings of their own
-    patterns_only = NodeMemo(TOOLS, patterns=node_memo.patterns, pool=node_memo.pool)
+    patterns_only = NodeMemo(TOOLS, patterns=node_memo.patterns, steps=node_memo.steps)
     relinked = build_term(base, prefix="u", first_node=20, node_memo=patterns_only)
     cuts = [c for orders in relinked[2].values() for c in orders.cuts]
     axis = {c.id: c.axis for c in cuts}
@@ -960,7 +1029,8 @@ def simulated_step(table, i, done):
         measured, op_len = cost_module.resolve_geometry([cut], tool, sim)
     except PlanError as e:
         return str(e)
-    sig, seconds, eps, perr = cost_module.cut_cost(cut, tool, table.spec, measured, op_len)
+    sig, seconds, eps, perr = cost_module.cut_cost(
+        cost_module.cut_record(cut, tool, table.spec, op_len), measured)
     return sig, quanta(seconds), eps, perr
 
 
@@ -1027,6 +1097,65 @@ def test_steps_match_fresh_simulator():
     # on both kinds of stock, some cut's measured length depends on the done cuts
     assert {sheet for (sheet, _, _), measured in lengths.items() if len(measured) > 1} == \
         {False, True}
+
+
+def test_steps_are_one_object_per_record_and_length():
+    # on random sticks and sheets, and sheets whose top shelf reaches the
+    # sheet's edge, every step is the `cost.cut_piece` + `cost.cut_cost`
+    # step of its base piece narrowed by its nearest done siblings, and the
+    # tables of one map share one step per (record, measured length)
+    rng = random.Random("step-map")
+    patterns = [random_node(rng, kind) for kind in ("lumber", "sheet") for _ in range(12)]
+    patterns += [edge_shelves(rng, count) for count in (1, 2, 3) for _ in range(3)]
+    shared = {}
+    readers = {}  # id of a step -> the tables that read it
+    for stock_id, layout in patterns:
+        node, parts = layout_node(stock_id, layout)
+        inst = StockInstance(key=node.id, spec=node.spec)
+        table = StepTable(node.spec, cuts_for_instance(inst, list(node.placements), parts),
+                          TOOLS, shared)
+        assert table.records == table.intervals == [None] * table.k
+        for done in range(1 << table.k):
+            if any(done >> j & 1 and p is not None and not done >> p & 1
+                   for j, p in enumerate(table.parents)):
+                continue
+            for i, cut in enumerate(table.cuts):
+                p = table.parents[i]
+                if done >> i & 1 or p is not None and not done >> p & 1:
+                    continue
+                tool = TOOLS[cut.tool]
+                below, above = table.siblings[i]
+                below, above = done & below, done & above
+                below = table.cuts[below.bit_length() - 1] if below else None
+                piece = cost_module.narrowed(
+                    table.base[i], cut.axis,
+                    below.position + TOOLS[below.tool].kerf if below else None,
+                    table.cuts[(above & -above).bit_length() - 1].position if above else None)
+                measured, op_len = cost_module.cut_piece(piece, cut, tool.kerf,
+                                                         table.spec.is_sheet)
+                record = cost_module.cut_record(cut, tool, table.spec, op_len)
+                sig, seconds, eps, perr = cost_module.cut_cost(record, measured)
+                step = table.step(i, done)
+                assert step == (sig, quanta(seconds), eps, perr)
+                assert step is shared[record][1][measured]
+                readers.setdefault(id(step), set()).add(table)
+    assert len({id(step) for _, by_length in shared.values() for step in by_length.values()}) \
+        == sum(len(by_length) for _, by_length in shared.values()) == len(readers)
+    assert any(len(tables) > 1 for tables in readers.values())
+    # a stick whose last part ends within one kerf of its end: its last cut
+    # raises what `evaluate_plan` raises on the canonical order
+    kerf = TOOLS[Tool.CHOPSAW].kerf
+    length = STOCKS["2x4-48"].dims[0]
+    node, parts = layout_node("2x4-48", [ticks(10), ticks(12),
+                                         length - ticks(22) - 2 * kerf - kerf // 2])
+    inst = StockInstance(key=node.id, spec=node.spec)
+    cuts = cuts_for_instance(inst, list(node.placements), parts)
+    with pytest.raises(PlanError) as planned:
+        evaluate_plan(FabPlan(design_id="d", cuts=tuple(cuts), stock_bill=(inst,)), TOOLS)
+    table = StepTable(node.spec, cuts, TOOLS, shared)
+    with pytest.raises(PlanError) as stepped:
+        table.step(len(cuts) - 1, (1 << len(cuts) - 1) - 1)
+    assert str(stepped.value) == str(planned.value) == f"1D cut at {cuts[-1].position} hits no piece"
 
 
 def test_step_table_refuses_cuts_outside_its_piece_rule():
