@@ -312,9 +312,11 @@ def evaluate_plan(plan: FabPlan, tools: dict[Tool, ToolSpec]) -> PlanCost:
 
     for op in _group_stacked(plan.cuts):
         lead = op[0]
+        tool = tools.get(lead.tool)
+        if tool is None:
+            raise PlanError(f"cut {lead.id}: no tool {lead.tool.value!r} in the tool table")
         if len(op) > 1:
             _validate_stack(op, instances, tools)
-        tool = tools[lead.tool]
         spec = instances[lead.stock_key].spec
 
         measured, op_len = resolve_geometry(op, tool, sims)

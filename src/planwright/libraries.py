@@ -21,6 +21,7 @@ from .model import (
     ToolSpec,
     ticks,
 )
+from .plans import cutting_tool
 
 # (family, dims in inches, price $, F-load, P-load, F-unload, P-unload)
 _STOCK_ROWS: list[tuple[str, tuple[float, ...], float, int, int, int, int]] = [
@@ -165,7 +166,9 @@ def dump_libraries() -> str:
 
 
 def load_libraries(path: str | None) -> tuple[list[StockSpec], dict[Tool, ToolSpec]]:
-    """Load stock/tool overrides from JSON; None means built-in defaults."""
+    """Load stock/tool overrides from JSON; None means built-in defaults.
+    Raises DesignInputError for a malformed file, a repeated stock or tool
+    id, or a stock whose cutting tool the tools lack."""
     if path is None:
         return default_stocks(), default_tools()
     with open(path) as fh:
@@ -177,6 +180,15 @@ def load_libraries(path: str | None) -> tuple[list[StockSpec], dict[Tool, ToolSp
         raise DesignInputError(f"bad library file: missing field {exc}") from exc
     except (AttributeError, TypeError) as exc:
         raise DesignInputError(f"bad library file: {exc}") from exc
+    for kind, ids in (("stock", [s.id for s in stocks]),
+                      ("tool", [t.id.value for t in tools_list])):
+        repeated = next((i for n, i in enumerate(ids) if i in ids[:n]), None)
+        if repeated is not None:
+            raise DesignInputError(f"bad library file: repeated {kind} id {repeated!r}")
     stocks = stocks or default_stocks()
     tools = {t.id: t for t in tools_list} if tools_list else default_tools()
+    for s in stocks:
+        if cutting_tool(s) not in tools:
+            raise DesignInputError(
+                f"bad library file: no tool {cutting_tool(s).value!r} for stock {s.id!r}")
     return stocks, tools

@@ -237,12 +237,15 @@ class Violation:
 
 
 def validate_design(design: Design, stock_lib: list[StockSpec]) -> list[Violation]:
-    """Check every part belongs to a known family and fits on some stock."""
+    """Check every part belongs to a known family and fits on some stock,
+    and that one stock size of each family and material holds every part
+    of the design with that family and material, as packing needs."""
     by_family: dict[str, list[StockSpec]] = {}
     for s in stock_lib:
         by_family.setdefault(s.family, []).append(s)
 
     violations: list[Violation] = []
+    groups: dict[tuple[str, Material], list[Part]] = {}
     for part in design.parts:
         stocks = by_family.get(part.family)
         if stocks is None:
@@ -258,6 +261,14 @@ def validate_design(design: Design, stock_lib: list[StockSpec]) -> list[Violatio
             violations.append(
                 Violation(part.id, f"part does not fit any {part.family!r} stock")
             )
+            continue
+        groups.setdefault((part.family, part.material), []).append(part)
+    for (family, material), parts in groups.items():
+        if not any(s.material is material and all(part_fits_stock(p, s) for p in parts)
+                   for s in by_family[family]):
+            violations.append(Violation(
+                parts[0].id,
+                f"no one {family!r} stock size holds every {material.value} part"))
     return violations
 
 

@@ -25,9 +25,10 @@ what fixes the future: a cut's operation time and op error are its own,
 and its piece, and with it its measured length and measuring error, is
 fixed by its nearest done siblings (`StepTable`), which the done mask
 gives; setup sharing depends only on the previous cut's (tool, axis,
-measured length), and loading only on whether the stock changed. Orders whose last cuts share a signature share
-a state. Nodes of more than 8 cuts may exceed MAX_LAYER_STATES states per
-cut count; the search then keeps the most promising ones.
+measured length), and loading only on whether the stock changed. Orders
+whose last cuts share a signature share a state. Nodes of more than 8
+cuts may exceed MAX_LAYER_STATES states per cut count; the search then
+keeps the most promising ones.
 
 A term with one cut stock reads that stock's front. A term above
 EXHAUSTIVE_TERM_CUTS cuts joins its stocks' fronts, moving stock by stock,
@@ -40,14 +41,15 @@ does not depend on the order of its steps, and the join finds the orders
 that scoring every one-run order would keep.
 
 Those per-cut step costs come from one `StepTable` per stock cut pattern,
-kept in the node memo for the whole run with the pattern's fronts: the
-node search fills it, and every term search over a stock with that
-pattern reads it. A step is a cut's fixed record (`cost.cut_record`:
-tool, axis, operation time, op error) plus one measured length, which
-only its nearest done siblings change (`cost.measured_length`), with no
-piece simulator; the node memo holds one step per record and measured
-length for the whole run, so a step is costed once per run, whichever
-patterns meet it. A term's front
+kept in the node memo for the whole run with the pattern's fronts. A
+table costs every step of its pattern when it is made, before the node
+search, and the node search and every term search over a stock with that
+pattern read its steps and cost none. A step is a cut's fixed record
+(`cost.cut_record`: tool, axis, operation time, op error) plus one
+measured length, which only its nearest done siblings change
+(`cost.measured_length`), with no piece simulator; the node memo holds
+one step per record and measured length for the whole run, so a step is
+costed once per run, whichever patterns meet it. A term's front
 orders carry the costs their labels sum, and `evaluate_plan` is left to
 the stacked plans. Refinement's candidates are the stacked per-node best
 orders, then the term's exact front, then the stacked canonical orders;
@@ -118,8 +120,6 @@ MAX_LAYER_STATES = 300
 # (setup signature (tool, axis, measured length), op time in quanta, eps
 # ticks, op-error ticks) of one cut made after a set of cuts on its stock
 Step = tuple[tuple, int, int, int]
-# a cut record, one object per run, and the run's steps with it by measured length
-RecordSteps = tuple[CutRecord, dict[int, Step]]
 
 
 class StepTable:
@@ -127,30 +127,32 @@ class StepTable:
 
     A cut's siblings are the cuts with its parent, on its side of that
     parent: every cut of a stick, or the vertical cuts of one sheet shelf
-    (`plans.cuts_for_instance`). Its base piece (`base`, a `cost` piece)
-    is what its ancestors alone leave of the stock. Once its parent is
-    done, the piece the cut splits is its base piece narrowed along its
-    axis (`cost.narrowed`) by its nearest done siblings, provided each
-    cut's parent comes before it, siblings share one axis and ascend in
-    position, and a cut with children has no siblings; the table refuses
-    cuts that break one of these (ValueError). Sheet cuts on both axes
-    with no parent, say, are refused: their pieces depend on the order
-    they are cut in.
+    (`plans.cuts_for_instance`). Its base piece (a `cost` piece) is what
+    its ancestors alone leave of the stock. Once its parent is done, the
+    piece the cut splits is its base piece narrowed along its axis by its
+    nearest done siblings, provided each cut's parent comes before it,
+    siblings share one axis and ascend in position, and a cut with children
+    has no siblings; the table refuses cuts that break one of these
+    (ValueError). Sheet cuts on both axes with no parent, say, are refused:
+    their pieces depend on the order they are cut in.
 
     So a cut's `Step` is its record (`cost.cut_record`: tool, axis,
     operation time, op error), fixed by the cut and its base piece, plus
-    one measured length, fixed by its nearest done siblings. `step` takes
-    their edges, `cost.measured_length` checks that the cut lies between
-    them and measures it, and the step is the run's one `Step` for that
-    record and length, read from `shared` (the node memo's `steps`).
-    `records` holds, per cut, its record and the record's steps by measured
-    length (the run's one record object and its entry of `shared`), and
-    `intervals` its base interval along its own axis (`cost.cut_basis`),
-    both set when the cut is first stepped; `steps` holds each step read so
-    far under `key`, which `siblings` (each cut's masks of the siblings
-    before and after it) gives from a done-on-stock mask. `parents` holds
+    one measured length (`cost.measured_length`), fixed by its nearest done
+    siblings. The table costs every step when it is made: for each cut, and
+    each choice of nearest done sibling below (none, or one of its siblings
+    below) and above (likewise), the run's one `Step` for the cut's record
+    and that length, read from `shared` (the node memo's `steps`). A cut
+    that its piece cannot hold raises `cost.PlanError` then. `steps` holds
+    them under the key (b + a) * k + i of cut i, b being 1 + the index of
+    the nearest done sibling below (0: none) and a the bit of the nearest
+    above (0: none), above bit i so that b + a is unique; `siblings` (each
+    cut's masks of the siblings before and after it) gives both from a
+    done-on-stock mask, as `_pareto_orders` reads them. `parents` holds
     each cut's parent index (None: none), `setups` each cut's (partial
-    setup or None, full setup) and `load` the stock's load, in quanta.
+    setup or None, full setup), `load` the stock's load, in quanta, and
+    `opens` the setup signatures a cut of the pattern can repeat first,
+    with a partial setup: those of its parentless cuts whose tool has one.
     `fronts` maps an entry signature to the pattern's mode-3 order labels
     after a cut with it (`front`); entry None is the node search.
     `best_precision` and `best_time` are the node search's (index path,
@@ -159,19 +161,18 @@ class StepTable:
     pattern and compares by identity.
     """
 
-    __slots__ = ("spec", "cuts", "tools", "k", "parents", "siblings", "base",
-                 "sheet", "setups", "load", "steps", "shared", "records", "intervals",
-                 "_opens", "fronts", "best_precision", "best_time")
+    __slots__ = ("spec", "cuts", "tools", "k", "parents", "siblings", "setups", "load",
+                 "steps", "opens", "fronts", "best_precision", "best_time")
 
     def __init__(self, spec: StockSpec, cuts: list[Cut],
-                 tools: dict[Tool, ToolSpec], shared: dict[CutRecord, RecordSteps]
+                 tools: dict[Tool, ToolSpec], shared: dict[CutRecord, dict[int, Step]]
                  ) -> None:
         self.spec = spec
         self.cuts = cuts  # the first stock with the pattern, canonical order
         self.tools = tools
         self.k = len(cuts)
         self.parents: list[int | None] = []
-        self.base: list[tuple] = []
+        bases: list[tuple] = []
         whole = whole_piece(spec.dims)
         index: dict[str, int] = {}
         groups: dict[tuple, int] = {}  # (parent, side) -> mask of its cuts
@@ -181,9 +182,9 @@ class StepTable:
             if p is not None:
                 parent = cuts[p]
                 side = c.anchor[parent.axis] >= parent.position  # beyond the parent
-                base = (narrowed(self.base[p], parent.axis,
+                base = (narrowed(bases[p], parent.axis,
                                  start=parent.position + tools[parent.tool].kerf) if side
-                        else narrowed(self.base[p], parent.axis, end=parent.position))
+                        else narrowed(bases[p], parent.axis, end=parent.position))
             elif c.parent is None:
                 side, base = False, whole
             else:
@@ -200,21 +201,38 @@ class StepTable:
             index[c.id] = i
             keys.append(key)
             self.parents.append(p)
-            self.base.append(base)
+            bases.append(base)
         if any(groups[keys[p]] & groups[keys[p]] - 1 for p in self.parents if p is not None):
             raise ValueError("a cut with children must have no siblings")
         self.siblings = [(mask & (1 << i) - 1, mask >> i + 1 << i + 1)
                          for i, mask in enumerate(map(groups.get, keys))]
-        self.sheet = spec.is_sheet
+        sheet = spec.is_sheet
         self.setups = [(None if tools[c.tool].setup_partial is None
                         else quanta(tools[c.tool].setup_partial),
-                        quanta(tools[c.tool].setup_full(self.sheet))) for c in cuts]
+                        quanta(tools[c.tool].setup_full(sheet))) for c in cuts]
         self.load = quanta(load_seconds([spec]))
         self.steps: dict[int, Step] = {}
-        self.shared = shared
-        self.records: list[RecordSteps | None] = [None] * self.k
-        self.intervals: list[tuple | None] = [None] * self.k
-        self._opens: tuple[tuple, ...] | None = None
+        for i, cut in enumerate(cuts):
+            tool = tools[cut.tool]
+            span, (start, end, near, far) = cut_basis(bases[i], cut)
+            record = cut_record(cut, tool, spec, span)
+            by_measured = shared.setdefault(record, {})
+            below, above = self.siblings[i]
+            # (b, start, start original) per nearest done sibling below: the
+            # piece then begins past its kerf; (a, end, end original) above
+            starts = [(0, start, near)] + [(j + 1, cuts[j].position + tools[cuts[j].tool].kerf,
+                                            False) for j in range(i) if below >> j & 1]
+            ends = [(0, end, far)] + [(1 << j, cuts[j].position, False)
+                                      for j in range(i + 1, self.k) if above >> j & 1]
+            for (b, lo, lo_orig), (a, hi, hi_orig) in itertools.product(starts, ends):
+                measured = measured_length(cut, (lo, hi, lo_orig, hi_orig), tool.kerf, sheet)
+                step = by_measured.get(measured)
+                if step is None:
+                    sig, seconds, eps, perr = cut_cost(record, measured)
+                    step = by_measured[measured] = (sig, quanta(seconds), eps, perr)
+                self.steps[(b + a) * self.k + i] = step
+        self.opens = tuple({self.steps[j][0] for j, p in enumerate(self.parents)
+                            if p is None and self.setups[j][0] is not None})
         self.fronts: dict[tuple | None, list[Label]] = {}
         self.best_precision = self.best_time = None  # set by the node search
 
@@ -224,61 +242,6 @@ class StepTable:
         if front is None:
             front = self.fronts[entry] = _pareto_orders([self], 3, entry)
         return front
-
-    @property
-    def opens(self) -> tuple[tuple, ...]:
-        """The setup signatures a cut of this pattern can repeat first, with
-        a partial setup: those of its parentless cuts whose tool has one."""
-        if self._opens is None:
-            self._opens = tuple({self.step(j, 0)[0] for j, p in enumerate(self.parents)
-                                 if p is None and self.setups[j][0] is not None})
-        return self._opens
-
-    def key(self, i: int, done: int) -> int:
-        """The `steps` key of cut i after the cuts in `done`, as
-        `_pareto_orders` reads it inline: (b + a) * k + i, b being 1 + the
-        index of the nearest done sibling below (0: none) and a the bit of
-        the nearest above (0: none), above bit i so that b + a is unique."""
-        below, above = self.siblings[i]
-        above &= done
-        return ((done & below).bit_length() + (above & -above)) * self.k + i
-
-    def step(self, i: int, done: int) -> Step:
-        """The step of cut i after the cuts in `done`, its parent among them:
-        its record's step for the length measured between its nearest done
-        siblings' edges."""
-        below, above = self.siblings[i]
-        below, above = (done & below).bit_length(), done & above
-        above &= -above
-        key = (below + above) * self.k + i
-        step = self.steps.get(key)
-        if step is not None:
-            return step
-        cut = self.cuts[i]
-        record, by_measured = self.records[i] or self._fix(i)
-        a, b, near, far = self.intervals[i]
-        if below:  # the piece begins past the kerf of the sibling below
-            prev = self.cuts[below - 1]
-            a, near = prev.position + self.tools[prev.tool].kerf, False
-        if above:
-            b, far = self.cuts[above.bit_length() - 1].position, False
-        measured = measured_length(cut, (a, b, near, far), self.tools[cut.tool].kerf,
-                                   self.sheet)
-        step = by_measured.get(measured)
-        if step is None:
-            sig, seconds, eps, perr = cut_cost(record, measured)
-            step = by_measured[measured] = (sig, quanta(seconds), eps, perr)
-        self.steps[key] = step
-        return step
-
-    def _fix(self, i: int) -> RecordSteps:
-        """Cut i's entries of `records` and `intervals`, set from its base
-        piece; returns the first."""
-        cut = self.cuts[i]
-        span, self.intervals[i] = cut_basis(self.base[i], cut)
-        record = cut_record(cut, self.tools[cut.tool], self.spec, span)
-        entry = self.records[i] = self.shared.setdefault(record, (record, {}))
-        return entry
 
 
 class NodeOrders:
@@ -338,16 +301,15 @@ class NodeMemo:
     the offset-sorted (offset, part shape) placements), which fixes the
     cuts, to its pattern's table. `steps` holds the run's one `Step` per
     cut record (`cost.cut_record`) and measured length: it maps a record to
-    its one object in the run and its steps by measured length, and every
-    table shares it. A step depends on nothing else, so one that a pattern
-    has costed is read, not costed, by every cut of any pattern with its
-    record and length.
+    its steps by measured length, and every table shares it. A step depends
+    on nothing else, so one that a pattern has costed is read, not costed,
+    by every cut of any pattern with its record and length.
     """
 
     tools: dict[Tool, ToolSpec]
     patterns: dict[tuple, StepTable] = field(default_factory=dict)
     packings: dict[tuple, StepTable] = field(default_factory=dict)
-    steps: dict[CutRecord, RecordSteps] = field(default_factory=dict)
+    steps: dict[CutRecord, dict[int, Step]] = field(default_factory=dict)
 
 
 OrderCache = dict[str, NodeOrders]
@@ -627,7 +589,9 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
     Precondition: each stock's cuts are contiguous and in the canonical
     order of its table's pattern, so cut i of a stock whose cuts start at
     `offset` reads its step off that table at local index i - offset and
-    local done mask `(mask & stock mask) >> offset`.
+    local done mask `(mask & stock mask) >> offset`. The tables costed every
+    step when they were made, so the search reads each step under its
+    `StepTable` key, costing none.
 
     n `_grow` steps over states (done mask, last setup signature, last cut's
     stock), one cut each, then one onto each state's last setup signature.
@@ -645,16 +609,16 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
     # per cut: its table's steps and size, its index in the table, the
     # offset and mask of its stock's cuts, the masks of its siblings before
     # and after it in the table, its partial setup (None: none) and full
-    # setup, and its table
+    # setup, and its stock's load
     per_cut: list[tuple[dict[int, Step], int, int, int, int, int, int, int | None, int,
-                        StepTable]] = []
+                        int]] = []
     need = []  # per cut, the mask of its parent
     offset = 0
     for table in tables:
         stock = ((1 << table.k) - 1) << offset
         for j, parent in enumerate(table.parents):
             per_cut.append((table.steps, table.k, j, offset, stock) + table.siblings[j]
-                           + table.setups[j] + (table,))
+                           + table.setups[j] + (table.load,))
             need.append(0 if parent is None else 1 << offset + parent)
         offset += table.k
 
@@ -664,16 +628,15 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
         for i in range(n):
             if mask >> i & 1 or need[i] & ~mask:
                 continue
-            steps, k, j, offset, stock, below, above, partial, full, table = per_cut[i]
+            steps, k, j, offset, stock, below, above, partial, full, load = per_cut[i]
             done = (mask & stock) >> offset
             above &= done
-            sig, op_time, eps, perr = (
-                steps.get(((done & below).bit_length() + (above & -above)) * k + j)
-                or table.step(j, done))
+            key = ((done & below).bit_length() + (above & -above)) * k + j  # `StepTable`'s
+            sig, op_time, eps, perr = steps[key]
             setup = partial if partial is not None and prev == sig else full
             # mode 2 has no f_p objective: a constant 0 never separates labels
             out.append(((i,), (mask | 1 << i, sig, stock),
-                        setup + (table.load if stock != last_stock else 0) + op_time,
+                        setup + (load if stock != last_stock else 0) + op_time,
                         0 if mode == 2 else eps + perr))
         return out
 

@@ -317,23 +317,51 @@ def test_cli_dump_libraries():
 
 
 @pytest.mark.parametrize("fault", ["stock without price", "tool without setup",
-                                   "dims not a list", "not an object"])
+                                   "dims not a list", "not an object", "repeated stock id",
+                                   "repeated tool id", "no chopsaw"])
 def test_cli_bad_library_file_is_a_validation_error(tmp_path, fault):
     libraries = json.loads(run_cli("dump-libraries").stdout)
+    message = "error: bad library file"
     if fault == "stock without price":
         del libraries["stocks"][0]["price"]
     elif fault == "tool without setup":
         del libraries["tools"][0]["setup_full_lumber"]
     elif fault == "dims not a list":
         libraries["stocks"][0]["dims_in"] = 24
+    elif fault == "repeated stock id":
+        libraries["stocks"].append(dict(libraries["stocks"][0], price=1.0))
+        message += f": repeated stock id {libraries['stocks'][0]['id']!r}"
+    elif fault == "repeated tool id":
+        libraries["tools"].append(libraries["tools"][0])
+        message += f": repeated tool id {libraries['tools'][0]['id']!r}"
+    elif fault == "no chopsaw":
+        libraries["tools"] = [t for t in libraries["tools"] if t["id"] != "chopsaw"]
+        message += f": no tool 'chopsaw' for stock {libraries['stocks'][0]['id']!r}"
     else:
         libraries = libraries["stocks"]
     lib_path = tmp_path / "libraries.json"
     lib_path.write_text(json.dumps(libraries))
-    result = run_cli("optimize", corpus_path("lframe"), *FAST_ARGS,
-                     "--libraries", str(lib_path), "--out", str(tmp_path))
+    for command, args in (("optimize", FAST_ARGS), ("oracle", [])):
+        result = run_cli(command, corpus_path("lframe"), *args,
+                         "--libraries", str(lib_path), "--out", str(tmp_path))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(message), result.stderr
+
+
+def test_evaluate_rejects_a_tool_the_libraries_lack(tmp_path):
+    libraries = json.loads(run_cli("dump-libraries").stdout)
+    libraries["tools"] = [t for t in libraries["tools"] if t["id"] != "jigsaw"]
+    lib_path = tmp_path / "libraries.json"
+    lib_path.write_text(json.dumps(libraries))
+    payload = plan_payload()
+    payload["cuts"][0]["tool"] = "jigsaw"
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(payload))
+    result = run_cli("evaluate", str(plan), "--libraries", str(lib_path))
     assert result.returncode == 2, result.stderr
-    assert result.stderr.startswith("error: bad library file"), result.stderr
+    assert result.stdout == ""
+    assert result.stderr == "error: cut c0: no tool 'jigsaw' in the tool table\n"
+    assert run_cli("evaluate", str(plan)).returncode == 0
 
 
 def test_cli_optimize_reports_clipped_points(tmp_path):

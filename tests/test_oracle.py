@@ -1,12 +1,14 @@
+import dataclasses
 import random
 
 import pytest
 
 from planwright import corpus_path
 from planwright.designspace import DesignSpace, detect_joints, enumerate_variants
+from planwright.extraction import IceeParams, icee_run
 from planwright.io import load_design_space
 from planwright.libraries import default_stocks, default_tools
-from planwright.model import ConnectorVariant, Part, ticks
+from planwright.model import ConnectorVariant, Part, ticks, validate_design
 from planwright.oracle import all_arrangements, brute_force_front
 from planwright.packing import InfeasiblePartError, generate_arrangements
 
@@ -29,6 +31,31 @@ def test_oracle_skips_oversize_variant_and_rejects_unknown_family():
     assert {design.id for design, _, _ in front} == {"x/butt"}
     with pytest.raises(InfeasiblePartError):
         brute_force_front(long_short_space(family="9x9"), STOCKS, TOOLS, 2)
+
+
+def split_sizes_space():
+    """Two sheet sizes, 48x10 and 10x48, and parts a 30x8 and b 8x8: the
+    `tall` variant makes b 8x38, so that no one size holds both parts."""
+    sheet = next(s for s in STOCKS if s.id == "sheet-1/2-24x20")
+    stocks = [dataclasses.replace(sheet, id="wide", dims=(ticks(48), ticks(10))),
+              dataclasses.replace(sheet, id="tall", dims=(ticks(10), ticks(48)))]
+    parts = [Part(id="a", family="sheet-1/2", shape=(ticks(30), ticks(8))),
+             Part(id="b", family="sheet-1/2", shape=(ticks(8), ticks(8)))]
+    variants = [ConnectorVariant("plain", 0, 0), ConnectorVariant("tall", 0, ticks(30))]
+    joints = detect_joints(parts, [("a", "b", variants)])
+    return DesignSpace(base_id="t", base_parts=tuple(parts), joints=tuple(joints)), stocks
+
+
+@pytest.mark.parametrize("mode", [2, 3])
+def test_icee_skips_variant_that_no_one_stock_size_holds(mode):
+    space, stocks = split_sizes_space()
+    tall = [d for d in enumerate_variants(space) if d.id == "t/tall"]
+    assert [v.message for v in validate_design(tall[0], stocks)] == \
+        ["no one 'sheet-1/2' stock size holds every wood part"]
+    oracle = brute_force_front(space, stocks, TOOLS, mode)
+    assert {design.id for design, _, _ in oracle} == {"t/plain"}
+    front, _ = icee_run(space, stocks, TOOLS, IceeParams(seed=0, objective_mode=mode))
+    assert {s.cost.objectives for s in front} == {cost.objectives for _, _, cost in oracle}
 
 
 def shape_signature(arrangement, parts_by_id):

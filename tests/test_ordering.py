@@ -931,8 +931,9 @@ def test_stacked_candidates_need_a_shared_pattern(mode, monkeypatch):
 def test_term_search_reads_node_steps(mode, monkeypatch):
     # stocks of up to 8 cuts searched as nodes: a term over them, small or
     # large, is searched and costed without costing a single cut afresh
-    # (every step it reads is already in its step table) or simulating one
-    # (no two stocks are alike, so no stacked plan is evaluated). A term
+    # (its step tables costed every step when they were made) or
+    # simulating one (no two stocks are alike, so no stacked plan is
+    # evaluated). A term
     # with one cut stock reads its node search's front, and a lumber or
     # sheet term above EXHAUSTIVE_TERM_CUTS joins its stocks' fronts,
     # searching only the entry fronts its tables lack; a smaller term of
@@ -947,17 +948,13 @@ def test_term_search_reads_node_steps(mode, monkeypatch):
     lumber = [("2x2-48", [ticks(6), ticks("395/64"), ticks("6.125"), ticks(4)]),
               ("2x4-48", [ticks(6), ticks(4), ticks(5), ticks(5)])]
     terms.append(build_term(lumber, node_memo=node_memo))
-    misses = []
     calls = []
     searches = []
-    step = ordering.StepTable.step
     resolve = cost_module.resolve_geometry
     pareto_orders = ordering._pareto_orders
 
-    def counted(table, i, done):
-        if table.key(i, done) not in table.steps:
-            misses.append((table, i, done))
-        return step(table, i, done)
+    def costed(*args):
+        raise AssertionError(f"a step costed during refinement: {args}")
 
     def simulated(*args):
         calls.append(args)
@@ -967,7 +964,8 @@ def test_term_search_reads_node_steps(mode, monkeypatch):
         searches.append((len(tables), entry))
         return pareto_orders(tables, mode, entry)
 
-    monkeypatch.setattr(ordering.StepTable, "step", counted)
+    monkeypatch.setattr(ordering, "measured_length", costed)
+    monkeypatch.setattr(ordering, "cut_cost", costed)
     monkeypatch.setattr(cost_module, "resolve_geometry", simulated)
     monkeypatch.setattr(ordering, "_pareto_orders", searched)
     kinds = set()
@@ -997,28 +995,40 @@ def test_term_search_reads_node_steps(mode, monkeypatch):
                 entered += len(searches)
     assert kinds == {"one stock", "interleaved", "sheet", "joined"}
     assert entered  # the last term's second stock needs an entry front
-    assert misses == []
     assert calls == []
 
 
 # -- steps from the one piece a cut splits -----------------------------------
 
 
-def table_for(stock_id, layout):
-    """A step table for one packed stock, built without a node search."""
+def layout_cuts(stock_id, layout):
+    """The spec and canonical cuts of one packed stock."""
     node, parts = layout_node(stock_id, layout)
     inst = StockInstance(key=node.id, spec=node.spec)
-    cuts = cuts_for_instance(inst, list(node.placements), parts)
-    return StepTable(node.spec, cuts, TOOLS, {})
+    return node.spec, cuts_for_instance(inst, list(node.placements), parts)
 
 
-def simulated_step(table, i, done):
+def table_for(stock_id, layout, shared=None):
+    """A step table for one packed stock, built without a node search."""
+    spec, cuts = layout_cuts(stock_id, layout)
+    return StepTable(spec, cuts, TOOLS, {} if shared is None else shared)
+
+
+def step_of(table, i, done):
+    """The step `_pareto_orders` reads for cut i after the cuts in `done`:
+    keyed by the nearest done siblings below and above it."""
+    below, above = table.siblings[i]
+    above &= done
+    return table.steps[((done & below).bit_length() + (above & -above)) * table.k + i]
+
+
+def simulated_step(spec, cuts, i, done):
     """The step of cut i after the cuts in `done`, made on a fresh simulator
     in index order; None when the done cuts cannot all be made, and the
     `PlanError` message when cut i cannot."""
-    sim = {"s": cost_module._Sim(table.spec.dims)}
-    cuts = [dataclasses.replace(c, stock_key="s") for c in table.cuts]
-    for j in range(table.k):
+    sim = {"s": cost_module._Sim(spec.dims)}
+    cuts = [dataclasses.replace(c, stock_key="s") for c in cuts]
+    for j in range(len(cuts)):
         if done >> j & 1:
             try:
                 cost_module.resolve_geometry([cuts[j]], TOOLS[cuts[j].tool], sim)
@@ -1030,8 +1040,22 @@ def simulated_step(table, i, done):
     except PlanError as e:
         return str(e)
     sig, seconds, eps, perr = cost_module.cut_cost(
-        cost_module.cut_record(cut, tool, table.spec, op_len), measured)
+        cost_module.cut_record(cut, tool, spec, op_len), measured)
     return sig, quanta(seconds), eps, perr
+
+
+def feasible_steps(cuts):
+    """Every (i, done) whose cut i may come next after the cuts in `done`:
+    each done cut's parent done, and cut i's, cut i not done."""
+    index = {c.id: j for j, c in enumerate(cuts)}
+    parent = [index.get(c.parent) for c in cuts]
+    for done in range(1 << len(cuts)):
+        if any(done >> j & 1 and p is not None and not done >> p & 1
+               for j, p in enumerate(parent)):
+            continue
+        for i in range(len(cuts)):
+            if not done >> i & 1 and (parent[i] is None or done >> parent[i] & 1):
+                yield i, done
 
 
 def edge_shelves(rng, count):
@@ -1045,20 +1069,25 @@ def edge_shelves(rng, count):
             [(h, [rng.choice(WIDTHS) for _ in range(rng.randint(1, 3))]) for h in heights])
 
 
-def test_steps_match_fresh_simulator():
-    # every feasible (done, i) of random lumber and sheet shelf patterns,
-    # sheets whose top shelf reaches the sheet's edge (one shelf or more),
-    # and a stick whose last part ends within one kerf of its end: there the
-    # last cut hits no piece, and the step table raises what the simulator does
-    rng = random.Random("steps")
+def sliver_layout():
+    """A stick whose last part ends within one kerf of its end: its last cut
+    hits no piece."""
     kerf = TOOLS[Tool.CHOPSAW].kerf
     length = STOCKS["2x4-48"].dims[0]
-    sliver = [ticks(10), ticks(12), length - ticks(22) - 2 * kerf - kerf // 2]
-    patterns = [("2x4-48", sliver)]
+    return "2x4-48", [ticks(10), ticks(12), length - ticks(22) - 2 * kerf - kerf // 2]
+
+
+def test_steps_match_fresh_simulator():
+    # a table holds one step per cut and choice of nearest done sibling
+    # below (none or one) and above (likewise), and nothing else: every
+    # feasible (done, i) of random lumber and sheet shelf patterns, and of
+    # sheets whose top shelf reaches the sheet's edge (one shelf or more),
+    # reads the step a fresh simulator gives
+    rng = random.Random("steps")
+    patterns = []
     for kind in ("lumber", "sheet"):
         patterns += [random_node(rng, kind) for _ in range(15)]
     patterns += [edge_shelves(rng, count) for count in (1, 2, 3) for _ in range(4)]
-    raised = 0
     lengths = {}
     shapes = set()  # (parent is None, sides of the parent) of sheet verticals
     for stock_id, layout in patterns:
@@ -1070,92 +1099,62 @@ def test_steps_match_fresh_simulator():
                 sides.setdefault(c.parent, set()).add(
                     parent is not None and c.anchor[1] >= parent.position)
         shapes.update((parent is None, len(s)) for parent, s in sides.items())
-        parent = [next((j for j, p in enumerate(table.cuts) if p.id == c.parent), None)
-                  for c in table.cuts]
-        for done in range(1 << table.k):
-            if any(done >> j & 1 and p is not None and not done >> p & 1
-                   for j, p in enumerate(parent)):
-                continue
-            for i in range(table.k):
-                if done >> i & 1 or parent[i] is not None and not done >> parent[i] & 1:
-                    continue
-                want = simulated_step(table, i, done)
-                if want is None:
-                    continue
-                if isinstance(want, str):
-                    with pytest.raises(PlanError) as e:
-                        table.step(i, done)
-                    assert str(e.value) == want
-                    raised += 1
-                else:
-                    assert table.step(i, done) == want
-                    lengths.setdefault((table.spec.is_sheet, table, i), set()).add(want[0][2])
-    assert raised
+        assert len(table.steps) == sum((below.bit_count() + 1) * (above.bit_count() + 1)
+                                       for below, above in table.siblings)
+        for i, done in feasible_steps(table.cuts):
+            want = simulated_step(table.spec, table.cuts, i, done)
+            if want is not None:
+                assert step_of(table, i, done) == want
+                lengths.setdefault((table.spec.is_sheet, table, i), set()).add(want[0][2])
     # sheet verticals below their parent only, on both sides of one parent,
     # and with no parent
     assert shapes == {(False, 1), (False, 2), (True, 1)}
     # on both kinds of stock, some cut's measured length depends on the done cuts
     assert {sheet for (sheet, _, _), measured in lengths.items() if len(measured) > 1} == \
         {False, True}
+    # a cut that no piece holds: building the table raises what the
+    # simulator raises for the first such cut, and what `evaluate_plan`
+    # raises on the canonical order
+    spec, cuts = layout_cuts(*sliver_layout())
+    raised = {}
+    for i, done in feasible_steps(cuts):
+        want = simulated_step(spec, cuts, i, done)
+        if isinstance(want, str):
+            raised.setdefault(i, want)
+    inst = StockInstance(key="s", spec=spec)
+    plan = FabPlan(design_id="d", cuts=tuple(dataclasses.replace(c, stock_key="s") for c in cuts),
+                   stock_bill=(inst,))
+    with pytest.raises(PlanError) as planned:
+        evaluate_plan(plan, TOOLS)
+    with pytest.raises(PlanError) as built:
+        StepTable(spec, cuts, TOOLS, {})
+    assert str(built.value) == raised[min(raised)] == str(planned.value) == \
+        f"1D cut at {cuts[-1].position} hits no piece"
 
 
 def test_steps_are_one_object_per_record_and_length():
     # on random sticks and sheets, and sheets whose top shelf reaches the
-    # sheet's edge, every step is the `cost.cut_piece` + `cost.cut_cost`
-    # step of its base piece narrowed by its nearest done siblings, and the
-    # tables of one map share one step per (record, measured length)
+    # sheet's edge, the tables of one map hold one step object per (record,
+    # measured length), the `cost.cut_cost` step of the two, and some step
+    # is held by several tables
     rng = random.Random("step-map")
     patterns = [random_node(rng, kind) for kind in ("lumber", "sheet") for _ in range(12)]
     patterns += [edge_shelves(rng, count) for count in (1, 2, 3) for _ in range(3)]
     shared = {}
-    readers = {}  # id of a step -> the tables that read it
+    readers = {}  # id of a step -> the tables that hold it
     for stock_id, layout in patterns:
-        node, parts = layout_node(stock_id, layout)
-        inst = StockInstance(key=node.id, spec=node.spec)
-        table = StepTable(node.spec, cuts_for_instance(inst, list(node.placements), parts),
-                          TOOLS, shared)
-        assert table.records == table.intervals == [None] * table.k
-        for done in range(1 << table.k):
-            if any(done >> j & 1 and p is not None and not done >> p & 1
-                   for j, p in enumerate(table.parents)):
-                continue
-            for i, cut in enumerate(table.cuts):
-                p = table.parents[i]
-                if done >> i & 1 or p is not None and not done >> p & 1:
-                    continue
-                tool = TOOLS[cut.tool]
-                below, above = table.siblings[i]
-                below, above = done & below, done & above
-                below = table.cuts[below.bit_length() - 1] if below else None
-                piece = cost_module.narrowed(
-                    table.base[i], cut.axis,
-                    below.position + TOOLS[below.tool].kerf if below else None,
-                    table.cuts[(above & -above).bit_length() - 1].position if above else None)
-                measured, op_len = cost_module.cut_piece(piece, cut, tool.kerf,
-                                                         table.spec.is_sheet)
-                record = cost_module.cut_record(cut, tool, table.spec, op_len)
-                sig, seconds, eps, perr = cost_module.cut_cost(record, measured)
-                step = table.step(i, done)
-                assert step == (sig, quanta(seconds), eps, perr)
-                assert step is shared[record][1][measured]
-                readers.setdefault(id(step), set()).add(table)
-    assert len({id(step) for _, by_length in shared.values() for step in by_length.values()}) \
-        == sum(len(by_length) for _, by_length in shared.values()) == len(readers)
+        table = table_for(stock_id, layout, shared)
+        for step in table.steps.values():
+            readers.setdefault(id(step), set()).add(table)
+    objects = set()
+    for record, by_length in shared.items():
+        for measured, step in by_length.items():
+            sig, seconds, eps, perr = cost_module.cut_cost(record, measured)
+            assert step == (sig, quanta(seconds), eps, perr)
+            objects.add(id(step))
+    assert len(objects) == sum(len(by_length) for by_length in shared.values())
+    assert objects == set(readers)
     assert any(len(tables) > 1 for tables in readers.values())
-    # a stick whose last part ends within one kerf of its end: its last cut
-    # raises what `evaluate_plan` raises on the canonical order
-    kerf = TOOLS[Tool.CHOPSAW].kerf
-    length = STOCKS["2x4-48"].dims[0]
-    node, parts = layout_node("2x4-48", [ticks(10), ticks(12),
-                                         length - ticks(22) - 2 * kerf - kerf // 2])
-    inst = StockInstance(key=node.id, spec=node.spec)
-    cuts = cuts_for_instance(inst, list(node.placements), parts)
-    with pytest.raises(PlanError) as planned:
-        evaluate_plan(FabPlan(design_id="d", cuts=tuple(cuts), stock_bill=(inst,)), TOOLS)
-    table = StepTable(node.spec, cuts, TOOLS, shared)
-    with pytest.raises(PlanError) as stepped:
-        table.step(len(cuts) - 1, (1 << len(cuts) - 1) - 1)
-    assert str(stepped.value) == str(planned.value) == f"1D cut at {cuts[-1].position} hits no piece"
 
 
 def test_step_table_refuses_cuts_outside_its_piece_rule():
@@ -1217,7 +1216,7 @@ def layer_loop_orders(tables, mode, entry=None):
                 if mask >> i & 1 or need[i] & ~mask:
                     continue
                 table, j, offset, stock, partial, full = per_cut[i]
-                sig, op_time, eps, perr = table.step(j, (mask & stock) >> offset)
+                sig, op_time, eps, perr = step_of(table, j, (mask & stock) >> offset)
                 setup = partial if partial is not None and prev == sig else full
                 step_t = setup + (table.load if stock != last_stock else 0) + op_time
                 ticks_ = 0 if mode == 2 else eps + perr
