@@ -16,7 +16,7 @@ import sys
 from . import analysis, io as pio
 from .cost import PlanError, evaluate_plan
 from .designspace import DesignInputError
-from .extraction import IceeParams, Solution, ValidationFailure, baseline_run, icee_run
+from .extraction import IceeParams, Solution, baseline_run, icee_run
 from .libraries import dump_libraries, load_libraries, with_metal_twins
 from .model import Material
 from .oracle import brute_force_front
@@ -256,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
             NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (DesignInputError, ValidationFailure, PlanError, ValueError,
+    except (DesignInputError, PlanError, ValueError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

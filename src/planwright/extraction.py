@@ -22,7 +22,7 @@ from .analysis import ClipReport, default_reference, hypervolume, pareto_filter
 from .cost import FabPlan
 from .designspace import DesignSpace, enumerate_variants, sample_design
 from .egraph import AtomicNode, BopEGraph, Term
-from .model import CostVector, Design, StockSpec, Tool, ToolSpec, validate_design
+from .model import CostVector, Design, StockSpec, Tool, ToolSpec
 from .ordering import (
     NodeMemo,
     OrderCache,
@@ -33,7 +33,7 @@ from .ordering import (
     optimize_enode,
     refine_term,
 )
-from .packing import PackingMemo, generate_arrangements
+from .packing import InfeasiblePartError, PackingMemo, generate_arrangements, part_groups
 
 BREADTH_ENUMERATION_LIMIT = 1024  # design spaces this small are swept in order
 P_CROSSOVER = 0.95  # GA: chance an offspring takes one class's node from its second parent
@@ -71,12 +71,6 @@ class Solution:
     plan: FabPlan
     cost: CostVector
     term: Term | None = None
-
-
-class ValidationFailure(ValueError):
-    def __init__(self, violations):
-        self.violations = violations
-        super().__init__("; ".join(v.message for v in violations))
 
 
 def _rng(seed: int, *tags) -> random.Random:
@@ -165,13 +159,13 @@ def non_dominated_sort(objs: list[tuple[float, ...]]) -> list[int]:
     return [rank_of[a] for a in objs]
 
 
-def crowding_distance(objs: list[tuple[float, ...]], indices: list[int]) -> dict[int, float]:
-    dist = {i: 0.0 for i in indices}
-    if not indices:
+def crowding_distance(objs: list[tuple[float, ...]]) -> list[float]:
+    """Crowding distance of each individual (extremes are infinite)."""
+    dist = [0.0] * len(objs)
+    if not objs:
         return dist
-    m = len(objs[indices[0]])
-    for d in range(m):
-        ordered = sorted(indices, key=lambda i: objs[i][d])
+    for d in range(len(objs[0])):
+        ordered = sorted(range(len(objs)), key=lambda i: objs[i][d])
         lo, hi = objs[ordered[0]][d], objs[ordered[-1]][d]
         dist[ordered[0]] = dist[ordered[-1]] = float("inf")
         if hi == lo:
@@ -225,7 +219,7 @@ def ga_extract(
 
     for _ in range(params.generations):
         ranks = non_dominated_sort(fitnesses)
-        crowd = crowding_distance(fitnesses, list(range(len(population))))
+        crowd = crowding_distance(fitnesses)
 
         def tournament() -> Term:
             i, j = rng.randrange(len(population)), rng.randrange(len(population))
@@ -293,11 +287,12 @@ def icee_run(
     tools: dict[Tool, ToolSpec],
     params: IceeParams,
 ) -> tuple[list[Solution], dict]:
-    """Full co-optimization; returns (front, report)."""
+    """Full co-optimization; returns (front, report).
+
+    Raises InfeasiblePartError when the base design has no packing; a
+    chosen variant with none is skipped."""
     base = space.base_design()
-    violations = validate_design(base, stock_lib)
-    if violations:
-        raise ValidationFailure(violations)
+    part_groups(base, stock_lib)
 
     states: dict[str, _DesignState] = {}
     packing_memo: PackingMemo = {}  # traversal packings, for this run's stocks and tools
@@ -356,10 +351,13 @@ def icee_run(
         new_solutions: list[Solution] = []
         for k, design in enumerate(chosen):
             state = _ensure_state(states, design)
-            if validate_design(design, stock_lib):
-                continue
             rng_task = _rng(params.seed, "design", design.id, iteration, k)
-            _expand(state, stock_lib, tools, budget, node_memo, packing_memo, rng_task)
+            try:
+                # part_groups raises before any packing or rng_task draw, so
+                # a design with no packing leaves its e-graph empty
+                _expand(state, stock_lib, tools, budget, node_memo, packing_memo, rng_task)
+            except InfeasiblePartError:
+                continue
             sols, refined = ga_extract(state, params, rng_task, term_memo)
             terms_refined += refined
             new_solutions.extend(sols)

@@ -119,7 +119,7 @@ class StockSpec:
     @property
     def capacity(self) -> int:
         """The first dimension (a stick's length, a sheet's width), by
-        which `packing.family_stocks` orders a family largest first."""
+        which `packing.part_groups` orders a family largest first."""
         return self.dims[0]
 
     def effective_price(self) -> float:
@@ -228,48 +228,6 @@ class CostVector:
         if self.f_p is None:
             return (self.f_c, self.f_t)
         return (self.f_c, self.f_p, self.f_t)
-
-
-@dataclass(frozen=True)
-class Violation:
-    part_id: str
-    message: str
-
-
-def validate_design(design: Design, stock_lib: list[StockSpec]) -> list[Violation]:
-    """Check every part belongs to a known family and fits on some stock,
-    and that one stock size of each family and material holds every part
-    of the design with that family and material, as packing needs."""
-    by_family: dict[str, list[StockSpec]] = {}
-    for s in stock_lib:
-        by_family.setdefault(s.family, []).append(s)
-
-    violations: list[Violation] = []
-    groups: dict[tuple[str, Material], list[Part]] = {}
-    for part in design.parts:
-        stocks = by_family.get(part.family)
-        if stocks is None:
-            violations.append(Violation(part.id, f"unknown stock family {part.family!r}"))
-            continue
-        candidates = [s for s in stocks if s.material is part.material]
-        if not candidates:
-            violations.append(
-                Violation(part.id, f"no {part.material.value} stock in family {part.family!r}")
-            )
-            continue
-        if not any(part_fits_stock(part, s) for s in candidates):
-            violations.append(
-                Violation(part.id, f"part does not fit any {part.family!r} stock")
-            )
-            continue
-        groups.setdefault((part.family, part.material), []).append(part)
-    for (family, material), parts in groups.items():
-        if not any(s.material is material and all(part_fits_stock(p, s) for p in parts)
-                   for s in by_family[family]):
-            violations.append(Violation(
-                parts[0].id,
-                f"no one {family!r} stock size holds every {material.value} part"))
-    return violations
 
 
 def part_fits_stock(part: Part, stock: StockSpec) -> bool:

@@ -23,9 +23,8 @@ from .packing import (
     Arrangement,
     InfeasiblePartError,
     combine,
-    family_stocks,
-    group_parts,
     pack_fragments,
+    part_groups,
 )
 from .plans import cuts_for_instance, stacked_variant
 
@@ -43,12 +42,12 @@ def all_arrangements(design: Design, stock_lib: list[StockSpec],
             (spec.id, tuple(sorted((off, parts_by_id[pid].shape) for pid, off in places)))
             for spec, places in fragment))
 
+    try:
+        groups = part_groups(design, stock_lib)
+    except InfeasiblePartError:
+        return []  # this variant has no packing
     per_group = []
-    for key, parts in group_parts(design, stock_lib).items():
-        try:
-            stocks, usable = family_stocks(key, parts, stock_lib)
-        except InfeasiblePartError:
-            return []  # some part fits no stock: this variant has no packing
+    for parts, stocks, usable in groups:
         orders = [list(order) for order in itertools.permutations(parts)]
         per_group.append(pack_fragments(orders, stocks, usable, tools, parts_by_id, {},
                                         sig=shape_signature))
@@ -148,7 +147,11 @@ def brute_force_front(
     tools: dict[Tool, ToolSpec],
     mode: int,
 ) -> list[tuple[Design, FabPlan, CostVector]]:
-    """Non-dominated (design, plan, cost) triples over the whole space."""
+    """Non-dominated (design, plan, cost) triples over the whole space.
+
+    Raises InfeasiblePartError when the base design has no packing; a
+    variant with none is skipped."""
+    part_groups(space.base_design(), stock_lib)
     pool: list[tuple[Design, FabPlan, PlanCost]] = []
     for design in enumerate_variants(space):
         for plan, cost in brute_force_design(design, stock_lib, tools, mode):

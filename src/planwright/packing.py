@@ -1,6 +1,7 @@
 """Arrangement generation: greedy traversal packing of parts onto stock.
 
-Parts are grouped by stock family (and material), then packed in a
+Parts are grouped by stock family and material (`part_groups`, the one
+rule for which design has a packing at all), then packed in a
 traversal order onto instances of a designated stock size: first-fit with
 kerf spacing between neighbors, opening a new instance when the next part
 does not fit. Lumber packs as intervals; sheets use shelf-based guillotine
@@ -8,7 +9,7 @@ packing with shelves keyed by part height. After packing, every instance is
 shrunk to the cheapest stock of the family that still holds its contents,
 which is how cheaper small-stock arrangements enter the search space.
 
-`family_stocks`, `pack_fragments` and `combine` are the one enumeration
+`part_groups`, `pack_fragments` and `combine` are the one enumeration
 pipeline: the optimizer feeds it a budget of traversal orders
 (`generate_arrangements`), the brute-force oracle feeds it every part
 permutation. Both get arrangements in one per-stock layout. A group whose
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cost import StockInstance
-from .model import Design, Part, StockSpec, Tool, ToolSpec, part_fits_stock
+from .model import Design, Material, Part, StockSpec, Tool, ToolSpec, part_fits_stock
 from .plans import cutting_tool
 
 
@@ -60,16 +61,49 @@ PackingMemo = dict[StockSpec | tuple,
                    dict[tuple, tuple[tuple[StockSpec, tuple], ...]] | tuple[Arrangement, ...]]
 
 
-def group_parts(design: Design, stock_lib: list[StockSpec]) -> dict[str, list[Part]]:
-    """Parts keyed by family (metal parts get their own group)."""
+# one part group: its parts in design order, its family's stocks of its
+# material and the sizes among them that hold every part, both largest first
+PartGroup = tuple[list[Part], list[StockSpec], list[StockSpec]]
+
+
+def part_groups(design: Design, stock_lib: list[StockSpec]) -> list[PartGroup]:
+    """The design's parts grouped by (family, material), families sorted,
+    a family's wood group before its metal group.
+
+    Raises one InfeasiblePartError listing every problem: a part of an
+    unknown family, a part whose family has no stock of its material or no
+    stock that holds it, and a group that no one stock size holds whole.
+    """
     families = {s.family for s in stock_lib}
-    groups: dict[str, list[Part]] = {}
+    grouped: dict[tuple[str, bool], list[Part]] = {}
+    problems: list[str] = []
     for part in design.parts:
-        if part.family not in families:
-            raise InfeasiblePartError(f"part {part.id}: unknown family {part.family!r}")
-        key = part.family if part.material.value == "wood" else f"{part.family}:metal"
-        groups.setdefault(key, []).append(part)
-    return {k: groups[k] for k in sorted(groups)}
+        if part.family in families:
+            grouped.setdefault((part.family, part.material is Material.METAL), []).append(part)
+        else:
+            problems.append(f"part {part.id}: unknown stock family {part.family!r}")
+    groups: list[PartGroup] = []
+    for family, metal in sorted(grouped):
+        parts = grouped[family, metal]
+        material = parts[0].material
+        stocks = sorted(
+            (s for s in stock_lib if s.family == family and s.material is material),
+            key=lambda s: (-s.capacity, s.id),
+        )
+        usable = [s for s in stocks if all(part_fits_stock(p, s) for p in parts)]
+        if usable:
+            groups.append((parts, stocks, usable))
+            continue
+        misfits = [p for p in parts if not any(part_fits_stock(p, s) for s in stocks)]
+        problems.extend(
+            f"part {p.id}: part does not fit any {family!r} stock" if stocks
+            else f"part {p.id}: no {material.value} stock in family {family!r}"
+            for p in misfits)
+        if not misfits:
+            problems.append(f"no one {family!r} stock size holds every {material.value} part")
+    if problems:
+        raise InfeasiblePartError("; ".join(problems))
+    return groups
 
 
 @dataclass
@@ -204,28 +238,6 @@ def _traversal_orders(parts: list[Part], budget: int, rng: random.Random) -> lis
     return orders[:budget]
 
 
-def family_stocks(
-    key: str, parts: list[Part], stock_lib: list[StockSpec]
-) -> tuple[list[StockSpec], list[StockSpec]]:
-    """(family stocks, sizes that hold every part) for one part group.
-
-    Both lists are largest first. Raises InfeasiblePartError when the
-    family has no stock of the group's material or no size holds every part.
-    """
-    family = key.split(":")[0]
-    material = parts[0].material
-    stocks = sorted(
-        (s for s in stock_lib if s.family == family and s.material is material),
-        key=lambda s: (-s.capacity, s.id),
-    )
-    if not stocks:
-        raise InfeasiblePartError(f"no {material.value} stock in family {family!r}")
-    usable = [s for s in stocks if all(part_fits_stock(p, s) for p in parts)]
-    if not usable:
-        raise InfeasiblePartError(f"some part of group {key!r} fits no single stock size")
-    return stocks, usable
-
-
 def _fragment_signature(fragment: Fragment) -> tuple:
     return tuple(sorted((spec.id, tuple(sorted(places))) for spec, places in fragment))
 
@@ -312,8 +324,7 @@ def generate_arrangements(
     parts_by_id = {p.id: p for p in design.parts}
     per_group: list[list[Fragment]] = []
     enumerated = True
-    for group, parts in group_parts(design, stock_lib).items():
-        stocks, usable = family_stocks(group, parts, stock_lib)
+    for parts, stocks, usable in part_groups(design, stock_lib):
         enumerated = enumerated and math.factorial(len(parts)) <= traversals
         orders = _traversal_orders(parts, traversals, rng)
         per_group.append(pack_fragments(orders, stocks, usable, tools, parts_by_id, memo))

@@ -83,7 +83,7 @@ def test_non_dominated_sort_matches_double_loop():
 
 def test_crowding_distance_extremes_infinite():
     objs = [(0.0, 3.0), (1.0, 2.0), (3.0, 0.0)]
-    dist = crowding_distance(objs, [0, 1, 2])
+    dist = crowding_distance(objs)
     assert dist[0] == dist[2] == float("inf")
     assert 0.0 < dist[1] < float("inf")
 

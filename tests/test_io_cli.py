@@ -224,6 +224,18 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("optimize", str(empty)).returncode == 2
 
 
+@pytest.mark.parametrize("command", ["optimize", "oracle"])
+def test_cli_refuses_a_base_design_with_no_packing(tmp_path, command):
+    design = tmp_path / "long.json"
+    design.write_text(json.dumps({"id": "long", "parts": [
+        {"id": "beam", "family": "2x4", "shape_in": ["100"]},
+        {"id": "rail", "family": "2x4", "shape_in": ["20"]}]}))
+    result = run_cli(command, str(design), "--out", str(tmp_path / "out"))
+    assert result.returncode == 2, result.stdout
+    assert result.stdout == ""
+    assert "error: part beam: part does not fit any '2x4' stock" in result.stderr
+
+
 def test_cli_rejects_negative_counts_and_prices(tmp_path):
     result = run_cli("optimize", corpus_path("lframe"), *FAST_ARGS, "--generations", "-1",
                      "--out", str(tmp_path))

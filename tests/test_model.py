@@ -11,12 +11,7 @@ from planwright.model import (
     Tool,
     inches,
     ticks,
-    validate_design,
 )
-from planwright.designspace import DesignSpace
-from planwright.io import load_design_space
-from planwright import corpus_path
-from planwright.libraries import default_stocks
 
 
 def test_ticks_basic():
@@ -66,24 +61,6 @@ def test_cost_vector_modes():
     assert two.objectives == (1.0, 2.0)
     assert three.objectives == (1.0, 0.5, 2.0)
     assert len(two.objectives) == 2 and len(three.objectives) == 3
-
-
-def test_validate_design_oversized_part():
-    stocks = default_stocks()
-    part = Part(id="big", family="2x2", shape=(ticks(100),))
-    space = DesignSpace(base_id="x", base_parts=(part,), joints=())
-    violations = validate_design(space.base_design(), stocks)
-    assert len(violations) == 1
-
-
-def test_validate_design_empty():
-    space = DesignSpace(base_id="x", base_parts=(), joints=())
-    assert validate_design(space.base_design(), default_stocks()) == []
-
-
-def test_validate_design_bundled_corpus():
-    space = load_design_space(corpus_path("frame"))
-    assert validate_design(space.base_design(), default_stocks()) == []
 
 
 @pytest.mark.parametrize("enum", [Tool, Material, OpRateKind])

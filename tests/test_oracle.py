@@ -8,9 +8,9 @@ from planwright.designspace import DesignSpace, detect_joints, enumerate_variant
 from planwright.extraction import IceeParams, icee_run
 from planwright.io import load_design_space
 from planwright.libraries import default_stocks, default_tools
-from planwright.model import ConnectorVariant, Part, ticks, validate_design
+from planwright.model import ConnectorVariant, Part, ticks
 from planwright.oracle import all_arrangements, brute_force_front
-from planwright.packing import InfeasiblePartError, generate_arrangements
+from planwright.packing import InfeasiblePartError, generate_arrangements, part_groups
 
 STOCKS = default_stocks()
 TOOLS = default_tools()
@@ -50,12 +50,37 @@ def split_sizes_space():
 def test_icee_skips_variant_that_no_one_stock_size_holds(mode):
     space, stocks = split_sizes_space()
     tall = [d for d in enumerate_variants(space) if d.id == "t/tall"]
-    assert [v.message for v in validate_design(tall[0], stocks)] == \
-        ["no one 'sheet-1/2' stock size holds every wood part"]
+    with pytest.raises(InfeasiblePartError) as err:
+        part_groups(tall[0], stocks)
+    assert str(err.value) == "no one 'sheet-1/2' stock size holds every wood part"
     oracle = brute_force_front(space, stocks, TOOLS, mode)
     assert {design.id for design, _, _ in oracle} == {"t/plain"}
     front, _ = icee_run(space, stocks, TOOLS, IceeParams(seed=0, objective_mode=mode))
     assert {s.cost.objectives for s in front} == {cost.objectives for _, _, cost in oracle}
+
+
+def test_family_name_with_a_colon():
+    # a family is a name, not a key to parse: `2x4:pine` groups as `2x4` did
+    stocks = [dataclasses.replace(s, family="2x4:pine") if s.family == "2x4" else s
+              for s in STOCKS]
+    parts = (Part(id="a", family="2x4:pine", shape=(ticks(30),)),
+             Part(id="b", family="2x4:pine", shape=(ticks(20),)))
+    space = DesignSpace(base_id="pine", base_parts=parts, joints=())
+    oracle = brute_force_front(space, stocks, TOOLS, 2)
+    front, _ = icee_run(space, stocks, TOOLS, IceeParams(seed=0))
+    assert oracle
+    assert sorted(s.cost.objectives for s in front) == \
+        sorted(cost.objectives for _, _, cost in oracle)
+
+
+def test_icee_and_oracle_refuse_a_base_design_with_no_packing():
+    parts = (Part(id="beam", family="2x4", shape=(ticks(100),)),
+             Part(id="rail", family="2x4", shape=(ticks(20),)))
+    space = DesignSpace(base_id="long", base_parts=parts, joints=())
+    for search in (lambda: brute_force_front(space, STOCKS, TOOLS, 2),
+                   lambda: icee_run(space, STOCKS, TOOLS, IceeParams(seed=0))):
+        with pytest.raises(InfeasiblePartError, match="part beam: part does not fit any '2x4'"):
+            search()
 
 
 def shape_signature(arrangement, parts_by_id):

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planwright import packing
+from planwright import corpus_path, packing
+from planwright.io import load_design_space
 from planwright.libraries import default_stocks, default_tools
 from planwright.model import Design, Material, Part, Tool, part_fits_stock, ticks
 from planwright.oracle import all_arrangements
 from planwright.packing import (
     InfeasiblePartError,
-    family_stocks,
     generate_arrangements,
-    group_parts,
     pack_fragments,
     pack_traversal,
+    part_groups,
     shrink_instances,
 )
 from planwright.plans import cutting_tool
@@ -207,8 +207,7 @@ def test_memoized_packings_equal_fresh_packings(kind, monkeypatch):
     checked = 0
     for n in range(30):
         parts = repeated_parts(rng, kind, prefix=f"d{n}p")
-        ((key, group),) = group_parts(design_of(parts), STOCKS).items()
-        stocks, usable = family_stocks(key, group, STOCKS)
+        ((group, stocks, usable),) = part_groups(design_of(parts), STOCKS)
         by_id = {p.id: p for p in parts}
         orders = [rng.sample(group, len(group)) for _ in range(6)]
         distinct = itertools.count()  # a signature per packing: keep them all
@@ -308,7 +307,7 @@ def test_enumerated_designs_are_packed_once_per_memo(kind, monkeypatch):
         warm = generate_arrangements(design, STOCKS, budget, TOOLS, random.Random(-seed), memo)
         assert first == cold
         enumerated = all(math.factorial(len(group)) <= budget
-                         for group in group_parts(design, STOCKS).values())
+                         for group, _, _ in part_groups(design, STOCKS))
         assert ((design.id, design.parts, budget) in memo) == enumerated
         if enumerated:
             assert warm == cold
@@ -365,13 +364,51 @@ def test_parts_are_spaced_by_their_cutting_tool_kerf():
 
 
 def test_group_parts_splits_family_and_material():
+    # families sorted, a family's wood group before its metal group: this
+    # order is `combine`'s product order
+    stocks = STOCKS + [dataclasses.replace(s, id=f"{s.id}-m", material=Material.METAL)
+                       for s in STOCKS if s.family == "2x2"]
     parts = [
-        lumber(0, 10, family="2x2"),
-        lumber(1, 10, family="2x4"),
         Part(id="m", family="2x2", shape=(ticks(10),), material=Material.METAL),
+        lumber(1, 10, family="2x4"),
+        lumber(0, 10, family="2x2"),
     ]
-    groups = group_parts(design_of(parts), STOCKS)
-    assert len(groups) == 3
+    groups = part_groups(design_of(parts), stocks)
+    assert [[p.id for p in group] for group, _, _ in groups] == [["p0"], ["m"], ["p1"]]
+    for group, group_stocks, usable in groups:
+        assert {(s.family, s.material) for s in group_stocks} == \
+            {(group[0].family, group[0].material)}
+        capacities = [s.capacity for s in group_stocks]
+        assert capacities == sorted(capacities, reverse=True)
+        assert usable == [s for s in group_stocks if all(part_fits_stock(p, s) for p in group)]
+
+
+def test_part_groups_oversized_part():
+    design = design_of([Part(id="big", family="2x2", shape=(ticks(100),))])
+    with pytest.raises(InfeasiblePartError) as err:
+        part_groups(design, STOCKS)
+    assert str(err.value) == "part big: part does not fit any '2x2' stock"
+
+
+def test_part_groups_lists_every_problem():
+    parts = [Part(id="odd", family="9x9", shape=(ticks(10),)),
+             Part(id="m", family="2x4", shape=(ticks(10),), material=Material.METAL),
+             lumber(0, 10)]
+    with pytest.raises(InfeasiblePartError) as err:
+        part_groups(design_of(parts), STOCKS)
+    assert str(err.value) == ("part odd: unknown stock family '9x9'; "
+                              "part m: no metal stock in family '2x4'")
+
+
+def test_part_groups_empty():
+    assert part_groups(design_of([]), STOCKS) == []
+
+
+def test_part_groups_bundled_corpus():
+    design = load_design_space(corpus_path("frame")).base_design()
+    groups = part_groups(design, STOCKS)
+    assert sorted(p.id for group, _, _ in groups for p in group) == \
+        sorted(p.id for p in design.parts)
 
 
 @settings(max_examples=60, deadline=None)
