@@ -83,7 +83,12 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _front_mode(rows) -> int:
+def _front_mode(rows, ref=None) -> int:
+    """2 when the rows' f_p is empty, else 3. An empty front has no rows to
+    tell, so it takes the mode of a 2-D or 3-D reference point `ref`, and 3
+    without one."""
+    if not rows and ref and len(ref) in (2, 3):
+        return len(ref)
     return 2 if any(r.f_p == "" for r in rows) else 3
 
 
@@ -136,7 +141,7 @@ def cmd_compare(args) -> int:
 
 def cmd_hypervolume(args) -> int:
     rows = pio.read_front_csv(args.front)
-    mode = _front_mode(rows)
+    mode = _front_mode(rows, args.ref)
     ref = tuple(args.ref) if args.ref else analysis.default_reference(mode)
     if len(ref) != mode:
         print("error: reference point dimension mismatch", file=sys.stderr)

@@ -19,16 +19,18 @@ extends every label (path, f_t, f_p, state) of a path-ordered layer by
 every move of its state and drops a new label that one kept before it at
 its next state weakly dominates. A front is one path-ordered list of
 labels. A stock's front, and a small term's, moves cut by cut over states
-(done mask, last setup signature, last cut's stock), and ends on each
-order's last setup signature (`_pareto_orders`). The state holds exactly
-what fixes the future: a cut's operation time and op error are its own,
-and its piece, and with it its measured length and measuring error, is
-fixed by its nearest done siblings (`StepTable`), which the done mask
-gives; setup sharing depends only on the previous cut's (tool, axis,
-measured length), and loading only on whether the stock changed. Orders
-whose last cuts share a signature share a state. Nodes of more than 8
-cuts may exceed MAX_LAYER_STATES states per cut count; the search then
-keeps the most promising ones.
+(done mask, last setup signature while a cut still to make can repeat it,
+last cut's stock), and ends on each order's last setup signature
+(`_pareto_orders`). The state holds exactly what fixes the future: a
+cut's operation time and op error are its own, and its piece, and with it
+its measured length and measuring error, is fixed by its nearest done
+siblings (`StepTable`), which the done mask gives; setup sharing depends
+only on the previous cut's (tool, axis, measured length), and only where a
+cut still to make can repeat it with a partial setup; loading depends only
+on whether the stock changed. Orders whose last cuts share a signature
+share a state, and so do orders whose last signature no cut still to make
+can repeat (None). Nodes of more than 8 cuts may exceed MAX_LAYER_STATES
+states per cut count; the search then keeps the most promising ones.
 
 A term with one cut stock reads that stock's front. A term above
 EXHAUSTIVE_TERM_CUTS cuts joins its stocks' fronts, moving stock by stock,
@@ -112,8 +114,9 @@ from .plans import assemble_plan, cuts_for_instance, stacked_variant
 
 EXHAUSTIVE_TERM_CUTS = 6  # terms up to this many cuts may interleave stocks
 # states the label search keeps per number of cuts done; the last cut fixes
-# a state's signature and stock, so 8 cuts give at most C(8, 4) * 4 = 280
-# (done mask, last signature, last stock) states, and up to 8 stay exact
+# a state's signature (None once no cut still to make can repeat it) and
+# stock, so 8 cuts give at most C(8, 4) * 4 = 280 (done mask, last
+# signature, last stock) states, and up to 8 stay exact
 MAX_LAYER_STATES = 300
 
 
@@ -151,8 +154,11 @@ class StepTable:
     done-on-stock mask, as `_pareto_orders` reads them. `parents` holds
     each cut's parent index (None: none), `setups` each cut's (partial
     setup or None, full setup), `load` the stock's load, in quanta, and
-    `opens` the setup signatures a cut of the pattern can repeat first,
-    with a partial setup: those of its parentless cuts whose tool has one.
+    `repeats` maps each setup signature to the mask of the cuts that can
+    make it and whose tool has a partial setup, the cuts that can repeat
+    it, and `opens` holds the setup signatures a cut of the pattern can
+    repeat first, with a partial setup: those of its parentless cuts whose
+    tool has one.
     `fronts` maps an entry signature to the pattern's mode-3 order labels
     after a cut with it (`front`); entry None is the node search.
     `best_precision` and `best_time` are the node search's (index path,
@@ -162,7 +168,7 @@ class StepTable:
     """
 
     __slots__ = ("spec", "cuts", "tools", "k", "parents", "siblings", "setups", "load",
-                 "steps", "opens", "fronts", "best_precision", "best_time")
+                 "steps", "repeats", "opens", "fronts", "best_precision", "best_time")
 
     def __init__(self, spec: StockSpec, cuts: list[Cut],
                  tools: dict[Tool, ToolSpec], shared: dict[CutRecord, dict[int, Step]]
@@ -212,6 +218,7 @@ class StepTable:
                         quanta(tools[c.tool].setup_full(sheet))) for c in cuts]
         self.load = quanta(load_seconds([spec]))
         self.steps: dict[int, Step] = {}
+        self.repeats: dict[tuple, int] = {}
         for i, cut in enumerate(cuts):
             tool = tools[cut.tool]
             span, (start, end, near, far) = cut_basis(bases[i], cut)
@@ -231,6 +238,8 @@ class StepTable:
                     sig, seconds, eps, perr = cut_cost(record, measured)
                     step = by_measured[measured] = (sig, quanta(seconds), eps, perr)
                 self.steps[(b + a) * self.k + i] = step
+                if self.setups[i][0] is not None:
+                    self.repeats[step[0]] = self.repeats.get(step[0], 0) | 1 << i
         self.opens = tuple({self.steps[j][0] for j, p in enumerate(self.parents)
                             if p is None and self.setups[j][0] is not None})
         self.fronts: dict[tuple | None, list[Label]] = {}
@@ -598,8 +607,15 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
     The state fixes everything that later steps cost: a cut's measured
     length and operation length depend only on its nearest done siblings,
     which the done mask gives (`StepTable`), setup sharing only on the last
-    signature, and loading only on the last cut's stock. A label's f_t and
-    f_p are exact integer sums of its steps, as `evaluate_plan`'s are.
+    signature, and loading only on the last cut's stock. A state keeps its
+    last signature only while a cut still to make can repeat it (the tables'
+    `repeats`, merged at their stocks' offsets, since in an interleaved term
+    a cut can repeat another stock's signature), or once every cut is done,
+    for the final step; otherwise it holds None. After such a signature
+    every next cut pays the full setup it pays after None, so those states
+    share one future and merging them changes no label, path or order. A
+    label's f_t and f_p are exact integer sums of its steps, as
+    `evaluate_plan`'s are.
 
     A layer of more than MAX_LAYER_STATES states (none for 8 cuts or fewer)
     is cut down to that many by `_cap_layer`; the result is then a
@@ -613,6 +629,8 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
     per_cut: list[tuple[dict[int, Step], int, int, int, int, int, int, int | None, int,
                         int]] = []
     need = []  # per cut, the mask of its parent
+    # per setup signature, the cuts of any stock that can repeat it
+    repeats = tables[0].repeats if len(tables) == 1 else {}
     offset = 0
     for table in tables:
         stock = ((1 << table.k) - 1) << offset
@@ -620,7 +638,11 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
             per_cut.append((table.steps, table.k, j, offset, stock) + table.siblings[j]
                            + table.setups[j] + (table.load,))
             need.append(0 if parent is None else 1 << offset + parent)
+        if len(tables) > 1:
+            for sig, cuts in table.repeats.items():
+                repeats[sig] = repeats.get(sig, 0) | cuts << offset
         offset += table.k
+    complete = (1 << n) - 1
 
     def moves(state: tuple) -> list[Move]:
         mask, prev, last_stock = state
@@ -634,8 +656,12 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
             key = ((done & below).bit_length() + (above & -above)) * k + j  # `StepTable`'s
             sig, op_time, eps, perr = steps[key]
             setup = partial if partial is not None and prev == sig else full
+            nxt = mask | 1 << i
+            # a signature that no cut still to make can repeat has the future
+            # of None, except after the last cut, which the join reads
+            live = sig if nxt == complete or repeats.get(sig, 0) & ~nxt else None
             # mode 2 has no f_p objective: a constant 0 never separates labels
-            out.append(((i,), (mask | 1 << i, sig, stock),
+            out.append(((i,), (nxt, live, stock),
                         setup + (load if stock != last_stock else 0) + op_time,
                         0 if mode == 2 else eps + perr))
         return out

@@ -71,8 +71,9 @@ def part_groups(design: Design, stock_lib: list[StockSpec]) -> list[PartGroup]:
     a family's wood group before its metal group.
 
     Raises one InfeasiblePartError listing every problem: a part of an
-    unknown family, a part whose family has no stock of its material or no
-    stock that holds it, and a group that no one stock size holds whole.
+    unknown family, a part whose family has no stock of its material, a
+    part whose dimension count differs from its family's stocks', a part
+    that no stock holds, and a group that no one stock size holds whole.
     """
     families = {s.family for s in stock_lib}
     grouped: dict[tuple[str, bool], list[Part]] = {}
@@ -95,10 +96,14 @@ def part_groups(design: Design, stock_lib: list[StockSpec]) -> list[PartGroup]:
             groups.append((parts, stocks, usable))
             continue
         misfits = [p for p in parts if not any(part_fits_stock(p, s) for s in stocks)]
-        problems.extend(
-            f"part {p.id}: part does not fit any {family!r} stock" if stocks
-            else f"part {p.id}: no {material.value} stock in family {family!r}"
-            for p in misfits)
+        for p in misfits:
+            if not stocks:
+                problems.append(f"part {p.id}: no {material.value} stock in family {family!r}")
+            elif all(s.is_sheet != p.is_sheet for s in stocks):
+                problems.append(f"part {p.id}: {len(p.shape)}-D part, but the {family!r} "
+                                f"stocks are {len(stocks[0].dims)}-D")
+            else:
+                problems.append(f"part {p.id}: part does not fit any {family!r} stock")
         if not misfits:
             problems.append(f"no one {family!r} stock size holds every {material.value} part")
     if problems:

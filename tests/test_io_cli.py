@@ -290,6 +290,20 @@ def test_cli_rejects_bad_front_rows(tmp_path, command, body, message):
     assert message in result.stderr
 
 
+def test_cli_hypervolume_of_an_empty_front(tmp_path):
+    # a header-only front has no f_p column to read its mode from: it takes
+    # the reference point's, and its hypervolume is 0
+    empty = tmp_path / "empty.csv"
+    empty.write_text(FRONT_HEADER + "\n")
+    for ref in ([], ["100", "100"], ["100", "100", "100"]):
+        result = run_cli("hypervolume", str(empty), *(["--ref", *ref] if ref else []))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "0\n"
+    result = run_cli("hypervolume", str(empty), "--ref", "1", "1", "1", "1")
+    assert result.returncode == 2, result.stdout
+    assert "reference point dimension mismatch" in result.stderr
+
+
 def test_cli_compare_rejects_an_empty_front(tmp_path):
     empty, full = tmp_path / "empty.csv", tmp_path / "full.csv"
     empty.write_text(FRONT_HEADER + "\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import time
 
@@ -1192,20 +1193,27 @@ def lex_front(labels):
     return kept
 
 
-def layer_loop_orders(tables, mode, entry=None):
+def layer_loop_orders(tables, mode, entry=None, full_state=False):
     """Reference: `_pareto_orders` keeping each layer per state (done mask,
     last setup signature, last cut's stock), each state's labels sorted and
-    filtered by `lex_front`, capped by `_cap_layer`. Returns the fronts per
-    last setup signature and whether any layer was capped."""
+    filtered by `lex_front`, capped by `_cap_layer`. A state keeps its last
+    signature only while a cut still to make can repeat it (with a partial
+    setup), or once every cut is done; with `full_state`, it keeps every
+    last signature and no layer is capped. Returns the fronts per last
+    setup signature and whether any layer was capped."""
     n = sum(table.k for table in tables)
     per_cut = []
     need = []
+    makes = []  # per cut, the signatures it can repeat
     start = 0
     for table in tables:
         stock = ((1 << table.k) - 1) << start
         per_cut.extend((table, j, start, stock) + table.setups[j] for j in range(table.k))
         index = {c.id: start + j for j, c in enumerate(table.cuts)}
         need.extend(0 if c.parent is None else 1 << index[c.parent] for c in table.cuts)
+        makes.extend(set() if table.setups[j][0] is None
+                     else {step[0] for key, step in table.steps.items() if key % table.k == j}
+                     for j in range(table.k))
         start += table.k
     layer = {(0, entry, 0): [((), 0, 0)]}
     capped = False
@@ -1220,10 +1228,14 @@ def layer_loop_orders(tables, mode, entry=None):
                 setup = partial if partial is not None and prev == sig else full
                 step_t = setup + (table.load if stock != last_stock else 0) + op_time
                 ticks_ = 0 if mode == 2 else eps + perr
-                grown.setdefault((mask | 1 << i, sig, stock), []).extend(
+                done = mask | 1 << i
+                if not (full_state or done == (1 << n) - 1
+                        or any(sig in makes[c] for c in range(n) if not done >> c & 1)):
+                    sig = None
+                grown.setdefault((done, sig, stock), []).extend(
                     (path + (i,), t + step_t, p + ticks_) for path, t, p in labels)
         layer = {state: lex_front(labels) for state, labels in grown.items()}
-        if len(layer) > ordering.MAX_LAYER_STATES:
+        if not full_state and len(layer) > ordering.MAX_LAYER_STATES:
             flat = [label + (state,) for state, labels in layer.items() for label in labels]
             kept = {label[3] for label in ordering._cap_layer(flat)}
             layer = {state: labels for state, labels in layer.items() if state in kept}
@@ -1232,6 +1244,105 @@ def layer_loop_orders(tables, mode, entry=None):
     for (_, sig, _), labels in layer.items():
         groups.setdefault(sig, []).extend(labels)
     return {sig: lex_front(labels) for sig, labels in groups.items()}, capped
+
+
+def search_fronts(tables, mode, entry=None):
+    """`_pareto_orders`' labels per last setup signature, checked to come
+    in path order."""
+    labels = ordering._pareto_orders(tables, mode, entry)
+    assert [label[0] for label in labels] == sorted(label[0] for label in labels)
+    got = {}
+    for path, t, p, sig in labels:
+        got.setdefault(sig, []).append((path, t, p))
+    return got
+
+
+def parity_stocks(rng):
+    """Seeded single stocks of at most 8 cuts (2x4 sticks cut from two part
+    lengths, sheet panels), and terms of two and three stocks and at most
+    6 cuts whose sticks share their part lengths, as step table lists."""
+    cases = []
+    for _ in range(8):
+        pool = rng.sample(LENGTHS, 2)
+        cases.append([table_for("2x4-96", [rng.choice(pool) for _ in range(rng.randint(4, 8))])])
+    for _ in range(6):
+        stock_id, layout = random_node(rng, "sheet")
+        cases.append([table_for(stock_id, layout)])
+    node_memo = NodeMemo(TOOLS)
+    while len(cases) < 26:
+        pool = rng.sample(LENGTHS, 2)
+        stocks = [(rng.choice(LUMBER), [rng.choice(pool) for _ in range(rng.randint(1, 3))])
+                  for _ in range(rng.randint(2, 3))]
+        if rng.random() < 0.3:
+            stocks[rng.randrange(len(stocks))] = random_stock(rng, "sheet")
+        g, term, cache = build_term(stocks, node_memo=node_memo)
+        tables = [orders.steps for _, orders in ordering._term_stocks(g, term, cache)]
+        if len(tables) > 1 and sum(table.k for table in tables) <= EXHAUSTIVE_TERM_CUTS:
+            cases.append(tables)
+    return cases
+
+
+def recorded_layers(monkeypatch):
+    """The states of each layer `_grow` returns from now on, as a list that
+    grows as searches run."""
+    layers = []
+    grow = ordering._grow
+
+    def recorded(layer, moves):
+        out = grow(layer, moves)
+        layers.append({label[3] for label in out})
+        return out
+
+    monkeypatch.setattr(ordering, "_grow", recorded)
+    return layers
+
+
+@pytest.mark.parametrize("mode", [2, 3])
+def test_live_signature_search_matches_full_state_loop(mode, monkeypatch):
+    # a state keeps its last signature only while a cut still to make can
+    # repeat it: every next cut pays after any other signature what it pays
+    # after None, so merging those states changes no label, path or order.
+    # On single stocks of at most 8 cuts and on terms whose stocks share
+    # part lengths (so a cut can repeat another stock's signature), entered
+    # after None and after each signature a stock opens with, the search
+    # equals the uncapped loop over (done mask, last signature, last stock)
+    rng = random.Random(f"live-signatures-{mode}")
+    cases = parity_stocks(rng)
+    layers = recorded_layers(monkeypatch)
+    across = 0
+    for tables in cases:
+        n = sum(table.k for table in tables)
+        assert n <= 8
+        for entry in (None,) + tuple({sig for table in tables for sig in table.opens}):
+            want, capped = layer_loop_orders(tables, mode, entry, full_state=True)
+            assert not capped
+            assert search_fronts(tables, mode, entry) == want
+        starts = list(itertools.accumulate([0] + [table.k for table in tables]))
+        owners = {}
+        for table, start in zip(tables, starts):
+            for sig, cuts in table.repeats.items():
+                owners.setdefault(sig, set()).add(start)
+        across += any(len(stocks) > 1 for stocks in owners.values())
+    # some states merged into None, and some term's cut can repeat a
+    # signature of a cut on another of its stocks
+    assert any(state[1] is None for states in layers for state in states if state)
+    assert across
+
+
+def test_dead_signatures_leave_one_state_per_done_mask(monkeypatch):
+    # no two cuts of this stick can make one setup signature, so no cut can
+    # repeat the last one: every layer before the last holds one state per
+    # done mask, its signature None, and the last one state per signature
+    table = table_for("2x4-96", [ticks(x) for x in (3, 7, 13, 21, 31)])
+    assert all(cuts & cuts - 1 == 0 for cuts in table.repeats.values())
+    layers = recorded_layers(monkeypatch)
+    ordering._pareto_orders([table], 3)
+    k = table.k
+    for done, states in enumerate(layers[:k - 1], start=1):
+        assert len(states) == math.comb(k, done)
+        assert {sig for _, sig, _ in states} == {None}
+        assert {mask.bit_count() for mask, _, _ in states} == {done}
+    assert len({mask for mask, _, _ in layers[k - 1]}) == 1
 
 
 @pytest.mark.parametrize("kind", ["lumber", "sheet"])

@@ -390,6 +390,18 @@ def test_part_groups_oversized_part():
     assert str(err.value) == "part big: part does not fit any '2x2' stock"
 
 
+def test_part_groups_names_a_dimension_mismatch():
+    # a 1-D part in a sheet family and a 2-D part in a lumber family fit no
+    # stock because their dimension counts differ, not because of their size
+    parts = [Part(id="strip", family="sheet-1/2", shape=(ticks(10),)),
+             Part(id="panel", family="2x4", shape=(ticks(10), ticks(5))),
+             lumber(0, 10)]
+    with pytest.raises(InfeasiblePartError) as err:
+        part_groups(design_of(parts), STOCKS)
+    assert str(err.value) == ("part panel: 2-D part, but the '2x4' stocks are 1-D; "
+                              "part strip: 1-D part, but the 'sheet-1/2' stocks are 2-D")
+
+
 def test_part_groups_lists_every_problem():
     parts = [Part(id="odd", family="9x9", shape=(ticks(10),)),
              Part(id="m", family="2x4", shape=(ticks(10),), material=Material.METAL),
