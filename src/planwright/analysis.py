@@ -80,14 +80,12 @@ def hypervolume(points: list[tuple[float, ...]], ref: tuple[float, ...],
     reference point must be finite."""
     if not all(map(math.isfinite, ref)):
         raise ValueError(f"reference point {ref} is not finite")
+    if len(ref) not in (2, 3):
+        raise ValueError("hypervolume supports 2 or 3 objectives")
     if not points:
         return 0.0
     pts = pareto_filter(_clip(points, ref, report))
-    if len(ref) == 2:
-        return _hv2(pts, ref)
-    if len(ref) == 3:
-        return _hv3(pts, ref)
-    raise ValueError("hypervolume supports 2 or 3 objectives")
+    return _hv2(pts, ref) if len(ref) == 2 else _hv3(pts, ref)
 
 
 def _hv2(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:

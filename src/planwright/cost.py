@@ -103,12 +103,6 @@ class FabPlan:
     cuts: tuple[Cut, ...]
     stock_bill: tuple[StockInstance, ...]
 
-    def signature(self) -> tuple:
-        return (
-            tuple(sorted((i.key, i.spec.id) for i in self.stock_bill)),
-            tuple((c.stock_key, c.geometry_key(), c.stack_group) for c in self.cuts),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class CutTimeBreakdown:

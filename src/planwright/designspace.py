@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .model import ConnectorVariant, Design, Joint, Part
@@ -101,17 +102,18 @@ def _variant(joint: Joint, variant_id: str) -> ConnectorVariant:
     raise DesignInputError(f"joint {joint.id}: unknown variant {variant_id!r}")
 
 
-def enumerate_variants(space: DesignSpace) -> list[Design]:
-    """Every design of the space, in lexicographic order of variant
-    selections; selections that collapse a part are skipped."""
-    designs: list[Design] = []
-    choice_lists = [[v.id for v in j.variants] for j in space.joints]
-    for combo in itertools.product(*choice_lists):
-        selection = {j.id: vid for j, vid in zip(space.joints, combo)}
-        design = instantiate(space, selection)
+def iter_variants(space: DesignSpace) -> Iterator[Design]:
+    """Every design of the space, made when pulled, in lexicographic order
+    of variant selections; selections that collapse a part are skipped."""
+    for combo in itertools.product(*(j.variants for j in space.joints)):
+        design = instantiate(space, {j.id: v.id for j, v in zip(space.joints, combo)})
         if design is not None:
-            designs.append(design)
-    return designs
+            yield design
+
+
+def enumerate_variants(space: DesignSpace) -> list[Design]:
+    """`iter_variants` as a list."""
+    return list(iter_variants(space))
 
 
 def sample_design(space: DesignSpace, rng: random.Random) -> Design:

@@ -11,7 +11,8 @@ design's parts) over those classes. Each of those stocks holds a strict
 subset of the parts, so every compose node is in the root class and every
 other class holds only atomic nodes. A term is a root node and, for a
 compose node, one atomic node per child class; the walks below read the
-graph that way.
+graph that way. The GA and the exhaustive extraction handle a term as a
+flat `Individual` and build its `Term` only to refine it.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ class Term:
     root: str
     chosen: dict[str, str]  # class id -> node id over the selection closure
 
-    def signature(self) -> tuple:
-        return (self.root, tuple(sorted(self.chosen.items())))
+
+# A term as a flat tuple: its root node id, then the node chosen in each of
+# that node's child classes, last child class first (`BopEGraph.slots`).
+Individual = tuple[str, ...]
 
 
 class BopEGraph:
@@ -134,33 +137,22 @@ class BopEGraph:
 
     # -- queries ----------------------------------------------------------
 
-    def sample_term(self, rng: random.Random) -> Term:
-        return self._close(lambda cid: rng.choice(self.classes[cid].nodes))
-
-    def term_from_choices(self, choices: dict[str, str]) -> Term:
-        """Close a (possibly over-complete) choice map from the root."""
-        def pick(cid: str) -> str:
-            nodes = self.classes[cid].nodes
-            return choices[cid] if choices.get(cid) in nodes else nodes[0]
-
-        return self._close(pick)
-
-    def _close(self, pick: Callable[[str], str]) -> Term:
-        """Choose `pick(cid)` in the root class, then in the chosen node's
-        child classes, last first: a seed's GA draws depend on this order."""
-        root = self.root
-        if root is None:
-            raise ValueError("e-graph has no root class yet")
-        nid = pick(root)
-        chosen = {root: nid}
-        for cid in reversed(self._children(nid)):
-            chosen[cid] = pick(cid)
-        return Term(root=root, chosen=chosen)
-
-    def _children(self, nid: str) -> tuple[str, ...]:
-        """A root node's child classes: none for an atomic node."""
+    def slots(self, nid: str) -> tuple[str, ...]:
+        """The classes an individual with root node `nid` lists after it:
+        the node's child classes, last first (none for an atomic node). A
+        seed's GA draws depend on this order."""
         node = self.nodes[nid]
-        return node.children if isinstance(node, ComposeNode) else ()
+        return node.children[::-1] if isinstance(node, ComposeNode) else ()
+
+    def sample(self, rng: random.Random) -> Individual:
+        """A random individual: a root node, then a node per slot class."""
+        nid = rng.choice(self._root_nodes())
+        return (nid, *[rng.choice(self.classes[cid].nodes) for cid in self.slots(nid)])
+
+    def term(self, individual: Individual) -> Term:
+        """The individual's term, its classes in the order it lists them."""
+        root = self.root
+        return Term(root, dict(zip((root, *self.slots(individual[0])), individual)))
 
     def _root_nodes(self) -> list[str]:
         """The root class's nodes; none before the first arrangement."""
@@ -183,16 +175,15 @@ class BopEGraph:
                       if isinstance(node, ComposeNode) else 1)
         return total
 
-    def terms(self) -> list[Term]:
-        """Every term: per root node, each choice of one node per child
-        class, the first child class varying fastest."""
-        root = self.root
+    def individuals(self) -> list[Individual]:
+        """Every term, flat: per root node, each choice of one node per
+        child class, the first child class varying fastest."""
         out = []
         for nid in self._root_nodes():
-            partials = [{root: nid}]
-            for cid in self._children(nid):
-                partials = [{**p, cid: c} for c in self.classes[cid].nodes for p in partials]
-            out += [Term(root, p) for p in partials]
+            picks = [()]
+            for cid in reversed(self.slots(nid)):
+                picks = [(c, *p) for c in self.classes[cid].nodes for p in picks]
+            out += [(nid, *p) for p in picks]
         return out
 
     # -- contraction -------------------------------------------------------
@@ -224,7 +215,7 @@ class BopEGraph:
     def _garbage_collect(self) -> None:
         # the root and its compose nodes' children (no root: no classes)
         live_classes = {self.root, *(cid for nid in self._root_nodes()
-                                     for cid in self._children(nid))}
+                                     for cid in self.slots(nid))}
         self.classes = {cid: c for cid, c in self.classes.items() if cid in live_classes}
         self._class_of_partset = {
             c.part_set: cid for cid, c in self.classes.items()

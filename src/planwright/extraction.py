@@ -5,7 +5,9 @@ with probability alpha; breadth: a fresh variant), expands their e-graphs
 with new arrangements, optimizes new atomic nodes' cut orders, extracts
 non-dominated terms (exhaustively when the term space is small, otherwise
 with an NSGA-II style GA), merges into the archive, and contracts each
-e-graph to its top-n nodes per class.
+e-graph to its top-n nodes per class. GA individuals are flat tuples of
+node ids (`egraph.Individual`); a `Term` is built once per refined
+individual. Small design spaces are swept lazily, one design at a time.
 
 The run keeps three memos: traversal packings (`packing.PackingMemo`),
 node cut orders by packing and cut pattern (`NodeMemo`) and term recipes
@@ -15,13 +17,15 @@ builds a `FabPlan` only for each solution it returns.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import asdict, dataclass, field, replace
 
 from .analysis import ClipReport, default_reference, hypervolume, pareto_filter
 from .cost import FabPlan
-from .designspace import DesignSpace, enumerate_variants, sample_design
-from .egraph import AtomicNode, BopEGraph, Term
+from .designspace import DesignSpace, iter_variants, sample_design
+from .egraph import AtomicNode, BopEGraph, Individual, Term
 from .model import CostVector, Design, StockSpec, Tool, ToolSpec
 from .ordering import (
     NodeMemo,
@@ -90,46 +94,39 @@ def _merge_archive(archive: list[Solution], new: list[Solution]) -> list[Solutio
 
 def _node_scalar_bound(state: _DesignState):
     """Per-node scalarized lower bound used for contraction tie-breaking."""
-    memo: dict[str, float] = {}
     egraph = state.egraph
 
+    @functools.cache
     def bound(nid: str) -> float:
-        if nid in memo:
-            return memo[nid]
         node = egraph.nodes[nid]
         if isinstance(node, AtomicNode):
             orders = state.cache[nid]
-            value = (node.spec.effective_price() + orders.best_time_cost[1] / 60.0
-                     + orders.best_precision_cost[0] / 64.0)
-        else:
-            value = sum(min(bound(child) for child in egraph.classes[cid].nodes)
-                        for cid in node.children)
-        memo[nid] = value
-        return value
+            return (node.spec.effective_price() + orders.best_time_cost[1] / 60.0
+                    + orders.best_precision_cost[0] / 64.0)
+        return sum(min(bound(child) for child in egraph.classes[cid].nodes)
+                   for cid in node.children)
 
     return bound
 
 
-# one extraction's refined terms by signature: (term, its stocks, recipes)
-RefineCache = dict[tuple, tuple[Term, TermStocks, tuple[Recipe, ...]]]
+# one extraction's refined terms, in first-evaluation order: (term, its stocks, recipes)
+RefineCache = dict[Individual, tuple[Term, TermStocks, tuple[Recipe, ...]]]
 
 
 def evaluate_term(
     state: _DesignState,
-    term: Term,
+    individual: Individual,
     params: IceeParams,
     memo: TermMemo,
     refine_cache: RefineCache,
 ) -> tuple[Recipe, ...]:
-    """The term's refined plans as recipes, each with its cost vector.
-    `refine_cache` (one per extraction) holds each term's refinement by its
-    signature, so a term the GA draws again is not refined again."""
-    key = term.signature()
-    refined = refine_cache.get(key)
-    if refined is None:
-        refined = refine_cache[key] = (term, *refine_term(
-            state.egraph, term, state.cache, params.objective_mode, memo))
-    return refined[2]
+    """Refine the individual: its `Term`, built here, its stocks and its
+    recipes, each with its cost vector, go into `refine_cache`."""
+    term = state.egraph.term(individual)
+    stocks, recipes = refine_term(state.egraph, term, state.cache,
+                                  params.objective_mode, memo)
+    refine_cache[individual] = (term, stocks, recipes)
+    return recipes
 
 
 # -- NSGA-II helpers ----------------------------------------------------------
@@ -187,9 +184,11 @@ def ga_extract(
 
     Small term spaces are enumerated exactly; larger ones run a rank +
     crowding GA with e-node choice crossover and re-sampling mutation, on
-    the recipes' costs alone. Each evaluated term's recipes are filtered
-    once, in the order of the terms' first evaluations, keeping the first
-    of each cost, and only the kept ones are built into plans.
+    the recipes' costs alone. Individuals are flat (`egraph.Individual`),
+    and each distinct one is refined once, when first drawn. Each evaluated
+    term's recipes are filtered once, in the order of the terms' first
+    evaluations, keeping the first of each cost, and only the kept ones are
+    built into plans.
     """
     egraph = state.egraph
     refine_cache: RefineCache = {}
@@ -204,47 +203,63 @@ def ga_extract(
                 for term, stocks, recipe in kept], len(refine_cache)
 
     if egraph.count_terms() <= params.population:
-        for term in egraph.terms():
-            evaluate_term(state, term, params, memo, refine_cache)
+        for individual in egraph.individuals():
+            evaluate_term(state, individual, params, memo, refine_cache)
         return evaluated()
 
-    population = [egraph.sample_term(rng) for _ in range(params.population)]
+    root = egraph.root
+    # per root node: (class, slot) of its individuals' classes, by class
+    ranked = {nid: sorted((cid, slot) for slot, cid in enumerate((root, *egraph.slots(nid))))
+              for nid in egraph.classes[root].nodes}
 
-    def fitness(term: Term) -> tuple[float, ...]:
+    @functools.cache
+    def fitness(individual: Individual) -> tuple[float, ...]:
         # every term has a plan: refinement keeps a best of its candidates
-        recipes = evaluate_term(state, term, params, memo, refine_cache)
+        recipes = evaluate_term(state, individual, params, memo, refine_cache)
         return min(recipe[2].objectives for recipe in recipes)
 
-    fitnesses = [fitness(t) for t in population]
+    @functools.cache
+    def pair(a: str, b: str) -> tuple[list, tuple]:
+        """For root nodes a then b: the slots in a and in b of each class both
+        have, by class (crossover's draw), and per later slot of b its class's
+        slot in a (0 if none) and first node (the fill for a new root b)."""
+        in_a = dict(ranked[a])
+        return ([(in_a[cid], slot) for cid, slot in ranked[b] if cid in in_a],
+                tuple((in_a.get(cid, 0), egraph.classes[cid].nodes[0])
+                      for cid in egraph.slots(b)))
+
+    def replaced(individual: Individual, slot: int, nid: str) -> Individual:
+        """The individual with `nid` in `slot`; a new root node keeps the nodes
+        of the classes both roots have and takes the first node of the rest."""
+        if slot:
+            return (*individual[:slot], nid, *individual[slot + 1:])
+        fill = pair(individual[0], nid)[1]
+        return (nid, *[individual[i] if i else first for i, first in fill])
+
+    population = [egraph.sample(rng) for _ in range(params.population)]
+    fitnesses = [fitness(ind) for ind in population]
 
     for _ in range(params.generations):
-        ranks = non_dominated_sort(fitnesses)
-        crowd = crowding_distance(fitnesses)
+        keys = list(zip(non_dominated_sort(fitnesses),
+                        [-d for d in crowding_distance(fitnesses)]))
 
-        def tournament() -> Term:
+        def tournament() -> Individual:
             i, j = rng.randrange(len(population)), rng.randrange(len(population))
-            if (ranks[i], -crowd[i]) <= (ranks[j], -crowd[j]):
-                return population[i]
-            return population[j]
+            return population[i] if keys[i] <= keys[j] else population[j]
 
-        offspring: list[Term] = []
+        offspring: list[Individual] = []
         while len(offspring) < params.population:
             a, b = tournament(), tournament()
-            choices = dict(a.chosen)
+            child = a
             if rng.random() < P_CROSSOVER:
-                shared = sorted(set(a.chosen) & set(b.chosen))
-                if shared:
-                    pick = rng.choice(shared)
-                    choices[pick] = b.chosen[pick]
-            child = egraph.term_from_choices(choices)
+                slot_a, slot_b = rng.choice(pair(a[0], b[0])[0])
+                child = replaced(a, slot_a, b[slot_b])
             if rng.random() < P_MUTATION:
-                cid = rng.choice(sorted(child.chosen))
-                mutated = dict(child.chosen)
-                mutated[cid] = rng.choice(egraph.classes[cid].nodes)
-                child = egraph.term_from_choices(mutated)
+                cid, slot = rng.choice(ranked[child[0]])
+                child = replaced(child, slot, rng.choice(egraph.classes[cid].nodes))
             offspring.append(child)
         population = offspring
-        fitnesses = [fitness(t) for t in population]
+        fitnesses = [fitness(ind) for ind in population]
 
     return evaluated()
 
@@ -301,24 +316,23 @@ def icee_run(
     archive: list[Solution] = []
     ref = default_reference(params.objective_mode)
     report_iters: list[dict] = []
-    enumerated: list[Design] = []
-    if space.cardinality <= BREADTH_ENUMERATION_LIMIT:
-        enumerated = enumerate_variants(space)
-    breadth_cursor = 0
     terms_refined = 0
     prev_hv = None
     stall = 0
     clip = ClipReport()  # the last front's points outside the reference box
+    swept = 0  # designs the sweep has yielded, explored or not
 
-    def next_unexplored() -> Design | None:
-        """The next enumerated design not explored yet, moving the cursor."""
-        nonlocal breadth_cursor
-        while breadth_cursor < len(enumerated):
-            candidate = enumerated[breadth_cursor]
-            breadth_cursor += 1
-            if candidate.id not in states:
-                return candidate
-        return None
+    def sweep():
+        """A small design space's designs in order, checked against the explored
+        ones when pulled: only the base, yielded first, is explored sooner."""
+        nonlocal swept
+        if space.cardinality <= BREADTH_ENUMERATION_LIMIT:
+            for design in iter_variants(space):
+                swept += 1
+                if design.id not in states:
+                    yield design
+
+    unexplored = sweep()
 
     for iteration in range(params.iterations):
         rng_iter = _rng(params.seed, "iter", iteration)
@@ -327,20 +341,19 @@ def icee_run(
             if iteration == 0 and slot == 0:
                 chosen.append(base)
                 continue
-            if slot == 0 and breadth_cursor < len(enumerated):
+            if slot == 0 and (design := next(unexplored, None)):
                 # sweep small design spaces systematically, one per iteration
-                chosen.append(next_unexplored() or base)
+                chosen.append(design)
                 continue
             depth_pool = sorted({s.design.id for s in archive})
             if archive and rng_iter.random() < params.alpha:
                 did = rng_iter.choice(depth_pool)
                 chosen.append(states[did].design)
             else:
-                design = next_unexplored()
-                if design is None:
-                    design = (sample_design(space, rng_iter)
-                              if space.cardinality > len(enumerated)
-                              else None)
+                design = next(unexplored, None)
+                if design is None and space.cardinality > swept:
+                    # the sweep is done and missed some selection
+                    design = sample_design(space, rng_iter)
                 if design is None:
                     # states is empty only while iteration 0 picks its slots
                     design = (states[rng_iter.choice(sorted(states))].design
@@ -388,10 +401,12 @@ def icee_run(
         else:
             stall = 0
         prev_hv = hv
-        sweep_pending = enumerated and any(
-            d.id not in states for d in enumerated)
-        if stall >= 3 and not sweep_pending:
-            break
+        if stall >= 3:
+            # stop unless the sweep has a design left, which is put back
+            pending = next(unexplored, None)
+            if pending is None:
+                break
+            unexplored = itertools.chain((pending,), unexplored)
 
     report = {
         "params": asdict(params),

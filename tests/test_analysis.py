@@ -127,6 +127,14 @@ def test_hypervolume_rejects_non_finite_reference(ref):
             hypervolume(points, ref, ClipReport())
 
 
+@pytest.mark.parametrize("ref", [(1.0,), (1.0, 1.0, 1.0, 1.0)])
+def test_hypervolume_rejects_a_reference_of_another_dimension(ref):
+    # an empty front is no exception
+    for points in ([], [(0.5,) * len(ref)]):
+        with pytest.raises(ValueError, match="2 or 3 objectives"):
+            hypervolume(points, ref, ClipReport())
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.floats(0, 0.99), st.floats(0, 0.99)), min_size=1,
                 max_size=8))

@@ -70,23 +70,23 @@ def test_count_terms_mixes_alternatives():
     assert check_acyclic(g)
 
 
-def test_sample_term_deterministic_and_closed():
+def test_sample_deterministic_and_closed():
     g = BopEGraph("d", frozenset({"a", "b"}))
     g.add_arrangement(arr("d", "ab", ("2x4-96", [("a", 0), ("b", 1500)])))
     g.add_arrangement(arr("d", "ab", ("2x4-48", [("a", 0)]), ("2x4-48", [("b", 0)])))
-    t1 = g.sample_term(random.Random("k"))
-    t2 = g.sample_term(random.Random("k"))
-    assert t1.signature() == t2.signature()
+    t1 = g.term(g.sample(random.Random("k")))
+    t2 = g.term(g.sample(random.Random("k")))
+    assert t1 == t2
     # the closure covers the root and, for compose picks, every child class
     node = g.nodes[t1.chosen[t1.root]]
     if isinstance(node, ComposeNode):
         assert all(c in t1.chosen for c in node.children)
 
 
-def test_term_from_choices_completes_partial_map():
+def test_first_term_is_closed():
     g = BopEGraph("d", frozenset({"a", "b"}))
     g.add_arrangement(arr("d", "ab", ("2x4-48", [("a", 0)]), ("2x4-48", [("b", 0)])))
-    term = g.term_from_choices({})
+    term = g.term(g.individuals()[0])
     stack = [term.root]
     seen = set()
     while stack:
@@ -103,7 +103,7 @@ def test_contract_keeps_pareto_nodes_and_fresh_class_ids():
     g.add_arrangement(arr("d", "ab", ("2x4-96", [("a", 0), ("b", 1500)])))
     for stock in ("2x4-24", "2x4-48", "2x4-96"):
         g.add_arrangement(arr("d", "ab", (stock, [("a", 0)]), ("2x4-24", [("b", 0)])))
-    favored = g.term_from_choices({})
+    favored = g.term(g.individuals()[0])
     class_count = len(g.classes)
     g.contract([favored], 1, lambda nid: 0.0)
     assert check_acyclic(g)
@@ -204,7 +204,7 @@ def random_egraphs(n):
         expand()
         yield seed, "expanded twice", g
         bound = {nid: rng.random() for nid in g.nodes}
-        g.contract([g.sample_term(rng) for _ in range(3)], rng.randint(1, 3),
+        g.contract([g.term(g.sample(rng)) for _ in range(3)], rng.randint(1, 3),
                    bound.__getitem__)
         yield seed, "contracted", g
         expand()
@@ -228,22 +228,19 @@ def test_egraph_has_two_levels():
 def test_walks_match_the_generic_walks():
     multi = 0  # graphs with a compose node over two classes of two nodes or more
     for seed, stage, g in random_egraphs(12):
-        terms = g.terms()
-        assert terms == reference_terms(g), (seed, stage)
-        assert g.count_terms() == len(terms)
+        individuals = g.individuals()
+        assert [g.term(i) for i in individuals] == reference_terms(g), (seed, stage)
+        assert g.count_terms() == len(individuals)
         for draw in range(4):
             rng, ref_rng = random.Random(draw), random.Random(draw)
-            term = g.sample_term(rng)
-            assert term == reference_close(
+            individual = g.sample(rng)
+            assert g.term(individual) == reference_close(
                 g, lambda cid: ref_rng.choice(g.classes[cid].nodes)), (seed, stage)
             assert rng.getstate() == ref_rng.getstate()
-            # an over-complete map, with some stale and some foreign node ids
-            choices = {cid: rng.choice(list(g.nodes) + ["n-gone"])
-                       for cid in g.classes if rng.random() < 0.7}
-            choices["c-gone"] = "n0"
-            assert g.term_from_choices(choices) == reference_close(
-                g, lambda cid: choices[cid] if choices.get(cid) in g.classes[cid].nodes
-                else g.classes[cid].nodes[0]), (seed, stage)
+            # an individual lists its root node, then its slot classes' nodes
+            term = g.term(individual)
+            assert individual == tuple(term.chosen[cid] for cid in (
+                g.root, *g.slots(individual[0]))), (seed, stage)
         multi += any(sum(len(g.classes[c].nodes) > 1 for c in node.children) > 1
                      for node in g.nodes.values() if isinstance(node, ComposeNode))
     assert multi > 0
@@ -251,6 +248,6 @@ def test_walks_match_the_generic_walks():
 
 def test_empty_egraph_has_no_terms():
     g = BopEGraph("d", frozenset({"a"}))
-    assert g.terms() == [] and g.count_terms() == 0
+    assert g.individuals() == [] and g.count_terms() == 0
     g.contract([], 1, lambda nid: 0.0)
     assert g.classes == {} and g.nodes == {}

@@ -3,20 +3,26 @@ import random
 
 import pytest
 
-from planwright import corpus_path, extraction
+from planwright import corpus_path, designspace, extraction
 from planwright.analysis import ClipReport, hypervolume, pareto_filter, point_dominates
-from planwright.cost import evaluate_plan
-from planwright.egraph import AtomicNode, BopEGraph
+from planwright.cost import StockInstance, evaluate_plan
+from planwright.designspace import DesignSpace, detect_joints, enumerate_variants
+from planwright.egraph import AtomicNode, BopEGraph, ComposeNode, Term
 from planwright.extraction import (
+    P_CROSSOVER,
+    P_MUTATION,
     IceeParams,
     baseline_run,
     crowding_distance,
     icee_run,
     non_dominated_sort,
 )
-from planwright.io import load_design_space
+from planwright.io import design_space_from_json, load_design_space
 from planwright.libraries import default_stocks, default_tools
-from planwright.model import Design, Part, ticks
+from planwright.model import ConnectorVariant, CostVector, Design, Part, ticks
+from planwright.ordering import NodeMemo
+from planwright.packing import Arrangement, InfeasiblePartError
+from test_front_digest import ring_design
 
 STOCKS = default_stocks()
 TOOLS = default_tools()
@@ -225,6 +231,268 @@ def test_extraction_of_an_empty_egraph_is_empty():
     design = Design("d", (Part("a", "2x4", (ticks(10),)),))
     state = extraction._DesignState(design=design, egraph=BopEGraph("d", frozenset({"a"})))
     assert extraction.ga_extract(state, FAST, random.Random(0), {}) == ([], 0)
+
+
+# -- the GA on flat individuals against the GA on dict-based terms ---------------
+
+
+def reference_close(g, pick):
+    """Choose `pick(cid)` in the root class, then in the chosen node's child
+    classes, last first."""
+    nid = pick(g.root)
+    chosen = {g.root: nid}
+    node = g.nodes[nid]
+    for cid in reversed(node.children if isinstance(node, ComposeNode) else ()):
+        chosen[cid] = pick(cid)
+    return Term(g.root, chosen)
+
+
+def reference_ga(g, params, rng, refine, seen):
+    """Reference: the GA loop on dict-based terms, each closed from the root
+    over a choice map, as it was before individuals were flat. `refine(term)`
+    gives a term's recipes; each distinct term is refined once. Returns the
+    refined (term, recipes) in first-evaluation order, and counts in `seen`
+    the root crossovers that fill a class from its first node and the
+    mutations on the root class."""
+    refined = {}
+
+    def from_choices(choices):
+        def pick(cid):
+            nodes = g.classes[cid].nodes
+            return choices[cid] if choices.get(cid) in nodes else nodes[0]
+        return reference_close(g, pick)
+
+    def fitness(term):
+        key = (term.root, tuple(sorted(term.chosen.items())))
+        if key not in refined:
+            refined[key] = (term, refine(term))
+        return min(recipe[2].objectives for recipe in refined[key][1])
+
+    population = [reference_close(g, lambda cid: rng.choice(g.classes[cid].nodes))
+                  for _ in range(params.population)]
+    fitnesses = [fitness(t) for t in population]
+    for _ in range(params.generations):
+        ranks = non_dominated_sort(fitnesses)
+        crowd = crowding_distance(fitnesses)
+
+        def tournament():
+            i, j = rng.randrange(len(population)), rng.randrange(len(population))
+            if (ranks[i], -crowd[i]) <= (ranks[j], -crowd[j]):
+                return population[i]
+            return population[j]
+
+        offspring = []
+        while len(offspring) < params.population:
+            a, b = tournament(), tournament()
+            choices = dict(a.chosen)
+            if rng.random() < P_CROSSOVER:
+                shared = sorted(set(a.chosen) & set(b.chosen))
+                if shared:
+                    pick = rng.choice(shared)
+                    choices[pick] = b.chosen[pick]
+            child = from_choices(choices)
+            seen["root crossover fills"] += not set(child.chosen) <= set(choices)
+            if rng.random() < P_MUTATION:
+                cid = rng.choice(sorted(child.chosen))
+                mutated = dict(child.chosen)
+                mutated[cid] = rng.choice(g.classes[cid].nodes)
+                seen["root mutations"] += cid == g.root
+                child = from_choices(mutated)
+            offspring.append(child)
+        population = offspring
+        fitnesses = [fitness(t) for t in population]
+    return list(refined.values())
+
+
+def random_two_level_egraph(rng):
+    """Random packings of 2-5 parts, each part set on one stock or split
+    over several, so the root class mixes atomic and compose nodes."""
+    parts = [f"p{i}" for i in range(rng.randint(2, 5))]
+    g = BopEGraph("d", frozenset(parts))
+    for _ in range(rng.randint(1, 14)):
+        order = rng.sample(parts, len(parts))
+        cuts = sorted(rng.sample(range(1, len(parts)), rng.randint(0, len(parts) - 1)))
+        blocks = [order[i:j] for i, j in zip([0, *cuts], [*cuts, len(parts)])]
+        g.add_arrangement(Arrangement("d", tuple(
+            (StockInstance(f"s#{k}", rng.choice(STOCKS[:3])),
+             tuple(sorted((pid, (rng.randint(0, 2),)) for pid in block)))
+            for k, block in enumerate(blocks))))
+    return g
+
+
+def fake_recipes(term):
+    """One or two recipes whose costs follow from the term alone."""
+    rng = random.Random(str(sorted(term.chosen.items())))
+    return tuple(((), (), CostVector(rng.randint(0, 4), rng.randint(0, 4)))
+                 for _ in range(rng.randint(1, 2)))
+
+
+def test_flat_ga_matches_the_dict_based_ga(monkeypatch):
+    refined = []
+
+    def refine_term(egraph, term, cache, mode, memo):
+        refined.append(term)
+        return None, fake_recipes(term)
+
+    monkeypatch.setattr(extraction, "refine_term", refine_term)
+    monkeypatch.setattr(extraction, "build_plan", lambda *args: None)
+    seen = dict.fromkeys(["root crossover fills", "root mutations", "atomic roots",
+                          "population 1", "population 2", "generations 0"], 0)
+    rng = random.Random("flat ga")
+    for case in range(300):
+        g = random_two_level_egraph(rng)
+        params = IceeParams(population=rng.choice((1, 2, 3, 5, 8)),
+                            generations=rng.choice((0, 1, 3, 6)))
+        if g.count_terms() <= params.population:
+            continue
+        seed = f"ga/{case}"
+        ga_rng, ref_rng = random.Random(seed), random.Random(seed)
+        refined.clear()
+        state = extraction._DesignState(design=Design("d", ()), egraph=g)
+        sols, count = extraction.ga_extract(state, params, ga_rng, {})
+        expected = reference_ga(g, params, ref_rng, fake_recipes, seen)
+        assert refined == [term for term, _ in expected], case
+        assert count == len(expected)
+        kept = pareto_filter([(term, recipe[2]) for term, recipes in expected
+                              for recipe in recipes], key=lambda e: e[1].objectives)
+        assert [(s.term, s.cost) for s in sols] == kept, case
+        assert ga_rng.getstate() == ref_rng.getstate(), case
+        seen["atomic roots"] += any(isinstance(g.nodes[nid], AtomicNode)
+                                    for nid in g.classes[g.root].nodes)
+        seen["population 1"] += params.population == 1
+        seen["population 2"] += params.population == 2
+        seen["generations 0"] += params.generations == 0
+    assert all(seen.values()), seen
+
+
+# -- the lazy design sweep against the list it replaced ----------------------
+
+
+def list_based_icee_run(space, stock_lib, tools, params):
+    """Reference: `icee_run` sweeping a list of every design of a small
+    space, built up front, with a cursor, as it was before the sweep was
+    lazy. Returns the front and the report's iterations and explored
+    designs."""
+    base = space.base_design()
+    states = {}
+    packing_memo, node_memo, term_memo = {}, NodeMemo(tools), {}
+    archive, report_iters = [], []
+    enumerated = (enumerate_variants(space)
+                  if space.cardinality <= extraction.BREADTH_ENUMERATION_LIMIT else [])
+    cursor = terms_refined = stall = 0
+    prev_hv = None
+
+    def next_unexplored():
+        nonlocal cursor
+        while cursor < len(enumerated):
+            cursor += 1
+            if enumerated[cursor - 1].id not in states:
+                return enumerated[cursor - 1]
+        return None
+
+    for iteration in range(params.iterations):
+        rng_iter = extraction._rng(params.seed, "iter", iteration)
+        chosen = []
+        for slot in range(params.designs_per_iter):
+            if iteration == 0 and slot == 0:
+                chosen.append(base)
+            elif slot == 0 and cursor < len(enumerated):
+                chosen.append(next_unexplored() or base)
+            elif archive and rng_iter.random() < params.alpha:
+                chosen.append(states[rng_iter.choice(
+                    sorted({s.design.id for s in archive}))].design)
+            else:
+                design = next_unexplored()
+                if design is None and space.cardinality > len(enumerated):
+                    design = extraction.sample_design(space, rng_iter)
+                if design is None:
+                    design = states[rng_iter.choice(sorted(states))].design if states else base
+                chosen.append(design)
+        new = []
+        for k, design in enumerate(chosen):
+            state = states.setdefault(design.id, extraction._DesignState(
+                design, BopEGraph(design.id, frozenset(p.id for p in design.parts))))
+            rng_task = extraction._rng(params.seed, "design", design.id, iteration, k)
+            try:
+                extraction._expand(state, stock_lib, tools,
+                                   max(1, params.traversals // len(chosen)),
+                                   node_memo, packing_memo, rng_task)
+            except InfeasiblePartError:
+                continue
+            sols, refined = extraction.ga_extract(state, params, rng_task, term_memo)
+            terms_refined += refined
+            new += sols
+        archive = extraction._merge_archive(archive, new)
+        for design in chosen:
+            state = states[design.id]
+            state.egraph.contract([s.term for s in archive if s.design.id == design.id],
+                                  params.top_nodes, extraction._node_scalar_bound(state))
+            state.cache = {nid: o for nid, o in state.cache.items()
+                           if nid in state.egraph.nodes}
+        hv = hypervolume([s.cost.objectives for s in archive],
+                         extraction.default_reference(params.objective_mode), ClipReport())
+        report_iters.append({
+            "iteration": iteration, "designs": sorted({d.id for d in chosen}),
+            "terms_refined": terms_refined, "term_patterns": len(term_memo),
+            "front_size": len(archive), "hypervolume": hv})
+        stall = stall + 1 if prev_hv and (hv - prev_hv) / prev_hv < 0.01 else 0
+        prev_hv = hv
+        if stall >= 3 and not any(d.id not in states for d in enumerated):
+            break
+    return archive, report_iters, sorted(states)
+
+
+def collapsing_space():
+    """16 selections, 7 of which shorten part b or c to nothing."""
+    parts = (Part("a", "2x4", (ticks(20),)), Part("b", "2x4", (ticks(10),)),
+             Part("c", "2x4", (ticks(10),)))
+    variants = [ConnectorVariant("v0", 0, 0), ConnectorVariant("v1", 0, -ticks(2)),
+                ConnectorVariant("vx", 0, -ticks(10)),
+                ConnectorVariant("v3", -ticks(1), ticks(1))]
+    joints = detect_joints(list(parts), [("a", "b", variants), ("a", "c", variants)])
+    return DesignSpace("t", parts, tuple(joints))
+
+
+@pytest.mark.parametrize("space,params", [
+    (load_design_space(corpus_path("frame")), IceeParams(seed=0, designs_per_iter=1)),
+    (collapsing_space(), IceeParams(seed=0, iterations=12, designs_per_iter=3, alpha=0.0)),
+], ids=["frame-one-design-per-iteration", "collapsing-selections"])
+def test_lazy_sweep_matches_the_list_based_sweep(space, params, monkeypatch):
+    sampled = []
+    sample_design = extraction.sample_design
+
+    def counted_sample(*args):
+        sampled.append(sample_design(*args))
+        return sampled[-1]
+
+    monkeypatch.setattr(extraction, "sample_design", counted_sample)
+    front, report = icee_run(space, STOCKS, TOOLS, params)
+    run_samples = len(sampled)
+    expected = list_based_icee_run(space, STOCKS, TOOLS, params)
+    assert ([s.cost.objectives for s in front], report["iterations"],
+            report["designs_explored"]) == (
+        [s.cost.objectives for s in expected[0]], *expected[1:])
+    # both sample the same designs, and only a space some of whose
+    # selections collapse samples at all, once its sweep is done
+    assert sampled[:run_samples] == sampled[run_samples:]
+    assert bool(sampled) == (space.cardinality > len(enumerate_variants(space)))
+
+
+def test_sweep_instantiates_only_the_designs_it_reaches(monkeypatch):
+    # a 1-iteration ring-8 run explores the base alone; its space has 256 designs
+    calls = []
+    instantiate = designspace.instantiate
+
+    def counted(*args):
+        calls.append(args)
+        return instantiate(*args)
+
+    monkeypatch.setattr(designspace, "instantiate", counted)
+    space = design_space_from_json(ring_design(0, 8))
+    assert space.cardinality == 256
+    _, report = icee_run(space, STOCKS, TOOLS, IceeParams(seed=0, iterations=1))
+    assert report["designs_explored"] == [space.base_design().id]
+    assert len(calls) <= 3
 
 
 def test_params_validation():

@@ -127,7 +127,7 @@ def term_for(lengths_in, stock_id="2x4-96"):
     # register via the public path: a one-instance arrangement
     g.add_arrangement(Arrangement(
         design_id="d", stocks=((inst, tuple(sorted(node.placements))),)))
-    term = g.term_from_choices({})
+    term = g.term(g.individuals()[0])
     cache = {}
     for cid, nid in term.chosen.items():
         n = g.nodes[nid]
@@ -273,7 +273,7 @@ def build_term(stocks, tools=TOOLS, prefix="p", first_node=0, node_memo=None):
     g = BopEGraph("d", frozenset(parts))
     g._next = first_node
     g.add_arrangement(Arrangement(design_id="d", stocks=tuple(placed)))
-    term = g.term_from_choices({})
+    term = g.term(g.individuals()[0])
     cache = {n.id: optimize_enode(n, parts, node_memo)
              for n in g.atomic_nodes_of(term)}
     return g, term, cache
@@ -324,7 +324,11 @@ def permutation_refine(g, term, cache, mode, tools=TOOLS):
 
 
 def outcome(results):
-    return [(plan.signature(), cost) for plan, cost in results]
+    """Each plan's stock bill, its cuts' stocks, geometries and stack groups,
+    and its cost."""
+    return [((tuple(sorted((i.key, i.spec.id) for i in plan.stock_bill)),
+              tuple((c.stock_key, c.geometry_key(), c.stack_group) for c in plan.cuts)),
+             cost) for plan, cost in results]
 
 
 # the largest terms the parity tests check against scoring every order
