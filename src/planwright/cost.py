@@ -259,14 +259,19 @@ def split_piece(piece: tuple, cut: Cut, kerf: int) -> list[tuple]:
 
 
 def _group_stacked(cuts: tuple[Cut, ...]) -> list[list[Cut]]:
-    """Group consecutive cuts sharing a stack_group into single operations."""
+    """Group consecutive cuts sharing a stack_group into single operations.
+    Raises PlanError when a group's tag comes back after another operation."""
     ops: list[list[Cut]] = []
+    groups: set[str | None] = set()
     for cut in cuts:
-        if (ops and cut.stack_group is not None
-                and ops[-1][0].stack_group == cut.stack_group):
+        group = cut.stack_group
+        if group is None or group not in groups:
+            groups.add(group)
+            ops.append([cut])
+        elif ops[-1][0].stack_group == group:
             ops[-1].append(cut)
         else:
-            ops.append([cut])
+            raise PlanError(f"stack {group}: its cuts are not consecutive")
     return ops
 
 
@@ -380,7 +385,7 @@ def resolve_geometry(op: list[Cut], tool: ToolSpec, sims: dict) -> tuple[int, in
     lead = op[0]
     if lead.kind == "manual" or lead.kind == "drill":
         if lead.measured_len is None:
-            raise PlanError(f"cut {lead.id}: manual cut needs measured_len")
+            raise PlanError(f"cut {lead.id}: {lead.kind} cut needs a measured length")
         return lead.measured_len, lead.op_length or 0
 
     measured, op_len = sims[lead.stock_key].cut(lead, tool.kerf)

@@ -10,15 +10,16 @@ and for two or more stocks one compose node in the root class (all the
 design's parts) over those classes. Each of those stocks holds a strict
 subset of the parts, so every compose node is in the root class and every
 other class holds only atomic nodes. A term is a root node and, for a
-compose node, one atomic node per child class; the walks below read the
-graph that way. The GA and the exhaustive extraction handle a term as a
-flat `Individual` and build its `Term` only to refine it.
+compose node, one atomic node per child class, held as a flat
+`Individual`; the walks below read the graph that way. Extraction,
+refinement and contraction all take a term as its `Individual`.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -49,14 +50,8 @@ class EClass:
     nodes: list[str] = field(default_factory=list)
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
-    root: str
-    chosen: dict[str, str]  # class id -> node id over the selection closure
-
-
-# A term as a flat tuple: its root node id, then the node chosen in each of
-# that node's child classes, last child class first (`BopEGraph.slots`).
+# A term, flat: its root node id, then the node chosen in each of that
+# node's child classes, last child class first (`BopEGraph.slots`).
 Individual = tuple[str, ...]
 
 
@@ -149,23 +144,10 @@ class BopEGraph:
         nid = rng.choice(self._root_nodes())
         return (nid, *[rng.choice(self.classes[cid].nodes) for cid in self.slots(nid)])
 
-    def term(self, individual: Individual) -> Term:
-        """The individual's term, its classes in the order it lists them."""
-        root = self.root
-        return Term(root, dict(zip((root, *self.slots(individual[0])), individual)))
-
     def _root_nodes(self) -> list[str]:
         """The root class's nodes; none before the first arrangement."""
         root = self.root
         return [] if root is None else self.classes[root].nodes
-
-    def atomic_nodes_of(self, term: Term) -> list[AtomicNode]:
-        out = []
-        for cid in sorted(term.chosen):
-            node = self.nodes[term.chosen[cid]]
-            if isinstance(node, AtomicNode):
-                out.append(node)
-        return out
 
     def count_terms(self) -> int:
         total = 0
@@ -190,23 +172,20 @@ class BopEGraph:
 
     def contract(
         self,
-        pareto_terms: list[Term],
+        pareto_terms: list[Individual],
         n: int,
         scalar_bound: Callable[[str], float],
     ) -> None:
-        """Keep the top-n e-nodes per class, ranked by appearances in the
-        given Pareto terms, then by scalarized lower bound, then by id."""
+        """Keep the top-n e-nodes per class, ranked by how many of the given
+        Pareto terms list them, then by scalarized lower bound, then by id."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        appearances: dict[str, int] = {}
-        for term in pareto_terms:
-            for nid in term.chosen.values():
-                appearances[nid] = appearances.get(nid, 0) + 1
+        appearances = Counter(nid for individual in pareto_terms for nid in individual)
 
         for eclass in self.classes.values():
             ranked = sorted(
                 eclass.nodes,
-                key=lambda nid: (-appearances.get(nid, 0), scalar_bound(nid), nid),
+                key=lambda nid: (-appearances[nid], scalar_bound(nid), nid),
             )
             eclass.nodes = ranked[:n]
 

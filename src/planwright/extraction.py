@@ -5,9 +5,9 @@ with probability alpha; breadth: a fresh variant), expands their e-graphs
 with new arrangements, optimizes new atomic nodes' cut orders, extracts
 non-dominated terms (exhaustively when the term space is small, otherwise
 with an NSGA-II style GA), merges into the archive, and contracts each
-e-graph to its top-n nodes per class. GA individuals are flat tuples of
-node ids (`egraph.Individual`); a `Term` is built once per refined
-individual. Small design spaces are swept lazily, one design at a time.
+e-graph to its top-n nodes per class. A term is one flat tuple of node ids
+(`egraph.Individual`) in the GA, refinement, solutions and contraction.
+Small design spaces are swept lazily, one design at a time.
 
 The run keeps three memos: traversal packings (`packing.PackingMemo`),
 node cut orders by packing and cut pattern (`NodeMemo`) and term recipes
@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 from .analysis import ClipReport, default_reference, hypervolume, pareto_filter
 from .cost import FabPlan
 from .designspace import DesignSpace, iter_variants, sample_design
-from .egraph import AtomicNode, BopEGraph, Individual, Term
+from .egraph import AtomicNode, BopEGraph, Individual
 from .model import CostVector, Design, StockSpec, Tool, ToolSpec
 from .ordering import (
     NodeMemo,
@@ -74,7 +74,7 @@ class Solution:
     design: Design
     plan: FabPlan
     cost: CostVector
-    term: Term | None = None
+    term: Individual | None = None
 
 
 def _rng(seed: int, *tags) -> random.Random:
@@ -109,8 +109,8 @@ def _node_scalar_bound(state: _DesignState):
     return bound
 
 
-# one extraction's refined terms, in first-evaluation order: (term, its stocks, recipes)
-RefineCache = dict[Individual, tuple[Term, TermStocks, tuple[Recipe, ...]]]
+# one extraction's refined terms, in first-evaluation order: term -> (its stocks, recipes)
+RefineCache = dict[Individual, tuple[TermStocks, tuple[Recipe, ...]]]
 
 
 def evaluate_term(
@@ -120,13 +120,11 @@ def evaluate_term(
     memo: TermMemo,
     refine_cache: RefineCache,
 ) -> tuple[Recipe, ...]:
-    """Refine the individual: its `Term`, built here, its stocks and its
-    recipes, each with its cost vector, go into `refine_cache`."""
-    term = state.egraph.term(individual)
-    stocks, recipes = refine_term(state.egraph, term, state.cache,
-                                  params.objective_mode, memo)
-    refine_cache[individual] = (term, stocks, recipes)
-    return recipes
+    """Refine the term: its stocks and its recipes, each with its cost
+    vector, go into `refine_cache`."""
+    refine_cache[individual] = refine_term(state.egraph, individual, state.cache,
+                                           params.objective_mode, memo)
+    return refine_cache[individual][1]
 
 
 # -- NSGA-II helpers ----------------------------------------------------------
@@ -195,7 +193,7 @@ def ga_extract(
 
     def evaluated() -> tuple[list[Solution], int]:
         kept = pareto_filter(
-            [(term, stocks, recipe) for term, stocks, recipes in refine_cache.values()
+            [(term, stocks, recipe) for term, (stocks, recipes) in refine_cache.items()
              for recipe in recipes],
             key=lambda entry: entry[2][2].objectives)
         return [Solution(design=state.design, cost=recipe[2], term=term,

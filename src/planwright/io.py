@@ -110,30 +110,45 @@ def _axis(value) -> int:
     return value
 
 
+def _kind(value) -> str:
+    """A cut's kind: a geometric cut on lumber or sheet, manual, or drill."""
+    if value not in ("lumber", "sheet", "manual", "drill"):
+        raise ValueError(f"kind must be lumber, sheet, manual or drill, got {value!r}")
+    return value
+
+
+def _spec(specs: dict[str, StockSpec], stock_id) -> StockSpec:
+    if _id(stock_id, "stock id") not in specs:
+        raise ValueError(f"unknown stock id {stock_id!r}")
+    return specs[stock_id]
+
+
 def plan_from_json(payload: dict, stock_lib: list[StockSpec]) -> FabPlan:
     specs = {s.id: s for s in stock_lib}
     try:
         bill = tuple(
-            StockInstance(key=o["key"], spec=specs[o["stock_id"]])
+            StockInstance(key=_id(o["key"], "stock key"),
+                          spec=_spec(specs, o["stock_id"]))
             for o in payload["stock_bill"]
         )
         cuts = tuple(
             Cut(
-                id=c["id"],
+                id=_id(c["id"], "cut id"),
                 tool=Tool(c["tool"]),
-                stock_key=c["stock_key"],
-                kind=c.get("kind", "manual"),
+                stock_key=_id(c["stock_key"], "stock key"),
+                kind=_kind(c.get("kind", "manual")),
                 axis=_axis(c.get("axis", 0)),
                 position=_length(c["position_in"]) if "position_in" in c else 0,
                 anchor=(tuple(_length(v) for v in c["anchor_in"])
                         if "anchor_in" in c else (0, 0)),
-                parent=c.get("parent"),
+                parent=None if c.get("parent") is None else _id(c["parent"], "parent"),
                 measured_len=(_length(c["measured_in"])
                               if "measured_in" in c else None),
                 op_length=(_length(c["op_length_in"])
                            if "op_length_in" in c else None),
                 depth=_length(c["depth_in"]) if "depth_in" in c else None,
-                stack_group=c.get("stack_group"),
+                stack_group=(None if c.get("stack_group") is None
+                             else _id(c["stack_group"], "stack group")),
             )
             for c in payload["cuts"]
         )

@@ -11,7 +11,8 @@ cut patterns, so terms of other iterations and designs that cut the same
 patterns share it. Up to EXHAUSTIVE_TERM_CUTS cuts the front spans every
 interleaving of its stocks' cuts; above that, the orders that cut each
 stock in one run, stocks in bill order. No term is pruned: a term's plans
-depend only on its cut patterns, the tools and the objective mode.
+depend only on its cut patterns, the tools and the objective mode. A
+term's stocks are the atomic nodes of its `egraph.Individual`, by id.
 
 The fronts come from forward label-setting searches (Martins 1984), not
 from a scan of every permutation, each a chain of one step, `_grow`: it
@@ -98,7 +99,7 @@ from .cost import (
     totals_vector,
     whole_piece,
 )
-from .egraph import AtomicNode, BopEGraph, Term
+from .egraph import AtomicNode, BopEGraph, Individual
 from .model import (
     METAL_LOAD_FACTOR,
     METAL_OP_FACTOR,
@@ -432,12 +433,11 @@ def optimize_enode(
 # -- term-level bounds ------------------------------------------------------
 
 
-def _term_stocks(egraph: BopEGraph, term: Term, cache: OrderCache) -> TermStocks:
-    out = []
-    for node in egraph.atomic_nodes_of(term):
-        out.append((_node_instance(node), cache[node.id]))
-    out.sort(key=lambda pair: pair[0].key)
-    return out
+def _term_stocks(egraph: BopEGraph, term: Individual, cache: OrderCache) -> TermStocks:
+    """The term's atomic nodes as stocks, in node id order."""
+    nodes = [egraph.nodes[nid] for nid in sorted(term)]
+    return [(_node_instance(node), cache[node.id])
+            for node in nodes if isinstance(node, AtomicNode)]
 
 
 def _concat_plan(design_id: str, stocks: TermStocks, which: str) -> FabPlan:
@@ -500,7 +500,7 @@ def _lower_bound(stocks: TermStocks, tools: dict[Tool, ToolSpec]) -> CostVector:
 
 def term_bounds(
     egraph: BopEGraph,
-    term: Term,
+    individual: Individual,
     cache: OrderCache,
     tools: dict[Tool, ToolSpec],
 ) -> Bounds:
@@ -513,7 +513,7 @@ def term_bounds(
     6.8 min, 0.375") while their stacked plan costs (40 $, 4.317 min,
     0.094").
     """
-    stocks = _term_stocks(egraph, term, cache)
+    stocks = _term_stocks(egraph, individual, cache)
     design_id = egraph.design_id
     cost_p = evaluate_plan(_concat_plan(design_id, stocks, "precision"), tools)
     cost_t = evaluate_plan(_concat_plan(design_id, stocks, "time"), tools)
@@ -742,14 +742,15 @@ def build_plan(design_id: str, stocks: TermStocks, recipe: Recipe) -> FabPlan:
 
 def refine_term(
     egraph: BopEGraph,
-    term: Term,
+    individual: Individual,
     cache: OrderCache,
     mode: int,
     memo: TermMemo,
 ) -> tuple[TermStocks, tuple[Recipe, ...]]:
-    """The term's stocks and its non-dominated ordered plans, found by
-    `_refined`, as recipes over those stocks, each with its cost vector in
-    objective mode `mode`. `build_plan` makes a recipe's plan.
+    """The stocks of the term `individual` and its non-dominated ordered
+    plans, found by `_refined`, as recipes over those stocks, each with its
+    cost vector in objective mode `mode`. `build_plan` makes a recipe's
+    plan.
 
     The plans depend only on the term's cut patterns (the step tables of
     its node orders, in stock order), given the mode. The tables cost the
@@ -758,7 +759,7 @@ def refine_term(
     run and mode) holds the recipes per tuple of tables, and every term
     with the same patterns gets them without a search, or a cut built.
     """
-    stocks = _term_stocks(egraph, term, cache)
+    stocks = _term_stocks(egraph, individual, cache)
     tables = tuple(orders.steps for _, orders in stocks)
     recipes = memo.get(tables)
     if recipes is None:

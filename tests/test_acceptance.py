@@ -182,7 +182,7 @@ def random_term(rng):
     g = BopEGraph("d", frozenset(parts))
     g.add_arrangement(Arrangement(
         design_id="d", stocks=((inst, tuple(sorted(placements))),)))
-    term = g.term(g.individuals()[0])
+    term = g.individuals()[0]
     node = next(nd for nd in g.nodes.values() if isinstance(nd, AtomicNode))
     cache = {node.id: optimize_enode(node, parts, NodeMemo(TOOLS))}
     return g, term, cache, inst, node, parts

@@ -1,7 +1,7 @@
 import random
 
 from planwright.cost import StockInstance
-from planwright.egraph import AtomicNode, BopEGraph, ComposeNode, Term
+from planwright.egraph import AtomicNode, BopEGraph, ComposeNode
 from planwright.libraries import default_stocks, default_tools
 from planwright.model import Design, Part
 from planwright.packing import Arrangement, generate_arrangements
@@ -74,28 +74,29 @@ def test_sample_deterministic_and_closed():
     g = BopEGraph("d", frozenset({"a", "b"}))
     g.add_arrangement(arr("d", "ab", ("2x4-96", [("a", 0), ("b", 1500)])))
     g.add_arrangement(arr("d", "ab", ("2x4-48", [("a", 0)]), ("2x4-48", [("b", 0)])))
-    t1 = g.term(g.sample(random.Random("k")))
-    t2 = g.term(g.sample(random.Random("k")))
+    t1 = g.sample(random.Random("k"))
+    t2 = g.sample(random.Random("k"))
     assert t1 == t2
     # the closure covers the root and, for compose picks, every child class
-    node = g.nodes[t1.chosen[t1.root]]
+    root, chosen = as_dict(g, t1)
+    node = g.nodes[chosen[root]]
     if isinstance(node, ComposeNode):
-        assert all(c in t1.chosen for c in node.children)
+        assert all(c in chosen for c in node.children)
 
 
 def test_first_term_is_closed():
     g = BopEGraph("d", frozenset({"a", "b"}))
     g.add_arrangement(arr("d", "ab", ("2x4-48", [("a", 0)]), ("2x4-48", [("b", 0)])))
-    term = g.term(g.individuals()[0])
-    stack = [term.root]
+    root, chosen = as_dict(g, g.individuals()[0])
+    stack = [root]
     seen = set()
     while stack:
         cid = stack.pop()
         seen.add(cid)
-        node = g.nodes[term.chosen[cid]]
+        node = g.nodes[chosen[cid]]
         if isinstance(node, ComposeNode):
             stack.extend(node.children)
-    assert seen == set(term.chosen)
+    assert seen == set(chosen)
 
 
 def test_contract_keeps_pareto_nodes_and_fresh_class_ids():
@@ -103,7 +104,7 @@ def test_contract_keeps_pareto_nodes_and_fresh_class_ids():
     g.add_arrangement(arr("d", "ab", ("2x4-96", [("a", 0), ("b", 1500)])))
     for stock in ("2x4-24", "2x4-48", "2x4-96"):
         g.add_arrangement(arr("d", "ab", (stock, [("a", 0)]), ("2x4-24", [("b", 0)])))
-    favored = g.term(g.individuals()[0])
+    favored = g.individuals()[0]
     class_count = len(g.classes)
     g.contract([favored], 1, lambda nid: 0.0)
     assert check_acyclic(g)
@@ -111,7 +112,7 @@ def test_contract_keeps_pareto_nodes_and_fresh_class_ids():
     for eclass in g.classes.values():
         assert len(eclass.nodes) == 1
     # each surviving class keeps the favored node
-    for cid, nid in favored.chosen.items():
+    for cid, nid in as_dict(g, favored)[1].items():
         if cid in g.classes:
             assert g.classes[cid].nodes == [nid]
     # ids allocated after contraction never collide with survivors
@@ -136,6 +137,12 @@ def test_contract_ranks_by_scalar_bound():
 # -- the two-level walks against walks over any acyclic e-graph -----------------
 
 
+def as_dict(g, individual):
+    """The individual as (root class, {class: node}), the form the
+    references below give."""
+    return g.root, dict(zip((g.root, *g.slots(individual[0])), individual))
+
+
 def reference_close(g, pick):
     """Stack walk from the root over any acyclic e-graph, choosing
     `pick(cid)` in each class it reaches."""
@@ -149,7 +156,7 @@ def reference_close(g, pick):
         node = g.nodes[nid]
         if isinstance(node, ComposeNode):
             stack.extend(node.children)
-    return Term(root=g.root, chosen=chosen)
+    return g.root, chosen
 
 
 def reference_terms(g):
@@ -173,8 +180,7 @@ def reference_terms(g):
                 out.extend(partials)
         return out
 
-    return [] if g.root is None else [Term(root=g.root, chosen=c)
-                                      for c in class_terms(g.root)]
+    return [] if g.root is None else [(g.root, c) for c in class_terms(g.root)]
 
 
 def random_design(rng):
@@ -204,7 +210,7 @@ def random_egraphs(n):
         expand()
         yield seed, "expanded twice", g
         bound = {nid: rng.random() for nid in g.nodes}
-        g.contract([g.term(g.sample(rng)) for _ in range(3)], rng.randint(1, 3),
+        g.contract([g.sample(rng) for _ in range(3)], rng.randint(1, 3),
                    bound.__getitem__)
         yield seed, "contracted", g
         expand()
@@ -229,18 +235,17 @@ def test_walks_match_the_generic_walks():
     multi = 0  # graphs with a compose node over two classes of two nodes or more
     for seed, stage, g in random_egraphs(12):
         individuals = g.individuals()
-        assert [g.term(i) for i in individuals] == reference_terms(g), (seed, stage)
+        assert [as_dict(g, i) for i in individuals] == reference_terms(g), (seed, stage)
         assert g.count_terms() == len(individuals)
         for draw in range(4):
             rng, ref_rng = random.Random(draw), random.Random(draw)
             individual = g.sample(rng)
-            assert g.term(individual) == reference_close(
+            assert as_dict(g, individual) == reference_close(
                 g, lambda cid: ref_rng.choice(g.classes[cid].nodes)), (seed, stage)
             assert rng.getstate() == ref_rng.getstate()
-            # an individual lists its root node, then its slot classes' nodes
-            term = g.term(individual)
-            assert individual == tuple(term.chosen[cid] for cid in (
-                g.root, *g.slots(individual[0]))), (seed, stage)
+            # an individual lists its root node, then one node per slot class
+            # (`as_dict` would drop any more)
+            assert len(individual) == 1 + len(g.slots(individual[0])), (seed, stage)
         multi += any(sum(len(g.classes[c].nodes) > 1 for c in node.children) > 1
                      for node in g.nodes.values() if isinstance(node, ComposeNode))
     assert multi > 0

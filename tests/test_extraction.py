@@ -7,7 +7,7 @@ from planwright import corpus_path, designspace, extraction
 from planwright.analysis import ClipReport, hypervolume, pareto_filter, point_dominates
 from planwright.cost import StockInstance, evaluate_plan
 from planwright.designspace import DesignSpace, detect_joints, enumerate_variants
-from planwright.egraph import AtomicNode, BopEGraph, ComposeNode, Term
+from planwright.egraph import AtomicNode, BopEGraph, ComposeNode
 from planwright.extraction import (
     P_CROSSOVER,
     P_MUTATION,
@@ -22,6 +22,7 @@ from planwright.libraries import default_stocks, default_tools
 from planwright.model import ConnectorVariant, CostVector, Design, Part, ticks
 from planwright.ordering import NodeMemo
 from planwright.packing import Arrangement, InfeasiblePartError
+from test_egraph import as_dict
 from test_front_digest import ring_design
 
 STOCKS = default_stocks()
@@ -244,16 +245,16 @@ def reference_close(g, pick):
     node = g.nodes[nid]
     for cid in reversed(node.children if isinstance(node, ComposeNode) else ()):
         chosen[cid] = pick(cid)
-    return Term(g.root, chosen)
+    return g.root, chosen
 
 
 def reference_ga(g, params, rng, refine, seen):
-    """Reference: the GA loop on dict-based terms, each closed from the root
-    over a choice map, as it was before individuals were flat. `refine(term)`
-    gives a term's recipes; each distinct term is refined once. Returns the
-    refined (term, recipes) in first-evaluation order, and counts in `seen`
-    the root crossovers that fill a class from its first node and the
-    mutations on the root class."""
+    """Reference: the GA loop on dict-based terms, (root class, {class:
+    node}), each closed from the root over a choice map, as it was before
+    individuals were flat. `refine(term)` gives a term's recipes; each
+    distinct term is refined once. Returns the refined (term, recipes) in
+    first-evaluation order, and counts in `seen` the root crossovers that
+    fill a class from its first node and the mutations on the root class."""
     refined = {}
 
     def from_choices(choices):
@@ -263,7 +264,7 @@ def reference_ga(g, params, rng, refine, seen):
         return reference_close(g, pick)
 
     def fitness(term):
-        key = (term.root, tuple(sorted(term.chosen.items())))
+        key = (term[0], tuple(sorted(term[1].items())))
         if key not in refined:
             refined[key] = (term, refine(term))
         return min(recipe[2].objectives for recipe in refined[key][1])
@@ -283,18 +284,18 @@ def reference_ga(g, params, rng, refine, seen):
 
         offspring = []
         while len(offspring) < params.population:
-            a, b = tournament(), tournament()
-            choices = dict(a.chosen)
+            (_, a), (_, b) = tournament(), tournament()
+            choices = dict(a)
             if rng.random() < P_CROSSOVER:
-                shared = sorted(set(a.chosen) & set(b.chosen))
+                shared = sorted(set(a) & set(b))
                 if shared:
                     pick = rng.choice(shared)
-                    choices[pick] = b.chosen[pick]
+                    choices[pick] = b[pick]
             child = from_choices(choices)
-            seen["root crossover fills"] += not set(child.chosen) <= set(choices)
+            seen["root crossover fills"] += not set(child[1]) <= set(choices)
             if rng.random() < P_MUTATION:
-                cid = rng.choice(sorted(child.chosen))
-                mutated = dict(child.chosen)
+                cid = rng.choice(sorted(child[1]))
+                mutated = dict(child[1])
                 mutated[cid] = rng.choice(g.classes[cid].nodes)
                 seen["root mutations"] += cid == g.root
                 child = from_choices(mutated)
@@ -322,7 +323,7 @@ def random_two_level_egraph(rng):
 
 def fake_recipes(term):
     """One or two recipes whose costs follow from the term alone."""
-    rng = random.Random(str(sorted(term.chosen.items())))
+    rng = random.Random(str(sorted(term[1].items())))
     return tuple(((), (), CostVector(rng.randint(0, 4), rng.randint(0, 4)))
                  for _ in range(rng.randint(1, 2)))
 
@@ -330,7 +331,8 @@ def fake_recipes(term):
 def test_flat_ga_matches_the_dict_based_ga(monkeypatch):
     refined = []
 
-    def refine_term(egraph, term, cache, mode, memo):
+    def refine_term(egraph, individual, cache, mode, memo):
+        term = as_dict(egraph, individual)
         refined.append(term)
         return None, fake_recipes(term)
 
@@ -355,7 +357,7 @@ def test_flat_ga_matches_the_dict_based_ga(monkeypatch):
         assert count == len(expected)
         kept = pareto_filter([(term, recipe[2]) for term, recipes in expected
                               for recipe in recipes], key=lambda e: e[1].objectives)
-        assert [(s.term, s.cost) for s in sols] == kept, case
+        assert [(as_dict(g, s.term), s.cost) for s in sols] == kept, case
         assert ga_rng.getstate() == ref_rng.getstate(), case
         seen["atomic roots"] += any(isinstance(g.nodes[nid], AtomicNode)
                                     for nid in g.classes[g.root].nodes)

@@ -132,6 +132,28 @@ def _axis_the_stick_lacks(payload):
     payload["cuts"][1]["axis"] = 1
 
 
+def _split_stack_group(payload):
+    # c0 and its twin on the second stick share a stack group, c1 between
+    payload["cuts"][0]["stack_group"] = "g"
+    payload["cuts"].append(dict(payload["cuts"][0], id="c2", stock_key="2x4-96#1"))
+
+
+def _unknown_stock_id(payload):
+    payload["stock_bill"][1]["stock_id"] = "2x4-97"
+
+
+def _unknown_kind(payload):
+    payload["cuts"][1]["kind"] = "manul"
+
+
+def _drill_without_measured_length(payload):
+    payload["cuts"][1].update(kind="drill", tool="drill", depth_in="1")
+
+
+def _cut_id_not_a_string(payload):
+    payload["cuts"][1]["id"] = ["c1"]
+
+
 @pytest.mark.parametrize("fault, message", [
     (_reversed_cuts, "cut 'c1' comes before its parent 'c0'"),
     (_unknown_parent, "cut 'c1': parent 'c9' is not in the plan"),
@@ -140,6 +162,11 @@ def _axis_the_stick_lacks(payload):
     (_parent_on_another_stock, "cut 'c1': parent 'c0' is on another stock"),
     (_axis_not_a_number, "axis must be 0 or 1, got '1'"),
     (_axis_the_stick_lacks, "cut c1: its stock has no axis 1"),
+    (_split_stack_group, "stack g: its cuts are not consecutive"),
+    (_unknown_stock_id, "unknown stock id '2x4-97'"),
+    (_unknown_kind, "kind must be lumber, sheet, manual or drill, got 'manul'"),
+    (_cut_id_not_a_string, "cut id ['c1'] is not a string"),
+    (_drill_without_measured_length, "cut c1: drill cut needs a measured length"),
 ])
 def test_evaluate_rejects_malformed_plans(tmp_path, fault, message):
     payload = linked_plan_payload()

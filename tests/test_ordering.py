@@ -127,9 +127,9 @@ def term_for(lengths_in, stock_id="2x4-96"):
     # register via the public path: a one-instance arrangement
     g.add_arrangement(Arrangement(
         design_id="d", stocks=((inst, tuple(sorted(node.placements))),)))
-    term = g.term(g.individuals()[0])
+    term = g.individuals()[0]
     cache = {}
-    for cid, nid in term.chosen.items():
+    for nid in term:
         n = g.nodes[nid]
         if isinstance(n, AtomicNode):
             cache[nid] = optimize_enode(n, parts, NodeMemo(TOOLS))
@@ -255,6 +255,11 @@ def place(spec, layout, parts, prefix="p"):
     return tuple(sorted(places))
 
 
+def atomic_nodes(g, term):
+    """The atomic nodes the term lists, in its order."""
+    return [g.nodes[nid] for nid in term if isinstance(g.nodes[nid], AtomicNode)]
+
+
 def build_term(stocks, tools=TOOLS, prefix="p", first_node=0, node_memo=None):
     """A term over one arrangement of `stocks`, with its node order cache.
 
@@ -273,9 +278,9 @@ def build_term(stocks, tools=TOOLS, prefix="p", first_node=0, node_memo=None):
     g = BopEGraph("d", frozenset(parts))
     g._next = first_node
     g.add_arrangement(Arrangement(design_id="d", stocks=tuple(placed)))
-    term = g.term(g.individuals()[0])
+    term = g.individuals()[0]
     cache = {n.id: optimize_enode(n, parts, node_memo)
-             for n in g.atomic_nodes_of(term)}
+             for n in atomic_nodes(g, term)}
     return g, term, cache
 
 
@@ -295,7 +300,7 @@ def permutation_refine(g, term, cache, mode, tools=TOOLS):
     EXHAUSTIVE_TERM_CUTS cuts that is every permutation; above, every order
     that cuts each stock in one run, stocks in `_term_stocks` order."""
     stocks = sorted(((StockInstance(key=n.id, spec=n.spec), cache[n.id])
-                     for n in g.atomic_nodes_of(term)), key=lambda s: s[0].key)
+                     for n in atomic_nodes(g, term)), key=lambda s: s[0].key)
     evaluated = []
 
     def consider(plan):
@@ -701,7 +706,7 @@ def full_outcome(results):
 
 def node_ids(term_parts):
     g, term, _ = term_parts
-    return [n.id for n in g.atomic_nodes_of(term)]
+    return [n.id for n in atomic_nodes(g, term)]
 
 
 @pytest.mark.parametrize("mode", [2, 3])
