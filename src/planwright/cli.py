@@ -59,9 +59,10 @@ def cmd_optimize(args) -> int:
     for warning in clipped.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     for entry in report["iterations"]:
-        print("iter {iteration}: terms_refined={terms_refined} "
+        print("iter {iteration}: expanded={n} terms_refined={terms_refined} "
               "term_patterns={term_patterns} "
-              "front={front_size} hv={hypervolume:.6g}".format(**entry))
+              "front={front_size} hv={hypervolume:.6g}".format(
+                  n=len(entry["expanded"]), **entry))
     rows = pio.front_rows(front)
     pio.write_front_csv(rows, os.path.join(out, "front.csv"))
     with open(os.path.join(out, "front.json"), "w") as fh:

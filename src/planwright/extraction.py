@@ -7,7 +7,11 @@ non-dominated terms (exhaustively when the term space is small, otherwise
 with an NSGA-II style GA), merges into the archive, and contracts each
 e-graph to its top-n nodes per class. A term is one flat tuple of node ids
 (`egraph.Individual`) in the GA, refinement, solutions and contraction.
-Small design spaces are swept lazily, one design at a time.
+Small design spaces are swept lazily, one design at a time. A design whose
+expansion drew no traversal and whose terms were all enumerated is
+exhausted: a later pick of it is neither expanded nor extracted, since it
+would re-add the same arrangements and re-find costs already merged, but
+it is still contracted.
 
 The run keeps three memos: traversal packings (`packing.PackingMemo`),
 node cut orders by packing and cut pattern (`NodeMemo`) and term recipes
@@ -86,6 +90,7 @@ class _DesignState:
     design: Design
     egraph: BopEGraph
     cache: OrderCache = field(default_factory=dict)
+    exhausted: bool = False  # a re-pick would add nothing (set by `_expand`)
 
 
 def _merge_archive(archive: list[Solution], new: list[Solution]) -> list[Solution]:
@@ -283,7 +288,17 @@ def _expand(
     memo: NodeMemo,
     packing_memo: PackingMemo,
     rng: random.Random,
+    population: int,
 ) -> None:
+    """Add the design's arrangements to its e-graph and search the new
+    atomic nodes' cut orders.
+
+    When no traversal was drawn from `rng` (every part group's orders fit
+    the budget), the arrangements depend on the design and budget alone,
+    and a re-pick would add them again. If the term space then fits
+    `population`, extraction enumerates it, so a re-pick would also find
+    the same terms again: the state is marked exhausted."""
+    drawn = rng.getstate()
     arrangements = generate_arrangements(state.design, stock_lib, budget, tools, rng,
                                          packing_memo)
     parts_by_id = {p.id: p for p in state.design.parts}
@@ -292,6 +307,8 @@ def _expand(
             node = state.egraph.nodes[nid]
             if isinstance(node, AtomicNode):
                 state.cache[nid] = optimize_enode(node, parts_by_id, memo)
+    state.exhausted = (rng.getstate() == drawn
+                       and state.egraph.count_terms() <= population)
 
 
 def icee_run(
@@ -360,15 +377,21 @@ def icee_run(
 
         budget = max(1, params.traversals // len(chosen))
         new_solutions: list[Solution] = []
+        expanded: set[str] = set()
         for k, design in enumerate(chosen):
             state = _ensure_state(states, design)
+            if state.exhausted:
+                # its arrangements and terms are all in, their costs merged
+                continue
             rng_task = _rng(params.seed, "design", design.id, iteration, k)
             try:
                 # part_groups raises before any packing or rng_task draw, so
                 # a design with no packing leaves its e-graph empty
-                _expand(state, stock_lib, tools, budget, node_memo, packing_memo, rng_task)
+                _expand(state, stock_lib, tools, budget, node_memo, packing_memo, rng_task,
+                        params.population)
             except InfeasiblePartError:
                 continue
+            expanded.add(design.id)
             sols, refined = ga_extract(state, params, rng_task, term_memo)
             terms_refined += refined
             new_solutions.extend(sols)
@@ -389,6 +412,7 @@ def icee_run(
         report_iters.append({
             "iteration": iteration,
             "designs": sorted({d.id for d in chosen}),
+            "expanded": sorted(expanded),
             "terms_refined": terms_refined,
             "term_patterns": len(term_memo),
             "front_size": len(archive),

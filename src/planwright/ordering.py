@@ -434,7 +434,11 @@ def optimize_enode(
 
 
 def _term_stocks(egraph: BopEGraph, term: Individual, cache: OrderCache) -> TermStocks:
-    """The term's atomic nodes as stocks, in node id order."""
+    """The term's atomic nodes as stocks, in node id string order (`n10`
+    before `n9`). Above EXHAUSTIVE_TERM_CUTS cuts the stock join and the
+    stacked candidates follow this order, so the same stocks under other
+    ids (nodes that contraction removed and an expansion added back) may
+    be refined to other costs."""
     nodes = [egraph.nodes[nid] for nid in sorted(term)]
     return [(_node_instance(node), cache[node.id])
             for node in nodes if isinstance(node, AtomicNode)]

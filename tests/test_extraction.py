@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import random
 
 import pytest
@@ -18,10 +20,10 @@ from planwright.extraction import (
     non_dominated_sort,
 )
 from planwright.io import design_space_from_json, load_design_space
-from planwright.libraries import default_stocks, default_tools
+from planwright.libraries import default_stocks, default_tools, with_metal_twins
 from planwright.model import ConnectorVariant, CostVector, Design, Part, ticks
 from planwright.ordering import NodeMemo
-from planwright.packing import Arrangement, InfeasiblePartError
+from planwright.packing import Arrangement, InfeasiblePartError, part_groups
 from test_egraph import as_dict
 from test_front_digest import ring_design
 
@@ -370,18 +372,21 @@ def test_flat_ga_matches_the_dict_based_ga(monkeypatch):
 # -- the lazy design sweep against the list it replaced ----------------------
 
 
-def list_based_icee_run(space, stock_lib, tools, params):
+def list_based_icee_run(space, stock_lib, tools, params, skip=True):
     """Reference: `icee_run` sweeping a list of every design of a small
     space, built up front, with a cursor, as it was before the sweep was
-    lazy. Returns the front and the report's iterations and explored
-    designs."""
+    lazy. With `skip`, a design is not expanded or extracted again after
+    an expansion in which every part group's n! orders fit the budget and
+    the extraction drew nothing from its rng (it enumerated the terms).
+    Returns the front, the report's iterations and explored designs, and
+    the number of expansions."""
     base = space.base_design()
-    states = {}
+    states, exhausted = {}, set()
     packing_memo, node_memo, term_memo = {}, NodeMemo(tools), {}
     archive, report_iters = [], []
     enumerated = (enumerate_variants(space)
                   if space.cardinality <= extraction.BREADTH_ENUMERATION_LIMIT else [])
-    cursor = terms_refined = stall = 0
+    cursor = terms_refined = stall = expansions = 0
     prev_hv = None
 
     def next_unexplored():
@@ -410,18 +415,27 @@ def list_based_icee_run(space, stock_lib, tools, params):
                 if design is None:
                     design = states[rng_iter.choice(sorted(states))].design if states else base
                 chosen.append(design)
-        new = []
+        new, expanded = [], set()
+        budget = max(1, params.traversals // len(chosen))
         for k, design in enumerate(chosen):
             state = states.setdefault(design.id, extraction._DesignState(
                 design, BopEGraph(design.id, frozenset(p.id for p in design.parts))))
+            if skip and design.id in exhausted:
+                continue
             rng_task = extraction._rng(params.seed, "design", design.id, iteration, k)
             try:
-                extraction._expand(state, stock_lib, tools,
-                                   max(1, params.traversals // len(chosen)),
-                                   node_memo, packing_memo, rng_task)
+                extraction._expand(state, stock_lib, tools, budget, node_memo, packing_memo,
+                                   rng_task, params.population)
             except InfeasiblePartError:
                 continue
+            expansions += 1
+            expanded.add(design.id)
+            drawn = rng_task.getstate()
             sols, refined = extraction.ga_extract(state, params, rng_task, term_memo)
+            if (rng_task.getstate() == drawn and all(
+                    math.factorial(len(parts)) <= budget
+                    for parts, _, _ in part_groups(design, stock_lib))):
+                exhausted.add(design.id)
             terms_refined += refined
             new += sols
         archive = extraction._merge_archive(archive, new)
@@ -435,13 +449,14 @@ def list_based_icee_run(space, stock_lib, tools, params):
                          extraction.default_reference(params.objective_mode), ClipReport())
         report_iters.append({
             "iteration": iteration, "designs": sorted({d.id for d in chosen}),
+            "expanded": sorted(expanded),
             "terms_refined": terms_refined, "term_patterns": len(term_memo),
             "front_size": len(archive), "hypervolume": hv})
         stall = stall + 1 if prev_hv and (hv - prev_hv) / prev_hv < 0.01 else 0
         prev_hv = hv
         if stall >= 3 and not any(d.id not in states for d in enumerated):
             break
-    return archive, report_iters, sorted(states)
+    return archive, report_iters, sorted(states), expansions
 
 
 def collapsing_space():
@@ -473,11 +488,70 @@ def test_lazy_sweep_matches_the_list_based_sweep(space, params, monkeypatch):
     expected = list_based_icee_run(space, STOCKS, TOOLS, params)
     assert ([s.cost.objectives for s in front], report["iterations"],
             report["designs_explored"]) == (
-        [s.cost.objectives for s in expected[0]], *expected[1:])
+        [s.cost.objectives for s in expected[0]], *expected[1:3])
     # both sample the same designs, and only a space some of whose
     # selections collapse samples at all, once its sweep is done
     assert sampled[:run_samples] == sampled[run_samples:]
     assert bool(sampled) == (space.cardinality > len(enumerate_variants(space)))
+
+
+# -- skipping re-picks of exhausted designs against a loop that expands them ----
+
+
+def skip_case(name):
+    """(design space, stock library) of a corpus or an n-part ring (ring seed 0)."""
+    if name.startswith("ring-"):
+        return design_space_from_json(ring_design(0, int(name[5:]))), STOCKS
+    stocks = with_metal_twins(STOCKS) if name == "metal-mix" else STOCKS
+    return load_design_space(corpus_path(name)), stocks
+
+
+def front_bytes(front):
+    """Every field of a front that a skipped re-pick could move."""
+    return repr([(s.design.id, s.cost.objectives, s.term, [c.id for c in s.plan.cuts],
+                  [inst.key for inst in s.plan.stock_bill],
+                  [c.stack_group for c in s.plan.cuts]) for s in front])
+
+
+@pytest.mark.parametrize("name", ["frame", "lframe", "sheet-box", "metal-mix",
+                                  "ring-3", "ring-4", "ring-5"])
+def test_skipping_exhausted_designs_keeps_every_front(name):
+    space, stocks = skip_case(name)
+    for mode, seed in itertools.product((2, 3), range(4)):
+        params = IceeParams(seed=seed, objective_mode=mode)
+        front, report = icee_run(space, stocks, TOOLS, params)
+        full = list_based_icee_run(space, stocks, TOOLS, params, skip=False)
+        case = (mode, seed)
+        assert front_bytes(front) == front_bytes(full[0]), case
+        assert len(report["iterations"]) == len(full[1]), case
+        assert all(ours["terms_refined"] <= theirs["terms_refined"]
+                   for ours, theirs in zip(report["iterations"], full[1])), case
+        # the designs expanded are those the reference's own rule expands
+        skipping = list_based_icee_run(space, stocks, TOOLS, params)
+        assert report["iterations"] == skipping[1], case
+
+
+@pytest.mark.parametrize("name,params,full,skipping", [
+    ("frame", IceeParams(seed=0), 20, 12),
+    ("sheet-box", IceeParams(seed=0, objective_mode=3, iterations=5), 10, 4),
+    # frame's 37 terms outgrow a population of 30: the GA runs on every pick
+    ("frame", IceeParams(seed=0, population=30), 20, 20),
+], ids=["frame", "sheet-box", "frame-ga"])
+def test_exhausted_designs_are_expanded_once(name, params, full, skipping, monkeypatch):
+    space, stocks = skip_case(name)
+    calls = []
+    generate = extraction.generate_arrangements
+
+    def counted(*args):
+        calls.append(args[0].id)
+        return generate(*args)
+
+    monkeypatch.setattr(extraction, "generate_arrangements", counted)
+    _, report = icee_run(space, stocks, TOOLS, params)
+    assert len(calls) == skipping
+    assert sum(map(len, (it["expanded"] for it in report["iterations"]))) <= skipping
+    assert report["iterations"] == list_based_icee_run(space, stocks, TOOLS, params)[1]
+    assert list_based_icee_run(space, stocks, TOOLS, params, skip=False)[3] == full
 
 
 def test_sweep_instantiates_only_the_designs_it_reaches(monkeypatch):

@@ -213,6 +213,18 @@ def test_cli_optimize_outputs_and_determinism(tmp_path):
     assert len(front) >= 2
 
 
+def test_cli_baseline_expands_an_enumerated_design_once(tmp_path):
+    # lframe's base design is enumerated: re-picks of it add nothing, are
+    # not expanded, and the run stops on stall after 4 iterations
+    result = run_cli("optimize", corpus_path("lframe"), "--baseline", "--out", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [it["expanded"] for it in report["iterations"]] == [["lframe/butt"], [], [], []]
+    lines = [line.split()[2] for line in result.stdout.splitlines()
+             if line.startswith("iter ")]
+    assert lines == ["expanded=1"] + ["expanded=0"] * 3
+
+
 def test_cli_output_dir_env(tmp_path):
     out = tmp_path / "envout"
     result = run_cli("optimize", corpus_path("lframe"), *FAST_ARGS,
