@@ -33,15 +33,9 @@ FULL_PERMUTATION_LIMIT = 8
 
 def all_arrangements(design: Design, stock_lib: list[StockSpec],
                      tools: dict[Tool, ToolSpec]) -> list[Arrangement]:
-    """Every packing reachable from any part order and designated size."""
+    """Every packing, one per shape signature, that any part order reaches
+    on any designated size."""
     parts_by_id = {p.id: p for p in design.parts}
-
-    def shape_signature(fragment) -> tuple:
-        # costs are blind to part labels, so dedup on shapes only
-        return tuple(sorted(
-            (spec.id, tuple(sorted((off, parts_by_id[pid].shape) for pid, off in places)))
-            for spec, places in fragment))
-
     try:
         groups = part_groups(design, stock_lib)
     except InfeasiblePartError:
@@ -49,8 +43,7 @@ def all_arrangements(design: Design, stock_lib: list[StockSpec],
     per_group = []
     for parts, stocks, usable in groups:
         orders = [list(order) for order in itertools.permutations(parts)]
-        per_group.append(pack_fragments(orders, stocks, usable, tools, parts_by_id, {},
-                                        sig=shape_signature))
+        per_group.append(pack_fragments(orders, stocks, usable, tools, parts_by_id, {}))
     return combine(design, per_group)
 
 

@@ -12,25 +12,26 @@ which is how cheaper small-stock arrangements enter the search space.
 `part_groups`, `pack_fragments` and `combine` are the one enumeration
 pipeline: the optimizer feeds it a budget of traversal orders
 (`generate_arrangements`), the brute-force oracle feeds it every part
-permutation. Both get arrangements in one per-stock layout. A group whose
-n! orders fit the budget gets all of them; a larger group gets random
-ones. A packing depends only on the designated size and the traversal's
-part shapes, not on which part sits where, so the packing memo keeps one
-packing per (designated size, shape sequence), its parts as slots of the
-traversal, and labels it with each traversal's part ids. A design whose
-every group is enumerated draws nothing, so the memo also keeps its
-arrangements whole, and the design is packed once per run. The optimizer
-keeps one memo per run; the oracle passes a fresh memo per call, so it
-stays an independent brute force.
+permutation. Both get arrangements in one per-stock layout. A packing
+depends only on the designated size and the traversal's part shapes, not
+on which part sits where, so a traversal is a shape sequence: a group
+whose distinct shape sequences fit the budget gets each of them once,
+and a larger group gets random ones. The packing memo keeps one packing
+per (designated size, shape sequence), its parts as slots of the
+traversal, and `pack_fragments` keeps one fragment per id-free shape
+signature, labelled with the part ids of the first traversal that gave
+it. The optimizer keeps one memo per run; the oracle passes a fresh memo
+per call, so it stays an independent brute force.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Callable
 
 from .cost import StockInstance
 from .model import Design, Material, Part, StockSpec, Tool, ToolSpec, part_fits_stock
@@ -53,12 +54,10 @@ class Arrangement:
     stocks: tuple[tuple[StockInstance, Places], ...]
 
 
-# designated size -> an order's shape sequence -> its shrunk packing, each
-# placement's part given as its slot (index) in the order; and
-# (design id, parts, traversal budget) -> the arrangements of a design whose
-# every group is enumerated
-PackingMemo = dict[StockSpec | tuple,
-                   dict[tuple, tuple[tuple[StockSpec, tuple], ...]] | tuple[Arrangement, ...]]
+# designated size -> an order's shape sequence -> (its packing's shape
+# signature, its shrunk packing with each placement's part given as its slot
+# (index) in the order)
+PackingMemo = dict[StockSpec, dict[tuple, tuple[tuple, tuple[tuple[StockSpec, tuple], ...]]]]
 
 
 # one part group: its parts in design order, its family's stocks of its
@@ -207,22 +206,36 @@ def shrink_instances(
     return out
 
 
-def _traversal_orders(parts: list[Part], budget: int, rng: random.Random) -> list[list[Part]]:
-    """Size-descending first, then input order, then the other orders.
+def _shape_orders(parts: list[Part], head: tuple[Part, ...] = ()) -> Iterator[list[Part]]:
+    """`head` followed by every distinct shape sequence of `parts` once, in
+    lexicographic order of shapes by first appearance, equal-shaped parts
+    in design order: a multiset permutation."""
+    if not parts:
+        yield list(head)
+    for shape in dict.fromkeys(p.shape for p in parts):
+        k = next(i for i, p in enumerate(parts) if p.shape == shape)
+        yield from _shape_orders(parts[:k] + parts[k + 1:], head + (parts[k],))
 
-    When the budget holds all n! orders they are all returned, the rest in
-    `itertools.permutations` order, and `rng` is not drawn from. Otherwise
-    random permutations fill the budget (up to `budget * 10` draws).
+
+def _traversal_orders(parts: list[Part], budget: int, rng: random.Random) -> list[list[Part]]:
+    """Size-descending first, then input order, then the other orders, one
+    per shape sequence.
+
+    When the budget holds all n! / prod(m_s!) distinct shape sequences (m_s
+    parts of shape s) they are all returned, the rest in `_shape_orders`
+    order, and `rng` is not drawn from. Otherwise random permutations fill
+    the budget (up to `budget * 10` draws), a draw of a shape sequence
+    already in skipped.
     """
     def size_key(p: Part) -> tuple:
         area = p.shape[0] * (p.shape[1] if p.is_sheet else 1)
         return (-area, p.id)
 
     orders: list[list[Part]] = []
-    seen: set[tuple[str, ...]] = set()
+    seen: set[tuple] = set()
 
     def push(order: list[Part]) -> None:
-        key = tuple(p.id for p in order)
+        key = tuple(p.shape for p in order)
         if key not in seen:
             seen.add(key)
             orders.append(order)
@@ -230,9 +243,12 @@ def _traversal_orders(parts: list[Part], budget: int, rng: random.Random) -> lis
     push(sorted(parts, key=size_key))
     if len(orders) < budget:
         push(list(parts))
-    if math.factorial(len(parts)) <= budget:
-        for order in itertools.permutations(parts):
-            push(list(order))
+    sequences = math.factorial(len(parts))
+    for m in collections.Counter(p.shape for p in parts).values():
+        sequences //= math.factorial(m)
+    if sequences <= budget:
+        for order in _shape_orders(parts):
+            push(order)
         return orders
     attempts = 0
     while len(orders) < budget and attempts < budget * 10:
@@ -240,11 +256,7 @@ def _traversal_orders(parts: list[Part], budget: int, rng: random.Random) -> lis
         rng.shuffle(shuffled)
         push(shuffled)
         attempts += 1
-    return orders[:budget]
-
-
-def _fragment_signature(fragment: Fragment) -> tuple:
-    return tuple(sorted((spec.id, tuple(sorted(places))) for spec, places in fragment))
+    return orders
 
 
 def pack_fragments(
@@ -254,19 +266,23 @@ def pack_fragments(
     tools: dict[Tool, ToolSpec],
     parts_by_id: dict[str, Part],
     memo: PackingMemo,
-    sig: Callable[[Fragment], tuple] = _fragment_signature,
 ) -> list[Fragment]:
     """Shrunk packings of every order onto every usable designated size,
-    first of each `sig` kept. Parts sit one kerf of the tool that will cut
-    them apart (`plans.cutting_tool`) from each other.
+    the first of each shape signature kept. Parts sit one kerf of the tool
+    that will cut them apart (`plans.cutting_tool`) from each other.
+
+    A fragment's shape signature is what its costs read: each instance's
+    stock with the sorted (offset, part shape) pairs it holds, instances
+    sorted. Part ids do not enter it, so fragments that differ only in
+    which of two equal parts sits where are one.
 
     A designated size fixes its family's stocks and the kerf, and an
     order's shape sequence fixes where each of its slots goes: packing and
     shrinking read a part's shape, never its id. So `memo` keeps each
-    packing by shape sequence, with slot k standing for the order's k-th
-    part, for later calls with the same stock library and tools (one
-    run's, or a fresh one per call); a hit is labelled with the order's
-    part ids before `sig` reads it."""
+    packing and its signature by shape sequence, with slot k standing for
+    the order's k-th part, for later calls with the same stock library and
+    tools (one run's, or a fresh one per call); a packing kept is
+    labelled with its order's part ids."""
     kerf = tools[cutting_tool(stocks[0])].kerf
     fragments: list[Fragment] = []
     seen: set[tuple] = set()
@@ -275,20 +291,20 @@ def pack_fragments(
         packed = memo.setdefault(designated, {})
         for order in orders:
             shapes = tuple(p.shape for p in order)
-            slotted = packed.get(shapes)
-            if slotted is None:
+            if shapes not in packed:
                 fragment = shrink_instances(
                     pack_traversal(order, designated, kerf), stocks, parts_by_id, holders)
                 slot = {p.id: k for k, p in enumerate(order)}
-                packed[shapes] = tuple((spec, tuple((slot[pid], off) for pid, off in places))
-                                       for spec, places in fragment)
-            else:
-                fragment = [(spec, [(order[k].id, off) for k, off in places])
-                            for spec, places in slotted]
-            key = sig(fragment)
+                slotted = tuple((spec, tuple((slot[pid], off) for pid, off in places))
+                                for spec, places in fragment)
+                packed[shapes] = (tuple(sorted(
+                    (spec.id, tuple(sorted((off, shapes[k]) for k, off in places)))
+                    for spec, places in slotted)), slotted)
+            key, slotted = packed[shapes]
             if key not in seen:
                 seen.add(key)
-                fragments.append(fragment)
+                fragments.append([(spec, [(order[k].id, off) for k, off in places])
+                                  for spec, places in slotted])
     return fragments
 
 
@@ -317,27 +333,18 @@ def generate_arrangements(
     (one per run, for its stock library and tools) keeps each traversal's
     packing by its shape sequence, so a traversal of the same shapes, drawn
     again, for this design or another, or with other parts of those shapes,
-    is not packed again. When every group's n! orders fit the budget, no
-    order is drawn from `rng` and the arrangements depend on the design and
-    budget alone, so `memo` keeps them whole and a later call returns them.
+    is not packed again. When every group's distinct shape sequences fit
+    the budget, no order is drawn from `rng`, and the arrangements depend
+    on the design and budget alone.
     """
     if traversals < 1:
         raise ValueError("traversal budget must be >= 1")
-    key = (design.id, design.parts, traversals)
-    if key in memo:
-        return memo[key]
     parts_by_id = {p.id: p for p in design.parts}
-    per_group: list[list[Fragment]] = []
-    enumerated = True
-    for parts, stocks, usable in part_groups(design, stock_lib):
-        enumerated = enumerated and math.factorial(len(parts)) <= traversals
-        orders = _traversal_orders(parts, traversals, rng)
-        per_group.append(pack_fragments(orders, stocks, usable, tools, parts_by_id, memo))
+    per_group = [pack_fragments(_traversal_orders(parts, traversals, rng), stocks, usable,
+                                tools, parts_by_id, memo)
+                 for parts, stocks, usable in part_groups(design, stock_lib)]
     cap = max(traversals * 4, sum(len(f) for f in per_group))
-    arrangements = tuple(combine(design, per_group, cap))
-    if enumerated:
-        memo[key] = arrangements
-    return arrangements
+    return tuple(combine(design, per_group, cap))
 
 
 def _assemble(design: Design, fragments: tuple[Fragment, ...]) -> Arrangement:

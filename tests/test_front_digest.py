@@ -7,6 +7,11 @@ and each iteration's counters from the run's report (distinct terms
 refined so far, term cut patterns searched, front size).
 If a change moves them on purpose, say why and take the new digest from
 the changed code.
+
+A second, cost-only guard pins each corpus's sorted (design id, objectives)
+front in both objective modes over several ICEE seeds. Node ids, cut ids
+and counters do not enter it, so it holds across changes that renumber the
+e-graph or refine fewer terms but must find the same costs.
 """
 
 import importlib.util
@@ -42,19 +47,19 @@ DIGEST = {
          ("n0:c3", "n0:c0", "n0:c1", "n0:c2"),
          (10.0, 3.4833333333333334)),
         ("frame/butt-butt-butt-butt",
-         ("n24:c0", "n25:c0", "n24:c1", "n25:c1"),
+         ("n1:c0", "n2:c0", "n1:c1", "n2:c1"),
          (11.0, 2.566666666666667)),
         ("frame/butt-butt-butt-butt",
-         ("n39:c0", "n40:c0", "n41:c0", "n42:c0"),
+         ("n4:c0", "n5:c0", "n6:c0", "n7:c0"),
          (12.0, 1.3666666666666667)),
     ],
     "sheet-box": [
         # f_t sums the steps exactly (`cost.quanta`), so this order ties
-        # with n8's vertical cuts taken 656, 952, 0, 328 and, being first,
+        # with n2's vertical cuts taken 656, 952, 0, 328 and, being first,
         # is kept; float sums in cut order made that one 1 ulp faster
         ("sheet-box/rabbet-rabbet",
-         ("n8:h0", "n8:h328", "n8:h656", "n8:h952",
-          "n8:v0-0", "n8:v0-328", "n8:v0-656", "n8:v0-952"),
+         ("n2:h0", "n2:h328", "n2:h656", "n2:h952",
+          "n2:v0-0", "n2:v0-328", "n2:v0-656", "n2:v0-952"),
          (5.5, 0.25, 19.664814814814815)),
         ("sheet-box/rabbet-rabbet",
          ("n0:h0", "n0:h328", "n0:v0-0", "n0:v0-328", "n0:v584-0", "n0:v584-328"),
@@ -65,7 +70,7 @@ DIGEST = {
          ("n0:c0", "n0:c5", "n0:c4", "n0:c3", "n0:c2", "n0:c1"),
          (10.0, 4.766666666666667)),
         ("tiny-table/butt-butt",
-         ("n28:c2", "n29:c2", "n28:c0", "n29:c0", "n28:c1", "n29:c1"),
+         ("n18:c2", "n19:c2", "n18:c0", "n19:c0", "n18:c1", "n19:c1"),
          (11.0, 2.8333333333333335)),
     ],
     "metal-mix": [
@@ -97,11 +102,11 @@ DIGEST = {
 # per front member, in DIGEST order: (stock bill keys, stack group per cut)
 PLANS = {
     "frame": [(("n0",), (None,) * 4),
-              (("n24", "n25"), ("sg0", "sg0", "sg1", "sg1")),
-              (("n39", "n40", "n41", "n42"), ("sg0",) * 4)],
-    "sheet-box": [(("n8",), (None,) * 8), (("n0",), (None,) * 6)],
+              (("n1", "n2"), ("sg0", "sg0", "sg1", "sg1")),
+              (("n4", "n5", "n6", "n7"), ("sg0",) * 4)],
+    "sheet-box": [(("n2",), (None,) * 8), (("n0",), (None,) * 6)],
     "tiny-table": [(("n0",), (None,) * 6),
-                   (("n28", "n29"), ("sg0", "sg0", "sg1", "sg1", "sg2", "sg2"))],
+                   (("n18", "n19"), ("sg0", "sg0", "sg1", "sg1", "sg2", "sg2"))],
     "metal-mix": [(("n0", "n1"), (None,) * 2)],
     "ring-8": [(("n0", "n1"), (None,) * 8),
                (("n67", "n73", "n79", "n87", "n97"), (None,) * 8)],
@@ -113,10 +118,10 @@ PLANS = {
 COUNTERS = {
     # a re-pick of a design whose arrangements and terms are all in refines
     # nothing (frame, sheet-box and metal-mix re-pick such designs)
-    "frame": [(37, 3, 3), (74, 12, 3), (111, 12, 3), (185, 24, 3), (222, 33, 3),
-        (259, 33, 3), (296, 56, 3), (333, 56, 3), (370, 56, 3), (444, 56, 3)],
-    "sheet-box": [(32, 12, 1), (68, 32, 1), (104, 34, 1), (136, 42, 2), (136, 42, 2)],
-    "tiny-table": [(152, 26, 2), (351, 90, 2), (546, 136, 2), (756, 212, 2)],
+    "frame": [(3, 3, 3), (10, 10, 3), (17, 10, 3), (36, 22, 3), (43, 29, 3),
+        (55, 29, 3), (75, 48, 3), (82, 48, 3), (94, 48, 3), (121, 50, 3)],
+    "sheet-box": [(8, 8, 1), (26, 26, 1), (44, 30, 1), (52, 38, 2), (52, 38, 2)],
+    "tiny-table": [(26, 24, 2), (112, 92, 2), (176, 132, 2), (243, 192, 2)],
     "metal-mix": [(1, 1, 1), (2, 2, 1), (2, 2, 1), (2, 2, 1)],
     "ring-8": [(204, 148, 2)],
     "ring-12": [(187, 185, 1)],
@@ -157,3 +162,54 @@ def test_ring_front_matches_digest(ring):
     params = IceeParams(seed=0, iterations=iterations)
     assert digest(space, default_stocks(), params) == \
         (DIGEST[ring], PLANS[ring], COUNTERS[ring])
+
+
+# corpus -> objective mode -> the sorted (design id, objectives) front of
+# every seed in `cost_seeds`
+COST_FRONTS = {
+    "frame": {
+        2: [("frame/butt-butt-butt-butt", (10.0, 3.4833333333333334)),
+            ("frame/butt-butt-butt-butt", (11.0, 2.566666666666667)),
+            ("frame/butt-butt-butt-butt", (12.0, 1.3666666666666667))],
+        3: [("frame/butt-butt-butt-butt", (10.0, 0.0625, 3.4833333333333334)),
+            ("frame/butt-butt-butt-butt", (11.0, 0.03125, 2.566666666666667)),
+            ("frame/butt-butt-butt-butt", (12.0, 0.015625, 1.3666666666666667))],
+    },
+    "lframe": {
+        2: [("lframe/butt", (5.5, 2.5))],
+        3: [("lframe/butt", (5.5, 0.03125, 2.5))],
+    },
+    "metal-mix": {
+        2: [("metal-mix/butt", (63.0, 3.683333333333333))],
+        3: [("metal-mix/butt", (63.0, 0.03125, 3.683333333333333))],
+    },
+    "sheet-box": {
+        2: [("sheet-box/rabbet-rabbet", (5.5, 19.664814814814815)),
+            ("sheet-box/rabbet-rabbet", (10.0, 15.831481481481482))],
+        3: [("sheet-box/rabbet-rabbet", (5.5, 0.25, 19.664814814814815)),
+            ("sheet-box/rabbet-rabbet", (10.0, 0.1875, 15.831481481481482))],
+    },
+    "tiny-table": {
+        2: [("tiny-table/butt-butt", (10.0, 4.766666666666667)),
+            ("tiny-table/butt-butt", (11.0, 2.8333333333333335))],
+        3: [("tiny-table/butt-butt", (10.0, 0.09375, 4.766666666666667)),
+            ("tiny-table/butt-butt", (11.0, 0.046875, 2.8333333333333335))],
+    },
+}
+
+
+def cost_seeds(corpus):
+    """ICEE seeds of the cost-only guard: tiny-table's runs are the slowest."""
+    return range(2) if corpus == "tiny-table" else range(4)
+
+
+@pytest.mark.parametrize("corpus,mode", [(corpus, mode) for corpus in sorted(COST_FRONTS)
+                                         for mode in (2, 3)])
+def test_cost_front_matches_pin(corpus, mode):
+    space = load_design_space(corpus_path(corpus))
+    stocks = with_metal_twins(default_stocks()) if corpus == "metal-mix" else default_stocks()
+    for seed in cost_seeds(corpus):
+        front, _ = icee_run(space, stocks, default_tools(),
+                            IceeParams(seed=seed, objective_mode=mode))
+        assert sorted((s.design.id, s.cost.objectives) for s in front) == \
+            COST_FRONTS[corpus][mode], seed

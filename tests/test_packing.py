@@ -1,7 +1,7 @@
 import dataclasses
 import itertools
-import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -192,12 +192,20 @@ def repeated_parts(rng, kind, prefix):
             for i in range(rng.randint(2, 5))]
 
 
+def shape_key(fragment, parts_by_id):
+    """A fragment without its part ids: each stock with its sorted (offset,
+    part shape) pairs, stocks sorted."""
+    return tuple(sorted((spec.id, tuple(sorted((off, parts_by_id[pid].shape)
+                                               for pid, off in places)))
+                        for spec, places in fragment))
+
+
 @pytest.mark.parametrize("kind", ["lumber", "sheet"])
 def test_memoized_packings_equal_fresh_packings(kind, monkeypatch):
     # one memo carried across designs whose part shapes repeat, under other
-    # part ids per design, as in a run: every packing `pack_fragments`
-    # returns, packed or relabelled from the memo, is the order's own fresh
-    # packing, and most come from the memo
+    # part ids per design, as in a run: `pack_fragments` returns the first
+    # fresh packing of each id-free layout, in order, whether packed or
+    # relabelled from the memo, and most come from the memo
     rng = random.Random(f"slots-{kind}")
     packed = []
     pack = packing.pack_traversal
@@ -210,13 +218,15 @@ def test_memoized_packings_equal_fresh_packings(kind, monkeypatch):
         ((group, stocks, usable),) = part_groups(design_of(parts), STOCKS)
         by_id = {p.id: p for p in parts}
         orders = [rng.sample(group, len(group)) for _ in range(6)]
-        distinct = itertools.count()  # a signature per packing: keep them all
-        fragments = pack_fragments(orders, stocks, usable, TOOLS, by_id, memo,
-                                   sig=lambda fragment: next(distinct))
+        fragments = pack_fragments(orders, stocks, usable, TOOLS, by_id, memo)
         kerf = TOOLS[cutting_tool(stocks[0])].kerf
-        assert fragments == [shrink_instances(pack(order, designated, kerf), stocks, by_id, {})
-                             for designated in usable for order in orders]
-        checked += len(fragments)
+        fresh = {}
+        for designated in usable:
+            for order in orders:
+                fragment = shrink_instances(pack(order, designated, kerf), stocks, by_id, {})
+                fresh.setdefault(shape_key(fragment, by_id), fragment)
+        assert fragments == list(fresh.values())
+        checked += len(usable) * len(orders)
     assert len(packed) < checked / 2
 
 
@@ -224,14 +234,20 @@ def size_descending(parts):
     return sorted(parts, key=lambda p: (-p.shape[0] * (p.shape[1] if p.is_sheet else 1), p.id))
 
 
+def shape_sequences(parts):
+    """The distinct shape sequences of every permutation of `parts`."""
+    return {tuple(p.shape for p in order) for order in itertools.permutations(parts)}
+
+
 def sampled_orders(parts, budget, rng):
     """Reference traversal orders by sampling alone: the two heuristic
-    orders, then random shuffles until the budget or all n! orders are
-    reached. A group with n! > budget must get exactly these."""
+    orders, then random shuffles until the budget or all distinct shape
+    sequences are reached, one order per shape sequence. A group with more
+    shape sequences than the budget must get exactly these."""
     orders, seen = [], set()
 
     def push(order):
-        key = tuple(p.id for p in order)
+        key = tuple(p.shape for p in order)
         if key not in seen:
             seen.add(key)
             orders.append(order)
@@ -239,7 +255,7 @@ def sampled_orders(parts, budget, rng):
     push(size_descending(parts))
     if len(orders) < budget:
         push(list(parts))
-    limit = min(budget, math.factorial(len(parts)))
+    limit = min(budget, len(shape_sequences(parts)))
     attempts = 0
     while len(orders) < limit and attempts < budget * 10:
         shuffled = list(parts)
@@ -254,17 +270,17 @@ def test_small_groups_get_every_order_without_a_draw(kind):
     rng = random.Random(f"enumerate-{kind}")
     for _ in range(40):
         parts = random_parts(rng, kind)
-        budget = math.factorial(len(parts)) + rng.choice([0, 1, 50])
+        sequences = shape_sequences(parts)
+        budget = len(sequences) + rng.choice([0, 1, 50])
         draws = random.Random(rng.random())
         state = draws.getstate()
         orders = packing._traversal_orders(parts, budget, draws)
         assert draws.getstate() == state
-        ids = [tuple(p.id for p in order) for order in orders]
-        assert sorted(ids) == sorted(tuple(p.id for p in order)
-                                     for order in itertools.permutations(parts))
-        heuristic = list(dict.fromkeys([tuple(p.id for p in size_descending(parts)),
-                                        tuple(p.id for p in parts)]))
-        assert ids[:len(heuristic)] == heuristic
+        shapes = [tuple(p.shape for p in order) for order in orders]
+        assert sorted(shapes) == sorted(sequences)
+        heuristic = list({tuple(p.shape for p in order): order
+                          for order in (size_descending(parts), parts)}.values())
+        assert orders[:len(heuristic)] == heuristic
 
 
 @pytest.mark.parametrize("kind", ["lumber", "sheet"])
@@ -273,9 +289,10 @@ def test_large_groups_draw_the_orders_they_drew_before(kind):
     checked = 0
     for _ in range(40):
         parts = random_parts(rng, kind)
-        if len(parts) < 3:
+        sequences = len(shape_sequences(parts))
+        if sequences < 3:
             continue
-        budget = rng.randint(1, math.factorial(len(parts)) - 1)
+        budget = rng.randint(1, sequences - 1)
         seed = rng.random()
         draws, reference = random.Random(seed), random.Random(seed)
         orders = packing._traversal_orders(parts, budget, draws)
@@ -287,9 +304,8 @@ def test_large_groups_draw_the_orders_they_drew_before(kind):
 
 @pytest.mark.parametrize("kind", ["lumber", "sheet"])
 def test_enumerated_designs_are_packed_once_per_memo(kind, monkeypatch):
-    # a design whose every group's orders fit the budget is a pure function
-    # of its parts and budget: a warm memo returns the cold arrangements
-    # and packs nothing, and a design that draws is not kept whole
+    # a design whose every group's shape sequences fit the budget draws
+    # nothing: a warm memo returns the cold arrangements and packs nothing
     rng = random.Random(f"designs-{kind}")
     packed = []
     pack = packing.pack_traversal
@@ -301,19 +317,59 @@ def test_enumerated_designs_are_packed_once_per_memo(kind, monkeypatch):
         design = dataclasses.replace(design_of(random_parts(rng, kind)), id=f"d{n}")
         budget = rng.choice([1, 4, 12, 150])
         seed = rng.random()
-        cold = generate_arrangements(design, STOCKS, budget, TOOLS, random.Random(seed), {})
-        first = generate_arrangements(design, STOCKS, budget, TOOLS, random.Random(seed), memo)
+        draws = random.Random(seed)
+        cold = generate_arrangements(design, STOCKS, budget, TOOLS, draws, {})
+        if draws.getstate() != random.Random(seed).getstate():
+            continue
+        assert generate_arrangements(design, STOCKS, budget, TOOLS, random.Random(seed),
+                                     memo) == cold
         packed.clear()
-        warm = generate_arrangements(design, STOCKS, budget, TOOLS, random.Random(-seed), memo)
-        assert first == cold
-        enumerated = all(math.factorial(len(group)) <= budget
-                         for group, _, _ in part_groups(design, STOCKS))
-        assert ((design.id, design.parts, budget) in memo) == enumerated
-        if enumerated:
-            assert warm == cold
-            assert packed == []
-            kept += 1
+        assert generate_arrangements(design, STOCKS, budget, TOOLS, random.Random(-seed),
+                                     memo) == cold
+        assert packed == []
+        kept += 1
     assert kept >= 5
+
+
+@pytest.mark.parametrize("kind", ["lumber", "sheet"])
+def test_shape_sequences_give_every_permutation_packing(kind):
+    # one traversal per distinct shape sequence, as the optimizer packs an
+    # enumerated group, reaches every id-free packing that all n! part
+    # orders reach, on every usable size, without a draw
+    rng = random.Random(f"sound-{kind}")
+    for n in range(40):
+        parts = repeated_parts(rng, kind, prefix=f"d{n}p")
+        ((group, stocks, usable),) = part_groups(design_of(parts), STOCKS)
+        by_id = {p.id: p for p in parts}
+        budget = len(shape_sequences(group)) + rng.choice([0, 3])
+        draws = random.Random(rng.random())
+        state = draws.getstate()
+        orders = packing._traversal_orders(group, budget, draws)
+        assert draws.getstate() == state
+        # equal-shaped parts come in design order past the heuristic orders
+        for order in orders[2:]:
+            for shape in {p.shape for p in group}:
+                assert [p for p in order if p.shape == shape] == \
+                    [p for p in group if p.shape == shape]
+        ours = pack_fragments(orders, stocks, usable, TOOLS, by_id, {})
+        every = pack_fragments([list(order) for order in itertools.permutations(group)],
+                               stocks, usable, TOOLS, by_id, {})
+        assert sorted(shape_key(f, by_id) for f in ours) == \
+            sorted(shape_key(f, by_id) for f in every)
+
+
+def test_twelve_part_groups_are_enumerated_at_once():
+    # 1 and 12 shape sequences, out of 12! part orders
+    for lengths, sequences in (([20] * 12, 1), ([20] * 11 + [10], 12)):
+        parts = [lumber(i, length) for i, length in enumerate(lengths)]
+        draws = random.Random(0)
+        start = time.perf_counter()
+        orders = packing._traversal_orders(parts, 50, draws)
+        arrangements = generate_arrangements(design_of(parts), STOCKS, 50, TOOLS, draws, {})
+        assert time.perf_counter() - start < 1.0
+        assert len(orders) == sequences
+        assert arrangements
+        assert draws.getstate() == random.Random(0).getstate()
 
 
 def test_single_traversal_uses_descending_order():
