@@ -105,9 +105,9 @@ def _node_scalar_bound(state: _DesignState):
     def bound(nid: str) -> float:
         node = egraph.nodes[nid]
         if isinstance(node, AtomicNode):
-            orders = state.cache[nid]
-            return (node.spec.effective_price() + orders.best_time_cost[1] / 60.0
-                    + orders.best_precision_cost[0] / 64.0)
+            table = state.cache[nid].steps
+            return (node.spec.effective_price() + table.best_time[1][1] / 60.0
+                    + table.best_precision[1][0] / 64.0)
         return sum(min(bound(child) for child in egraph.classes[cid].nodes)
                    for cid in node.children)
 

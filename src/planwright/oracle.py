@@ -26,7 +26,7 @@ from .packing import (
     pack_fragments,
     part_groups,
 )
-from .plans import cuts_for_instance, stacked_variant
+from .plans import cuts_for_instance, layout, stacked_variant
 
 FULL_PERMUTATION_LIMIT = 8
 
@@ -82,7 +82,7 @@ def brute_force_design(
     evaluated: list[tuple[FabPlan, PlanCost]] = []
     for arrangement in all_arrangements(design, stock_lib, tools):
         per_stock = [
-            (inst, cuts_for_instance(inst, list(places), parts_by_id))
+            (inst, cuts_for_instance(inst, layout(places, parts_by_id)))
             for inst, places in sorted(arrangement.stocks, key=lambda s: s[0].key)
         ]
         for order in all_cut_orders(per_stock):

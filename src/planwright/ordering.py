@@ -3,16 +3,16 @@
 Each atomic e-node caches its minimum-precision and minimum-time cut orders,
 read off the exact order front of its one stock and memoized per run by
 its cut pattern (stock spec and cut geometry). A node is looked up first
-by its id-free packing (spec and offset-sorted (offset, part shape)
-placements), which fixes its cuts, and its own `Cut` objects are built
-only when read: for a term search's stacked candidates or a kept plan. A
-term gets its exact front of cut orders, memoized per run by its stocks'
-cut patterns, so terms of other iterations and designs that cut the same
-patterns share it. Up to EXHAUSTIVE_TERM_CUTS cuts the front spans every
-interleaving of its stocks' cuts; above that, the orders that cut each
-stock in one run, stocks in bill order. No term is pruned: a term's plans
-depend only on its cut patterns, the tools and the objective mode. A
-term's stocks are the atomic nodes of its `egraph.Individual`, by id.
+by its spec and id-free layout (`plans.layout`), which fix its cuts, and
+its own `Cut` objects are built only when read: for a term search's
+stacked candidates or a kept plan. A term gets its exact front of cut
+orders, memoized per run by its stocks' cut patterns, so terms of other
+iterations and designs that cut the same patterns share it. Up to
+EXHAUSTIVE_TERM_CUTS cuts the front spans every interleaving of its
+stocks' cuts; above that, the orders that cut each stock in one run,
+stocks in bill order. No term is pruned: a term's plans depend only on
+its cut patterns, the tools and the objective mode. A term's stocks are
+the records (`NodeOrders`) of its `egraph.Individual`'s atomic nodes.
 
 The fronts come from forward label-setting searches (Martins 1984), not
 from a scan of every permutation, each a chain of one step, `_grow`: it
@@ -45,8 +45,8 @@ that scoring every one-run order would keep.
 
 Those per-cut step costs come from one `StepTable` per stock cut pattern,
 kept in the node memo for the whole run with the pattern's fronts. A
-table costs every step of its pattern when it is made, before the node
-search, and the node search and every term search over a stock with that
+table costs every step of its pattern when it is made, then runs the node
+search, and that search and every term search over a stock with that
 pattern read its steps and cost none. A step is a cut's fixed record
 (`cost.cut_record`: tool, axis, operation time, op error) plus one
 measured length, which only its nearest done siblings change
@@ -65,9 +65,10 @@ recipe over the term's cuts and stocks, with its `CostVector` in the run's
 objective mode; `build_plan` makes the plans of the recipes an extraction
 keeps.
 
-`candidate_orders`, `_repair_order` and `term_bounds` (with `_lower_bound`
-and `_min_epsilon`) are not used by the search loop; they remain for the
-benchmark's tracing and their tests.
+`candidate_orders`, `_repair_order` and `term_bounds` (with `_concat_plan`
+and its `plans.assemble_plan`, `_lower_bound` and `_min_epsilon`) are not
+used by the search loop; they remain for the benchmark's tracing and their
+tests.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ from .model import (
     Tool,
     ToolSpec,
 )
-from .plans import assemble_plan, cuts_for_instance, stacked_variant
+from .plans import Layout, assemble_plan, cuts_for_instance, layout, stacked_variant
 
 EXHAUSTIVE_TERM_CUTS = 6  # terms up to this many cuts may interleave stocks
 # states the label search keeps per number of cuts done; the last cut fixes
@@ -161,9 +162,11 @@ class StepTable:
     repeat first, with a partial setup: those of its parentless cuts whose
     tool has one.
     `fronts` maps an entry signature to the pattern's mode-3 order labels
-    after a cut with it (`front`); entry None is the node search.
-    `best_precision` and `best_time` are the node search's (index path,
-    (f_p ticks, f_t seconds)) of the best-f_p and best-f_t orders. A run's
+    after a cut with it (`front`); entry None is the node search, which
+    the table runs when it is made. `best_precision` and `best_time` are
+    its (index path, (f_p ticks, f_t seconds)) of the best-f_p order by
+    (f_p, f_t, path) and the best-f_t order by (f_t, f_p, path): the
+    permutation argmin with first-order tie-break. A run's
     node memo holds one table per pattern, so a table stands for its
     pattern and compares by identity.
     """
@@ -244,7 +247,11 @@ class StepTable:
         self.opens = tuple({self.steps[j][0] for j, p in enumerate(self.parents)
                             if p is None and self.setups[j][0] is not None})
         self.fronts: dict[tuple | None, list[Label]] = {}
-        self.best_precision = self.best_time = None  # set by the node search
+        labels = self.front()
+        self.best_precision, self.best_time = (
+            (path, (ticks, q / TIME_QUANTA)) for path, q, ticks, _ in
+            (min(labels, key=lambda label: (label[2], label[1], label[0])),
+             min(labels, key=lambda label: (label[1], label[2], label[0]))))
 
     def front(self, entry: tuple | None = None) -> list[Label]:
         """`_pareto_orders([self], 3, entry)`, searched once per run."""
@@ -255,18 +262,19 @@ class StepTable:
 
 
 class NodeOrders:
-    """A node's minimum-precision and minimum-time cut orders: those of its
-    cut pattern's step table (`steps`, shared by every node with the
-    pattern), on the node's own cuts. The cuts are built from the node's
-    packing (`cuts_for_instance`) when first read, unless the node search
-    built them already."""
+    """An atomic node's record: its stock instance (keyed by the node id),
+    its `plans.layout`, its cut pattern's step table (`steps`, shared by
+    every node with the pattern) and its cuts, built from the layout
+    (`cuts_for_instance`) when first read unless the node search built them
+    already. Its minimum-precision and minimum-time cut orders are the
+    table's, on its own cuts."""
 
-    __slots__ = ("node", "parts_by_id", "steps", "_cuts")
+    __slots__ = ("inst", "layout", "steps", "_cuts")
 
-    def __init__(self, node: AtomicNode, parts_by_id: dict[str, Part],
-                 steps: StepTable, cuts: tuple[Cut, ...] | None) -> None:
-        self.node = node
-        self.parts_by_id = parts_by_id
+    def __init__(self, inst: StockInstance, layout: Layout, steps: StepTable,
+                 cuts: tuple[Cut, ...] | None) -> None:
+        self.inst = inst
+        self.layout = layout
         self.steps = steps
         self._cuts = cuts
 
@@ -274,8 +282,7 @@ class NodeOrders:
     def cuts(self) -> tuple[Cut, ...]:
         """The node's cuts, in canonical generation order."""
         if self._cuts is None:
-            self._cuts = tuple(cuts_for_instance(
-                _node_instance(self.node), list(self.node.placements), self.parts_by_id))
+            self._cuts = tuple(cuts_for_instance(self.inst, self.layout))
         return self._cuts
 
     @property
@@ -283,16 +290,8 @@ class NodeOrders:
         return tuple(self.cuts[i] for i in self.steps.best_precision[0])
 
     @property
-    def best_precision_cost(self) -> tuple[int, float]:  # (f_p ticks, f_t seconds)
-        return self.steps.best_precision[1]
-
-    @property
     def best_time(self) -> tuple[Cut, ...]:
         return tuple(self.cuts[i] for i in self.steps.best_time[0])
-
-    @property
-    def best_time_cost(self) -> tuple[int, float]:
-        return self.steps.best_time[1]
 
 
 @dataclass(frozen=True)
@@ -307,13 +306,13 @@ class NodeMemo:
 
     `patterns` maps each cut pattern (spec, cut geometry and parent index
     per cut) to its `StepTable`, which holds the node search's best orders
-    and the pattern's steps. `packings` maps each id-free packing (spec and
-    the offset-sorted (offset, part shape) placements), which fixes the
-    cuts, to its pattern's table. `steps` holds the run's one `Step` per
-    cut record (`cost.cut_record`) and measured length: it maps a record to
-    its steps by measured length, and every table shares it. A step depends
-    on nothing else, so one that a pattern has costed is read, not costed,
-    by every cut of any pattern with its record and length.
+    and the pattern's steps. `packings` maps each (spec, `plans.layout`),
+    which fixes the cuts, to its pattern's table. `steps` holds the run's
+    one `Step` per cut record (`cost.cut_record`) and measured length: it
+    maps a record to its steps by measured length, and every table shares
+    it. A step depends on nothing else, so one that a pattern has costed is
+    read, not costed, by every cut of any pattern with its record and
+    length.
     """
 
     tools: dict[Tool, ToolSpec]
@@ -323,8 +322,8 @@ class NodeMemo:
 
 
 OrderCache = dict[str, NodeOrders]
-# a term's stocks in bill order, each with its node's orders
-TermStocks = list[tuple[StockInstance, NodeOrders]]
+# a term's atomic nodes' records, in bill order
+TermStocks = list[NodeOrders]
 # a refined plan on a term's own cuts: (index into the term's cuts and
 # stack group, per cut), (index into the term's stocks, per bill entry),
 # its cost vector in the run's objective mode
@@ -335,10 +334,6 @@ TermMemo = dict[tuple[StepTable, ...], tuple[Recipe, ...]]
 # state: (path segment, next state, step f_t quanta, step f_p ticks)
 Label = tuple[tuple[int, ...], int, int, tuple | None]
 Move = tuple[tuple[int, ...], tuple | None, int, int]
-
-
-def _node_instance(node: AtomicNode) -> StockInstance:
-    return StockInstance(key=node.id, spec=node.spec)
 
 
 def _repair_order(cuts: list[Cut]) -> list[Cut]:
@@ -394,62 +389,50 @@ def optimize_enode(
     parts_by_id: dict[str, Part],
     memo: NodeMemo,
 ) -> NodeOrders:
-    """Cache the node's minimum-precision and minimum-time cut orders.
+    """The node's record, with its minimum-precision and minimum-time cut
+    orders.
 
-    Both come from the exact order front of the node's one stock (its
-    table's entry-None `front`): best-f_p by (f_p, f_t, order) and best-f_t
-    by (f_t, f_p, order), orders compared by cut index, which is the
-    permutation argmin with first-order tie-break. The answer depends only
-    on the stock spec and the cut geometry, given `memo.tools`, so `memo`
-    (one per run) holds it in the pattern's step table, as index paths, and
-    each node gets it on its own cuts. A node's cuts and their canonical
-    order follow from its placements' offsets and part shapes alone
-    (`plans.cuts_for_instance`), so a node whose id-free packing
+    Both come from the exact order front of the node's one stock, found by
+    its pattern's `StepTable`. The answer depends only on the stock spec
+    and the cut geometry, given `memo.tools`, so `memo` (one per run) holds
+    it in the pattern's table, as index paths, and each node gets it on its
+    own cuts. A node's cuts and their canonical order follow from its spec
+    and layout alone (`plans.cuts_for_instance`), so a node whose layout
     `memo` knows gets its table without building its cuts, and the table's
     index paths pick the same cuts out of its own; otherwise its cuts give
     the pattern. An uncut node's one order is empty.
     """
-    packing = (node.spec, tuple(sorted((off, parts_by_id[pid].shape)
-                                       for pid, off in node.placements)))
-    table = memo.packings.get(packing)
+    inst = StockInstance(key=node.id, spec=node.spec)
+    shapes = layout(node.placements, parts_by_id)
+    table = memo.packings.get((node.spec, shapes))
     if table is not None:
-        return NodeOrders(node, parts_by_id, table, None)
-    cuts = cuts_for_instance(_node_instance(node), list(node.placements), parts_by_id)
+        return NodeOrders(inst, shapes, table, None)
+    cuts = cuts_for_instance(inst, shapes)
     index = {c.id: i for i, c in enumerate(cuts)}
     key = (node.spec, tuple((c.geometry_key(), index.get(c.parent)) for c in cuts))
     table = memo.patterns.get(key)
     if table is None:
-        table = StepTable(node.spec, cuts, memo.tools, memo.steps)
-        labels = table.front()
-        p = min(labels, key=lambda label: (label[2], label[1], label[0]))
-        t = min(labels, key=lambda label: (label[1], label[2], label[0]))
-        table.best_precision, table.best_time = (
-            (path, (ticks, q / TIME_QUANTA)) for path, q, ticks, _ in (p, t))
-        memo.patterns[key] = table
-    memo.packings[packing] = table
-    return NodeOrders(node, parts_by_id, table, tuple(cuts))
+        table = memo.patterns[key] = StepTable(node.spec, cuts, memo.tools, memo.steps)
+    memo.packings[node.spec, shapes] = table
+    return NodeOrders(inst, shapes, table, tuple(cuts))
 
 
 # -- term-level bounds ------------------------------------------------------
 
 
 def _term_stocks(egraph: BopEGraph, term: Individual, cache: OrderCache) -> TermStocks:
-    """The term's atomic nodes as stocks, in node id string order (`n10`
+    """The records of the term's atomic nodes, in node id string order (`n10`
     before `n9`). Above EXHAUSTIVE_TERM_CUTS cuts the stock join and the
     stacked candidates follow this order, so the same stocks under other
     ids (nodes that contraction removed and an expansion added back) may
     be refined to other costs."""
-    nodes = [egraph.nodes[nid] for nid in sorted(term)]
-    return [(_node_instance(node), cache[node.id])
-            for node in nodes if isinstance(node, AtomicNode)]
+    return [cache[nid] for nid in sorted(term) if isinstance(egraph.nodes[nid], AtomicNode)]
 
 
 def _concat_plan(design_id: str, stocks: TermStocks, which: str) -> FabPlan:
-    per_stock = []
-    for inst, orders in stocks:
-        chosen = orders.best_precision if which == "precision" else orders.best_time
-        per_stock.append((inst, list(chosen)))
-    return assemble_plan(design_id, per_stock)
+    return assemble_plan(design_id, [
+        (orders.inst, list(orders.best_precision if which == "precision" else orders.best_time))
+        for orders in stocks])
 
 
 def _min_epsilon(cut: Cut, cuts_same_axis: list[Cut], extent: int, kerf: int) -> int:
@@ -471,8 +454,8 @@ def _lower_bound(stocks: TermStocks, tools: dict[Tool, ToolSpec]) -> CostVector:
     """Per-cut costs assuming every cut is independent of the others."""
     fp_low = 0
     ft_low = 0.0
-    for inst, orders in stocks:
-        spec = inst.spec
+    for orders in stocks:
+        spec = orders.inst.spec
         metal = spec.material is Material.METAL
         for cut in orders.cuts:
             tool = tools[cut.tool]
@@ -496,7 +479,7 @@ def _lower_bound(stocks: TermStocks, tools: dict[Tool, ToolSpec]) -> CostVector:
                 w *= METAL_LOAD_FACTOR
             ft_low += w
     return CostVector(
-        f_c=sum(inst.spec.effective_price() for inst, _ in stocks),
+        f_c=sum(orders.inst.spec.effective_price() for orders in stocks),
         f_t=ft_low / 60.0,
         f_p=fp_low / 64.0,
     )
@@ -737,11 +720,11 @@ def build_plan(design_id: str, stocks: TermStocks, recipe: Recipe) -> FabPlan:
     """A recipe's plan on the cuts and stocks of the term `refine_term`
     gave it for."""
     cut_refs, bill_refs, _ = recipe
-    all_cuts = [c for _, orders in stocks for c in orders.cuts]
+    all_cuts = [c for orders in stocks for c in orders.cuts]
     cuts = tuple(all_cuts[i] if group is None else replace(all_cuts[i], stack_group=group)
                  for i, group in cut_refs)
     return FabPlan(design_id=design_id, cuts=cuts,
-                   stock_bill=tuple(stocks[j][0] for j in bill_refs))
+                   stock_bill=tuple(stocks[j].inst for j in bill_refs))
 
 
 def refine_term(
@@ -764,7 +747,7 @@ def refine_term(
     with the same patterns gets them without a search, or a cut built.
     """
     stocks = _term_stocks(egraph, individual, cache)
-    tables = tuple(orders.steps for _, orders in stocks)
+    tables = tuple(orders.steps for orders in stocks)
     recipes = memo.get(tables)
     if recipes is None:
         recipes = memo[tables] = _refined(egraph.design_id, stocks, mode)
@@ -804,9 +787,9 @@ def _refined(design_id: str, stocks: TermStocks, mode: int) -> tuple[Recipe, ...
     Stacked candidates are tried only where `_may_stack` allows one, so a
     term without two cut stocks of one pattern builds no cut.
     """
-    bill = tuple(inst for inst, _ in stocks)
+    bill = tuple(orders.inst for orders in stocks)
     f_c = material_cost(bill)
-    tables = [orders.steps for _, orders in stocks]
+    tables = [orders.steps for orders in stocks]
     stackable = _may_stack(tables)
     plain_bill = tuple(range(len(bill)))
     candidates: list[Recipe] = []
@@ -815,10 +798,10 @@ def _refined(design_id: str, stocks: TermStocks, mode: int) -> tuple[Recipe, ...
         if not stackable:
             return
         tools = tables[0].tools  # the node memo's, which the steps were costed with
-        plan = stacked_variant(design_id, [(inst, list(pick(orders))) for inst, orders in stocks],
+        plan = stacked_variant(design_id, [(orders.inst, list(pick(orders))) for orders in stocks],
                                tools)
         if plan is not None:
-            at = {c.id: i for i, c in enumerate(c for _, orders in stocks for c in orders.cuts)}
+            at = {c.id: i for i, c in enumerate(c for orders in stocks for c in orders.cuts)}
             stock_at = {inst.key: j for j, inst in enumerate(bill)}
             candidates.append((tuple((at[c.id], c.stack_group) for c in plan.cuts),
                                tuple(stock_at[inst.key] for inst in plan.stock_bill),

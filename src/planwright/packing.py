@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .cost import StockInstance
 from .model import Design, Material, Part, StockSpec, Tool, ToolSpec, part_fits_stock
-from .plans import cutting_tool
+from .plans import cutting_tool, layout
 
 
 class InfeasiblePartError(ValueError):
@@ -272,9 +272,9 @@ def pack_fragments(
     that will cut them apart (`plans.cutting_tool`) from each other.
 
     A fragment's shape signature is what its costs read: each instance's
-    stock with the sorted (offset, part shape) pairs it holds, instances
-    sorted. Part ids do not enter it, so fragments that differ only in
-    which of two equal parts sits where are one.
+    stock id with its `plans.layout`, instances sorted. Part ids do not
+    enter it, so fragments that differ only in which of two equal parts
+    sits where are one.
 
     A designated size fixes its family's stocks and the kerf, and an
     order's shape sequence fixes where each of its slots goes: packing and
@@ -297,9 +297,8 @@ def pack_fragments(
                 slot = {p.id: k for k, p in enumerate(order)}
                 slotted = tuple((spec, tuple((slot[pid], off) for pid, off in places))
                                 for spec, places in fragment)
-                packed[shapes] = (tuple(sorted(
-                    (spec.id, tuple(sorted((off, shapes[k]) for k, off in places)))
-                    for spec, places in slotted)), slotted)
+                packed[shapes] = (tuple(sorted((spec.id, layout(places, order))
+                                               for spec, places in slotted)), slotted)
             key, slotted = packed[shapes]
             if key not in seen:
                 seen.add(key)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .cost import Cut, FabPlan, StockInstance
-from .model import MAX_STACK_HEIGHT, Part, StockSpec, Tool, ToolSpec
+from .model import MAX_STACK_HEIGHT, StockSpec, Tool, ToolSpec
 
 
 def cutting_tool(spec: StockSpec) -> Tool:
@@ -20,21 +20,28 @@ def cutting_tool(spec: StockSpec) -> Tool:
     return Tool.TRACKSAW if spec.is_sheet else Tool.CHOPSAW
 
 
-def cuts_for_instance(
-    inst: StockInstance,
-    placements: list[tuple[str, tuple[int, ...]]],
-    parts_by_id: dict[str, Part],
-) -> list[Cut]:
-    """Canonical cut list for one packed stock instance."""
+Layout = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+def layout(placements, parts) -> Layout:
+    """A stock's id-free layout: the offset-sorted (offset, part shape)
+    pairs of its (part, offset) placements, `parts` giving each one's part
+    (by id, or by slot). Cuts and their costs read only this, so stocks
+    that differ in which of two equal parts sits where have one layout."""
+    return tuple(sorted((off, parts[ref].shape) for ref, off in placements))
+
+
+def cuts_for_instance(inst: StockInstance, shapes: Layout) -> list[Cut]:
+    """Canonical cut list for one packed stock instance of layout `shapes`."""
     make = _sheet_cuts if inst.spec.is_sheet else _lumber_cuts
-    return make(inst, placements, parts_by_id, cutting_tool(inst.spec))
+    return make(inst, shapes, cutting_tool(inst.spec))
 
 
-def _lumber_cuts(inst, placements, parts_by_id, tool: Tool) -> list[Cut]:
+def _lumber_cuts(inst, shapes: Layout, tool: Tool) -> list[Cut]:
     length = inst.spec.dims[0]
     cuts = []
-    for i, (part_id, offset) in enumerate(sorted(placements, key=lambda p: p[1])):
-        end = offset[0] + parts_by_id[part_id].shape[0]
+    for i, (offset, shape) in enumerate(shapes):
+        end = offset[0] + shape[0]
         if end < length:
             cuts.append(Cut(
                 id=f"{inst.key}:c{i}",
@@ -46,17 +53,17 @@ def _lumber_cuts(inst, placements, parts_by_id, tool: Tool) -> list[Cut]:
     return cuts
 
 
-def _sheet_cuts(inst, placements, parts_by_id, tool: Tool) -> list[Cut]:
+def _sheet_cuts(inst, shapes: Layout, tool: Tool) -> list[Cut]:
     width, height = inst.spec.dims
-    shelves: dict[int, list[tuple[str, tuple[int, ...]]]] = {}
-    for part_id, offset in placements:
-        shelves.setdefault(offset[1], []).append((part_id, offset))
+    shelves: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    for offset, shape in shapes:  # x-sorted within each shelf
+        shelves.setdefault(offset[1], []).append((offset, shape))
 
     cuts: list[Cut] = []
     prev_hcut: str | None = None
     for y in sorted(shelves):
-        members = sorted(shelves[y], key=lambda p: p[1][0])
-        shelf_h = parts_by_id[members[0][0]].shape[1]
+        members = shelves[y]
+        shelf_h = members[0][1][1]
         top = y + shelf_h
         hcut_id = None
         if top < height:
@@ -73,8 +80,8 @@ def _sheet_cuts(inst, placements, parts_by_id, tool: Tool) -> list[Cut]:
                 op_length=width,
             ))
         strip_parent = hcut_id or prev_hcut
-        for part_id, offset in members:
-            right = offset[0] + parts_by_id[part_id].shape[0]
+        for offset, shape in members:
+            right = offset[0] + shape[0]
             if right < width:
                 cuts.append(Cut(
                     id=f"{inst.key}:v{offset[0]}-{y}",

@@ -34,7 +34,7 @@ from planwright.model import Material, Part, Tool, ticks
 from planwright.oracle import brute_force_front
 from planwright.ordering import NodeMemo, optimize_enode, term_bounds
 from planwright.packing import Arrangement
-from planwright.plans import assemble_plan, cuts_for_instance, stacked_variant
+from planwright.plans import assemble_plan, cuts_for_instance, layout, stacked_variant
 
 from test_analysis import hypervolume_inclusion_exclusion
 from test_ordering import refined_plans
@@ -192,7 +192,7 @@ def test_04_bounds_soundness_and_refinement():
     rng = random.Random("bounds")
     for _ in range(500):
         g, term, cache, inst, node, parts = random_term(rng)
-        cuts = cuts_for_instance(inst, list(node.placements), parts)
+        cuts = cuts_for_instance(inst, layout(node.placements, parts))
         exhaustive = []
         for perm in itertools.permutations(cuts):
             order = list(perm)

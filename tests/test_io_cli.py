@@ -20,7 +20,7 @@ from planwright.io import (
 )
 from planwright.libraries import default_stocks, default_tools
 from planwright.model import TICKS_PER_INCH, Part, Tool, ticks
-from planwright.plans import assemble_plan, cuts_for_instance
+from planwright.plans import assemble_plan, cuts_for_instance, layout
 
 
 def run_cli(*argv, env_extra=None, cwd=None):
@@ -502,7 +502,7 @@ def test_plan_file_keeps_sheet_cut_anchors():
     placements = [("a", (0, 0)), ("b", (ticks(10) + kerf, 0)),
                   ("c", (0, ticks(5) + kerf))]
     inst = StockInstance(key="s#0", spec=spec)
-    plan = assemble_plan("d", [(inst, cuts_for_instance(inst, placements, parts))])
+    plan = assemble_plan("d", [(inst, cuts_for_instance(inst, layout(placements, parts)))])
     assert any(c.anchor != (0, 0) for c in plan.cuts)
 
     def length(t):

@@ -7,7 +7,7 @@ from planwright import corpus_path
 from planwright.designspace import DesignSpace, detect_joints, enumerate_variants
 from planwright.extraction import IceeParams, icee_run
 from planwright.io import load_design_space
-from planwright.libraries import default_stocks, default_tools
+from planwright.libraries import default_stocks, default_tools, with_metal_twins
 from planwright.model import ConnectorVariant, Part, ticks
 from planwright.oracle import all_arrangements, brute_force_front
 from planwright.packing import InfeasiblePartError, generate_arrangements, part_groups
@@ -102,3 +102,48 @@ def test_oracle_covers_optimizer_packings(corpus):
                 for arrangement in generate_arrangements(
                         design, STOCKS, budget, TOOLS, rng, {}):
                     assert shape_signature(arrangement, parts_by_id) in oracle
+
+
+# corpus -> the oracle's front, in its order, in both objective modes: per
+# member (design id, stock bill keys, cut ids, stack group per cut, (f_c,
+# f_p, f_t)); mode 2's cost is the same without f_p
+ORACLE_FRONTS = {
+    "lframe": [
+        ("lframe/butt", ("2x2-48#0",), ("2x2-48#0:c0", "2x2-48#0:c1"), (None, None),
+         (5.5, 0.03125, 2.5)),
+    ],
+    "frame": [
+        ("frame/inset-inset-inset-inset", ("2x2-24#0", "2x2-48#0"),
+         ("2x2-24#0:c0", "2x2-24#0:c1", "2x2-48#0:c1", "2x2-48#0:c0"), (None,) * 4,
+         (8.5, 0.0625, 4.033333333333333)),
+        ("frame/inset-inset-inset-inset", ("2x2-24#0", "2x2-24#1", "2x2-24#2"),
+         ("2x2-24#0:c0", "2x2-24#1:c0", "2x2-24#2:c0", "2x2-24#2:c1"),
+         ("sg0", "sg0", None, None), (9.0, 0.046875, 3.5833333333333335)),
+        ("frame/butt-butt-butt-butt", ("2x2-96#0",),
+         ("2x2-96#0:c3", "2x2-96#0:c0", "2x2-96#0:c1", "2x2-96#0:c2"), (None,) * 4,
+         (10.0, 0.0625, 3.4833333333333334)),
+        ("frame/butt-butt-butt-butt", ("2x2-48#0", "2x2-48#1"),
+         ("2x2-48#0:c0", "2x2-48#1:c0", "2x2-48#0:c1", "2x2-48#1:c1"),
+         ("sg0", "sg0", "sg1", "sg1"), (11.0, 0.03125, 2.566666666666667)),
+        ("frame/butt-butt-butt-butt", ("2x2-24#0", "2x2-24#1", "2x2-24#2", "2x2-24#3"),
+         ("2x2-24#0:c0", "2x2-24#1:c0", "2x2-24#2:c0", "2x2-24#3:c0"), ("sg0",) * 4,
+         (12.0, 0.015625, 1.3666666666666667)),
+    ],
+    "metal-mix": [
+        ("metal-mix/butt", ("2x2-24#0", "metal-2x2-24#0"),
+         ("2x2-24#0:c0", "metal-2x2-24#0:c0"), (None, None), (63.0, 0.03125, 3.683333333333333)),
+    ],
+}
+
+
+@pytest.mark.parametrize("corpus,mode", [(corpus, mode) for corpus in sorted(ORACLE_FRONTS)
+                                         for mode in (2, 3)])
+def test_oracle_front_matches_pin(corpus, mode):
+    space = load_design_space(corpus_path(corpus))
+    stocks = with_metal_twins(STOCKS) if corpus == "metal-mix" else STOCKS
+    front = brute_force_front(space, stocks, TOOLS, mode)
+    assert [(design.id, tuple(inst.key for inst in plan.stock_bill),
+             tuple(c.id for c in plan.cuts), tuple(c.stack_group for c in plan.cuts),
+             cost.objectives) for design, plan, cost in front] == \
+        [member[:4] + ((member[4][0], member[4][2]) if mode == 2 else member[4],)
+         for member in ORACLE_FRONTS[corpus]]

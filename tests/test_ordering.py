@@ -19,7 +19,7 @@ from planwright.plans import assemble_plan, cuts_for_instance, stacked_variant
 from planwright.egraph import AtomicNode, BopEGraph
 from planwright.libraries import default_stocks, default_tools, with_metal_twins
 from planwright.model import OpRate, OpRateKind, Part, Tool, ticks
-from planwright import cost as cost_module, ordering
+from planwright import cost as cost_module, ordering, plans
 from planwright.ordering import (
     EXHAUSTIVE_TERM_CUTS,
     NodeMemo,
@@ -65,8 +65,8 @@ def refined_plans(g, term, cache, mode, memo):
 def node_outcome(orders):
     """All that a node's orders carry but its step table: its cuts and its
     best orders with their costs."""
-    return (orders.cuts, orders.best_precision, orders.best_precision_cost,
-            orders.best_time, orders.best_time_cost)
+    return (orders.cuts, orders.best_precision, orders.steps.best_precision[1],
+            orders.best_time, orders.steps.best_time[1])
 
 
 def eval_node_order(inst, order):
@@ -78,7 +78,7 @@ def eval_node_order(inst, order):
 
 def exhaustive_node_costs(node, parts):
     inst = StockInstance(key=f"{node.spec.id}#0", spec=node.spec)
-    cuts = cuts_for_instance(inst, list(node.placements), parts)
+    cuts = cuts_for_instance(inst, plans.layout(node.placements, parts))
     costs = []
     for perm in itertools.permutations(cuts):
         order = list(perm)
@@ -94,8 +94,8 @@ def test_optimize_enode_matches_exhaustive_small():
     node, parts = lumber_node([10, 20, 30])
     result = optimize_enode(node, parts, NodeMemo(TOOLS))
     all_costs = exhaustive_node_costs(node, parts)
-    assert result.best_precision_cost[0] == min(p for p, _ in all_costs)
-    assert result.best_time_cost[1] == min(t for _, t in all_costs)
+    assert result.steps.best_precision[1][0] == min(p for p, _ in all_costs)
+    assert result.steps.best_time[1][1] == min(t for _, t in all_costs)
 
 
 def test_optimize_enode_order_dependent_case():
@@ -104,13 +104,13 @@ def test_optimize_enode_order_dependent_case():
     result = optimize_enode(node, parts, NodeMemo(TOOLS))
     all_costs = exhaustive_node_costs(node, parts)
     assert len({p for p, _ in all_costs}) > 1
-    assert result.best_precision_cost[0] == min(p for p, _ in all_costs)
+    assert result.steps.best_precision[1][0] == min(p for p, _ in all_costs)
 
 
 def test_candidate_orders_budget_and_feasibility():
     node, parts = lumber_node([5, 6, 7, 8, 9, 10, 11])
     inst = StockInstance(key=f"{node.spec.id}#0", spec=node.spec)
-    cuts = cuts_for_instance(inst, list(node.placements), parts)
+    cuts = cuts_for_instance(inst, plans.layout(node.placements, parts))
     assert len(cuts) > 4
     orders = candidate_orders(cuts, 25, random.Random("b"))
     assert len(orders) == 25
@@ -178,7 +178,7 @@ def test_optimize_enode_empty_node():
     node = AtomicNode(id="n0", spec=stock, placements=((pid, (0,)),))
     result = optimize_enode(node, parts, NodeMemo(TOOLS))
     assert result.cuts == ()
-    assert result.best_time_cost == (0, 0.0)
+    assert result.steps.best_time[1] == (0, 0.0)
 
 
 def scan_repair_order(cuts):
@@ -282,6 +282,21 @@ def build_term(stocks, tools=TOOLS, prefix="p", first_node=0, node_memo=None):
     cache = {n.id: optimize_enode(n, parts, node_memo)
              for n in atomic_nodes(g, term)}
     return g, term, cache
+
+
+def test_term_stocks_are_cached_records_and_a_missing_node_raises():
+    # a term's stocks are its atomic nodes' records in the order cache, in
+    # node id string order, each keyed by its node id; an atomic node
+    # missing from the cache raises, it is not skipped
+    g, term, cache = build_term([("2x4-48", [LENGTHS[0], LENGTHS[4]]),
+                                 ("2x4-96", [LENGTHS[1]])], first_node=9)
+    assert len(cache) == 2 and sorted(cache) != sorted(cache, key=lambda nid: int(nid[1:]))
+    stocks = ordering._term_stocks(g, term, cache)
+    assert stocks == [cache[nid] for nid in sorted(cache)]
+    assert [orders.inst.key for orders in stocks] == sorted(cache)
+    for missing in cache:
+        with pytest.raises(KeyError, match=missing):
+            refine_term(g, term, {nid: o for nid, o in cache.items() if nid != missing}, 2, {})
 
 
 def random_stock(rng, kind):
@@ -518,7 +533,7 @@ def test_joined_state_merge_is_exact(mode, monkeypatch):
             stocks.insert(rng.randint(0, len(stocks)), random_stock(rng, "sheet"))
         g, term, cache = build_term(stocks, node_memo=node_memo)
         term_stocks = ordering._term_stocks(g, term, cache)
-        cut = [orders.steps for _, orders in term_stocks if orders.cuts]
+        cut = [orders.steps for orders in term_stocks if orders.cuts]
         if len(cut) < 2 or sum(table.k for table in cut) <= EXHAUSTIVE_TERM_CUTS:
             continue
         terms += 1
@@ -564,7 +579,7 @@ def brute_force_node(node, parts):
     """(best-f_p order, its cost, best-f_t order, its cost) over every
     feasible permutation, first permutation winning ties."""
     inst = StockInstance(key=node.id, spec=node.spec)
-    cuts = cuts_for_instance(inst, list(node.placements), parts)
+    cuts = cuts_for_instance(inst, plans.layout(node.placements, parts))
     orders = [perm for perm in itertools.permutations(cuts)
               if order_is_feasible(list(perm))]
     costs = [eval_node_order(inst, order) for order in orders]
@@ -581,8 +596,8 @@ def test_node_orders_match_permutation_argmin(kind, count):
         node, parts = layout_node(*random_node(rng, kind))
         got = optimize_enode(node, parts, NodeMemo(TOOLS))
         sizes.add(len(got.cuts))
-        assert (got.best_precision, got.best_precision_cost,
-                got.best_time, got.best_time_cost) == brute_force_node(node, parts)
+        assert (got.best_precision, got.steps.best_precision[1],
+                got.best_time, got.steps.best_time[1]) == brute_force_node(node, parts)
     assert max(sizes) == (7 if kind == "lumber" else 8)
 
 
@@ -607,8 +622,8 @@ def test_node_memo_shares_orders_across_relabelled_nodes():
         for order_a, order_b in [(a.best_precision, b.best_precision),
                                  (a.best_time, b.best_time)]:
             assert [index_a[c.id] for c in order_a] == [index_b[c.id] for c in order_b]
-        assert (a.best_precision_cost, a.best_time_cost) == \
-            (b.best_precision_cost, b.best_time_cost)
+        assert (a.steps.best_precision[1], a.steps.best_time[1]) == \
+            (b.steps.best_precision[1], b.steps.best_time[1])
     # the stock spec and the cut geometry are part of the pattern: the metal
     # twin and a stick cut at other places are searched anew
     for stock_id, layout in [("metal-2x4-48", [LENGTHS[4], LENGTHS[0], LENGTHS[4]]),
@@ -653,7 +668,7 @@ def test_node_memo_finds_tables_by_packing(monkeypatch):
                                          (relabelled, relabelled_parts, c),
                                          (shorter, shorter_parts, d)]:
             inst = StockInstance(key=node.id, spec=node.spec)
-            assert orders.cuts == tuple(cuts_for(inst, list(node.placements), node_parts))
+            assert orders.cuts == tuple(cuts_for(inst, plans.layout(node.placements, node_parts)))
             assert node_outcome(orders) == \
                 node_outcome(optimize_enode(node, node_parts, NodeMemo(TOOLS)))
         assert built.count("n2") == 2  # b's cuts once, then a fresh search's
@@ -671,8 +686,8 @@ def test_large_node_search_is_capped(stock_id, layout):
     assert time.perf_counter() - start < 2.0
     assert len(got.cuts) == 16
     inst = StockInstance(key=node.id, spec=node.spec)
-    for order, cost in [(got.best_precision, got.best_precision_cost),
-                        (got.best_time, got.best_time_cost)]:
+    for order, cost in [(got.best_precision, got.steps.best_precision[1]),
+                        (got.best_time, got.steps.best_time[1])]:
         assert sorted(c.id for c in order) == sorted(c.id for c in got.cuts)
         assert order_is_feasible(list(order))
         assert eval_node_order(inst, order) == cost
@@ -923,11 +938,11 @@ def test_stacked_candidates_need_a_shared_pattern(mode, monkeypatch):
                 stocks = [rng.choice(stocks) for _ in range(rng.randint(2, 4))]
         g, term, cache = build_term(stocks, node_memo=node_memo)
         term_stocks = ordering._term_stocks(g, term, cache)
-        may = ordering._may_stack([orders.steps for _, orders in term_stocks])
+        may = ordering._may_stack([orders.steps for orders in term_stocks])
         may_stack[may] += 1
         if not may:
             for pick in ("best_precision", "best_time", "cuts"):
-                per_stock = [(inst, list(getattr(orders, pick))) for inst, orders in term_stocks]
+                per_stock = [(orders.inst, list(getattr(orders, pick))) for orders in term_stocks]
                 assert stacked_variant("d", per_stock, TOOLS) is None
         got = ordering._refined("d", term_stocks, mode)
         with monkeypatch.context() as patched:
@@ -1015,11 +1030,11 @@ def layout_cuts(stock_id, layout):
     """The spec and canonical cuts of one packed stock."""
     node, parts = layout_node(stock_id, layout)
     inst = StockInstance(key=node.id, spec=node.spec)
-    return node.spec, cuts_for_instance(inst, list(node.placements), parts)
+    return node.spec, cuts_for_instance(inst, plans.layout(node.placements, parts))
 
 
 def table_for(stock_id, layout, shared=None):
-    """A step table for one packed stock, built without a node search."""
+    """A step table for one packed stock, built outside a node memo."""
     spec, cuts = layout_cuts(stock_id, layout)
     return StepTable(spec, cuts, TOOLS, {} if shared is None else shared)
 
@@ -1285,7 +1300,7 @@ def parity_stocks(rng):
         if rng.random() < 0.3:
             stocks[rng.randrange(len(stocks))] = random_stock(rng, "sheet")
         g, term, cache = build_term(stocks, node_memo=node_memo)
-        tables = [orders.steps for _, orders in ordering._term_stocks(g, term, cache)]
+        tables = [orders.steps for orders in ordering._term_stocks(g, term, cache)]
         if len(tables) > 1 and sum(table.k for table in tables) <= EXHAUSTIVE_TERM_CUTS:
             cases.append(tables)
     return cases

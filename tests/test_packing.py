@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planwright import corpus_path, packing
+from planwright.cost import StockInstance
 from planwright.io import load_design_space
 from planwright.libraries import default_stocks, default_tools
 from planwright.model import Design, Material, Part, Tool, part_fits_stock, ticks
@@ -20,7 +21,7 @@ from planwright.packing import (
     part_groups,
     shrink_instances,
 )
-from planwright.plans import cutting_tool
+from planwright.plans import cuts_for_instance, cutting_tool, layout
 
 STOCKS = default_stocks()
 TOOLS = default_tools()
@@ -228,6 +229,49 @@ def test_memoized_packings_equal_fresh_packings(kind, monkeypatch):
         assert fragments == list(fresh.values())
         checked += len(usable) * len(orders)
     assert len(packed) < checked / 2
+
+
+@pytest.mark.parametrize("kind", ["lumber", "sheet"])
+def test_layout_is_id_free_and_is_the_signature(kind):
+    # a packing's layout (offset-sorted (offset, part shape) pairs per
+    # stock) and its cuts do not change when equal-shaped parts swap ids,
+    # and `pack_fragments` keeps each shape sequence's packing under the
+    # sorted (stock id, layout) of its stocks
+    rng = random.Random(f"layout-{kind}")
+    swaps = 0
+    for n in range(30):
+        parts = repeated_parts(rng, kind, prefix=f"d{n}p")
+        ((group, stocks, usable),) = part_groups(design_of(parts), STOCKS)
+        by_id = {p.id: p for p in parts}
+        kerf = TOOLS[cutting_tool(stocks[0])].kerf
+        orders = [rng.sample(group, len(group)) for _ in range(4)]
+        memo = {}
+        pack_fragments(orders, stocks, usable, TOOLS, by_id, memo)
+        for designated in usable:
+            for order in orders:
+                fragment = shrink_instances(pack_traversal(order, designated, kerf),
+                                            stocks, by_id, {})
+                # the same shape sequence, equal-shaped parts in another order
+                swapped = list(order)
+                for shape in {p.shape for p in order}:
+                    at = [k for k, p in enumerate(order) if p.shape == shape]
+                    for k, j in zip(at, rng.sample(at, len(at))):
+                        swapped[k] = order[j]
+                swaps += swapped != order
+                other = shrink_instances(pack_traversal(swapped, designated, kerf),
+                                         stocks, by_id, {})
+                assert [spec for spec, _ in other] == [spec for spec, _ in fragment]
+                for (spec, places), (_, moved) in zip(fragment, other):
+                    shapes = layout(places, by_id)
+                    assert [off for off, _ in shapes] == sorted(off for _, off in places)
+                    assert layout(moved, by_id) == shapes
+                    inst = StockInstance(key="s#0", spec=spec)
+                    assert cuts_for_instance(inst, layout(moved, by_id)) == \
+                        cuts_for_instance(inst, shapes)
+                signature, _ = memo[designated][tuple(p.shape for p in order)]
+                assert signature == tuple(sorted((spec.id, layout(places, by_id))
+                                                 for spec, places in fragment))
+    assert swaps > 50
 
 
 def size_descending(parts):
