@@ -1,10 +1,11 @@
 """Evaluator for chop-cut orders on a single lumber stock.
 
-The search loop no longer calls it: per-node cut orders come from
-ordering._pareto_orders. It gives the (f_p ticks, f_t seconds) of a
-one-stock chop-saw plan, stock loaded once. It cuts the stick with the
-plan evaluator's piece tracker (`cost._Sim`, pieces as `cost` describes
-them), and stays only because the benchmark's tracing names it.
+The search loop no longer calls it: per-node cut orders come from each
+step table's own search, ordering._stock_front. It gives the (f_p ticks,
+f_t seconds) of a one-stock chop-saw plan, stock loaded once. It cuts the
+stick with the plan evaluator's piece tracker (`cost._Sim`, pieces as
+`cost` describes them), and stays only because the benchmark's tracing
+names it.
 """
 
 from __future__ import annotations

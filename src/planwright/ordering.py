@@ -15,14 +15,16 @@ its cut patterns, the tools and the objective mode. A term's stocks are
 the records (`NodeOrders`) of its `egraph.Individual`'s atomic nodes.
 
 The fronts come from forward label-setting searches (Martins 1984), not
-from a scan of every permutation, each a chain of one step, `_grow`: it
-extends every label (path, f_t, f_p, state) of a path-ordered layer by
-every move of its state and drops a new label that one kept before it at
-its next state weakly dominates. A front is one path-ordered list of
-labels. A stock's front, and a small term's, moves cut by cut over states
-(done mask, last setup signature while a cut still to make can repeat it,
-last cut's stock), and ends on each order's last setup signature
-(`_pareto_orders`). The state holds exactly what fixes the future: a
+from a scan of every permutation, each a chain of one step: it extends
+every label (path, f_t, f_p, state) of a path-ordered layer by every move
+of its state and drops a new label that one kept before it at its next
+state weakly dominates (`_grow`). A front is one path-ordered list of
+labels. A stock's front moves cut by cut over the stock's own integer
+states (done mask, last setup signature while a cut still to make can
+repeat it), in one loop of its step table (`_stock_front`); an
+interleaved term's moves cut by cut over states (done mask, last setup
+signature, last cut's stock) (`_pareto_orders`). Both end on each order's
+last setup signature. The state holds exactly what fixes the future: a
 cut's operation time and op error are its own, and its piece, and with it
 its measured length and measuring error, is fixed by its nearest done
 siblings (`StepTable`), which the done mask gives; setup sharing depends
@@ -34,8 +36,11 @@ can repeat (None). Nodes of more than 8 cuts may exceed MAX_LAYER_STATES
 states per cut count; the search then keeps the most promising ones.
 
 A term with one cut stock reads that stock's front. A term above
-EXHAUSTIVE_TERM_CUTS cuts joins its stocks' fronts, moving stock by stock,
-each move a label of the stock's front after the state (`_joined`). A
+EXHAUSTIVE_TERM_CUTS cuts joins its stocks' fronts, and so does a smaller
+one in which no cut of one stock can repeat a setup signature that a cut
+of another makes, since no order that interleaves its stocks costs less;
+the join moves stock by stock, each move a label of the stock's front
+after the state (`_joined`). `_pareto_orders` interleaves the others. A
 state is the last cut's setup signature when the next cut stock can open
 with it (repeat it on a first cut, with a partial setup), and None
 otherwise: every other signature leaves the next stock the future of a
@@ -153,7 +158,7 @@ class StepTable:
     the nearest done sibling below (0: none) and a the bit of the nearest
     above (0: none), above bit i so that b + a is unique; `siblings` (each
     cut's masks of the siblings before and after it) gives both from a
-    done-on-stock mask, as `_pareto_orders` reads them. `parents` holds
+    done-on-stock mask, as the searches read them. `parents` holds
     each cut's parent index (None: none), `setups` each cut's (partial
     setup or None, full setup), `load` the stock's load, in quanta, and
     `repeats` maps each setup signature to the mask of the cuts that can
@@ -162,13 +167,14 @@ class StepTable:
     repeat first, with a partial setup: those of its parentless cuts whose
     tool has one.
     `fronts` maps an entry signature to the pattern's mode-3 order labels
-    after a cut with it (`front`); entry None is the node search, which
-    the table runs when it is made. `best_precision` and `best_time` are
-    its (index path, (f_p ticks, f_t seconds)) of the best-f_p order by
+    after a cut with it (`front`), each found by the table's own
+    integer-state loop (`_stock_front`); entry None is the node search,
+    which the table runs when it is made. `best_precision` and `best_time`
+    are its (index path, (f_p ticks, f_t seconds)) of the best-f_p order by
     (f_p, f_t, path) and the best-f_t order by (f_t, f_p, path): the
-    permutation argmin with first-order tie-break. A run's
-    node memo holds one table per pattern, so a table stands for its
-    pattern and compares by identity.
+    permutation argmin with first-order tie-break. A run's node memo holds
+    one table per pattern, so a table stands for its pattern and compares
+    by identity.
     """
 
     __slots__ = ("spec", "cuts", "tools", "k", "parents", "siblings", "setups", "load",
@@ -254,10 +260,11 @@ class StepTable:
              min(labels, key=lambda label: (label[1], label[2], label[0]))))
 
     def front(self, entry: tuple | None = None) -> list[Label]:
-        """`_pareto_orders([self], 3, entry)`, searched once per run."""
+        """The pattern's mode-3 order labels after a cut of setup signature
+        `entry` (None: none), found by `_stock_front` once per run."""
         front = self.fronts.get(entry)
         if front is None:
-            front = self.fronts[entry] = _pareto_orders([self], 3, entry)
+            front = self.fronts[entry] = _stock_front(self, entry)
         return front
 
 
@@ -571,16 +578,97 @@ def _cap_layer(layer: list[Label]) -> list[Label]:
     return [label for label in layer if label[3] in kept]
 
 
-def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = None
-                   ) -> list[Label]:
+# a stock loop row: (signature code, op + full setup quanta, op + partial
+# setup quanta, f_p ticks, mask of the cuts that can repeat the signature)
+Row = tuple[int, int, int, int, int]
+
+
+def _stock_rows(table: StepTable) -> tuple[dict[tuple, int], list[dict[int, Row]]]:
+    """The table's setup signatures coded 1, 2, ... in step order, and per
+    cut its `Row` per nearest-done-sibling choice b + a (`StepTable`); a cut
+    whose tool has no partial setup pays the full one either way."""
+    k = table.k
+    codes: dict[tuple, int] = {}
+    rows: list[dict[int, Row]] = [{} for _ in range(k)]
+    for key, (sig, op_time, eps, perr) in table.steps.items():
+        i = key % k
+        partial, full = table.setups[i]
+        rows[i][key // k] = (codes.setdefault(sig, len(codes) + 1), op_time + full,
+                             op_time + (full if partial is None else partial), eps + perr,
+                             table.repeats.get(sig, 0))
+    return codes, rows
+
+
+def _stock_front(table: StepTable, entry: tuple | None) -> list[Label]:
+    """Labels (path, f_t quanta, f_p ticks, last setup signature) of the
+    table's feasible cut orders, in path order, each with its exact mode-3
+    cost as if it followed a cut of setup signature `entry` (None: a full
+    setup first). After None they are `_pareto_orders([table], 3)`'s, and
+    the search is the same, over the one stock's own integer states: done
+    mask | code << k, the code that of the last setup signature while a cut
+    still to make can repeat it or once every cut is done, else 0 (None). A
+    code names one signature of the table, and an entry outside them is
+    None, since no cut can repeat it. Each step extends every label, in
+    path order, by each cut it may make next, in index order, and drops a
+    new label that one kept before it at its next state weakly dominates
+    (`_grow`'s rule); a layer is capped by `_cap_layer`. A cut stock's
+    labels start from its load, which `_pareto_orders` adds on the first
+    cut, as integer sums do not depend on the order of their terms; an
+    uncut stock's one label costs nothing. The last layer holds one state
+    per last signature, so no final step is needed."""
+    k = table.k
+    complete = (1 << k) - 1
+    codes, rows = _stock_rows(table)
+    # per cut: its path segment, its bit and its parent's, its parent's bit,
+    # its sibling masks and its rows; it may come next when its parent's is
+    # the one of the two bits done
+    cuts = []
+    for i, (parent, (below, above)) in enumerate(zip(table.parents, table.siblings)):
+        need = 0 if parent is None else 1 << parent
+        cuts.append(((i,), 1 << i | need, need, below, above, rows[i]))
+    layer = [((), table.load if k else 0, 0, codes.get(entry, 0) << k)]
+    for _ in range(k):
+        grown = []
+        kept: dict[int, list[tuple[int, int]]] = {}  # (f_t, f_p) per next state
+        for path, t, p, state in layer:
+            mask = state & complete
+            last = state >> k
+            for segment, bits, need, below, above, row in cuts:
+                if mask & bits != need:
+                    continue
+                above &= mask
+                code, full, partial, ticks, repeat = row[(mask & below).bit_length()
+                                                         + (above & -above)]
+                t2 = t + (partial if code == last else full)
+                p2 = p + ticks
+                to = mask | bits
+                if to == complete or repeat & ~to:
+                    to |= code << k
+                front = kept.get(to)
+                if front is None:
+                    front = kept[to] = []
+                for kt, kp in front:
+                    if kt <= t2 and kp <= p2:
+                        break
+                else:
+                    front.append((t2, p2))
+                    grown.append((path + segment, t2, p2, to))
+        layer = _cap_layer(grown)
+    names = [None, *codes]
+    return [(path, t, p, names[state >> k]) for path, t, p, state in layer]
+
+
+def _pareto_orders(tables: list[StepTable], mode: int) -> list[Label]:
     """Labels (path, f_t quanta, f_p ticks, last setup signature) of feasible
     orders of the stocks' cuts, in path order, a path being the order's
     indices into the concatenated cuts of `tables` (the stocks in bill
     order), each with its exact `evaluate_plan` cost (f_p held at 0 in mode
-    2) as if it followed a cut of setup signature `entry` (None: a full
-    setup first). Per last signature, they are the orders that no smaller
-    order ending on it weakly dominates, so a `_grow` onto one state keeps
-    the front.
+    2), a full setup first. Per last signature, they are the orders that no
+    smaller order ending on it weakly dominates, so a `_grow` onto one
+    state keeps the front. The search loop runs it only for the terms whose
+    orders interleave stocks (`_joined` gives None); a single stock's front
+    is its table's stock loop (`_stock_front`), which finds these same
+    labels.
 
     Precondition: each stock's cuts are contiguous and in the canonical
     order of its table's pattern, so cut i of a stock whose cuts start at
@@ -617,7 +705,7 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
                         int]] = []
     need = []  # per cut, the mask of its parent
     # per setup signature, the cuts of any stock that can repeat it
-    repeats = tables[0].repeats if len(tables) == 1 else {}
+    repeats: dict[tuple, int] = {}
     offset = 0
     for table in tables:
         stock = ((1 << table.k) - 1) << offset
@@ -625,9 +713,8 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
             per_cut.append((table.steps, table.k, j, offset, stock) + table.siblings[j]
                            + table.setups[j] + (table.load,))
             need.append(0 if parent is None else 1 << offset + parent)
-        if len(tables) > 1:
-            for sig, cuts in table.repeats.items():
-                repeats[sig] = repeats.get(sig, 0) | cuts << offset
+        for sig, cuts in table.repeats.items():
+            repeats[sig] = repeats.get(sig, 0) | cuts << offset
         offset += table.k
     complete = (1 << n) - 1
 
@@ -653,7 +740,7 @@ def _pareto_orders(tables: list[StepTable], mode: int, entry: tuple | None = Non
                         0 if mode == 2 else eps + perr))
         return out
 
-    layer: list[Label] = [((), 0, 0, (0, entry, 0))]
+    layer: list[Label] = [((), 0, 0, (0, None, 0))]
     for _ in range(n):
         layer = _cap_layer(_grow(layer, moves))
     return _grow(layer, lambda state: [((), state[1], 0, 0)])
@@ -676,9 +763,31 @@ def _joined(tables: list[StepTable], mode: int) -> list[Label] | None:
     """`_pareto_orders`' labels for orders that cut each stock in one run,
     stocks in bill order, found by joining the stocks' fronts. Those are
     all the feasible orders when at most one stock has cuts, and the ones
-    the term's front spans above EXHAUSTIVE_TERM_CUTS cuts. None for a term
-    of two or more cut stocks with fewer cuts (its orders may interleave
+    the term's front spans above EXHAUSTIVE_TERM_CUTS cuts, or at most that
+    many when no cut of one stock can repeat a signature that a cut of
+    another makes. None for the other terms (their orders may interleave
     stocks).
+
+    That check reads the tables' `repeats`: a signature names its tool, so
+    one that a cut of another stock makes and a cut of this one can repeat
+    is made by a tool with a partial setup, and is in both tables'
+    `repeats`. Without such a pair, each feasible order O of the term's
+    cuts has a counterpart J, its cuts sorted by stock in bill order,
+    stably, which costs no more and whose path is no larger. J is feasible,
+    since a cut's parent is on its stock. A cut's op time, op error and
+    measured length depend only on the cuts done before it on its stock,
+    which J keeps; so does f_p. J loads each stock once, O at least once. A
+    cut that follows a cut of its stock in O follows the same one in J and
+    pays the same setup. Any other cut of O, the first one or one after a
+    cut of another stock, pays a full setup, since it cannot repeat that
+    signature, and in J pays at most that. Where J and O first differ, J
+    makes the next cut of the first stock with cuts left, and O a cut of a
+    later stock, since both keep the stock's order: the later stock's cuts
+    have the larger indices, so J's path is smaller. So J weakly dominates
+    O, and the cost of an order on the term's front is that of a one-run
+    order with a path no larger: the lexicographically first order of each
+    front cost cuts each stock in one run, stocks in bill order, and the
+    join finds it.
 
     One `_grow` step per cut stock, over states that carry all that the
     next stock's cost takes from the stocks before it: its first cut gets a
@@ -702,7 +811,8 @@ def _joined(tables: list[StepTable], mode: int) -> list[Label] | None:
     a heuristic.
     """
     cut = [table for table in tables if table.k]
-    if len(cut) > 1 and sum(table.k for table in cut) <= EXHAUSTIVE_TERM_CUTS:
+    if sum(table.k for table in cut) <= EXHAUSTIVE_TERM_CUTS and any(
+            a.repeats.keys() & b.repeats.keys() for a, b in itertools.combinations(cut, 2)):
         return None
     layer: list[Label] = [((), 0, 0, None)]
     offset = 0
@@ -777,12 +887,13 @@ def _refined(design_id: str, stocks: TermStocks, mode: int) -> tuple[Recipe, ...
     feasible order of all the term's cuts, which is what scoring every such
     order would keep: up to EXHAUSTIVE_TERM_CUTS cuts every interleaving of
     its stocks, above that every order that cuts each stock in one run,
-    stocks in bill order. `_joined` finds it for a term with one cut stock
-    and for every term above EXHAUSTIVE_TERM_CUTS cuts, `_pareto_orders`
-    for the others. The plain concatenations of the per-node best orders
-    are not candidates: each cuts every stock in one run, stocks in bill
-    order, so unless a stock's search is capped the front spans it, and it
-    could add a tie but never a cost.
+    stocks in bill order. `_joined` finds it for a term with one cut
+    stock, for every term above EXHAUSTIVE_TERM_CUTS cuts and for a
+    smaller one whose stocks cannot repeat each other's setup signatures,
+    `_pareto_orders` for the others. The plain concatenations of the
+    per-node best orders are not candidates: each cuts every stock in one
+    run, stocks in bill order, so unless a stock's search is capped the
+    front spans it, and it could add a tie but never a cost.
 
     Stacked candidates are tried only where `_may_stack` allows one, so a
     term without two cut stocks of one pattern builds no cut.

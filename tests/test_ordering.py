@@ -31,6 +31,7 @@ from planwright.ordering import (
     refine_term,
     term_bounds,
 )
+from planwright.oracle import all_cut_orders
 from planwright.packing import Arrangement
 
 STOCKS = {s.id: s for s in with_metal_twins(default_stocks())}
@@ -484,19 +485,23 @@ def test_joined_front_shares_setup_across_stocks(stocks, mode):
 def raw_joined(tables, mode):
     """Reference for `ordering._joined`: the join over states that are the
     raw last setup signatures, each stock's moves its front after the
-    state, whatever the state."""
+    state, whatever the state, each state's labels sorted and filtered by
+    `lex_front`; the labels of every state, in path order."""
     cut = [table for table in tables if table.k]
     if len(cut) > 1 and sum(table.k for table in cut) <= EXHAUSTIVE_TERM_CUTS:
         return None
-    layer = [((), 0, 0, None)]
+    layer = {None: [((), 0, 0)]}
     offset = 0
     for table in cut:
-        def moves(sig, table=table, offset=offset):
-            return [(tuple(offset + i for i in path), last, t, 0 if mode == 2 else p)
-                    for path, t, p, last in table.front(sig)]
-        layer = ordering._grow(layer, moves)
+        grown = {}
+        for sig, labels in layer.items():
+            for path, t, p, last in table.front(sig):
+                grown.setdefault(last, []).extend(
+                    (head + tuple(offset + i for i in path), head_t + t,
+                     head_p + (0 if mode == 2 else p)) for head, head_t, head_p in labels)
+        layer = {sig: lex_front(labels) for sig, labels in grown.items()}
         offset += table.k
-    return layer
+    return sorted(label + (sig,) for sig, labels in layer.items() for label in labels)
 
 
 @pytest.mark.parametrize("mode", [2, 3])
@@ -548,6 +553,58 @@ def test_joined_state_merge_is_exact(mode, monkeypatch):
                           for i in range(1, len(rows))
                           if plan.cuts[i].stock_key != plan.cuts[i - 1].stock_key)
     assert carried and across
+
+
+def oracle_term_front(term_stocks, mode):
+    """(cut ids, cost) of the front of every feasible order of a term's
+    cuts, interleavings included (`oracle.all_cut_orders`), each costed by
+    `evaluate_plan` in `mode`, the first order of each cost kept."""
+    bill = tuple(orders.inst for orders in term_stocks)
+    scored = [(tuple(c.id for c in order),
+               evaluate_plan(FabPlan("d", tuple(order), bill), TOOLS).vector(mode))
+              for order in all_cut_orders([(orders.inst, list(orders.cuts))
+                                           for orders in term_stocks])]
+    return pareto_filter(scored, key=lambda order_cost: order_cost[1].objectives)
+
+
+# the largest terms checked against every interleaving of their cuts
+ORACLE_TERM_CUTS = 6
+
+
+@pytest.mark.parametrize("mode", [2, 3])
+@pytest.mark.parametrize("kind", ["lumber", "sheet"])
+def test_term_front_equals_oracle_cut_orders(kind, mode, monkeypatch):
+    # a term's front without its stacked candidates is the front of every
+    # feasible order of its cuts, interleavings included, with the first
+    # order of each cost: on random terms of 2-3 stocks and at most
+    # ORACLE_TERM_CUTS cuts, sticks cut from two part lengths or
+    # sheets, some joined (no cut of one stock can repeat a signature a cut
+    # of another makes) and some with a front order that interleaves stocks
+    rng = random.Random(f"term-oracle-{kind}-{mode}")
+    monkeypatch.setattr(ordering, "_may_stack", lambda tables: False)
+    node_memo = NodeMemo(TOOLS)
+    terms = joined = interleaved = 0
+    while terms < 30:
+        if kind == "lumber":
+            pool = rng.sample(LENGTHS, 2)
+            stocks = [(rng.choice(LUMBER), [rng.choice(pool) for _ in range(rng.randint(1, 3))])
+                      for _ in range(rng.randint(2, 3))]
+        else:
+            stocks = [random_stock(rng, "sheet") for _ in range(rng.randint(2, 3))]
+        g, term, cache = build_term(stocks, node_memo=node_memo)
+        term_stocks = ordering._term_stocks(g, term, cache)
+        tables = [orders.steps for orders in term_stocks]
+        if sum(table.k for table in tables) > ORACLE_TERM_CUTS:
+            continue
+        terms += 1
+        joined += ordering._joined(tables, mode) is not None
+        plans = [(build_plan(g.design_id, term_stocks, recipe), recipe[2])
+                 for recipe in ordering._refined(g.design_id, term_stocks, mode)]
+        assert [(tuple(c.id for c in plan.cuts), cost) for plan, cost in plans] == \
+            oracle_term_front(term_stocks, mode)
+        interleaved += any(len(list(itertools.groupby(c.stock_key for c in plan.cuts)))
+                           > len(term_stocks) for plan, _ in plans)
+    assert joined and interleaved
 
 
 # -- node order search: parity with scoring every permutation ----------------
@@ -958,11 +1015,12 @@ def test_term_search_reads_node_steps(mode, monkeypatch):
     # large, is searched and costed without costing a single cut afresh
     # (its step tables costed every step when they were made) or
     # simulating one (no two stocks are alike, so no stacked plan is
-    # evaluated). A term
-    # with one cut stock reads its node search's front, and a lumber or
-    # sheet term above EXHAUSTIVE_TERM_CUTS joins its stocks' fronts,
-    # searching only the entry fronts its tables lack; a smaller term of
-    # several cut stocks runs one term search.
+    # evaluated). A term with one cut stock reads its node search's front.
+    # A term of several cut stocks runs one term search when it has at most
+    # EXHAUSTIVE_TERM_CUTS cuts and a cut of one stock can repeat a setup
+    # signature that a cut of another makes; any other lumber or sheet term
+    # joins its stocks' fronts, running only the stock loops of the entry
+    # fronts its tables lack.
     rng = random.Random(f"no-resim-{mode}")
     node_memo = NodeMemo(TOOLS)
     terms = []
@@ -970,13 +1028,17 @@ def test_term_search_reads_node_steps(mode, monkeypatch):
         stocks = random_term(rng, max_stocks=4)
         if len(set(map(repr, stocks))) == len(stocks) and term_cuts(stocks) <= 12:
             terms.append(build_term(stocks, node_memo=node_memo))
+    # a small term whose sticks can repeat each other's signatures, which
+    # the random ones may lack, and a large one
+    crossing = [("2x2-24", [ticks(3), ticks(4)]), ("2x2-24", [ticks(4), ticks(3)])]
     lumber = [("2x2-48", [ticks(6), ticks("395/64"), ticks("6.125"), ticks(4)]),
               ("2x4-48", [ticks(6), ticks(4), ticks(5), ticks(5)])]
-    terms.append(build_term(lumber, node_memo=node_memo))
+    terms += [build_term(crossing, node_memo=node_memo), build_term(lumber, node_memo=node_memo)]
     calls = []
     searches = []
     resolve = cost_module.resolve_geometry
     pareto_orders = ordering._pareto_orders
+    stock_front = ordering._stock_front
 
     def costed(*args):
         raise AssertionError(f"a step costed during refinement: {args}")
@@ -985,14 +1047,25 @@ def test_term_search_reads_node_steps(mode, monkeypatch):
         calls.append(args)
         return resolve(*args)
 
-    def searched(tables, mode, entry=None):
-        searches.append((len(tables), entry))
-        return pareto_orders(tables, mode, entry)
+    def searched(tables, mode):
+        searches.append((len(tables), None))  # an interleaved search starts on no cut
+        return pareto_orders(tables, mode)
+
+    def looped(table, entry):
+        searches.append((1, entry))
+        return stock_front(table, entry)
+
+    def crossed(tables):
+        """Whether a signature a cut of one table makes is one that a cut
+        of another can repeat."""
+        return any(step[0] in b.repeats for a, b in itertools.permutations(tables, 2)
+                   for step in a.steps.values())
 
     monkeypatch.setattr(ordering, "measured_length", costed)
     monkeypatch.setattr(ordering, "cut_cost", costed)
     monkeypatch.setattr(cost_module, "resolve_geometry", simulated)
     monkeypatch.setattr(ordering, "_pareto_orders", searched)
+    monkeypatch.setattr(ordering, "_stock_front", looped)
     kinds = set()
     entered = 0
     for again in (False, True):
@@ -1002,7 +1075,7 @@ def test_term_search_reads_node_steps(mode, monkeypatch):
             cut = [o for o in orders if o.cuts]
             if len(cut) < 2:
                 kind = "one stock"
-            elif n_cuts <= EXHAUSTIVE_TERM_CUTS:
+            elif n_cuts <= EXHAUSTIVE_TERM_CUTS and crossed([o.steps for o in cut]):
                 kind = "interleaved"
             elif any(o.steps.spec.is_sheet for o in cut):
                 kind = "sheet"
@@ -1218,9 +1291,10 @@ def lex_front(labels):
 
 
 def layer_loop_orders(tables, mode, entry=None, full_state=False):
-    """Reference: `_pareto_orders` keeping each layer per state (done mask,
-    last setup signature, last cut's stock), each state's labels sorted and
-    filtered by `lex_front`, capped by `_cap_layer`. A state keeps its last
+    """Reference: `_pareto_orders`, and a stock's own loop entered after
+    `entry`, keeping each layer per state (done mask, last setup signature,
+    last cut's stock), each state's labels sorted and filtered by
+    `lex_front`, capped by `_cap_layer`. A state keeps its last
     signature only while a cut still to make can repeat it (with a partial
     setup), or once every cut is done; with `full_state`, it keeps every
     last signature and no layer is capped. Returns the fronts per last
@@ -1270,15 +1344,19 @@ def layer_loop_orders(tables, mode, entry=None, full_state=False):
     return {sig: lex_front(labels) for sig, labels in groups.items()}, capped
 
 
-def search_fronts(tables, mode, entry=None):
-    """`_pareto_orders`' labels per last setup signature, checked to come
-    in path order."""
-    labels = ordering._pareto_orders(tables, mode, entry)
+def fronts_by_signature(labels):
+    """Search labels per last setup signature, checked to come in path
+    order."""
     assert [label[0] for label in labels] == sorted(label[0] for label in labels)
     got = {}
     for path, t, p, sig in labels:
         got.setdefault(sig, []).append((path, t, p))
     return got
+
+
+def search_fronts(tables, mode):
+    """`_pareto_orders`' labels per last setup signature."""
+    return fronts_by_signature(ordering._pareto_orders(tables, mode))
 
 
 def parity_stocks(rng):
@@ -1307,17 +1385,30 @@ def parity_stocks(rng):
 
 
 def recorded_layers(monkeypatch):
-    """The states of each layer `_grow` returns from now on, as a list that
-    grows as searches run."""
+    """The states of each layer the stock loop (`ordering._stock_front`)
+    makes from now on, decoded to (done mask, last setup signature), as a
+    list that grows as searches run."""
     layers = []
-    grow = ordering._grow
+    running = []  # (cut count, signature per code) of the stock loop that runs
+    stock_front = ordering._stock_front
+    cap_layer = ordering._cap_layer
 
-    def recorded(layer, moves):
-        out = grow(layer, moves)
-        layers.append({label[3] for label in out})
-        return out
+    def front(table, entry):
+        codes, _ = ordering._stock_rows(table)
+        running.append((table.k, [None, *codes]))
+        try:
+            return stock_front(table, entry)
+        finally:
+            running.pop()
 
-    monkeypatch.setattr(ordering, "_grow", recorded)
+    def capped(layer):
+        if running:
+            k, names = running[-1]
+            layers.append({(state & (1 << k) - 1, names[state >> k]) for *_, state in layer})
+        return cap_layer(layer)
+
+    monkeypatch.setattr(ordering, "_stock_front", front)
+    monkeypatch.setattr(ordering, "_cap_layer", capped)
     return layers
 
 
@@ -1327,9 +1418,10 @@ def test_live_signature_search_matches_full_state_loop(mode, monkeypatch):
     # repeat it: every next cut pays after any other signature what it pays
     # after None, so merging those states changes no label, path or order.
     # On single stocks of at most 8 cuts and on terms whose stocks share
-    # part lengths (so a cut can repeat another stock's signature), entered
-    # after None and after each signature a stock opens with, the search
-    # equals the uncapped loop over (done mask, last signature, last stock)
+    # part lengths (so a cut can repeat another stock's signature), the
+    # search equals the uncapped loop over (done mask, last signature, last
+    # stock), and so does a single stock's own loop (mode 3), entered after
+    # None and after each signature the stock opens with
     rng = random.Random(f"live-signatures-{mode}")
     cases = parity_stocks(rng)
     layers = recorded_layers(monkeypatch)
@@ -1337,46 +1429,51 @@ def test_live_signature_search_matches_full_state_loop(mode, monkeypatch):
     for tables in cases:
         n = sum(table.k for table in tables)
         assert n <= 8
-        for entry in (None,) + tuple({sig for table in tables for sig in table.opens}):
-            want, capped = layer_loop_orders(tables, mode, entry, full_state=True)
-            assert not capped
-            assert search_fronts(tables, mode, entry) == want
+        want, capped = layer_loop_orders(tables, mode, full_state=True)
+        assert not capped
+        assert search_fronts(tables, mode) == want
+        if len(tables) == 1:
+            for entry in (None, *tables[0].opens):
+                want, capped = layer_loop_orders(tables, 3, entry, full_state=True)
+                assert not capped
+                assert fronts_by_signature(ordering._stock_front(tables[0], entry)) == want
         starts = list(itertools.accumulate([0] + [table.k for table in tables]))
         owners = {}
         for table, start in zip(tables, starts):
             for sig, cuts in table.repeats.items():
                 owners.setdefault(sig, set()).add(start)
         across += any(len(stocks) > 1 for stocks in owners.values())
-    # some states merged into None, and some term's cut can repeat a
-    # signature of a cut on another of its stocks
-    assert any(state[1] is None for states in layers for state in states if state)
+    # some of the stock loops' states merged into None, and some term's cut
+    # can repeat a signature of a cut on another of its stocks
+    assert any(sig is None for states in layers for _, sig in states)
     assert across
 
 
 def test_dead_signatures_leave_one_state_per_done_mask(monkeypatch):
     # no two cuts of this stick can make one setup signature, so no cut can
-    # repeat the last one: every layer before the last holds one state per
-    # done mask, its signature None, and the last one state per signature
+    # repeat the last one: every layer of its stock loop before the last
+    # holds one state per done mask, its signature None, and the last one
+    # state per signature
     table = table_for("2x4-96", [ticks(x) for x in (3, 7, 13, 21, 31)])
     assert all(cuts & cuts - 1 == 0 for cuts in table.repeats.values())
     layers = recorded_layers(monkeypatch)
-    ordering._pareto_orders([table], 3)
+    ordering._stock_front(table, None)
     k = table.k
+    assert len(layers) == k
     for done, states in enumerate(layers[:k - 1], start=1):
         assert len(states) == math.comb(k, done)
-        assert {sig for _, sig, _ in states} == {None}
-        assert {mask.bit_count() for mask, _, _ in states} == {done}
-    assert len({mask for mask, _, _ in layers[k - 1]}) == 1
+        assert {sig for _, sig in states} == {None}
+        assert {mask.bit_count() for mask, _ in states} == {done}
+    assert len({mask for mask, _ in layers[k - 1]}) == 1
 
 
-@pytest.mark.parametrize("kind", ["lumber", "sheet"])
-def test_capped_search_matches_layer_loop(kind):
-    # single stocks above 8 cuts, whose searches may be capped: 2x4-96
-    # sticks of 9-12 cuts and 48x36 sheets of 3-4 shelves and 10-16 cuts
+def capped_tables(kind):
+    """Four seeded single stocks above 8 cuts, whose searches may be capped:
+    2x4-96 sticks of 9-12 cuts, or 48x36 sheets of 3-4 shelves and 10-16
+    cuts."""
     rng = random.Random(f"capped-{kind}")
-    capped = 0
-    cases = 0
-    while cases < 4:
+    tables = []
+    while len(tables) < 4:
         if kind == "lumber":
             table = table_for("2x4-96", [rng.choice(LENGTHS)
                                          for _ in range(rng.randint(9, 12))])
@@ -1387,8 +1484,15 @@ def test_capped_search_matches_layer_loop(kind):
                 for _ in range(rng.randint(3, 4))])
             if not 10 <= table.k <= 16:
                 continue
+        tables.append(table)
+    return tables
+
+
+@pytest.mark.parametrize("kind", ["lumber", "sheet"])
+def test_capped_search_matches_layer_loop(kind):
+    capped = 0
+    for table in capped_tables(kind):
         assert table.k > 8
-        cases += 1
         for mode in (2, 3):
             want, was_capped = layer_loop_orders([table], mode)
             got = {}  # the search's labels per last setup signature
@@ -1397,3 +1501,28 @@ def test_capped_search_matches_layer_loop(kind):
             assert got == want
             capped += was_capped
     assert capped
+
+
+def test_stock_loop_matches_layer_loop():
+    # a step table's front after an entry signature is the capped layer
+    # loop's (mode 3): on the single stocks of `parity_stocks` after None
+    # and each signature they open with, on the capped stocks above, and on
+    # an uncut stock, whose one order is empty and costs nothing, no load
+    rng = random.Random("stock-loop")
+    tables = [case[0] for case in parity_stocks(rng) if len(case) == 1]
+    assert len(tables) == 14 and any(table.opens for table in tables)
+    for table in tables:
+        for entry in (None, *table.opens):
+            want, capped = layer_loop_orders([table], 3, entry)
+            assert not capped
+            assert fronts_by_signature(table.front(entry)) == want
+    capped = 0
+    for table in capped_tables("lumber") + capped_tables("sheet"):
+        want, was_capped = layer_loop_orders([table], 3)
+        assert fronts_by_signature(table.front()) == want
+        capped += was_capped
+    assert capped
+    uncut = table_for("2x4-24", [STOCKS["2x4-24"].dims[0]])
+    assert uncut.k == 0 and uncut.load
+    assert layer_loop_orders([uncut], 3) == ({None: [((), 0, 0)]}, False)
+    assert uncut.front() == [((), 0, 0, None)]
